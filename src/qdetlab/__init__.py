@@ -13,6 +13,7 @@ from .errors import (
     ParseError,
     PoleError,
     QdetLabError,
+    UsageError,
 )
 from .gaussian import I, ONE, ZERO, GaussianRational, parse, to_gq
 from .linalg import ExactMatrix, determinant, pfaffian, submatrix
@@ -29,6 +30,7 @@ __all__ = [
     "ParseError",
     "PoleError",
     "QdetLabError",
+    "UsageError",
     "ZERO",
     "determinant",
     "parse",

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 
+from .errors import UsageError
 from .identities import REGISTRY, check_ids, get_check, run_suite
 
 USAGE_ERROR = 2
@@ -21,11 +22,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # route argparse usage errors through our exit-code contract
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise UsageError(message)
 
 
 def _default_seed() -> int:
@@ -35,7 +32,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _UsageError(f"QDETLAB_SEED must be an integer, got {raw!r}")
+        raise UsageError(f"QDETLAB_SEED must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,9 +74,7 @@ def _resolve_checks(args_check: list[str] | None) -> list[str]:
             elif name in REGISTRY:
                 wanted.append(name)
             else:
-                raise _UsageError(f"unknown check id {name!r} (see 'qdet-lab list')")
-    if not wanted:
-        raise _UsageError("no checks requested")
+                raise UsageError(f"unknown check id {name!r} (see 'qdet-lab list')")
     return wanted
 
 
@@ -93,13 +88,13 @@ def _cmd_list() -> int:
 
 def _cmd_explain(check_id: str) -> int:
     if check_id not in REGISTRY:
-        raise _UsageError(f"unknown check id {check_id!r} (see 'qdet-lab list')")
+        raise UsageError(f"unknown check id {check_id!r} (see 'qdet-lab list')")
     entry = get_check(check_id)
     print(f"check:         {entry.id}")
     print(f"mode:          {entry.mode}")
     print(f"statement:     {entry.summary}")
     print(f"size means:    {entry.size_role}")
-    print(f"inputs drawn:  {', '.join(entry.slots)}")
+    print(f"inputs drawn:  {', '.join(entry.draws)}")
     sizes = ", ".join(str(n) for n in entry.default_sizes)
     print(f"default sizes: {sizes}")
     if entry.max_size is not None:
@@ -112,10 +107,6 @@ def _cmd_explain(check_id: str) -> int:
 def _cmd_run(args) -> int:
     checks = _resolve_checks(args.check)
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.trials < 1:
-        raise _UsageError("--trials must be >= 1")
-    if args.n_min is not None and args.n_max is not None and args.n_min > args.n_max:
-        raise _UsageError("--n-min must not exceed --n-max")
     report = run_suite(checks, n_min=args.n_min, n_max=args.n_max, trials=args.trials, seed=seed)
     rendered = report.to_json() if args.format == "json" else report.to_text()
     if args.output is None or args.output == "-":
@@ -135,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "explain":
             return _cmd_explain(args.check)
         return _cmd_run(args)
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"qdet-lab: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -33,3 +33,7 @@ class NonTerminatingSeriesError(QdetLabError, ValueError):
 
 class DegenerateSampleError(QdetLabError, RuntimeError):
     """The rejection sampler failed to find a non-degenerate point."""
+
+
+class UsageError(QdetLabError, ValueError):
+    """A request that cannot run: unknown input, no trials, or nothing selected."""

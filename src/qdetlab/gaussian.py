@@ -174,6 +174,11 @@ I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
 
 
+def sign(n: int) -> GaussianRational:
+    """(-1)**n as a scalar."""
+    return ONE if n % 2 == 0 else -ONE
+
+
 # -- canonical string codec --------------------------------------------------
 
 

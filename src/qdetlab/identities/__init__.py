@@ -14,9 +14,9 @@ from .builders import (
     theorem_matrix_rows,
     triangular_inverse,
 )
-from .points import ParamPoint, sample_point
+from .points import ParamPoint
 from .registry import REGISTRY, CheckDef, check_ids, get_check
-from .runner import CheckResult, Report, run_check, run_suite
+from .runner import CheckResult, Report, run_check, run_suite, sample_point
 
 __all__ = [
     "CheckDef",

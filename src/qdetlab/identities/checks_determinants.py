@@ -8,7 +8,7 @@ sides live in QQ(i).
 
 from __future__ import annotations
 
-from ..gaussian import I, ONE, ZERO, GaussianRational
+from ..gaussian import I, ONE, ZERO, GaussianRational, sign
 from ..linalg import determinant, pfaffian
 from ..orthopoly import (
     AWParams,
@@ -35,12 +35,7 @@ from .builders import (
     moment_hankel,
     nishizawa_matrix,
 )
-
-Comparison = tuple[str, GaussianRational, GaussianRational]
-
-
-def _sign(n: int) -> GaussianRational:
-    return ONE if n % 2 == 0 else -ONE
+from .points import Comparison
 
 
 def eval_hankel(pt, n: int) -> list[Comparison]:
@@ -144,7 +139,7 @@ def eval_thm_main_phi(pt, n: int) -> list[Comparison]:
         order=n,
     )
     rhs = (
-        _sign(n)
+        sign(n)
         * a ** (n * (n - 3) // 2)
         * q ** (n * (n + 1) * (2 * n - 5) // 6 + n * (n - 3) * r // 2)
         * qp(a * b * c * q ** (r + 1), q * q, n)
@@ -229,7 +224,7 @@ def eval_cor_even_aw(pt, m: int) -> list[Comparison]:
         "hypergeometric",
     )
     rhs = (
-        _sign(m)
+        sign(m)
         * a ** (m * (2 * m - 1))
         * b**m
         * c**m
@@ -297,7 +292,7 @@ def eval_cor_odd_aw(pt, m: int) -> list[Comparison]:
         "hypergeometric",
     )
     rhs = (
-        _sign(m)
+        sign(m)
         * a ** (m * (2 * m + 1))
         * b**m
         * c**m

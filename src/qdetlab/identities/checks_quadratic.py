@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from ..gaussian import I, ONE, ZERO, GaussianRational
+from ..gaussian import I, ONE, ZERO
 from ..linalg import ExactMatrix, determinant, submatrix
 from ..orthopoly import AWParams, askey_wilson
 from ..qseries import q_pochhammer as qp, terminating_phi
 from .builders import build_theorem_matrix
-
-Comparison = tuple[str, GaussianRational, GaussianRational]
+from .points import Comparison
 
 
 def eval_dj_generic(pt, n: int) -> list[Comparison]:
@@ -94,10 +93,11 @@ def eval_quadratic_phi(pt, n: int) -> list[Comparison]:
     aqi = a * q * I
 
     def product(mult, num1, den1, order1, num2, den2, order2):
-        # A vanishing scalar multiplier annihilates the product before the
-        # series are formed; at n = 1 the first factor below is otherwise
-        # non-terminating.
-        if not mult:
+        # At n = 1 the first factor below has order -1, and its multiplier
+        # (1 - q^{n-1}) vanishes.  Every other order is non-negative and its
+        # series is formed even under a zero multiplier, so that a pole such
+        # as (abq^2; q)_1 = 0 reaches the sampler instead of being hidden.
+        if order1 < 0 or order2 < 0:
             return ZERO
         s1 = terminating_phi(num1, den1, q, q, order=order1)
         s2 = terminating_phi(num2, den2, q, q, order=order2)

@@ -8,7 +8,7 @@ inverses of the q-binomial triangular matrices.
 
 from __future__ import annotations
 
-from ..gaussian import ONE, ZERO, GaussianRational
+from ..gaussian import ONE, ZERO, GaussianRational, sign
 from ..linalg import ExactMatrix, determinant, submatrix
 from ..qseries import q_binomial, q_pochhammer as qp
 from .builders import (
@@ -19,12 +19,7 @@ from .builders import (
     theorem_matrix_rows,
     triangular_inverse,
 )
-
-Comparison = tuple[str, GaussianRational, GaussianRational]
-
-
-def _sign(n: int) -> GaussianRational:
-    return ONE if n % 2 == 0 else -ONE
+from .points import Comparison
 
 
 def _r_weighted_sum(n, k, a, b, c, q, sign_exponent_from_n: bool) -> GaussianRational:
@@ -32,9 +27,8 @@ def _r_weighted_sum(n, k, a, b, c, q, sign_exponent_from_n: bool) -> GaussianRat
     q2 = q * q
     total = ZERO
     for nu in range(n + 1):
-        sign = _sign(n - nu) if sign_exponent_from_n else _sign(nu)
         total = total + (
-            sign
+            sign(n - nu if sign_exponent_from_n else nu)
             * qp(a * b * c * q ** (2 * nu + 1), q2, n - nu)
             * qp(a * c * q, q2, nu)
             * compute_r(n, nu, k, a, b, q)
@@ -112,7 +106,7 @@ def eval_r_sum(pt, n: int) -> list[Comparison]:
     k = pt.k_tuple[:n]
     total = ZERO
     for nu in range(n + 1):
-        total = total + _sign(n - nu) * compute_r(n, nu, k, a, b, q)
+        total = total + sign(n - nu) * compute_r(n, nu, k, a, b, q)
     rhs = a**n * q ** (n * (n - 1) // 2 + sum(k)) * qp(b, q, n)
     return [("alternating R-sum vs single product", total, rhs)]
 
@@ -143,7 +137,7 @@ def eval_residue_ids(pt, n: int) -> list[Comparison]:
             s2 = s2 + num / (core * (ONE - abq * x))
         rhs1 = c * q ** (j - 1) / prod_x
         if j == 1:
-            rhs1 = rhs1 + _sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / (
+            rhs1 = rhs1 + sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / (
                 q * inv_ax
             )
         comps.append((f"residue identity (first kind), j={j}", -s1, rhs1))
@@ -189,10 +183,10 @@ def eval_vandermonde_vw(pt, n: int) -> list[Comparison]:
             if j < n
             else last_col(xs[i - 1], ONE - a * xs[i - 1]),
         )
-        lhs_v = _sign(n - 1) * determinant(v) / vandermonde
+        lhs_v = sign(n - 1) * determinant(v) / vandermonde
         rhs_v = c * q**k / prod_x
         if k == 1:
-            rhs_v = rhs_v + _sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / inv_ax
+            rhs_v = rhs_v + sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / inv_ax
         comps.append((f"structured-column Vandermonde (first kind), k={k}", lhs_v, rhs_v))
 
         w = ExactMatrix.build(
@@ -202,7 +196,7 @@ def eval_vandermonde_vw(pt, n: int) -> list[Comparison]:
             if j < n
             else last_col(xs[i - 1], ONE - abq * xs[i - 1]),
         )
-        lhs_w = _sign(n - 1) * determinant(w) / vandermonde
+        lhs_w = sign(n - 1) * determinant(w) / vandermonde
         rhs_w = c * q**k / prod_x
         if k == n:
             rhs_w = rhs_w - a ** (n - 1) * q ** ((n - 1) * (n - 2) // 2) * (
@@ -233,7 +227,7 @@ def eval_bottom_rows(pt, n: int) -> list[Comparison]:
     comps = []
     for j in range(1, n + 1):
         if j == 1:
-            expected_p = _sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / (
+            expected_p = sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / (
                 q * inv_ax
             )
             expected_q = c * q ** (-sum_k)
@@ -293,12 +287,12 @@ def eval_pq_lemma(pt, n: int) -> list[Comparison]:
         (
             "shifted principal minor of first conjugation",
             determinant(submatrix(p, rows, shifted_cols)),
-            _sign(n - 1) * determinant(build_m(head, a * q, b, c * q, q)) / denom,
+            sign(n - 1) * determinant(build_m(head, a * q, b, c * q, q)) / denom,
         ),
         (
             "leading principal minor of second conjugation",
             determinant(submatrix(qq, rows, lead_cols)),
-            _sign(n - 1) * determinant(build_m(head, a, b, c, q)) / denom,
+            sign(n - 1) * determinant(build_m(head, a, b, c, q)) / denom,
         ),
     ]
     ratio_p = ONE
@@ -338,7 +332,7 @@ def eval_m_closed(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
     det_m = determinant(build_m(k, a, b, c, q))
-    pre = _sign(n) * a ** (n * (n - 3) // 2) * q ** (n * (n + 1) * (n - 4) // 6)
+    pre = sign(n) * a ** (n * (n - 3) // 2) * q ** (n * (n + 1) * (n - 4) // 6)
     for i in range(1, n + 1):
         pre = pre * qp(b * q, q, i - 2)
     for i in range(n):

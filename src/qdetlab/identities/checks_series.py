@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..gaussian import ONE, ZERO, GaussianRational
+from ..gaussian import ONE, ZERO, sign
 from ..orthopoly import AWParams, andrews_rhs, askey_wilson
 from ..qseries import (
     phi_coeff,
@@ -11,12 +11,7 @@ from ..qseries import (
     terminating_phi,
     very_well_poised,
 )
-
-Comparison = tuple[str, GaussianRational, GaussianRational]
-
-
-def _sign(n: int) -> GaussianRational:
-    return ONE if n % 2 == 0 else -ONE
+from .points import Comparison
 
 
 def eval_phi_contiguous_1(pt, order: int) -> list[Comparison]:
@@ -108,7 +103,7 @@ def eval_even_odd_factorization(pt, m: int) -> list[Comparison]:
     x0 = -(a / b + b / a) / 2
     even_lhs = askey_wilson(2 * m, AWParams(a, b, c, -c, q, ZERO), "hypergeometric")
     even_rhs = (
-        _sign(m)
+        sign(m)
         * a**m
         * b**m
         * c ** (2 * m)
@@ -122,7 +117,7 @@ def eval_even_odd_factorization(pt, m: int) -> list[Comparison]:
     )
     odd_lhs = askey_wilson(2 * m + 1, AWParams(a, b, c, -c, q, ZERO), "hypergeometric")
     odd_rhs = (
-        _sign(m + 1)
+        sign(m + 1)
         * a**m
         * b ** (m + 1)
         * c ** (2 * m)

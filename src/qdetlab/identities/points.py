@@ -1,30 +1,35 @@
-"""Non-degenerate parameter points and the deterministic rejection sampler.
+"""Parameter points and the draw table that fills them.
 
 A :class:`ParamPoint` is one sampled assignment of every input a check needs:
 plain rational parameters, square roots (kappa^2 = q and friends, so both
 sides of a root-bearing identity use the same root), integer shifts, row
-index tuples, variable lists, and raw matrix entries.  Sampling is a pure
-function of ``(check id, seed, trial)``: candidates are drawn with
-numerators in [-9, 9] \\ {0} and denominators in [1, 9] and rejected until
-the target check evaluates without hitting a pole, so every returned point
-is non-degenerate for that check.
+index tuples, variable lists, and raw matrix entries.  A check names its
+draws once, in RNG order; :func:`draw` turns the names into values with
+numerators in [-9, 9] \\ {0} and denominators in [1, 9].  The rejection
+loop that keeps only non-degenerate points lives in :mod:`.runner`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from ..errors import DegenerateSampleError, PoleError
 from ..gaussian import GaussianRational, ONE
 
 _NUMERATORS = [k for k in range(-9, 10) if k != 0]
 
+# What an evaluator returns: labeled (lhs, rhs) pairs that must agree exactly.
+Comparison = tuple[str, GaussianRational, GaussianRational]
+
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """One sampled parameter assignment; only the slots a check uses are set."""
+    """One sampled parameter assignment; only the slots a check uses are set.
+
+    The slots after ``seed`` and ``trial`` appear in :meth:`describe` in
+    declaration order.
+    """
 
     seed: int = 0
     trial: int = 0
@@ -38,37 +43,28 @@ class ParamPoint:
     q: GaussianRational | None = None
     d: GaussianRational | None = None
     x: GaussianRational | None = None
-    r: int | None = None
-    k_tuple: tuple[int, ...] | None = None
-    x_list: tuple[GaussianRational, ...] | None = None
     s_half: GaussianRational | None = None
     t_half: GaussianRational | None = None
     alpha_c: GaussianRational | None = None
     beta_c: GaussianRational | None = None
     gamma_c: GaussianRational | None = None
+    r: int | None = None
+    k_tuple: tuple[int, ...] | None = None
+    x_list: tuple[GaussianRational, ...] | None = None
     extras: tuple[GaussianRational, ...] | None = None
     matrix_entries: tuple[GaussianRational, ...] | None = None
 
     def describe(self) -> dict:
         """JSON-ready view of the set slots, scalars in canonical form."""
         out: dict = {}
-        for name in (
-            "kappa", "alpha", "beta", "gamma", "a", "b", "c", "q", "d", "x",
-            "s_half", "t_half", "alpha_c", "beta_c", "gamma_c",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = str(value)
-        if self.r is not None:
-            out["r"] = self.r
-        if self.k_tuple is not None:
-            out["k_tuple"] = list(self.k_tuple)
-        if self.x_list is not None:
-            out["x_list"] = [str(v) for v in self.x_list]
-        if self.extras is not None:
-            out["extras"] = [str(v) for v in self.extras]
-        if self.matrix_entries is not None:
-            out["matrix_entries"] = [str(v) for v in self.matrix_entries]
+        for slot in fields(self)[2:]:
+            value = getattr(self, slot.name)
+            if value is None:
+                continue
+            if isinstance(value, tuple):
+                out[slot.name] = [v if isinstance(v, int) else str(v) for v in value]
+            else:
+                out[slot.name] = value if isinstance(value, int) else str(value)
         return out
 
 
@@ -108,25 +104,15 @@ def draw_x_list(rng: random.Random, size: int = 6) -> tuple[GaussianRational, ..
             return values
 
 
-def sample_plain(rng, *, with_c=False, with_r=False, with_d=False, with_x=False) -> dict:
-    """Plain rational a, b, q (optionally c, r, d, x) for root-free checks."""
-    out = {"a": draw_rational(rng), "b": draw_rational(rng), "q": draw_unit_free(rng)}
-    if with_c:
-        out["c"] = draw_rational(rng)
-    if with_r:
-        out["r"] = draw_r(rng)
-    if with_d:
-        out["d"] = draw_rational(rng)
-    if with_x:
-        out["x"] = draw_rational(rng)
-    return out
+def draw_matrix(rng: random.Random, size: int = 6) -> tuple[GaussianRational, ...]:
+    return tuple(draw_complex(rng) for _ in range(size * size))
 
 
-def sample_roots(rng, *, with_r=True) -> dict:
-    """Roots kappa, alpha, beta, gamma with a, b, c, q their squares."""
+def draw_roots(rng: random.Random) -> dict:
+    """Roots kappa, alpha, beta, gamma, with q, a, b, c set to their squares."""
     kappa = draw_unit_free(rng)
     alpha, beta, gamma = (draw_rational(rng) for _ in range(3))
-    out = {
+    return {
         "kappa": kappa,
         "alpha": alpha,
         "beta": beta,
@@ -136,54 +122,33 @@ def sample_roots(rng, *, with_r=True) -> dict:
         "c": gamma * gamma,
         "q": kappa * kappa,
     }
-    if with_r:
-        out["r"] = draw_r(rng)
-    return out
 
 
-def sample_classical(rng) -> dict:
-    return {
-        "alpha_c": draw_rational(rng),
-        "beta_c": draw_rational(rng),
-        "gamma_c": draw_rational(rng),
-        "r": draw_r(rng),
-    }
+# The draw table: how a named slot is drawn.  Any other slot name is one
+# plain rational; ``extras:N`` is N of them.
+_DRAWS = {
+    "q": draw_unit_free,
+    "kappa": draw_unit_free,
+    "r": draw_r,
+    "k_tuple": draw_k_tuple,
+    "x_list": draw_x_list,
+    "matrix_entries": draw_matrix,
+}
 
 
-def sample_extras(rng, count: int, *, with_q=True) -> dict:
-    out: dict = {"extras": tuple(draw_rational(rng) for _ in range(count))}
-    if with_q:
-        out["q"] = draw_unit_free(rng)
-    return out
+def draw(names: tuple[str, ...], rng: random.Random) -> dict:
+    """Slot values for ``names``, drawn from ``rng`` in the order named.
 
-
-def sample_matrix(rng, size: int = 6) -> dict:
-    return {"matrix_entries": tuple(draw_complex(rng) for _ in range(size * size))}
-
-
-_MAX_ATTEMPTS = 1000
-
-
-def sample_point(check_id: str, seed: int, trial: int, n: int | None = None) -> ParamPoint:
-    """Deterministic non-degenerate point for ``(check_id, seed, trial)``.
-
-    Candidates are rejection-resampled until the check evaluates cleanly at
-    size ``n`` (the check's largest default size when omitted).  Identical
-    arguments always return the identical point.
+    ``roots`` draws kappa, alpha, beta, gamma and sets q, a, b, c to their
+    squares; ``extras:N`` fills ``extras`` with N rationals.
     """
-    from .registry import get_check
-
-    entry = get_check(check_id)
-    rng = random.Random(f"{check_id}|{seed}|{trial}")
-    size = n if n is not None else max(entry.default_sizes)
-    for _ in range(_MAX_ATTEMPTS):
-        point = ParamPoint(seed=seed, trial=trial, **entry.sample(rng))
-        try:
-            entry.evaluate(point, size)
-        except (PoleError, ZeroDivisionError):
-            continue
-        return point
-    raise DegenerateSampleError(
-        f"no non-degenerate point for check {check_id!r} at n={size} "
-        f"after {_MAX_ATTEMPTS} attempts (seed={seed}, trial={trial})"
-    )
+    out: dict = {}
+    for name in names:
+        if name == "roots":
+            out.update(draw_roots(rng))
+        elif name.startswith("extras:"):
+            count = int(name.partition(":")[2])
+            out["extras"] = tuple(draw_rational(rng) for _ in range(count))
+        else:
+            out[name] = _DRAWS.get(name, draw_rational)(rng)
+    return out

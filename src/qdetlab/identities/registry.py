@@ -1,6 +1,6 @@
 """Static registry of identity checks.
 
-Every check pairs a deterministic sampler (which inputs to draw) with an
+Every check names the inputs it draws, in RNG order, and pairs them with an
 evaluator producing labeled (lhs, rhs) comparisons that must agree exactly.
 ``mode`` distinguishes proven statements (``identity``) from the open
 quadratic relation (``evidence``), whose outcome is reported but never
@@ -9,6 +9,7 @@ fails a run.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -60,102 +61,32 @@ from .checks_series import (
     eval_w8_contiguous,
     eval_watson,
 )
-from .points import (
-    draw_rational,
-    draw_unit_free,
-    sample_classical,
-    sample_extras,
-    sample_matrix,
-    sample_plain,
-    sample_roots,
-    draw_k_tuple,
-    draw_r,
-    draw_x_list,
-)
+from .points import Comparison, ParamPoint, draw
 
 
 @dataclass(frozen=True)
 class CheckDef:
-    """One registry entry: what to sample, how to evaluate, how to describe it."""
+    """One registry entry: what to draw, how to evaluate, how to describe it.
+
+    ``draws`` names the sampled slots once, in RNG order (see
+    :func:`~qdetlab.identities.points.draw`); ``sample`` defaults to drawing
+    them.
+    """
 
     id: str
     summary: str
     size_role: str
-    slots: tuple[str, ...]
+    draws: tuple[str, ...]
     default_sizes: tuple[int, ...]
-    sample: Callable[[random.Random], dict]
-    evaluate: Callable
+    evaluate: Callable[[ParamPoint, int], list[Comparison]]
     mode: str = "identity"
     min_size: int = 1
     max_size: int | None = None
+    sample: Callable[[random.Random], dict] | None = None
 
-
-def _plain_abq_r(rng):
-    out = sample_plain(rng, with_r=True)
-    return out
-
-
-def _plain_abcq_r(rng):
-    return sample_plain(rng, with_c=True, with_r=True)
-
-
-def _plain_abcq(rng):
-    return sample_plain(rng, with_c=True)
-
-
-def _plain_abq(rng):
-    return sample_plain(rng)
-
-
-def _rows_abcq(rng):
-    out = sample_plain(rng, with_c=True)
-    out["k_tuple"] = draw_k_tuple(rng)
-    return out
-
-
-def _rows_abq(rng):
-    out = sample_plain(rng)
-    out["k_tuple"] = draw_k_tuple(rng)
-    return out
-
-
-def _xlist_abcq(rng):
-    out = sample_plain(rng, with_c=True)
-    out["x_list"] = draw_x_list(rng)
-    return out
-
-
-def _q_only(rng):
-    return {"q": draw_unit_free(rng)}
-
-
-def _mw_ab(rng):
-    return {"a": draw_rational(rng), "b": draw_rational(rng)}
-
-
-def _nishizawa_stq(rng):
-    return {
-        "s_half": draw_rational(rng),
-        "t_half": draw_rational(rng),
-        "q": draw_unit_free(rng),
-    }
-
-
-def _watson_slots(rng):
-    out = sample_extras(rng, 4)
-    out["alpha"] = draw_rational(rng)
-    return out
-
-
-def _w8_slots(rng):
-    out = sample_extras(rng, 4, with_q=False)
-    out["alpha"] = draw_rational(rng)
-    out["kappa"] = draw_unit_free(rng)
-    return out
-
-
-def _conjecture_slots(rng):
-    return sample_plain(rng, with_c=True, with_d=True, with_x=True)
+    def __post_init__(self):
+        if self.sample is None:
+            object.__setattr__(self, "sample", functools.partial(draw, self.draws))
 
 
 _CHECKS = [
@@ -163,367 +94,328 @@ _CHECKS = [
         id="hankel",
         summary="Hankel determinant of the q-moment sequence equals its closed product",
         size_role="matrix size n",
-        slots=("a", "b", "q", "r"),
+        draws=("a", "b", "q", "r"),
         default_sizes=(1, 2, 3, 4, 5, 6),
-        sample=_plain_abq_r,
         evaluate=eval_hankel,
     ),
     CheckDef(
         id="pfaffian_moments",
         summary="Pfaffian of the skew q-moment kernel equals its closed product",
         size_role="half matrix size m (matrix is 2m x 2m)",
-        slots=("a", "b", "q", "r"),
+        draws=("a", "b", "q", "r"),
         default_sizes=(1, 2, 3, 4),
-        sample=_plain_abq_r,
         evaluate=eval_pfaffian_moments,
     ),
     CheckDef(
         id="mehta_wang",
         summary="Normalized factorial-moment determinant equals the D-sequence product",
         size_role="matrix size n",
-        slots=("a", "b"),
+        draws=("a", "b"),
         default_sizes=(1, 2, 3, 4, 5, 6),
-        sample=_mw_ab,
         evaluate=eval_mehta_wang,
     ),
     CheckDef(
         id="nishizawa",
         summary="q-deformed factorial determinant equals its Al-Salam-Chihara closed form",
         size_role="matrix size n",
-        slots=("s_half", "t_half", "q"),
+        draws=("s_half", "t_half", "q"),
         default_sizes=(1, 2, 3, 4, 5),
-        sample=_nishizawa_stq,
         evaluate=eval_nishizawa,
     ),
     CheckDef(
         id="thm_main_phi",
         summary="Shifted q-moment determinant equals the terminating series closed form",
         size_role="matrix size n",
-        slots=("kappa", "alpha", "beta", "gamma", "r"),
+        draws=("roots", "r"),
         default_sizes=(1, 2, 3, 4, 5, 6),
-        sample=sample_roots,
         evaluate=eval_thm_main_phi,
     ),
     CheckDef(
         id="thm_main_aw",
         summary="Shifted q-moment determinant equals the Askey-Wilson closed form",
         size_role="matrix size n",
-        slots=("kappa", "alpha", "beta", "gamma", "r"),
+        draws=("roots", "r"),
         default_sizes=(1, 2, 3, 4, 5, 6),
-        sample=sample_roots,
         evaluate=eval_thm_main_aw,
     ),
     CheckDef(
         id="cor_even_phi",
         summary="Even-size determinant equals the base-q^2 terminating series form",
         size_role="half size m (matrix is 2m x 2m)",
-        slots=("a", "b", "c", "q", "r"),
+        draws=("a", "b", "q", "c", "r"),
         default_sizes=(1, 2, 3),
-        sample=_plain_abcq_r,
         evaluate=eval_cor_even_phi,
     ),
     CheckDef(
         id="cor_even_aw",
         summary="Even-size determinant equals the base-q^2 Askey-Wilson form",
         size_role="half size m (matrix is 2m x 2m)",
-        slots=("a", "b", "c", "q", "r"),
+        draws=("a", "b", "q", "c", "r"),
         default_sizes=(1, 2, 3),
-        sample=_plain_abcq_r,
         evaluate=eval_cor_even_aw,
     ),
     CheckDef(
         id="cor_odd_phi",
         summary="Odd-size determinant equals the base-q^2 terminating series form",
         size_role="half size m (matrix is (2m+1) x (2m+1))",
-        slots=("a", "b", "c", "q", "r"),
+        draws=("a", "b", "q", "c", "r"),
         default_sizes=(1, 2, 3),
-        sample=_plain_abcq_r,
         evaluate=eval_cor_odd_phi,
     ),
     CheckDef(
         id="cor_odd_aw",
         summary="Odd-size determinant equals the base-q^2 Askey-Wilson form",
         size_role="half size m (matrix is (2m+1) x (2m+1))",
-        slots=("a", "b", "c", "q", "r"),
+        draws=("a", "b", "q", "c", "r"),
         default_sizes=(1, 2, 3),
-        sample=_plain_abcq_r,
         evaluate=eval_cor_odd_aw,
     ),
     CheckDef(
         id="c1_pfaffian_square",
         summary="At c=1 the even determinant equals the square of its Pfaffian",
         size_role="half size m (matrix is 2m x 2m)",
-        slots=("a", "b", "q", "r"),
+        draws=("a", "b", "q", "r"),
         default_sizes=(1, 2, 3),
-        sample=_plain_abq_r,
         evaluate=eval_c1_pfaffian_square,
     ),
     CheckDef(
         id="classical_hahn",
         summary="Classical-limit determinant equals 3F2 and continuous-Hahn closed forms",
         size_role="matrix size n",
-        slots=("alpha_c", "beta_c", "gamma_c", "r"),
+        draws=("alpha_c", "beta_c", "gamma_c", "r"),
         default_sizes=(1, 2, 3, 4, 5),
-        sample=sample_classical,
         evaluate=eval_classical_hahn,
     ),
     CheckDef(
         id="classical_wilson_even",
         summary="Even classical determinant equals 4F3 and Wilson closed forms",
         size_role="half size m (matrix is 2m x 2m)",
-        slots=("alpha_c", "beta_c", "gamma_c", "r"),
+        draws=("alpha_c", "beta_c", "gamma_c", "r"),
         default_sizes=(1, 2),
-        sample=sample_classical,
         evaluate=eval_classical_wilson_even,
     ),
     CheckDef(
         id="classical_wilson_odd",
         summary="Odd classical determinant equals 4F3 and Wilson closed forms",
         size_role="half size m (matrix is (2m+1) x (2m+1))",
-        slots=("alpha_c", "beta_c", "gamma_c", "r"),
+        draws=("alpha_c", "beta_c", "gamma_c", "r"),
         default_sizes=(1, 2),
-        sample=sample_classical,
         evaluate=eval_classical_wilson_odd,
     ),
     CheckDef(
         id="thm_rows",
         summary="Arbitrary-row kernel determinant equals the R-sum closed form",
         size_role="number of rows n",
-        slots=("k_tuple", "a", "b", "c", "q"),
+        draws=("a", "b", "q", "c", "k_tuple"),
         default_sizes=(1, 2, 3, 4, 5, 6),
         max_size=12,
-        sample=_rows_abcq,
         evaluate=eval_thm_rows,
     ),
     CheckDef(
         id="q_kratt",
         summary="Arbitrary-row moment determinant equals its Vandermonde-type product",
         size_role="number of rows n",
-        slots=("k_tuple", "a", "b", "q"),
+        draws=("a", "b", "q", "k_tuple"),
         default_sizes=(1, 2, 3, 4, 5, 6),
         max_size=12,
-        sample=_rows_abq,
         evaluate=eval_q_kratt,
     ),
     CheckDef(
         id="r_closed",
         summary="R-sum over consecutive rows collapses to a q-binomial product",
         size_role="number of rows n",
-        slots=("a", "b", "q"),
+        draws=("a", "b", "q"),
         default_sizes=(1, 2, 3, 4, 5, 6),
-        sample=_plain_abq,
         evaluate=eval_r_closed,
     ),
     CheckDef(
         id="r_recurrence",
         summary="R-sum satisfies its two-term recurrence in the last row index",
         size_role="number of rows n",
-        slots=("k_tuple", "a", "b", "q"),
+        draws=("a", "b", "q", "k_tuple"),
         default_sizes=(1, 2, 3, 4, 5, 6),
         max_size=12,
-        sample=_rows_abq,
         evaluate=eval_r_recurrence,
     ),
     CheckDef(
         id="r_sum",
         summary="Alternating sum of R over its second index telescopes to one product",
         size_role="number of rows n",
-        slots=("k_tuple", "a", "b", "q"),
+        draws=("a", "b", "q", "k_tuple"),
         default_sizes=(1, 2, 3, 4, 5, 6),
         max_size=12,
-        sample=_rows_abq,
         evaluate=eval_r_sum,
     ),
     CheckDef(
         id="residue_ids",
         summary="Partial-fraction residue identities behind the kernel factorization",
         size_role="number of variables n",
-        slots=("x_list", "a", "b", "c", "q"),
+        draws=("a", "b", "q", "c", "x_list"),
         default_sizes=(1, 2, 3, 4, 5, 6),
         max_size=6,
-        sample=_xlist_abcq,
         evaluate=eval_residue_ids,
     ),
     CheckDef(
         id="vandermonde_vw",
         summary="Vandermonde-type determinants with one structured column",
         size_role="matrix size n",
-        slots=("x_list", "a", "b", "c", "q"),
+        draws=("a", "b", "q", "c", "x_list"),
         default_sizes=(1, 2, 3, 4, 5, 6),
         max_size=6,
-        sample=_xlist_abcq,
         evaluate=eval_vandermonde_vw,
     ),
     CheckDef(
         id="bottom_rows",
         summary="Bottom rows of the two triangular conjugations are sparse with known entries",
         size_role="matrix size n",
-        slots=("k_tuple", "a", "b", "c", "q"),
+        draws=("a", "b", "q", "c", "k_tuple"),
         default_sizes=(2, 3, 4, 5, 6),
         min_size=2,
         max_size=12,
-        sample=_rows_abcq,
         evaluate=eval_bottom_rows,
     ),
     CheckDef(
         id="triangular_inverses",
         summary="Closed-form inverses and signed minors of the q-binomial triangulars",
         size_role="matrix size n",
-        slots=("q",),
+        draws=("q",),
         default_sizes=(1, 2, 3, 4, 5, 6),
-        sample=_q_only,
         evaluate=eval_triangular_inverses,
     ),
     CheckDef(
         id="pq_lemma",
         summary="Principal minors of the conjugated kernels reduce to smaller kernels",
         size_role="matrix size n",
-        slots=("k_tuple", "a", "b", "c", "q"),
+        draws=("a", "b", "q", "c", "k_tuple"),
         default_sizes=(2, 3, 4, 5, 6),
         min_size=2,
         max_size=12,
-        sample=_rows_abcq,
         evaluate=eval_pq_lemma,
     ),
     CheckDef(
         id="m_recurrence",
         summary="Cleared-kernel determinant satisfies its size recurrence",
         size_role="matrix size n",
-        slots=("k_tuple", "a", "b", "c", "q"),
+        draws=("a", "b", "q", "c", "k_tuple"),
         default_sizes=(2, 3, 4, 5, 6),
         min_size=2,
         max_size=12,
-        sample=_rows_abcq,
         evaluate=eval_m_recurrence,
     ),
     CheckDef(
         id="m_closed",
         summary="Cleared-kernel determinant equals its R-sum closed form",
         size_role="matrix size n",
-        slots=("k_tuple", "a", "b", "c", "q"),
+        draws=("a", "b", "q", "c", "k_tuple"),
         default_sizes=(1, 2, 3, 4, 5, 6),
         max_size=12,
-        sample=_rows_abcq,
         evaluate=eval_m_closed,
     ),
     CheckDef(
         id="phi_contiguous_1",
         summary="First contiguous relation for the 4-parameter series, coefficient-wise",
         size_role="highest argument power checked",
-        slots=("extras(a,b,c,d,e,f,g)", "q"),
+        draws=("extras:7", "q"),
         default_sizes=(12,),
-        sample=lambda rng: sample_extras(rng, 7),
         evaluate=eval_phi_contiguous_1,
     ),
     CheckDef(
         id="phi_contiguous_2",
         summary="Second contiguous relation for the 4-parameter series, coefficient-wise",
         size_role="highest argument power checked",
-        slots=("extras(a,b,c,d,e,f,g)", "q"),
+        draws=("extras:7", "q"),
         default_sizes=(12,),
-        sample=lambda rng: sample_extras(rng, 7),
         evaluate=eval_phi_contiguous_2,
     ),
     CheckDef(
         id="phi_contiguous_3",
         summary="Balanced terminating three-term contiguous relation at unit shift",
         size_role="termination order n",
-        slots=("extras(c,d,e,f,g)", "q"),
+        draws=("extras:5", "q"),
         default_sizes=(1, 2, 3, 4, 5),
-        sample=lambda rng: sample_extras(rng, 5),
         evaluate=eval_phi_contiguous_3,
     ),
     CheckDef(
         id="watson",
         summary="Watson transformation: terminating very-well-poised sum vs balanced series",
         size_role="termination order n",
-        slots=("alpha (root of the leading parameter)", "extras(b,c,d,e)", "q"),
+        draws=("extras:4", "q", "alpha"),
         default_sizes=(1, 2, 3, 4, 5),
-        sample=_watson_slots,
         evaluate=eval_watson,
     ),
     CheckDef(
         id="w8_contiguous",
         summary="Three-term contiguous relation for the terminating very-well-poised sum",
         size_role="termination order n",
-        slots=("alpha (root of the leading parameter)", "kappa", "extras(b,c,d,e)"),
+        draws=("extras:4", "alpha", "kappa"),
         default_sizes=(1, 2, 3, 4, 5),
-        sample=_w8_slots,
         evaluate=eval_w8_contiguous,
     ),
     CheckDef(
         id="even_odd_factorization",
         summary="Origin values factor through half-degree base-q^2 values (even and odd)",
         size_role="half degree m (degrees 2m and 2m+1)",
-        slots=("a", "b", "c", "q"),
+        draws=("a", "b", "q", "c"),
         default_sizes=(1, 2, 3),
-        sample=_plain_abcq,
         evaluate=eval_even_odd_factorization,
     ),
     CheckDef(
         id="andrews",
         summary="Paired-parameter origin value has a four-factor closed product",
         size_role="polynomial degree n",
-        slots=("a", "b", "q"),
+        draws=("a", "b", "q"),
         default_sizes=(1, 2, 3, 4, 5, 6, 7, 8),
-        sample=_plain_abq,
         evaluate=eval_andrews,
     ),
     CheckDef(
         id="dj_generic",
         summary="Determinant condensation identity on a random complex-rational matrix",
         size_role="matrix size n",
-        slots=("matrix_entries",),
+        draws=("matrix_entries",),
         default_sizes=(4, 5, 6),
         min_size=2,
         max_size=6,
-        sample=lambda rng: sample_matrix(rng),
         evaluate=eval_dj_generic,
     ),
     CheckDef(
         id="dj_specialized",
         summary="Condensation identity specialized to the shifted q-moment determinant",
         size_role="matrix size n",
-        slots=("a", "b", "c", "q"),
+        draws=("a", "b", "q", "c"),
         default_sizes=(2, 3, 4, 5, 6),
         min_size=2,
-        sample=_plain_abcq,
         evaluate=eval_dj_specialized,
     ),
     CheckDef(
         id="quadratic_full",
         summary="Quadratic relation among origin values in root parameters",
         size_role="polynomial degree n",
-        slots=("kappa", "alpha", "beta", "gamma"),
+        draws=("roots",),
         default_sizes=(1, 2, 3, 4, 5, 6, 7, 8),
-        sample=lambda rng: sample_roots(rng, with_r=False),
         evaluate=eval_quadratic_full,
     ),
     CheckDef(
         id="quadratic_clean",
         summary="Quadratic relation among origin values in plain parameters",
         size_role="polynomial degree n",
-        slots=("a", "b", "c", "q"),
+        draws=("a", "b", "q", "c"),
         default_sizes=(1, 2, 3, 4, 5, 6, 7, 8),
-        sample=_plain_abcq,
         evaluate=eval_quadratic_clean,
     ),
     CheckDef(
         id="quadratic_phi",
         summary="Quadratic relation rewritten with terminating series factors",
         size_role="polynomial degree n",
-        slots=("a", "b", "c", "q"),
+        draws=("a", "b", "q", "c"),
         default_sizes=(1, 2, 3, 4, 5, 6, 7, 8),
-        sample=_plain_abcq,
         evaluate=eval_quadratic_phi,
     ),
     CheckDef(
         id="conjecture_mw3",
         summary="Conjectured quadratic relation with two extra free parameters",
         size_role="polynomial degree n",
-        slots=("a", "b", "c", "d", "q", "x"),
+        draws=("a", "b", "q", "c", "d", "x"),
         default_sizes=(1, 2, 3, 4, 5, 6),
-        sample=_conjecture_slots,
         evaluate=eval_conjecture_mw3,
         mode="evidence",
     ),

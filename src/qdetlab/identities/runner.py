@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-import random
-
 from .. import __version__
-from ..errors import PoleError
-from .points import _MAX_ATTEMPTS, ParamPoint
+from ..errors import DegenerateSampleError, PoleError, UsageError
+from .points import Comparison, ParamPoint
 from .registry import CheckDef, get_check
 
 PASS = "pass"
@@ -59,58 +58,60 @@ class CheckResult:
         return out
 
 
-def run_check(check_id: str, n: int, point: ParamPoint) -> CheckResult:
-    """Evaluate one check at one sampled point.
+_MAX_ATTEMPTS = 1000
 
-    Exact agreement of every comparison is a pass; a pole reached mid-way
-    (possible only for hand-built points, since sampled ones are pre-vetted)
-    is reported as skipped-degenerate, never as a crash.
+
+def _sample(entry: CheckDef, seed: int, trial: int, n: int) -> tuple[ParamPoint, list[Comparison]]:
+    """The rejection loop: the first point at which the check evaluates cleanly.
+
+    Candidates come from one RNG stream per ``(check, seed, trial)`` and each
+    is evaluated once at size ``n``; a pole rejects it.  Returns the accepted
+    point with its comparisons, or raises :class:`DegenerateSampleError`.
     """
-    entry = get_check(check_id)
-    base = {
-        "check": check_id,
-        "n": n,
-        "trial": point.trial,
-        "seed": point.seed,
-        "point": point.describe(),
-    }
-    try:
-        comparisons = entry.evaluate(point, n)
-    except (PoleError, ZeroDivisionError) as exc:
-        return CheckResult(status=SKIPPED, detail=str(exc), **base)
+    rng = random.Random(f"{entry.id}|{seed}|{trial}")
+    for _ in range(_MAX_ATTEMPTS):
+        point = ParamPoint(seed=seed, trial=trial, **entry.sample(rng))
+        try:
+            return point, entry.evaluate(point, n)
+        except (PoleError, ZeroDivisionError):
+            continue
+    raise DegenerateSampleError(
+        f"no non-degenerate point for check {entry.id!r} at n={n} "
+        f"after {_MAX_ATTEMPTS} attempts (seed={seed}, trial={trial})"
+    )
+
+
+def sample_point(check_id: str, seed: int, trial: int, n: int) -> ParamPoint:
+    """Deterministic point at which ``check_id`` evaluates cleanly at size ``n``.
+
+    Identical arguments always return the identical point.
+    """
+    return _sample(get_check(check_id), seed, trial, n)[0]
+
+
+def _outcome(entry: CheckDef, comparisons: list[Comparison]) -> dict:
+    """Status and witnesses: exact agreement of every comparison passes."""
     for label, lhs, rhs in comparisons:
         if lhs != rhs:
             status = EVIDENCE_FAIL if entry.mode == "evidence" else FAIL
-            return CheckResult(
-                status=status, lhs=str(lhs), rhs=str(rhs), detail=label, **base
-            )
-    return CheckResult(status=EVIDENCE_PASS if entry.mode == "evidence" else PASS, **base)
+            return {"status": status, "lhs": str(lhs), "rhs": str(rhs), "detail": label}
+    return {"status": EVIDENCE_PASS if entry.mode == "evidence" else PASS}
 
 
-def _sample_and_check(entry: CheckDef, seed: int, trial: int, n: int) -> CheckResult:
-    """Rejection-sample and evaluate in one pass (one evaluation per candidate).
+def run_check(check_id: str, n: int, point: ParamPoint) -> CheckResult:
+    """Evaluate one check at one given point.
 
-    Mirrors :func:`~qdetlab.identities.points.sample_point` exactly: same RNG
-    stream, same acceptance predicate (no pole), so a suite built this way is
-    byte-identical to sampling and re-running separately.
+    A pole reached mid-way (possible only for hand-built points, since
+    sampled ones are pre-vetted) is reported as skipped-degenerate, never as
+    a crash.
     """
-    rng = random.Random(f"{entry.id}|{seed}|{trial}")
-    result = None
-    for _ in range(_MAX_ATTEMPTS):
-        point = ParamPoint(seed=seed, trial=trial, **entry.sample(rng))
-        result = run_check(entry.id, n, point)
-        if result.status != SKIPPED:
-            return result
+    entry = get_check(check_id)
+    try:
+        outcome = _outcome(entry, entry.evaluate(point, n))
+    except (PoleError, ZeroDivisionError) as exc:
+        outcome = {"status": SKIPPED, "detail": str(exc)}
     return CheckResult(
-        check=entry.id,
-        n=n,
-        trial=trial,
-        seed=seed,
-        status=SKIPPED,
-        detail=(
-            f"no non-degenerate point for check {entry.id!r} at n={n} "
-            f"after {_MAX_ATTEMPTS} attempts (seed={seed}, trial={trial})"
-        ),
+        check=check_id, n=n, trial=point.trial, seed=point.seed, point=point.describe(), **outcome
     )
 
 
@@ -187,19 +188,30 @@ def run_suite(
 
     Sizes default to each check's own range; an explicit window is clamped
     to what the check supports.  Results are ordered by (check, n, trial).
+    A request that selects no (check, size) pair, or no trials, raises
+    :class:`UsageError` before anything is evaluated.
     """
-    if not check_ids:
-        raise ValueError("no checks requested")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n_min is not None and n_max is not None and n_min > n_max:
-        raise ValueError("empty size range")
+        raise UsageError("trials must be >= 1")
     entries = [get_check(cid) for cid in sorted(set(check_ids))]
+    plan = [(entry, n) for entry in entries for n in _sizes_for(entry, n_min, n_max)]
+    if not plan:
+        raise UsageError(
+            f"nothing to run: the request selects no (check, size) pair "
+            f"(n_min={n_min}, n_max={n_max})"
+        )
     results: list[CheckResult] = []
-    for entry in entries:
-        for n in _sizes_for(entry, n_min, n_max):
-            for trial in range(trials):
-                results.append(_sample_and_check(entry, seed, trial, n))
+    for entry, n in plan:
+        for trial in range(trials):
+            try:
+                point, comparisons = _sample(entry, seed, trial, n)
+            except DegenerateSampleError as exc:
+                outcome, described = {"status": SKIPPED, "detail": str(exc)}, {}
+            else:
+                outcome, described = _outcome(entry, comparisons), point.describe()
+            results.append(
+                CheckResult(check=entry.id, n=n, trial=trial, seed=seed, point=described, **outcome)
+            )
     summary = {"pass": 0, "fail": 0, "evidence_pass": 0, "evidence_fail": 0, "skipped": 0}
     keys = {
         PASS: "pass",

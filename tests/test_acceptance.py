@@ -5,6 +5,7 @@ everywhere: status `pass` means bit-exact structural equality of both sides.
 Each criterion prints one PASS/FAIL line (visible with `pytest -s`).
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -24,6 +25,8 @@ from qdetlab.qseries import q_binomial, q_pochhammer
 
 SEED = 42
 TRIALS = 5
+# sha256 of the default report (seed 42, 5 trials, every check, epoch-zero stamp)
+DEFAULT_REPORT_SHA256 = "26273c0a13cb01cf73c7ca04b3f283bceafccf04e56a9d2bc82dfa64843c4a81"
 
 
 def criterion(num, description, fn):
@@ -302,7 +305,9 @@ def test_criterion_11_infrastructure_properties():
     criterion(11, "infrastructure: Pfaffian squares, determinant oracle, field axioms", body)
 
 
-def test_default_suite_is_fast_and_byte_reproducible():
+def test_default_suite_is_fast_and_byte_reproducible(monkeypatch):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+
     def body():
         start = time.monotonic()
         first = run_suite(check_ids(), trials=TRIALS, seed=SEED)
@@ -311,5 +316,7 @@ def test_default_suite_is_fast_and_byte_reproducible():
         assert elapsed < 120.0, f"took {elapsed:.1f}s, budget 120s"
         second = run_suite(check_ids(), trials=TRIALS, seed=SEED)
         assert first.to_json() == second.to_json()
+        digest = hashlib.sha256(first.to_json().encode()).hexdigest()
+        assert digest == DEFAULT_REPORT_SHA256, digest
 
     criterion("final", "entire default suite under two minutes and byte-reproducible", body)

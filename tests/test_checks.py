@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qdetlab import GaussianRational, ONE, ZERO
-from qdetlab.errors import DegenerateSampleError
+from qdetlab.errors import DegenerateSampleError, UsageError
 from qdetlab.identities import (
     REGISTRY,
     ParamPoint,
@@ -128,6 +128,13 @@ class TestRunCheck:
         # at degree 1 the non-terminating factor carries a vanishing multiplier
         pt = sample_point("quadratic_phi", seed=6, trial=0, n=1)
         assert run_check("quadratic_phi", 1, pt).status == PASS
+
+    def test_quadratic_phi_pole_under_zero_multiplier_is_rejected(self):
+        # seed 8 first draws a = b = -3/2, q = -2/3: abq^2 = 1 puts a pole in
+        # (abq^2; q)_1 at n = 2 under a vanishing multiplier, which the
+        # sampler must reject rather than report as a failure
+        report = run_suite(["quadratic_phi"], n_min=2, n_max=2, trials=1, seed=8)
+        assert [r.status for r in report.results] == [PASS]
 
     def test_conjecture_reports_evidence(self):
         pt = sample_point("conjecture_mw3", seed=8, trial=0, n=3)
@@ -251,6 +258,11 @@ class TestRunSuite:
             run_suite(["hankel"], n_min=4, n_max=2, trials=1, seed=1)
         with pytest.raises(ValueError):
             run_suite(["hankel"], trials=0, seed=1)
+        # windows outside every requested check's size range
+        with pytest.raises(UsageError):
+            run_suite(["dj_generic"], n_min=7, trials=1, seed=1)
+        with pytest.raises(UsageError):
+            run_suite(["hankel"], n_max=0, trials=1, seed=1)
 
     def test_size_window_clamped_to_check_bounds(self):
         r = run_suite(["residue_ids"], n_min=5, n_max=9, trials=1, seed=2)

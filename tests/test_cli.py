@@ -1,5 +1,6 @@
 """Command-line front end: flags, formats, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -31,7 +32,7 @@ class TestList:
         code, out, _ = run_cli(capsys, "explain", "hankel")
         assert code == 0
         assert "hankel" in out
-        assert "inputs drawn" in out
+        assert "inputs drawn:  a, b, q, r" in out
 
     def test_explain_unknown(self, capsys):
         code, _, err = run_cli(capsys, "explain", "nope")
@@ -77,6 +78,28 @@ class TestRun:
     def test_zero_trials_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--check", "hankel", "--trials", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "window", [("--check", "dj_generic", "--n-min", "7"), ("--check", "hankel", "--n-max", "0")]
+    )
+    def test_run_that_selects_nothing_is_usage_error(self, capsys, window):
+        code, out, err = run_cli(capsys, "run", *window)
+        assert code == 2
+        assert out == ""
+        assert "nothing to run" in err
+
+    def test_evaluator_exception_is_not_usage_error(self, capsys):
+        entry = REGISTRY["hankel"]
+
+        def broken(pt, n):
+            raise ValueError("raised inside an evaluator")
+
+        try:
+            REGISTRY["hankel"] = dataclasses.replace(entry, evaluate=broken)
+            with pytest.raises(ValueError, match="inside an evaluator"):
+                run_cli(capsys, "run", "--check", "hankel", "--trials", "1")
+        finally:
+            REGISTRY["hankel"] = entry
 
     def test_check_all_covers_registry(self, capsys):
         code, out, _ = run_cli(
