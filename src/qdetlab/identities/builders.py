@@ -13,7 +13,7 @@ import itertools
 from typing import Sequence
 
 from ..errors import PoleError
-from ..gaussian import ONE, ZERO, GaussianRational, to_gq
+from ..gaussian import ONE, ZERO, GaussianRational, sign, to_gq
 from ..linalg import ExactMatrix
 from ..qseries import q_binomial, q_pochhammer, rising_factorial
 
@@ -117,8 +117,7 @@ def build_triangular(kind: str, n: int, k_tuple: Sequence[int] | None, a=None, b
         def entry(i, j):
             if i < j:
                 return ZERO
-            sign = ONE if (i + j) % 2 == 0 else -ONE
-            return sign * q ** (-((i - j) * (2 * n + 1 - i - j)) // 2) * q_binomial(
+            return sign(i + j) * q ** (-((i - j) * (2 * n + 1 - i - j)) // 2) * q_binomial(
                 n - j, i - j, q
             )
 
@@ -128,8 +127,7 @@ def build_triangular(kind: str, n: int, k_tuple: Sequence[int] | None, a=None, b
         def entry(i, j):
             if i > j:
                 return ZERO
-            sign = ONE if (i + j) % 2 == 0 else -ONE
-            return sign * q ** (((j - i) * (j - i + 1)) // 2) * q_binomial(j - 1, j - i, q)
+            return sign(i + j) * q ** (((j - i) * (j - i + 1)) // 2) * q_binomial(j - 1, j - i, q)
 
         return ExactMatrix.build(n, n, entry)
     raise ValueError(f"unknown triangular kind {kind!r}")

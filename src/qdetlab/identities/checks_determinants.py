@@ -35,10 +35,16 @@ from .builders import (
     moment_hankel,
     nishizawa_matrix,
 )
-from .points import Comparison
+from .points import Comparison, check
 
 
-def eval_hankel(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Hankel determinant of the q-moment sequence equals its closed product",
+    size_role="matrix size n",
+    draws=("a", "b", "q", "r"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+)
+def hankel(pt, n: int) -> list[Comparison]:
     a, b, q, r = pt.a, pt.b, pt.q, pt.r
     lhs = determinant(moment_hankel(n, r, a, b, q))
     rhs = a ** (n * (n - 1) // 2) * q ** (n * (n - 1) * (2 * n - 1) // 6 + n * (n - 1) * r // 2)
@@ -53,7 +59,13 @@ def eval_hankel(pt, n: int) -> list[Comparison]:
     return [("moment Hankel determinant vs closed product", lhs, rhs)]
 
 
-def eval_pfaffian_moments(pt, m: int) -> list[Comparison]:
+@check(
+    summary="Pfaffian of the skew q-moment kernel equals its closed product",
+    size_role="half matrix size m (matrix is 2m x 2m)",
+    draws=("a", "b", "q", "r"),
+    default_sizes=(1, 2, 3, 4),
+)
+def pfaffian_moments(pt, m: int) -> list[Comparison]:
     a, b, q, r = pt.a, pt.b, pt.q, pt.r
     lhs = pfaffian(build_theorem_matrix(2 * m, r, a, b, ONE, q))
     rhs = a ** (m * (m - 1)) * q ** (m * (m - 1) * (4 * m + 1) // 3 + m * (m - 1) * r)
@@ -69,13 +81,25 @@ def eval_pfaffian_moments(pt, m: int) -> list[Comparison]:
     return [("skew moment Pfaffian vs closed product", lhs, rhs)]
 
 
-def eval_c1_pfaffian_square(pt, m: int) -> list[Comparison]:
+@check(
+    summary="At c=1 the even determinant equals the square of its Pfaffian",
+    size_role="half size m (matrix is 2m x 2m)",
+    draws=("a", "b", "q", "r"),
+    default_sizes=(1, 2, 3),
+)
+def c1_pfaffian_square(pt, m: int) -> list[Comparison]:
     mat = build_theorem_matrix(2 * m, pt.r, pt.a, pt.b, ONE, pt.q)
     pf = pfaffian(mat)
     return [("determinant at c=1 vs squared Pfaffian", determinant(mat), pf * pf)]
 
 
-def eval_mehta_wang(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Normalized factorial-moment determinant equals the D-sequence product",
+    size_role="matrix size n",
+    draws=("a", "b"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+)
+def mehta_wang(pt, n: int) -> list[Comparison]:
     a, b = pt.a, pt.b
     lhs = determinant(mehta_wang_matrix(n, a, b))
     d_rec = mehta_wang_d(n, a, b, "recurrence")
@@ -88,7 +112,13 @@ def eval_mehta_wang(pt, n: int) -> list[Comparison]:
     ]
 
 
-def eval_nishizawa(pt, n: int) -> list[Comparison]:
+@check(
+    summary="q-deformed factorial determinant equals its Al-Salam-Chihara closed form",
+    size_role="matrix size n",
+    draws=("s_half", "t_half", "q"),
+    default_sizes=(1, 2, 3, 4, 5),
+)
+def nishizawa(pt, n: int) -> list[Comparison]:
     s, t, q = pt.s_half, pt.t_half, pt.q
     t2 = t * t
     det_f = determinant(nishizawa_matrix(n, s, t, q))
@@ -125,7 +155,13 @@ def eval_nishizawa(pt, n: int) -> list[Comparison]:
     return comps
 
 
-def eval_thm_main_phi(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Shifted q-moment determinant equals the terminating series closed form",
+    size_role="matrix size n",
+    draws=("roots", "r"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+)
+def thm_main_phi(pt, n: int) -> list[Comparison]:
     a, b, c, q, r = pt.a, pt.b, pt.c, pt.q, pt.r
     alpha, gamma, kappa = pt.alpha, pt.gamma, pt.kappa
     lhs = determinant(build_theorem_matrix(n, r, a, b, c, q))
@@ -155,7 +191,13 @@ def eval_thm_main_phi(pt, n: int) -> list[Comparison]:
     return [("kernel determinant vs terminating series form", lhs, rhs * series)]
 
 
-def eval_thm_main_aw(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Shifted q-moment determinant equals the Askey-Wilson closed form",
+    size_role="matrix size n",
+    draws=("roots", "r"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+)
+def thm_main_aw(pt, n: int) -> list[Comparison]:
     a, b, c, q, r = pt.a, pt.b, pt.c, pt.q, pt.r
     alpha, beta, gamma, kappa = pt.alpha, pt.beta, pt.gamma, pt.kappa
     lhs = determinant(build_theorem_matrix(n, r, a, b, c, q))
@@ -182,7 +224,13 @@ def eval_thm_main_aw(pt, n: int) -> list[Comparison]:
     return [("kernel determinant vs Askey-Wilson form", lhs, rhs * value)]
 
 
-def eval_cor_even_phi(pt, m: int) -> list[Comparison]:
+@check(
+    summary="Even-size determinant equals the base-q^2 terminating series form",
+    size_role="half size m (matrix is 2m x 2m)",
+    draws=("a", "b", "q", "c", "r"),
+    default_sizes=(1, 2, 3),
+)
+def cor_even_phi(pt, m: int) -> list[Comparison]:
     a, b, c, q, r = pt.a, pt.b, pt.c, pt.q, pt.r
     q2 = q * q
     lhs = determinant(build_theorem_matrix(2 * m, r, a, b, c, q))
@@ -207,7 +255,13 @@ def eval_cor_even_phi(pt, m: int) -> list[Comparison]:
     return [("even-size determinant vs base-q^2 series form", lhs, rhs * series)]
 
 
-def eval_cor_even_aw(pt, m: int) -> list[Comparison]:
+@check(
+    summary="Even-size determinant equals the base-q^2 Askey-Wilson form",
+    size_role="half size m (matrix is 2m x 2m)",
+    draws=("a", "b", "q", "c", "r"),
+    default_sizes=(1, 2, 3),
+)
+def cor_even_aw(pt, m: int) -> list[Comparison]:
     a, b, c, q, r = pt.a, pt.b, pt.c, pt.q, pt.r
     q2 = q * q
     lhs = determinant(build_theorem_matrix(2 * m, r, a, b, c, q))
@@ -238,7 +292,13 @@ def eval_cor_even_aw(pt, m: int) -> list[Comparison]:
     return [("even-size determinant vs base-q^2 Askey-Wilson form", lhs, rhs * value)]
 
 
-def eval_cor_odd_phi(pt, m: int) -> list[Comparison]:
+@check(
+    summary="Odd-size determinant equals the base-q^2 terminating series form",
+    size_role="half size m (matrix is (2m+1) x (2m+1))",
+    draws=("a", "b", "q", "c", "r"),
+    default_sizes=(1, 2, 3),
+)
+def cor_odd_phi(pt, m: int) -> list[Comparison]:
     a, b, c, q, r = pt.a, pt.b, pt.c, pt.q, pt.r
     q2 = q * q
     lhs = determinant(build_theorem_matrix(2 * m + 1, r, a, b, c, q))
@@ -275,7 +335,13 @@ def eval_cor_odd_phi(pt, m: int) -> list[Comparison]:
     return [("odd-size determinant vs base-q^2 series form", lhs, rhs * series)]
 
 
-def eval_cor_odd_aw(pt, m: int) -> list[Comparison]:
+@check(
+    summary="Odd-size determinant equals the base-q^2 Askey-Wilson form",
+    size_role="half size m (matrix is (2m+1) x (2m+1))",
+    draws=("a", "b", "q", "c", "r"),
+    default_sizes=(1, 2, 3),
+)
+def cor_odd_aw(pt, m: int) -> list[Comparison]:
     a, b, c, q, r = pt.a, pt.b, pt.c, pt.q, pt.r
     q2 = q * q
     lhs = determinant(build_theorem_matrix(2 * m + 1, r, a, b, c, q))
@@ -308,7 +374,13 @@ def eval_cor_odd_aw(pt, m: int) -> list[Comparison]:
     return [("odd-size determinant vs base-q^2 Askey-Wilson form", lhs, rhs * value)]
 
 
-def eval_classical_hahn(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Classical-limit determinant equals 3F2 and continuous-Hahn closed forms",
+    size_role="matrix size n",
+    draws=("alpha_c", "beta_c", "gamma_c", "r"),
+    default_sizes=(1, 2, 3, 4, 5),
+)
+def classical_hahn(pt, n: int) -> list[Comparison]:
     al, be, ga, r = pt.alpha_c, pt.beta_c, pt.gamma_c, pt.r
     lhs = determinant(classical_matrix(n, r, al, be, ga))
     pre1 = GaussianRational(-2) ** n * rf(half(al + be + ga + (r + 1)), n)
@@ -343,7 +415,13 @@ def eval_classical_hahn(pt, n: int) -> list[Comparison]:
     ]
 
 
-def eval_classical_wilson_even(pt, m: int) -> list[Comparison]:
+@check(
+    summary="Even classical determinant equals 4F3 and Wilson closed forms",
+    size_role="half size m (matrix is 2m x 2m)",
+    draws=("alpha_c", "beta_c", "gamma_c", "r"),
+    default_sizes=(1, 2),
+)
+def classical_wilson_even(pt, m: int) -> list[Comparison]:
     al, be, ga, r = pt.alpha_c, pt.beta_c, pt.gamma_c, pt.r
     lhs = determinant(classical_matrix(2 * m, r, al, be, ga))
     hg = half(ga)
@@ -376,7 +454,13 @@ def eval_classical_wilson_even(pt, m: int) -> list[Comparison]:
     ]
 
 
-def eval_classical_wilson_odd(pt, m: int) -> list[Comparison]:
+@check(
+    summary="Odd classical determinant equals 4F3 and Wilson closed forms",
+    size_role="half size m (matrix is (2m+1) x (2m+1))",
+    draws=("alpha_c", "beta_c", "gamma_c", "r"),
+    default_sizes=(1, 2),
+)
+def classical_wilson_odd(pt, m: int) -> list[Comparison]:
     al, be, ga, r = pt.alpha_c, pt.beta_c, pt.gamma_c, pt.r
     lhs = determinant(classical_matrix(2 * m + 1, r, al, be, ga))
     pre1 = ga

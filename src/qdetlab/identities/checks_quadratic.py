@@ -7,10 +7,18 @@ from ..linalg import ExactMatrix, determinant, submatrix
 from ..orthopoly import AWParams, askey_wilson
 from ..qseries import q_pochhammer as qp, terminating_phi
 from .builders import build_theorem_matrix
-from .points import Comparison
+from .points import Comparison, check
 
 
-def eval_dj_generic(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Determinant condensation identity on a random complex-rational matrix",
+    size_role="matrix size n",
+    draws=("matrix_entries",),
+    default_sizes=(4, 5, 6),
+    min_size=2,
+    max_size=6,
+)
+def dj_generic(pt, n: int) -> list[Comparison]:
     a = ExactMatrix(n, n, pt.matrix_entries[: n * n])
     inner = list(range(2, n))
     head = list(range(1, n))
@@ -22,7 +30,14 @@ def eval_dj_generic(pt, n: int) -> list[Comparison]:
     return [("inner-minor product vs corner-minor products", lhs, rhs)]
 
 
-def eval_dj_specialized(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Condensation identity specialized to the shifted q-moment determinant",
+    size_role="matrix size n",
+    draws=("a", "b", "q", "c"),
+    default_sizes=(2, 3, 4, 5, 6),
+    min_size=2,
+)
+def dj_specialized(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     q2 = q * q
 
@@ -38,7 +53,13 @@ def eval_dj_specialized(pt, n: int) -> list[Comparison]:
     return [("condensation of the shifted kernel determinant", lhs, rhs)]
 
 
-def eval_quadratic_full(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Quadratic relation among origin values in root parameters",
+    size_role="polynomial degree n",
+    draws=("roots",),
+    default_sizes=(1, 2, 3, 4, 5, 6, 7, 8),
+)
+def quadratic_full(pt, n: int) -> list[Comparison]:
     alpha, beta, gamma, kappa = pt.alpha, pt.beta, pt.gamma, pt.kappa
     a, b, q = pt.a, pt.b, pt.q
 
@@ -63,7 +84,13 @@ def eval_quadratic_full(pt, n: int) -> list[Comparison]:
     return [("quadratic relation in root parameters", lhs, rhs)]
 
 
-def eval_quadratic_clean(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Quadratic relation among origin values in plain parameters",
+    size_role="polynomial degree n",
+    draws=("a", "b", "q", "c"),
+    default_sizes=(1, 2, 3, 4, 5, 6, 7, 8),
+)
+def quadratic_clean(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     c2 = c * c
 
@@ -86,7 +113,13 @@ def eval_quadratic_clean(pt, n: int) -> list[Comparison]:
     return [("quadratic relation at the origin", lhs, rhs)]
 
 
-def eval_quadratic_phi(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Quadratic relation rewritten with terminating series factors",
+    size_role="polynomial degree n",
+    draws=("a", "b", "q", "c"),
+    default_sizes=(1, 2, 3, 4, 5, 6, 7, 8),
+)
+def quadratic_phi(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     c2 = c * c
     ai = a * I
@@ -132,7 +165,14 @@ def eval_quadratic_phi(pt, n: int) -> list[Comparison]:
     return [("quadratic relation in terminating series form", lhs, rhs)]
 
 
-def eval_conjecture_mw3(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Conjectured quadratic relation with two extra free parameters",
+    size_role="polynomial degree n",
+    draws=("a", "b", "q", "c", "d", "x"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+    mode="evidence",
+)
+def conjecture_mw3(pt, n: int) -> list[Comparison]:
     a, b, c, d, q, x = pt.a, pt.b, pt.c, pt.d, pt.q, pt.x
 
     def p(deg, aa, bb):

@@ -8,6 +8,8 @@ inverses of the q-binomial triangular matrices.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from ..gaussian import ONE, ZERO, GaussianRational, sign
 from ..linalg import ExactMatrix, determinant, submatrix
 from ..qseries import q_binomial, q_pochhammer as qp
@@ -19,7 +21,27 @@ from .builders import (
     theorem_matrix_rows,
     triangular_inverse,
 )
-from .points import Comparison
+from .points import Comparison, check
+
+
+def _q_vandermonde(k, q) -> GaussianRational:
+    """prod_{i<j} (q^{k_i - 1} - q^{k_j - 1})."""
+    out = ONE
+    for ki, kj in combinations(k, 2):
+        out = out * (q ** (ki - 1) - q ** (kj - 1))
+    return out
+
+
+def _x_products(xs, a, abq) -> tuple[GaussianRational, GaussianRational, GaussianRational]:
+    """prod x, prod (1 - a x) and prod (1 - abq x) over ``xs``."""
+    prod_x = ONE
+    inv_ax = ONE
+    inv_abx = ONE
+    for x in xs:
+        prod_x = prod_x * x
+        inv_ax = inv_ax * (ONE - a * x)
+        inv_abx = inv_abx * (ONE - abq * x)
+    return prod_x, inv_ax, inv_abx
 
 
 def _r_weighted_sum(n, k, a, b, c, q, sign_exponent_from_n: bool) -> GaussianRational:
@@ -36,7 +58,14 @@ def _r_weighted_sum(n, k, a, b, c, q, sign_exponent_from_n: bool) -> GaussianRat
     return total
 
 
-def eval_thm_rows(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Arbitrary-row kernel determinant equals the R-sum closed form",
+    size_role="number of rows n",
+    draws=("a", "b", "q", "c", "k_tuple"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+    max_size=12,
+)
+def thm_rows(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
     lhs = determinant(theorem_matrix_rows(k, a, b, c, q))
@@ -48,29 +77,38 @@ def eval_thm_rows(pt, n: int) -> list[Comparison]:
             * qp(b * q, q, i - 2)
             / qp(a * b * q * q, q, k[i - 1] + n - 2)
         )
-    for i in range(n):
-        for j in range(i + 1, n):
-            pre = pre * (q ** (k[i] - 1) - q ** (k[j] - 1))
+    pre = pre * _q_vandermonde(k, q)
     rhs = pre * _r_weighted_sum(n, k, a, b, c, q, sign_exponent_from_n=True)
     return [("arbitrary-row determinant vs R-sum closed form", lhs, rhs)]
 
 
-def eval_q_kratt(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Arbitrary-row moment determinant equals its Vandermonde-type product",
+    size_role="number of rows n",
+    draws=("a", "b", "q", "k_tuple"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+    max_size=12,
+)
+def q_kratt(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
     k = pt.k_tuple[:n]
     lhs = determinant(moment_hankel_rows(k, a, b, q))
     rhs = a ** (n * (n - 1) // 2) * q ** ((n + 1) * n * (n - 1) // 6)
     for i in range(1, n + 1):
         rhs = rhs * qp(a * q, q, k[i - 1] - 1) / qp(a * b * q * q, q, k[i - 1] + n - 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rhs = rhs * (q ** (k[i] - 1) - q ** (k[j] - 1))
     for j in range(1, n + 1):
         rhs = rhs * qp(b * q, q, j - 1)
+    rhs = rhs * _q_vandermonde(k, q)
     return [("arbitrary-row moment determinant vs product form", lhs, rhs)]
 
 
-def eval_r_closed(pt, n: int) -> list[Comparison]:
+@check(
+    summary="R-sum over consecutive rows collapses to a q-binomial product",
+    size_role="number of rows n",
+    draws=("a", "b", "q"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+)
+def r_closed(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
     consecutive = tuple(range(1, n + 1))
     comps = []
@@ -86,7 +124,14 @@ def eval_r_closed(pt, n: int) -> list[Comparison]:
     return comps
 
 
-def eval_r_recurrence(pt, n: int) -> list[Comparison]:
+@check(
+    summary="R-sum satisfies its two-term recurrence in the last row index",
+    size_role="number of rows n",
+    draws=("a", "b", "q", "k_tuple"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+    max_size=12,
+)
+def r_recurrence(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
     k = pt.k_tuple[:n]
     head = k[:-1]
@@ -101,7 +146,14 @@ def eval_r_recurrence(pt, n: int) -> list[Comparison]:
     return comps
 
 
-def eval_r_sum(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Alternating sum of R over its second index telescopes to one product",
+    size_role="number of rows n",
+    draws=("a", "b", "q", "k_tuple"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+    max_size=12,
+)
+def r_sum(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
     k = pt.k_tuple[:n]
     total = ZERO
@@ -111,17 +163,18 @@ def eval_r_sum(pt, n: int) -> list[Comparison]:
     return [("alternating R-sum vs single product", total, rhs)]
 
 
-def eval_residue_ids(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Partial-fraction residue identities behind the kernel factorization",
+    size_role="number of variables n",
+    draws=("a", "b", "q", "c", "x_list"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+    max_size=6,
+)
+def residue_ids(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     xs = pt.x_list[:n]
-    prod_x = ONE
-    inv_ax = ONE
-    inv_abx = ONE
     abq = a * b * q ** (n - 1)
-    for x in xs:
-        prod_x = prod_x * x
-        inv_ax = inv_ax * (ONE - a * x)
-        inv_abx = inv_abx * (ONE - abq * x)
+    prod_x, inv_ax, inv_abx = _x_products(xs, a, abq)
     comps = []
     for j in range(1, n + 1):
         s1 = ZERO
@@ -150,21 +203,22 @@ def eval_residue_ids(pt, n: int) -> list[Comparison]:
     return comps
 
 
-def eval_vandermonde_vw(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Vandermonde-type determinants with one structured column",
+    size_role="matrix size n",
+    draws=("a", "b", "q", "c", "x_list"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+    max_size=6,
+)
+def vandermonde_vw(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     xs = pt.x_list[:n]
     vandermonde = ONE
     for i in range(n):
         for j in range(i + 1, n):
             vandermonde = vandermonde * (xs[j] - xs[i])
-    prod_x = ONE
-    inv_ax = ONE
-    inv_abx = ONE
     abq = a * b * q ** (n - 1)
-    for x in xs:
-        prod_x = prod_x * x
-        inv_ax = inv_ax * (ONE - a * x)
-        inv_abx = inv_abx * (ONE - abq * x)
+    prod_x, inv_ax, inv_abx = _x_products(xs, a, abq)
     comps = []
     for k in range(1, n + 1):
 
@@ -215,15 +269,19 @@ def _conjugated(pt, n: int):
     return k, m, p, qq
 
 
-def eval_bottom_rows(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Bottom rows of the two triangular conjugations are sparse with known entries",
+    size_role="matrix size n",
+    draws=("a", "b", "q", "c", "k_tuple"),
+    default_sizes=(2, 3, 4, 5, 6),
+    min_size=2,
+    max_size=12,
+)
+def bottom_rows(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k, _, p, qq = _conjugated(pt, n)
     sum_k = sum(k)
-    inv_ax = ONE
-    inv_abx = ONE
-    for kv in k:
-        inv_ax = inv_ax * (ONE - a * q**kv)
-        inv_abx = inv_abx * (ONE - a * b * q ** (kv + n - 1))
+    _, inv_ax, inv_abx = _x_products([q**kv for kv in k], a, a * b * q ** (n - 1))
     comps = []
     for j in range(1, n + 1):
         if j == 1:
@@ -248,7 +306,13 @@ def eval_bottom_rows(pt, n: int) -> list[Comparison]:
     return comps
 
 
-def eval_triangular_inverses(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Closed-form inverses and signed minors of the q-binomial triangulars",
+    size_role="matrix size n",
+    draws=("q",),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+)
+def triangular_inverses(pt, n: int) -> list[Comparison]:
     q = pt.q
     identity = ExactMatrix.identity(n)
     comps = []
@@ -272,7 +336,15 @@ def eval_triangular_inverses(pt, n: int) -> list[Comparison]:
     return comps
 
 
-def eval_pq_lemma(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Principal minors of the conjugated kernels reduce to smaller kernels",
+    size_role="matrix size n",
+    draws=("a", "b", "q", "c", "k_tuple"),
+    default_sizes=(2, 3, 4, 5, 6),
+    min_size=2,
+    max_size=12,
+)
+def pq_lemma(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k, _, p, qq = _conjugated(pt, n)
     head = list(k[:-1])
@@ -295,11 +367,7 @@ def eval_pq_lemma(pt, n: int) -> list[Comparison]:
             sign(n - 1) * determinant(build_m(head, a, b, c, q)) / denom,
         ),
     ]
-    ratio_p = ONE
-    ratio_q = ONE
-    for kv in head:
-        ratio_p = ratio_p * (ONE - a * b * q ** (kv + n - 1))
-        ratio_q = ratio_q * (ONE - a * q**kv)
+    _, ratio_q, ratio_p = _x_products([q**kv for kv in head], a, a * b * q ** (n - 1))
     comps.append(
         (
             "cross relation between the two off-principal minors",
@@ -310,7 +378,15 @@ def eval_pq_lemma(pt, n: int) -> list[Comparison]:
     return comps
 
 
-def eval_m_recurrence(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Cleared-kernel determinant satisfies its size recurrence",
+    size_role="matrix size n",
+    draws=("a", "b", "q", "c", "k_tuple"),
+    default_sizes=(2, 3, 4, 5, 6),
+    min_size=2,
+    max_size=12,
+)
+def m_recurrence(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
     head = k[:-1]
@@ -328,16 +404,21 @@ def eval_m_recurrence(pt, n: int) -> list[Comparison]:
     return [("cleared-kernel determinant size recurrence", lhs, rhs)]
 
 
-def eval_m_closed(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Cleared-kernel determinant equals its R-sum closed form",
+    size_role="matrix size n",
+    draws=("a", "b", "q", "c", "k_tuple"),
+    default_sizes=(1, 2, 3, 4, 5, 6),
+    max_size=12,
+)
+def m_closed(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
     det_m = determinant(build_m(k, a, b, c, q))
     pre = sign(n) * a ** (n * (n - 3) // 2) * q ** (n * (n + 1) * (n - 4) // 6)
     for i in range(1, n + 1):
         pre = pre * qp(b * q, q, i - 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pre = pre * (q ** (k[i] - 1) - q ** (k[j] - 1))
+    pre = pre * _q_vandermonde(k, q)
     closed = pre * _r_weighted_sum(n, k, a, b, c, q, sign_exponent_from_n=False)
     scale = ONE
     for kv in k:

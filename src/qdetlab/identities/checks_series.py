@@ -11,10 +11,16 @@ from ..qseries import (
     terminating_phi,
     very_well_poised,
 )
-from .points import Comparison
+from .points import Comparison, check
 
 
-def eval_phi_contiguous_1(pt, order: int) -> list[Comparison]:
+@check(
+    summary="First contiguous relation for the 4-parameter series, coefficient-wise",
+    size_role="highest argument power checked",
+    draws=("extras:7", "q"),
+    default_sizes=(12,),
+)
+def phi_contiguous_1(pt, order: int) -> list[Comparison]:
     a, b, c, d, e, f, g = pt.extras
     q = pt.q
     s1 = spec((a, b * q, c, d), (e, f, g), q, ONE)
@@ -29,7 +35,13 @@ def eval_phi_contiguous_1(pt, order: int) -> list[Comparison]:
     return comps
 
 
-def eval_phi_contiguous_2(pt, order: int) -> list[Comparison]:
+@check(
+    summary="Second contiguous relation for the 4-parameter series, coefficient-wise",
+    size_role="highest argument power checked",
+    draws=("extras:7", "q"),
+    default_sizes=(12,),
+)
+def phi_contiguous_2(pt, order: int) -> list[Comparison]:
     a, b, c, d, e, f, g = pt.extras
     q = pt.q
     s1 = spec((a, b, c, d), (e * q, f, g), q, ONE)
@@ -43,7 +55,13 @@ def eval_phi_contiguous_2(pt, order: int) -> list[Comparison]:
     return comps
 
 
-def eval_phi_contiguous_3(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Balanced terminating three-term contiguous relation at unit shift",
+    size_role="termination order n",
+    draws=("extras:5", "q"),
+    default_sizes=(1, 2, 3, 4, 5),
+)
+def phi_contiguous_3(pt, n: int) -> list[Comparison]:
     c, d, e, f, g = pt.extras
     q = pt.q
     a = q**-n
@@ -58,7 +76,13 @@ def eval_phi_contiguous_3(pt, n: int) -> list[Comparison]:
     return [("balanced terminating three-term relation", lhs, rhs)]
 
 
-def eval_watson(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Watson transformation: terminating very-well-poised sum vs balanced series",
+    size_role="termination order n",
+    draws=("extras:4", "q", "alpha"),
+    default_sizes=(1, 2, 3, 4, 5),
+)
+def watson(pt, n: int) -> list[Comparison]:
     rho = pt.alpha
     b, c, d, e = pt.extras
     q = pt.q
@@ -80,7 +104,13 @@ def eval_watson(pt, n: int) -> list[Comparison]:
     return [("very-well-poised sum vs balanced series", lhs, rhs)]
 
 
-def eval_w8_contiguous(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Three-term contiguous relation for the terminating very-well-poised sum",
+    size_role="termination order n",
+    draws=("extras:4", "alpha", "kappa"),
+    default_sizes=(1, 2, 3, 4, 5),
+)
+def w8_contiguous(pt, n: int) -> list[Comparison]:
     rho, kappa = pt.alpha, pt.kappa
     b, c, d, e = pt.extras
     q = kappa * kappa
@@ -96,7 +126,13 @@ def eval_w8_contiguous(pt, n: int) -> list[Comparison]:
     return [("three-term very-well-poised contiguous relation", lhs, rhs)]
 
 
-def eval_even_odd_factorization(pt, m: int) -> list[Comparison]:
+@check(
+    summary="Origin values factor through half-degree base-q^2 values (even and odd)",
+    size_role="half degree m (degrees 2m and 2m+1)",
+    draws=("a", "b", "q", "c"),
+    default_sizes=(1, 2, 3),
+)
+def even_odd_factorization(pt, m: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     q2 = q * q
     c2 = c * c
@@ -136,7 +172,13 @@ def eval_even_odd_factorization(pt, m: int) -> list[Comparison]:
     ]
 
 
-def eval_andrews(pt, n: int) -> list[Comparison]:
+@check(
+    summary="Paired-parameter origin value has a four-factor closed product",
+    size_role="polynomial degree n",
+    draws=("a", "b", "q"),
+    default_sizes=(1, 2, 3, 4, 5, 6, 7, 8),
+)
+def andrews(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
     lhs = askey_wilson(n, AWParams(a, -a, b, -b, q, ZERO), "hypergeometric")
     return [("paired-parameter origin value vs closed product", lhs, andrews_rhs(n, a, b, q))]

@@ -1,4 +1,7 @@
-"""Parameter points and the draw table that fills them.
+"""Check declarations, parameter points and the draw table that fills them.
+
+A :class:`CheckDef` is one check: what it draws, how it is evaluated, how it
+is described.  Each evaluator declares its own with :func:`check`.
 
 A :class:`ParamPoint` is one sampled assignment of every input a check needs:
 plain rational parameters, square roots (kappa^2 = q and friends, so both
@@ -11,9 +14,11 @@ loop that keeps only non-degenerate points lives in :mod:`.runner`.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Callable
 
 from ..gaussian import GaussianRational, ONE
 
@@ -152,3 +157,39 @@ def draw(names: tuple[str, ...], rng: random.Random) -> dict:
         else:
             out[name] = _DRAWS.get(name, draw_rational)(rng)
     return out
+
+
+@dataclass(frozen=True)
+class CheckDef:
+    """One check: what to draw, how to evaluate, how to describe it.
+
+    ``draws`` names the sampled slots once, in RNG order (see :func:`draw`);
+    ``sample`` defaults to drawing them.
+    """
+
+    id: str
+    summary: str
+    size_role: str
+    draws: tuple[str, ...]
+    default_sizes: tuple[int, ...]
+    evaluate: Callable[[ParamPoint, int], list[Comparison]]
+    mode: str = "identity"
+    min_size: int = 1
+    max_size: int | None = None
+    sample: Callable[[random.Random], dict] | None = None
+
+    def __post_init__(self):
+        if self.sample is None:
+            object.__setattr__(self, "sample", functools.partial(draw, self.draws))
+
+
+def check(**attrs) -> Callable[[Callable], CheckDef]:
+    """Declare the decorated evaluator a check whose id is the evaluator's name.
+
+    ``attrs`` are the other :class:`CheckDef` fields.
+    """
+
+    def declare(evaluate: Callable) -> CheckDef:
+        return CheckDef(id=evaluate.__name__, evaluate=evaluate, **attrs)
+
+    return declare

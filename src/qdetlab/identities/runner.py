@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from .. import __version__
 from ..errors import DegenerateSampleError, PoleError, UsageError
-from .points import Comparison, ParamPoint
-from .registry import CheckDef, get_check
+from .points import CheckDef, Comparison, ParamPoint
+from .registry import get_check
 
 PASS = "pass"
 FAIL = "fail"
@@ -41,20 +41,12 @@ class CheckResult:
     detail: str | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "check": self.check,
-            "n": self.n,
-            "trial": self.trial,
-            "seed": self.seed,
-            "status": self.status,
-            "point": self.point,
-        }
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-        if self.rhs is not None:
-            out["rhs"] = self.rhs
-        if self.detail is not None:
-            out["detail"] = self.detail
+        """JSON-ready view in field order; unset witnesses are left out."""
+        out: dict = {}
+        for slot in fields(self):
+            value = getattr(self, slot.name)
+            if value is not None:
+                out[slot.name] = value
         return out
 
 

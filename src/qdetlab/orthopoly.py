@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PoleError
-from .gaussian import I, ONE, TWO, ZERO, GaussianRational, to_gq
+from .gaussian import I, ONE, TWO, ZERO, GaussianRational, sign, to_gq
 from .qseries import (
     factorial,
     binomial,
@@ -231,8 +231,7 @@ def mehta_wang_d(n: int, a, b, method: str = "recurrence") -> GaussianRational:
         v = half(a + b)
         total = ZERO
         for k in range(n + 1):
-            sign = ONE if k % 2 == 0 else -ONE
-            total = total + sign * binomial(n, k) * rising_factorial(u, k) * rising_factorial(
+            total = total + sign(k) * binomial(n, k) * rising_factorial(u, k) * rising_factorial(
                 v, n - k
             )
         return total
@@ -303,7 +302,6 @@ def andrews_rhs(n: int, a, b, q) -> GaussianRational:
         return ZERO
     m = n // 2
     q2 = q * q
-    sign = ONE if m % 2 == 0 else -ONE
-    return sign * q_pochhammer_multi(
+    return sign(m) * q_pochhammer_multi(
         (q, -(a * a), -(b * b), (a * a) * (b * b) * q ** (2 * m)), q2, m
     )

@@ -1,6 +1,7 @@
 """Registry behavior: sampling, execution, witnesses, and determinism."""
 
 import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,10 @@ from qdetlab.identities import (
     REGISTRY,
     ParamPoint,
     check_ids,
+    checks_determinants,
+    checks_quadratic,
+    checks_rows,
+    checks_series,
     get_check,
     run_check,
     run_suite,
@@ -43,6 +48,21 @@ class TestRegistryShape:
             assert entry.summary
             assert entry.default_sizes
             assert min(entry.default_sizes) >= entry.min_size
+
+    def test_every_evaluator_is_declared_under_its_own_name(self):
+        # An evaluator left without @check would silently drop out of the
+        # registry: the checks modules may define no public plain function.
+        for module in (checks_determinants, checks_quadratic, checks_rows, checks_series):
+            undeclared = [
+                name
+                for name, value in vars(module).items()
+                if inspect.isfunction(value)
+                and value.__module__ == module.__name__
+                and not name.startswith("_")
+            ]
+            assert undeclared == [], module.__name__
+        for cid, entry in REGISTRY.items():
+            assert entry.evaluate.__name__ == cid
 
 
 class TestSampler:
