@@ -22,6 +22,8 @@ from .errors import ParseError
 
 RationalLike = Union[int, Fraction]
 
+_FZERO = Fraction(0)
+
 
 class GaussianRational:
     """An element of QQ(i) with exact rational components."""
@@ -51,10 +53,15 @@ class GaussianRational:
 
     # -- field operations ---------------------------------------------------
 
+    # Real operands take one Fraction operation; the result keeps the shared
+    # zero as its imaginary part, so it stays canonical.
+
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.im and not other.im:
+            return GaussianRational(self.re + other.re, _FZERO)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -63,12 +70,16 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.im and not other.im:
+            return GaussianRational(self.re - other.re, _FZERO)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.im and not other.im:
+            return GaussianRational(other.re - self.re, _FZERO)
         return GaussianRational(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
@@ -76,6 +87,8 @@ class GaussianRational:
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return GaussianRational(a * c, _FZERO)
         return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -100,6 +113,10 @@ class GaussianRational:
 
     def reciprocal(self) -> "GaussianRational":
         """1/self; multiplies by the conjugate over the norm."""
+        if not self.im:
+            if not self.re:
+                raise ZeroDivisionError("division by zero in QQ(i)")
+            return GaussianRational(1 / self.re, _FZERO)
         n = self.re * self.re + self.im * self.im
         if not n:
             raise ZeroDivisionError("division by zero in QQ(i)")

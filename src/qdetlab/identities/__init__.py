@@ -10,6 +10,7 @@ from .builders import (
     moment,
     moment_hankel,
     moment_hankel_rows,
+    moments,
     nishizawa_matrix,
     theorem_matrix_rows,
     triangular_inverse,
@@ -35,6 +36,7 @@ __all__ = [
     "moment",
     "moment_hankel",
     "moment_hankel_rows",
+    "moments",
     "nishizawa_matrix",
     "run_check",
     "run_suite",

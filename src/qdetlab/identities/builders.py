@@ -18,25 +18,75 @@ from ..linalg import ExactMatrix
 from ..qseries import q_binomial, q_pochhammer, rising_factorial
 
 
+def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
+    """Little q-Jacobi moments mu_lo..mu_hi keyed by index, mu_m = (aq;q)_m / (abq^2;q)_m.
+
+    Runs mu_{m+1} = mu_m (1 - a q^{m+1}) / (1 - ab q^{m+2}) up from mu_0 = 1
+    and down from it for negative m.  Poles are upward-closed for m >= 0 and
+    downward-closed for m < 0, so the range raises PoleError exactly when one
+    of its moments has a pole.
+    """
+    if lo > hi:
+        return {}
+    a, b, q = to_gq(a), to_gq(b), to_gq(q)
+    mu = {0: ONE}
+    value, x, y = ONE, a * q, a * b * q * q  # mu_m, a q^{m+1}, ab q^{m+2} at m = 0
+    for m in range(hi):
+        den = ONE - y
+        if not den:
+            raise PoleError("vanishing moment denominator", f"(abq^2;q)_{m + 1}")
+        value = mu[m + 1] = value * (ONE - x) / den
+        x, y = x * q, y * q
+    if lo < 0:
+        qinv = q.reciprocal()
+        value, x, y = ONE, a, a * b * q  # mu_{m+1}, a q^{m+1}, ab q^{m+2} at m = -1
+        for m in range(-1, lo - 1, -1):
+            num, den = ONE - y, ONE - x
+            if not num or not den:
+                raise PoleError(
+                    "vanishing factor in negative-index q-shifted factorial",
+                    f"(abq^2;q)_{m}" if not num else f"(aq;q)_{m}",
+                )
+            value = mu[m] = value * num / den
+            x, y = x * qinv, y * qinv
+    return {m: mu[m] for m in range(lo, hi + 1)}
+
+
 def moment(m: int, a, b, q) -> GaussianRational:
     """Little q-Jacobi moment mu_m = (aq;q)_m / (abq^2;q)_m, any integer m."""
-    a, b, q = to_gq(a), to_gq(b), to_gq(q)
-    num = q_pochhammer(a * q, q, m)
-    den = q_pochhammer(a * b * q * q, q, m)
-    if not den:
-        raise PoleError("vanishing moment denominator", f"(abq^2;q)_{m}")
-    return num / den
+    return moments(m, m, a, b, q)[m]
+
+
+class _Powers(dict):
+    """q**e keyed by exponent e, each computed on first use; one table per builder call."""
+
+    def __init__(self, q: GaussianRational):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, e: int) -> GaussianRational:
+        power = self[e] = self.q**e
+        return power
+
+
+def _row_moments(k_tuple: Sequence[int], a, b, q) -> dict[int, GaussianRational]:
+    """The moments mu_{k_i+j-2} (1 <= j <= n) that a row-selected kernel reads."""
+    if not k_tuple:
+        return {}
+    return moments(min(k_tuple) - 1, max(k_tuple) + len(k_tuple) - 2, a, b, q)
 
 
 def moment_hankel(n: int, r: int, a, b, q) -> ExactMatrix:
     """Hankel matrix (mu_{i+j+r-2})_{1<=i,j<=n}."""
-    return ExactMatrix.build(n, n, lambda i, j: moment(i + j + r - 2, a, b, q))
+    mu = moments(r, 2 * n + r - 2, a, b, q)
+    return ExactMatrix.build(n, n, lambda i, j: mu[i + j + r - 2])
 
 
 def moment_hankel_rows(k_tuple: Sequence[int], a, b, q) -> ExactMatrix:
     """Row-selected moment matrix (mu_{k_i+j-2})."""
     n = len(k_tuple)
-    return ExactMatrix.build(n, n, lambda i, j: moment(k_tuple[i - 1] + j - 2, a, b, q))
+    mu = _row_moments(k_tuple, a, b, q)
+    return ExactMatrix.build(n, n, lambda i, j: mu[k_tuple[i - 1] + j - 2])
 
 
 def build_theorem_matrix(n: int, r: int, a, b, c, q) -> ExactMatrix:
@@ -45,22 +95,23 @@ def build_theorem_matrix(n: int, r: int, a, b, c, q) -> ExactMatrix:
     At c = 1 the prefactor is antisymmetric and the matrix is exactly skew.
     """
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
-    return ExactMatrix.build(
-        n,
-        n,
-        lambda i, j: (q ** (i - 1) - c * q ** (j - 1)) * moment(i + j + r - 2, a, b, q),
-    )
+    mu = moments(r, 2 * n + r - 2, a, b, q)
+    qp = _Powers(q)
+    cq = [c * qp[j] for j in range(n)]
+    return ExactMatrix.build(n, n, lambda i, j: (qp[i - 1] - cq[j - 1]) * mu[i + j + r - 2])
 
 
 def theorem_matrix_rows(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     """Arbitrary-rows kernel ((q^{k_i-1} - c q^{j-1}) mu_{k_i+j-2})."""
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
     n = len(k_tuple)
+    mu = _row_moments(k_tuple, a, b, q)
+    qp = _Powers(q)
+    cq = [c * qp[j] for j in range(n)]
     return ExactMatrix.build(
         n,
         n,
-        lambda i, j: (q ** (k_tuple[i - 1] - 1) - c * q ** (j - 1))
-        * moment(k_tuple[i - 1] + j - 2, a, b, q),
+        lambda i, j: (qp[k_tuple[i - 1] - 1] - cq[j - 1]) * mu[k_tuple[i - 1] + j - 2],
     )
 
 
@@ -70,13 +121,15 @@ def build_m(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
     n = len(k_tuple)
     ab = a * b
+    qp = _Powers(q)
+    cq = [c * qp[j] for j in range(n)]
 
     def entry(i, j):
         k = k_tuple[i - 1]
         return (
-            (q ** (k - 1) - c * q ** (j - 1))
-            * q_pochhammer(a * q**k, q, j - 1)
-            * q_pochhammer(ab * q ** (k + j), q, n - j)
+            (qp[k - 1] - cq[j - 1])
+            * q_pochhammer(a * qp[k], q, j - 1)
+            * q_pochhammer(ab * qp[k + j], q, n - j)
         )
 
     return ExactMatrix.build(n, n, entry)
@@ -93,22 +146,23 @@ def build_triangular(kind: str, n: int, k_tuple: Sequence[int] | None, a=None, b
     q = to_gq(q)
     if kind == "X" or kind == "L":
         a = to_gq(a)
+        qp = _Powers(q)
         if kind == "L":
-            ab_shift = to_gq(a) * to_gq(b) * q ** (n - 1)
+            ab_shift = a * to_gq(b) * qp[n - 1]
 
         def entry(i, j):
             if i < j:
                 return ZERO
-            kj = k_tuple[j - 1]
+            qk = qp[k_tuple[j - 1]]
             if kind == "X":
-                head = q**kj * (ONE - a * q**kj)
+                head = qk * (ONE - a * qk)
             else:
-                head = q**kj * (ONE - ab_shift * q**kj)
+                head = qk * (ONE - ab_shift * qk)
             prod = head
             for l in range(1, i + 1):
                 if l == j:
                     continue
-                prod = prod * (q ** k_tuple[l - 1] - q**kj)
+                prod = prod * (qp[k_tuple[l - 1]] - qk)
             return -prod.reciprocal()
 
         return ExactMatrix.build(n, n, entry)
@@ -160,15 +214,16 @@ def compute_r(n: int, nu: int, k_tuple: Sequence[int], a, b, q) -> GaussianRatio
         raise ValueError("k-tuple shorter than n")
     a, b, q = to_gq(a), to_gq(b), to_gq(q)
     ab = a * b
+    qp = _Powers(q)
     total = ZERO
     universe = range(1, n + 1)
     for i_set in itertools.combinations(universe, n - nu):
         j_set = tuple(v for v in universe if v not in i_set)
-        weight = q ** (sum(i_set) - n + nu)
+        weight = qp[sum(i_set) - n + nu]
         for l, iv in enumerate(i_set, start=1):
-            weight = weight * (ONE - a * q ** (k_tuple[iv - 1] - iv + l + nu))
+            weight = weight * (ONE - a * qp[k_tuple[iv - 1] - iv + l + nu])
         for l, jv in enumerate(j_set, start=1):
-            weight = weight * (ONE - ab * q ** (k_tuple[jv - 1] + jv - l + nu - 1))
+            weight = weight * (ONE - ab * qp[k_tuple[jv - 1] + jv - l + nu - 1])
         total = total + weight
     return total
 
@@ -186,10 +241,10 @@ def nishizawa_matrix(n: int, s, t, q) -> ExactMatrix:
     s, t, q = to_gq(s), to_gq(t), to_gq(q)
     c = s * s
     t2 = t * t
+    qp = _Powers(q)
+    cq = [c * qp[j] for j in range(n)]
     return ExactMatrix.build(
-        n,
-        n,
-        lambda i, j: (q ** (i - 1) - c * q ** (j - 1)) * q_pochhammer(t2, q, i + j - 2),
+        n, n, lambda i, j: (qp[i - 1] - cq[j - 1]) * q_pochhammer(t2, q, i + j - 2)
     )
 
 

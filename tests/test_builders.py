@@ -1,5 +1,6 @@
 """Structured-matrix builders and the ordered-partition sum."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,10 @@ from qdetlab.identities import (
     mehta_wang_matrix,
     moment,
     moment_hankel,
+    moment_hankel_rows,
+    moments,
     nishizawa_matrix,
+    theorem_matrix_rows,
     triangular_inverse,
 )
 from qdetlab.qseries import q_binomial, q_pochhammer, rising_factorial
@@ -25,6 +29,19 @@ def frac(num, den=1):
 
 
 A, B, C, Q = frac(2, 3), frac(3, 5), frac(5, 7), frac(2)
+
+
+def moment_reference(m, a, b, q):
+    """mu_m = (aq;q)_m / (abq^2;q)_m straight from the q-shifted factorials."""
+    num = q_pochhammer(a * q, q, m)
+    den = q_pochhammer(a * b * q * q, q, m)
+    if not den:
+        raise PoleError("vanishing moment denominator")
+    return num / den
+
+
+SPECIAL = [frac(v, d) for v, d in ((0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1),
+                                  (1, 2), (-1, 2), (1, 3), (-1, 3))]
 
 
 class TestMoment:
@@ -45,6 +62,32 @@ class TestMoment:
         # a b q^2 = 1 makes (abq^2;q)_m vanish for m >= 1
         with pytest.raises(PoleError):
             moment(2, frac(1, 2), frac(1, 2), frac(2))
+
+    def test_sequence_matches_per_index_quotients_and_poles(self):
+        pole_indices = set()
+        qs = [v for v in SPECIAL if v not in (ZERO, ONE, -ONE)]
+        for a, b, q in itertools.product(SPECIAL, SPECIAL, qs):
+            reference = {}
+            for m in range(-2, 4):
+                try:
+                    reference[m] = moment_reference(m, a, b, q)
+                except PoleError:
+                    pole_indices.add(m)
+            for lo in range(-2, 3):
+                for hi in range(lo, 4):
+                    if all(m in reference for m in range(lo, hi + 1)):
+                        assert moments(lo, hi, a, b, q) == {m: reference[m] for m in range(lo, hi + 1)}
+                    else:
+                        with pytest.raises(PoleError):
+                            moments(lo, hi, a, b, q)
+        # the grid puts poles at every index but 0, on both sides of it
+        assert pole_indices == {-2, -1, 1, 2, 3}
+
+    def test_empty_range_and_empty_matrices(self):
+        assert moments(3, 2, A, B, Q) == {}
+        for m in (moment_hankel(0, 2, A, B, Q), moment_hankel_rows((), A, B, Q),
+                  theorem_matrix_rows((), A, B, C, Q), build_theorem_matrix(0, 1, A, B, C, Q)):
+            assert (m.rows, m.cols) == (0, 0)
 
 
 class TestTheoremMatrix:

@@ -16,6 +16,7 @@ def gq(re, im=0):
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
 scalars = st.builds(GaussianRational, fractions, fractions)
 nonzero_scalars = scalars.filter(bool)
+reals = st.one_of(st.just(ZERO), st.builds(GaussianRational, fractions))
 
 
 def test_rational_addition():
@@ -36,6 +37,8 @@ def test_division_by_zero_raises():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         ZERO.reciprocal()
+    with pytest.raises(ZeroDivisionError):
+        (ONE - ONE).reciprocal()
 
 
 def test_pow():
@@ -52,6 +55,32 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert 2 * gq((1, 2)) == ONE
     assert Fraction(1, 3) - gq((1, 3)) == ZERO
     assert 1 / (ONE + I) == (ONE - I) / 2
+
+
+def assert_built_as(z, re, im):
+    """z has Fraction parts equal to (re, im) and hashes and prints like GaussianRational(re, im)."""
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (re, im)
+    built = GaussianRational(re, im)
+    assert z == built and hash(z) == hash(built) and str(z) == str(built)
+
+
+@given(reals, reals)
+def test_real_operations_match_the_general_formulas(x, y):
+    a, b, c, d = x.re, x.im, y.re, y.im
+    assert_built_as(x * y, a * c - b * d, a * d + b * c)
+    assert_built_as(x + y, a + c, b + d)
+    assert_built_as(x - y, a - c, b - d)
+    assert_built_as(a - y, a - c, -d)  # Fraction - GaussianRational goes through __rsub__
+    assert_built_as(1 - y, 1 - c, -d)
+
+
+@given(reals.filter(bool))
+def test_real_reciprocal_matches_conjugate_over_norm(x):
+    norm = x.re * x.re + x.im * x.im
+    assert_built_as(x.reciprocal(), x.re / norm, -x.im / norm)
+    assert_built_as(ONE / x, x.re / norm, -x.im / norm)
+    assert_built_as(x**-2, (x.re / norm) ** 2, Fraction(0))
 
 
 @given(scalars, scalars, scalars)
