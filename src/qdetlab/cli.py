@@ -1,9 +1,10 @@
 """Command-line front end: list checks, explain one, run suites.
 
 Exit codes: 0 all identity checks passed, 1 any identity-check failure,
-2 usage error.  Evidence-mode outcomes are summarized but never affect the
-exit code.  The default seed is 42, overridable by the QDETLAB_SEED
-environment variable and then by --seed.
+2 usage error (bad arguments, a malformed SOURCE_DATE_EPOCH, or an --output
+that cannot be written).  Evidence-mode outcomes are summarized but never
+affect the exit code.  The default seed is 42, overridable by the
+QDETLAB_SEED environment variable and then by --seed.
 """
 
 from __future__ import annotations
@@ -112,8 +113,11 @@ def _cmd_run(args) -> int:
     if args.output is None or args.output == "-":
         sys.stdout.write(rendered)
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            raise UsageError(f"cannot write the report: {exc}") from None
     return 1 if report.failed else 0
 
 

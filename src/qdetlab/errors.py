@@ -28,7 +28,8 @@ class PoleError(QdetLabError, ArithmeticError):
 
 
 class NonTerminatingSeriesError(QdetLabError, ValueError):
-    """A series evaluation was requested for a spec with no terminating parameter."""
+    """A series that does not terminate where declared: no numerator q**(-order)
+    for a basic series, no nonpositive-integer numerator for a classical one."""
 
 
 class DegenerateSampleError(QdetLabError, RuntimeError):
@@ -36,4 +37,5 @@ class DegenerateSampleError(QdetLabError, RuntimeError):
 
 
 class UsageError(QdetLabError, ValueError):
-    """A request that cannot run: unknown input, no trials, or nothing selected."""
+    """A request that cannot run: unknown input, no trials, nothing selected,
+    a malformed SOURCE_DATE_EPOCH, or a report path that cannot be written."""

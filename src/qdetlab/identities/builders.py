@@ -237,15 +237,14 @@ def mehta_wang_matrix(n: int, a, b) -> ExactMatrix:
 
 
 def nishizawa_matrix(n: int, s, t, q) -> ExactMatrix:
-    """q-Gamma-normalized kernel ((q^{i-1} - s^2 q^{j-1}) (t^2;q)_{i+j-2})."""
+    """q-Gamma-normalized kernel ((q^{i-1} - s^2 q^{j-1}) (t^2;q)_{i+j-2}).
+
+    This is the theorem kernel at a = t^2/q, b = 0, c = s^2, r = 0: with
+    b = 0 the moment denominator (abq^2;q)_m is 1, so mu_m = (t^2;q)_m.  It
+    is the Nishizawa case that the main theorem generalises.
+    """
     s, t, q = to_gq(s), to_gq(t), to_gq(q)
-    c = s * s
-    t2 = t * t
-    qp = _Powers(q)
-    cq = [c * qp[j] for j in range(n)]
-    return ExactMatrix.build(
-        n, n, lambda i, j: (qp[i - 1] - cq[j - 1]) * q_pochhammer(t2, q, i + j - 2)
-    )
+    return build_theorem_matrix(n, 0, t * t / q, ZERO, s * s, q)
 
 
 def classical_matrix(n: int, r: int, alpha, beta, gamma) -> ExactMatrix:

@@ -44,18 +44,32 @@ def _x_products(xs, a, abq) -> tuple[GaussianRational, GaussianRational, Gaussia
     return prod_x, inv_ax, inv_abx
 
 
-def _r_weighted_sum(n, k, a, b, c, q, sign_exponent_from_n: bool) -> GaussianRational:
-    """sum_nu (+-1)^... (abc q^{2nu+1}; q^2)_{n-nu} (acq; q^2)_nu R_{n,nu}."""
+def _row_scale(k, n, a, b, q) -> GaussianRational:
+    """prod_i (aq;q)_{k_i-1} / (abq^2;q)_{k_i+n-2}: the kernel over the cleared matrix."""
+    scale = ONE
+    for kv in k:
+        scale = scale * qp(a * q, q, kv - 1) / qp(a * b * q * q, q, kv + n - 2)
+    return scale
+
+
+def _r_closed_form(n, k, a, b, c, q) -> GaussianRational:
+    """The cleared-kernel determinant as an R-sum:
+    (-1)^n a^{n(n-3)/2} q^{n(n+1)(n-4)/6} prod_i (bq;q)_{i-2} prod_{i<j} (q^{k_i-1} - q^{k_j-1})
+    sum_nu (-1)^nu (abc q^{2nu+1}; q^2)_{n-nu} (acq; q^2)_nu R_{n,nu}."""
+    pre = sign(n) * a ** (n * (n - 3) // 2) * q ** (n * (n + 1) * (n - 4) // 6)
+    for i in range(1, n + 1):
+        pre = pre * qp(b * q, q, i - 2)
+    pre = pre * _q_vandermonde(k, q)
     q2 = q * q
     total = ZERO
     for nu in range(n + 1):
         total = total + (
-            sign(n - nu if sign_exponent_from_n else nu)
+            sign(nu)
             * qp(a * b * c * q ** (2 * nu + 1), q2, n - nu)
             * qp(a * c * q, q2, nu)
             * compute_r(n, nu, k, a, b, q)
         )
-    return total
+    return pre * total
 
 
 @check(
@@ -69,16 +83,9 @@ def thm_rows(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
     lhs = determinant(theorem_matrix_rows(k, a, b, c, q))
-    pre = a ** (n * (n - 3) // 2) * q ** (n * (n + 1) * (n - 4) // 6)
-    for i in range(1, n + 1):
-        pre = (
-            pre
-            * qp(a * q, q, k[i - 1] - 1)
-            * qp(b * q, q, i - 2)
-            / qp(a * b * q * q, q, k[i - 1] + n - 2)
-        )
-    pre = pre * _q_vandermonde(k, q)
-    rhs = pre * _r_weighted_sum(n, k, a, b, c, q, sign_exponent_from_n=True)
+    # The kernel determinant is the cleared one times the row scale (m_closed
+    # checks that too), and sign(n) sign(nu) = sign(n - nu) gives its signs.
+    rhs = _row_scale(k, n, a, b, q) * _r_closed_form(n, k, a, b, c, q)
     return [("arbitrary-row determinant vs R-sum closed form", lhs, rhs)]
 
 
@@ -415,14 +422,8 @@ def m_closed(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
     det_m = determinant(build_m(k, a, b, c, q))
-    pre = sign(n) * a ** (n * (n - 3) // 2) * q ** (n * (n + 1) * (n - 4) // 6)
-    for i in range(1, n + 1):
-        pre = pre * qp(b * q, q, i - 2)
-    pre = pre * _q_vandermonde(k, q)
-    closed = pre * _r_weighted_sum(n, k, a, b, c, q, sign_exponent_from_n=False)
-    scale = ONE
-    for kv in k:
-        scale = scale * qp(a * q, q, kv - 1) / qp(a * b * q * q, q, kv + n - 2)
+    closed = _r_closed_form(n, k, a, b, c, q)
+    scale = _row_scale(k, n, a, b, q)
     return [
         ("cleared-kernel determinant vs R-sum closed form", det_m, closed),
         (

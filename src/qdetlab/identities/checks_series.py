@@ -7,7 +7,6 @@ from ..orthopoly import AWParams, andrews_rhs, askey_wilson
 from ..qseries import (
     phi_coeff,
     q_pochhammer as qp,
-    spec,
     terminating_phi,
     very_well_poised,
 )
@@ -23,14 +22,14 @@ from .points import Comparison, check
 def phi_contiguous_1(pt, order: int) -> list[Comparison]:
     a, b, c, d, e, f, g = pt.extras
     q = pt.q
-    s1 = spec((a, b * q, c, d), (e, f, g), q, ONE)
-    s2 = spec((a * q, b, c, d), (e, f, g), q, ONE)
-    s3 = spec((a * q, b * q, c * q, d * q), (e * q, f * q, g * q), q, ONE)
+    s1 = ((a, b * q, c, d), (e, f, g))
+    s2 = ((a * q, b, c, d), (e, f, g))
+    s3 = ((a * q, b * q, c * q, d * q), (e * q, f * q, g * q))
     factor = (b - a) * (ONE - c) * (ONE - d) / ((ONE - e) * (ONE - f) * (ONE - g))
     comps = []
     for k in range(order + 1):
-        lhs = phi_coeff(s1, k) - phi_coeff(s2, k)
-        rhs = factor * phi_coeff(s3, k - 1) if k >= 1 else ZERO
+        lhs = phi_coeff(*s1, q, k) - phi_coeff(*s2, q, k)
+        rhs = factor * phi_coeff(*s3, q, k - 1) if k >= 1 else ZERO
         comps.append((f"argument-power {k} coefficient", lhs, rhs))
     return comps
 
@@ -44,13 +43,13 @@ def phi_contiguous_1(pt, order: int) -> list[Comparison]:
 def phi_contiguous_2(pt, order: int) -> list[Comparison]:
     a, b, c, d, e, f, g = pt.extras
     q = pt.q
-    s1 = spec((a, b, c, d), (e * q, f, g), q, ONE)
-    s2 = spec((a, b, c, d), (e, f * q, g), q, ONE)
-    s3 = spec((a * q, b, c, d), (e * q, f * q, g), q, ONE)
+    s1 = ((a, b, c, d), (e * q, f, g))
+    s2 = ((a, b, c, d), (e, f * q, g))
+    s3 = ((a * q, b, c, d), (e * q, f * q, g))
     comps = []
     for k in range(order + 1):
-        lhs = (ONE - f) * (a - e) * phi_coeff(s1, k) - (ONE - e) * (a - f) * phi_coeff(s2, k)
-        rhs = (ONE - a) * (f - e) * phi_coeff(s3, k)
+        lhs = (ONE - f) * (a - e) * phi_coeff(*s1, q, k) - (ONE - e) * (a - f) * phi_coeff(*s2, q, k)
+        rhs = (ONE - a) * (f - e) * phi_coeff(*s3, q, k)
         comps.append((f"argument-power {k} coefficient", lhs, rhs))
     return comps
 

@@ -118,8 +118,15 @@ def _sizes_for(entry: CheckDef, n_min: int | None, n_max: int | None) -> list[in
 
 
 def _timestamp() -> str:
-    epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """The report stamp from SOURCE_DATE_EPOCH; a malformed value is a UsageError."""
+    raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
+    try:
+        started = datetime.fromtimestamp(int(raw), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise UsageError(
+            f"SOURCE_DATE_EPOCH must be an integer Unix time within the date range, got {raw!r}"
+        ) from None
+    return started.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 @dataclass(frozen=True)
@@ -180,9 +187,11 @@ def run_suite(
 
     Sizes default to each check's own range; an explicit window is clamped
     to what the check supports.  Results are ordered by (check, n, trial).
-    A request that selects no (check, size) pair, or no trials, raises
-    :class:`UsageError` before anything is evaluated.
+    A request that selects no (check, size) pair, or no trials, or a
+    malformed SOURCE_DATE_EPOCH raises :class:`UsageError` before anything is
+    evaluated.
     """
+    started = _timestamp()
     if trials < 1:
         raise UsageError("trials must be >= 1")
     entries = [get_check(cid) for cid in sorted(set(check_ids))]
@@ -217,7 +226,7 @@ def run_suite(
     return Report(
         version=__version__,
         seed=seed,
-        started=_timestamp(),
+        started=started,
         summary=summary,
         results=tuple(results),
     )

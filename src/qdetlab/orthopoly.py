@@ -1,11 +1,11 @@
 """Exact evaluators for the orthogonal-polynomial families used by the checks.
 
 Each family ships at least two independent computation paths (three for the
-Al-Salam--Chihara and q-deformed Meixner-type sequences) so the test suite can
-cross-validate them.  The complex exponential never appears: the conjugate
-parameter pair of the basic hypergeometric form is evaluated through the
-paired product prod_j (1 - 2 a x q^j + a^2 q^{2j}), which is rational in
-x = cos(theta), keeping everything inside QQ(i).
+q-deformed Meixner-type sequence) so the test suite can cross-validate them.
+The complex exponential never appears: the conjugate parameter pair of the
+basic hypergeometric form is evaluated through the paired product
+prod_j (1 - 2 a x q^j + a^2 q^{2j}), which is rational in x = cos(theta),
+keeping everything inside QQ(i).
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ def askey_wilson(n: int, params: AWParams, method: str = "recurrence") -> Gaussi
 
 
 def al_salam_chihara(n: int, x, big_a, big_b, q, method: str = "recurrence") -> GaussianRational:
-    """Q_n(x; A, B; q) by recurrence, by its 3-phi-2 form, or as the c=d=0
-    specialization of the Askey-Wilson evaluator."""
+    """Q_n(x; A, B; q) by recurrence or by its 3-phi-2 form, summed as the c = d = 0
+    case of the Askey-Wilson 4-phi-3 form (Koekoek, Lesky and Swarttouw, 14.8)."""
     x, big_a, big_b, q = to_gq(x), to_gq(big_a), to_gq(big_b), to_gq(q)
     if n == -1:
         return ZERO
@@ -154,30 +154,6 @@ def al_salam_chihara(n: int, x, big_a, big_b, q, method: str = "recurrence") -> 
             )
         return cur
     if method == "hypergeometric":
-        if not big_a:
-            raise PoleError("3-phi-2 form requires a nonzero leading parameter", "A=0")
-        ab = big_a * big_b
-        prefactor = q_pochhammer(ab, q, n) * big_a ** (-n)
-        qmn = q ** (-n)
-        two_ax = TWO * big_a * x
-        a2 = big_a * big_a
-        total = ONE
-        term = ONE
-        qk = ONE
-        q2k = ONE
-        q2 = q * q
-        for k in range(n):
-            num = (ONE - qmn * qk) * (ONE - two_ax * qk + a2 * q2k) * q
-            f = ONE - ab * qk
-            if not f:
-                raise PoleError("vanishing denominator q-shifted factorial", f"(AB;q) at k={k + 1}")
-            den = (ONE - q * qk) * f
-            term = term * num / den
-            total = total + term
-            qk = qk * q
-            q2k = q2k * q2
-        return prefactor * total
-    if method == "aw_special":
         return askey_wilson(n, AWParams(big_a, big_b, ZERO, ZERO, q, x), "hypergeometric")
     raise ValueError(f"unknown method {method!r}")
 

@@ -1,8 +1,9 @@
 """q-shifted factorials, q-binomials, and terminating hypergeometric sums.
 
 All evaluation is exact over QQ(i).  Series are only ever summed when they
-terminate: a basic series must carry a numerator parameter of the form
-``base**(-n)`` and a classical series a nonpositive-integer numerator.
+terminate.  A basic series is summed to the order n its caller declares,
+and some numerator must equal ``q**(-n)``; the order is never searched for.
+A classical series terminates at its nonpositive-integer numerator.
 Running into a vanishing denominator factor raises
 :class:`~qdetlab.errors.PoleError` naming the offending factor.
 """
@@ -10,14 +11,11 @@ Running into a vanishing denominator factor raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import NonTerminatingSeriesError, PoleError
 from .gaussian import ONE, ZERO, GaussianRational, to_gq
-
-_TERMINATION_CAP = 512
 
 
 def q_pochhammer(a, q, n: int) -> GaussianRational:
@@ -105,72 +103,29 @@ def rising_factorial(a, n: int) -> GaussianRational:
     return result
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """A basic hypergeometric series r+1_phi_r to be summed exactly.
+def terminating_phi(numerators, denominators, q, z, order: int) -> GaussianRational:
+    """Sum r+1_phi_r(numerators; denominators; q, z) exactly up to z**order.
 
-    ``order``, when given, is the termination length n (some numerator must
-    equal ``base**(-n)``); otherwise it is detected exactly by searching for
-    the smallest such n among the numerators.
+    Some numerator must equal q**(-order), else NonTerminatingSeriesError.
     """
-
-    numerators: tuple[GaussianRational, ...]
-    denominators: tuple[GaussianRational, ...]
-    base: GaussianRational
-    argument: GaussianRational
-    order: int | None = None
-
-
-def spec(numerators, denominators, base, argument, order: int | None = None) -> SeriesSpec:
-    """Build a SeriesSpec, coercing scalar-like entries."""
-    return SeriesSpec(
-        tuple(to_gq(a) for a in numerators),
-        tuple(to_gq(b) for b in denominators),
-        to_gq(base),
-        to_gq(argument),
-        order,
-    )
-
-
-def _detect_termination(numerators, base) -> int:
-    best = None
-    for a in numerators:
-        p = a
-        for n in range(_TERMINATION_CAP + 1):
-            if p == ONE:
-                if best is None or n < best:
-                    best = n
-                break
-            p = p * base
-    if best is None:
+    numerators = [to_gq(a) for a in numerators]
+    denominators = [to_gq(b) for b in denominators]
+    q, z = to_gq(q), to_gq(z)
+    if not any(a * q**order == ONE for a in numerators):
         raise NonTerminatingSeriesError(
-            "series has no numerator of the form base**(-n); refusing to sum"
+            f"declared order {order} has no matching q**(-n) numerator; refusing to sum"
         )
-    return best
-
-
-def _termination_order(s: SeriesSpec) -> int:
-    if s.order is None:
-        return _detect_termination(s.numerators, s.base)
-    if not any(a * s.base**s.order == ONE for a in s.numerators):
-        raise ValueError(f"declared order {s.order} has no matching base**(-n) numerator")
-    return s.order
-
-
-def phi(s: SeriesSpec) -> GaussianRational:
-    """Sum a terminating basic hypergeometric series exactly."""
-    n = _termination_order(s)
     total = ONE
     term = ONE
-    qk = ONE  # base**k
-    for k in range(n):
-        factor = s.argument
-        for a in s.numerators:
+    qk = ONE  # q**k
+    for k in range(order):
+        factor = z
+        for a in numerators:
             factor = factor * (ONE - a * qk)
-        den = ONE - s.base * qk
+        den = ONE - q * qk
         if not den:
             raise PoleError("vanishing (q;q) factor in series", f"k={k + 1}")
-        for j, b in enumerate(s.denominators):
+        for j, b in enumerate(denominators):
             f = ONE - b * qk
             if not f:
                 raise PoleError(
@@ -180,25 +135,21 @@ def phi(s: SeriesSpec) -> GaussianRational:
             den = den * f
         term = term * factor / den
         total = total + term
-        qk = qk * s.base
+        qk = qk * q
     return total
 
 
-def phi_coeff(s: SeriesSpec, k: int) -> GaussianRational:
-    """Coefficient of argument**k in the series (argument excluded)."""
-    num = q_pochhammer_multi(s.numerators, s.base, k)
-    den = q_pochhammer(s.base, s.base, k) * q_pochhammer_multi(s.denominators, s.base, k)
+def phi_coeff(numerators, denominators, q, k: int) -> GaussianRational:
+    """Coefficient of z**k in r+1_phi_r(numerators; denominators; q, z)."""
+    q = to_gq(q)
+    num = q_pochhammer_multi(numerators, q, k)
+    den = q_pochhammer(q, q, k) * q_pochhammer_multi(denominators, q, k)
     if not den:
         raise PoleError("vanishing denominator q-shifted factorial", f"coefficient k={k}")
     return num / den
 
 
-def terminating_phi(numerators, denominators, q, z, order: int | None = None) -> GaussianRational:
-    """Shorthand: build a spec and sum it."""
-    return phi(spec(numerators, denominators, q, z, order))
-
-
-def very_well_poised(a1_sqrt, tail, q, z, order: int | None = None) -> GaussianRational:
+def very_well_poised(a1_sqrt, tail, q, z, order: int) -> GaussianRational:
     """Terminating very-well-poised series r+1_W_r(a1; a4..a_{r+1}; q, z).
 
     ``a1_sqrt`` is the caller-supplied square root of a1 (roots are inputs,

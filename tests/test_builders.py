@@ -221,6 +221,12 @@ class TestClassicalKernels:
         m = nishizawa_matrix(2, s, t, Q)
         assert m.at(1, 1) == ONE - s * s
         assert m.at(2, 1) == (Q - s * s) * (ONE - t * t)
+        # a 4 x 4 case, every entry against (q^{i-1} - s^2 q^{j-1}) (t^2;q)_{i+j-2}
+        s, t, q = frac(-3, 4), frac(5, 2), frac(-2, 3)
+        m = nishizawa_matrix(4, s, t, q)
+        for i, j in itertools.product(range(1, 5), repeat=2):
+            expected = (q ** (i - 1) - s * s * q ** (j - 1)) * q_pochhammer(t * t, q, i + j - 2)
+            assert m.at(i, j) == expected
 
     def test_nishizawa_size_one_value(self):
         s, t = frac(2, 5), frac(5, 3)

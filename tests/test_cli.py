@@ -148,6 +148,16 @@ class TestRun:
         assert out == ""
         assert json.loads(target.read_text())["summary"]["pass"] == 8
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            capsys, "run", "--check", "andrews", "--trials", "1", "--output", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdet-lab: error: cannot write the report")
+        assert not target.parent.exists()
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("QDETLAB_SEED", "99")
         _, out, _ = run_cli(
@@ -165,6 +175,23 @@ class TestRun:
         monkeypatch.setenv("QDETLAB_SEED", "not-a-number")
         code, _, err = run_cli(capsys, "run", "--check", "andrews", "--trials", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("stamp", ["abc", str(10**20)])
+    def test_malformed_source_date_epoch_is_usage_error(self, capsys, monkeypatch, stamp):
+        entry = REGISTRY["andrews"]
+        calls = []
+
+        def counting(pt, n):
+            calls.append(n)
+            return entry.evaluate(pt, n)
+
+        monkeypatch.setitem(REGISTRY, "andrews", dataclasses.replace(entry, evaluate=counting))
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", stamp)
+        code, out, err = run_cli(capsys, "run", "--check", "andrews", "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert "SOURCE_DATE_EPOCH" in err
+        assert calls == []  # rejected before any evaluation
 
     def test_evidence_failure_does_not_affect_exit_code(self, capsys):
         import dataclasses

@@ -8,7 +8,6 @@ import pytest
 from qdetlab import NonTerminatingSeriesError, ONE, PoleError, ZERO, GaussianRational
 from qdetlab.qseries import (
     hyper_f,
-    phi,
     phi_coeff,
     q_binomial,
     q_factorial,
@@ -16,7 +15,6 @@ from qdetlab.qseries import (
     q_pochhammer,
     q_pochhammer_multi,
     rising_factorial,
-    spec,
     terminating_phi,
     very_well_poised,
 )
@@ -143,21 +141,19 @@ class TestRisingFactorial:
 
 class TestPhi:
     def test_numerator_one_truncates_immediately(self):
-        s = spec([1, frac(3, 2)], [frac(5)], frac(2), frac(7))
-        assert phi(s) == ONE
+        assert terminating_phi([1, frac(3, 2)], [frac(5)], frac(2), frac(7), order=0) == ONE
 
     def test_chu_vandermonde_two_term(self):
         # 2-phi-1 with a=3, q^{-1}; c=5 at q=2, z=2
         q = frac(2)
-        value = terminating_phi([3, q**-1], [5], q, 2)
+        value = terminating_phi([3, q**-1], [5], q, 2, order=1)
         assert value == frac(1, 2)
         a, c = frac(3), frac(5)
         rhs = q_pochhammer(c / a, q, 1) * a / q_pochhammer(c, q, 1)
         assert value == rhs
 
-    def test_termination_length_detection(self):
+    def test_declared_order_sums_three_terms(self):
         q = frac(2)
-        s = spec([q**-2, frac(3)], [frac(5)], q, frac(1, 3))
         total = ONE
         term = ONE
         for k in range(2):
@@ -169,7 +165,7 @@ class TestPhi:
                 * frac(1, 3)
             )
             total = total + term
-        assert phi(s) == total
+        assert terminating_phi([q**-2, frac(3)], [frac(5)], q, frac(1, 3), order=2) == total
 
     def test_q_chu_vandermonde_identity(self):
         # 2-phi-1(a, q^{-n}; c; q, q) == (c/a;q)_n a^n / (c;q)_n
@@ -185,46 +181,45 @@ class TestPhi:
             assert lhs == rhs
 
     def test_non_terminating_rejected(self):
-        with pytest.raises(NonTerminatingSeriesError):
-            phi(spec([frac(3)], [frac(5)], frac(2), frac(1)))
+        # no numerator is a power q**(-n), so every declared order is refused
+        for order in (0, 1, 2, 5):
+            with pytest.raises(NonTerminatingSeriesError):
+                terminating_phi([frac(3)], [frac(5)], frac(2), frac(1), order=order)
 
     def test_denominator_pole_inside_range(self):
         q = frac(2)
         # denominator parameter q^{-1} makes (b;q)_k vanish at k = 2
         with pytest.raises(PoleError):
-            phi(spec([q**-3], [q**-1], q, q))
+            terminating_phi([q**-3], [q**-1], q, q, order=3)
 
     def test_declared_order_must_match(self):
         with pytest.raises(ValueError):
-            phi(spec([frac(3)], [frac(5)], frac(2), frac(1), order=2))
+            terminating_phi([frac(3)], [frac(5)], frac(2), frac(1), order=2)
 
 
 class TestPhiCoeff:
     def test_order_zero(self):
-        s = spec([frac(3), frac(4)], [frac(5)], frac(2), frac(1))
-        assert phi_coeff(s, 0) == ONE
+        assert phi_coeff([frac(3), frac(4)], [frac(5)], frac(2), 0) == ONE
 
     def test_order_one_formula(self):
-        s = spec([frac(3), frac(4)], [frac(5)], frac(2), frac(1))
-        assert phi_coeff(s, 1) == frac(3, 2)
+        assert phi_coeff([frac(3), frac(4)], [frac(5)], frac(2), 1) == frac(3, 2)
 
     def test_matches_definition(self):
         rng = random.Random(11)
         q = rand_q(rng)
         a, b, c = (rand_scalar(rng) for _ in range(3))
-        s = spec([a, b], [c], q, ONE)
         k = 3
         expected = q_pochhammer_multi((a, b), q, k) / (
             q_pochhammer(q, q, k) * q_pochhammer(c, q, k)
         )
-        assert phi_coeff(s, k) == expected
+        assert phi_coeff([a, b], [c], q, k) == expected
 
 
 class TestVeryWellPoised:
     def test_tail_containing_one_truncates(self):
         rng = random.Random(5)
         s = rand_scalar(rng)
-        assert very_well_poised(s, [1, frac(3)], frac(2), frac(7)) == ONE
+        assert very_well_poised(s, [1, frac(3)], frac(2), frac(7), order=0) == ONE
 
     def test_matches_phi_construction(self):
         rng = random.Random(6)
