@@ -1,11 +1,12 @@
 """Exact arithmetic over the Gaussian rationals QQ(i).
 
-Every scalar in this package is a :class:`GaussianRational`: a pair of
-arbitrary-precision rationals (``fractions.Fraction``) holding the real and
-imaginary parts.  Values are immutable, always canonical (both parts in
-lowest terms with positive denominator, zero represented uniquely), and
-closed under field operations and integer powers.  Equality is structural
-equality of canonical forms; no floating point is involved anywhere.
+Every scalar in this package is a :class:`GaussianRational`: three ints,
+``(re + im*i) / den`` with ``den > 0`` and ``gcd(re, im, den) == 1``, so
+values are immutable and canonical (equal values have equal fields).  The
+field operations and ``==`` work on these ints and reduce with ``math.gcd``
+as ``fractions.Fraction`` does (Knuth, TAOCP vol. 2, 4.5.1); ``re`` and
+``im`` read the parts back as Fractions.  Parts are ints or Fractions only:
+no floating point is involved anywhere.
 
 The canonical string form is ``[-]p[/q][(+|-)[p[/q]]i]``, e.g. ``0``,
 ``-1/3``, ``3/4+1/2i``, ``2-i``.  ``parse`` accepts non-canonical inputs
@@ -16,111 +17,108 @@ form, so ``str . parse`` is idempotent.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import ParseError
 
 RationalLike = Union[int, Fraction]
 
-_FZERO = Fraction(0)
-
 
 class GaussianRational:
     """An element of QQ(i) with exact rational components."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_r", "_i", "_d")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"Gaussian rational parts must be ints or Fractions, not {re!r} and {im!r}")
+        re, im = Fraction(re), Fraction(im)
+        p, s = re.denominator, im.denominator
+        return _reduced(re.numerator * s, im.numerator * p, p * s)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational values are immutable")
 
+    re = property(lambda self: Fraction(self._r, self._d), doc="The real part, in lowest terms.")
+    im = property(lambda self: Fraction(self._i, self._d), doc="The imaginary part, in lowest terms.")
+
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._r or self._i)
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._i
 
     def as_integer(self) -> int | None:
         """The value as a Python int when it is one, else None."""
-        if self.im or self.re.denominator != 1:
-            return None
-        return self.re.numerator
+        return None if self._i or self._d != 1 else self._r
 
     # -- field operations ---------------------------------------------------
 
-    # Real operands take one Fraction operation; the result keeps the shared
-    # zero as its imaginary part, so it stays canonical.
-
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational(self.re + other.re, _FZERO)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _add(self._r, self._i, self._d, other._r, other._i, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational(self.re - other.re, _FZERO)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _add(self._r, self._i, self._d, -other._r, -other._i, other._d)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational(other.re - self.re, _FZERO)
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        return _add(other._r, other._i, other._d, -self._r, -self._i, self._d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return GaussianRational(a * c, _FZERO)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        a, b, p = self._r, self._i, self._d
+        c, e, s = other._r, other._i, other._d
+        if b or e:
+            return _reduced(a * c - b * e, a * e + b * c, p * s)
+        # Real times real: cancel each numerator against the other
+        # denominator first; the product is then in lowest terms.
+        g = gcd(a, s)
+        if g != 1:
+            a //= g
+            s //= g
+        g = gcd(c, p)
+        if g != 1:
+            c //= g
+            p //= g
+        return _new(a * c, 0, p * s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return other * self.reciprocal()
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _new(-self._r, -self._i, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _new(self._r, -self._i, self._d)
 
     def reciprocal(self) -> "GaussianRational":
         """1/self; multiplies by the conjugate over the norm."""
-        if not self.im:
-            if not self.re:
-                raise ZeroDivisionError("division by zero in QQ(i)")
-            return GaussianRational(1 / self.re, _FZERO)
-        n = self.re * self.re + self.im * self.im
-        if not n:
+        a, b, d = self._r, self._i, self._d
+        if b:
+            return _reduced(d * a, -d * b, a * a + b * b)
+        if not a:
             raise ZeroDivisionError("division by zero in QQ(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _new(d, 0, a) if a > 0 else _new(-d, 0, -a)
 
     def __pow__(self, k: int) -> "GaussianRational":
         """Exact integer power by binary exponentiation; x**0 == 1."""
@@ -130,6 +128,8 @@ class GaussianRational:
         if k < 0:
             base = self.reciprocal()
             k = -k
+        if not base._i:
+            return _new(base._r**k, 0, base._d**k)
         result = ONE
         while k:
             if k & 1:
@@ -141,10 +141,9 @@ class GaussianRational:
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._r == other._r and self._i == other._i and self._d == other._d
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
@@ -152,28 +151,53 @@ class GaussianRational:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            sign = "-" if self.im < 0 else ("+" if parts else "")
-            mag = abs(self.im)
-            coeff = "" if mag == 1 else str(mag)
-            parts.append(f"{sign}{coeff}i")
-        return "".join(parts)
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        sign = "-" if im < 0 else ("+" if re else "")
+        coeff = "" if abs(im) == 1 else str(abs(im))
+        return f"{str(re) if re else ''}{sign}{coeff}i"
 
     def __repr__(self) -> str:
         return f"GaussianRational('{self}')"
 
 
+# The slots are written only through these, past the __setattr__ guard.
+_set_r, _set_i, _set_d = (GaussianRational.__dict__[name].__set__ for name in GaussianRational.__slots__)
+
+
+def _new(r: int, i: int, d: int) -> GaussianRational:
+    """(r + i*i)/d; the caller guarantees d > 0 and gcd(r, i, d) == 1."""
+    z = object.__new__(GaussianRational)
+    _set_r(z, r)
+    _set_i(z, i)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(r: int, i: int, d: int) -> GaussianRational:
+    """(r + i*i)/d in lowest terms, for d > 0."""
+    g = gcd(r, i, d)
+    return _new(r, i, d) if g == 1 else _new(r // g, i // g, d // g)
+
+
+def _add(a: int, b: int, p: int, c: int, e: int, s: int) -> GaussianRational:
+    """(a + b*i)/p + (c + e*i)/s.  Only primes of gcd(p, s) can cancel, as in Fraction._add."""
+    g = gcd(p, s)
+    if g == 1:
+        return _new(a * s + c * p, b * s + e * p, p * s)
+    p //= g
+    t = s // g
+    r, i = a * t + c * p, b * t + e * p
+    g = gcd(r, i, g)
+    return _new(r, i, p * s) if g == 1 else _new(r // g, i // g, p * (s // g))
+
+
 def _coerce(x) -> "GaussianRational":
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    return NotImplemented
+    try:
+        return x if isinstance(x, GaussianRational) else GaussianRational(x)
+    except TypeError:
+        return NotImplemented
 
 
 def to_gq(x) -> GaussianRational:
@@ -188,7 +212,7 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 TWO = GaussianRational(2)
 I = GaussianRational(0, 1)
-HALF = GaussianRational(Fraction(1, 2))
+HALF = ONE / 2
 
 
 def sign(n: int) -> GaussianRational:

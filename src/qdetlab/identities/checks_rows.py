@@ -355,10 +355,7 @@ def pq_lemma(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k, _, p, qq = _conjugated(pt, n)
     head = list(k[:-1])
-    denom = q ** sum(head)
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            denom = denom * (q ** head[i] - q ** head[j])
+    denom = q ** sum(head) * _q_vandermonde([h + 1 for h in head], q)
     rows = list(range(1, n))
     shifted_cols = list(range(2, n + 1))
     lead_cols = list(range(1, n))

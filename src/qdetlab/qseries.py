@@ -11,11 +11,10 @@ Running into a vanishing denominator factor raises
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import NonTerminatingSeriesError, PoleError
-from .gaussian import ONE, ZERO, GaussianRational, to_gq
+from .gaussian import HALF, ONE, ZERO, GaussianRational, to_gq
 
 
 def q_pochhammer(a, q, n: int) -> GaussianRational:
@@ -216,4 +215,4 @@ def binomial(n: int, k: int) -> GaussianRational:
 
 def half(x) -> GaussianRational:
     """x/2 as an exact scalar, accepting ints and Fractions."""
-    return to_gq(x) * GaussianRational(Fraction(1, 2))
+    return to_gq(x) * HALF

@@ -17,6 +17,15 @@ fractions = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
 scalars = st.builds(GaussianRational, fractions, fractions)
 nonzero_scalars = scalars.filter(bool)
 reals = st.one_of(st.just(ZERO), st.builds(GaussianRational, fractions))
+# Fields (re + im*i)/den up to about 2**2200, the size the default suite's
+# operands reach.  The shared powers of 6 make numerators and denominators of
+# different values cancel, so the gcd shortcuts take their reducing paths.
+big_ints = st.integers(-(2**1800), 2**1800)
+big_scalars = st.builds(
+    lambda re, im, den, j, k: gq((re * 6**j, den * 6**k), (im * 6**j, den * 6**k)),
+    big_ints, st.one_of(st.just(0), big_ints), st.integers(1, 2**1800), st.integers(0, 150), st.integers(0, 150),
+)
+operands = st.one_of(reals, scalars, big_scalars)
 
 
 def test_rational_addition():
@@ -50,6 +59,12 @@ def test_pow():
         ZERO ** -1
 
 
+@pytest.mark.parametrize("re, im", [(0.1, 0), (0, 0.5), ("3/4", 0)])
+def test_parts_must_be_ints_or_fractions(re, im):
+    with pytest.raises(TypeError):
+        GaussianRational(re, im)
+
+
 def test_mixed_arithmetic_with_ints_and_fractions():
     assert 1 + I == GaussianRational(1, 1)
     assert 2 * gq((1, 2)) == ONE
@@ -65,8 +80,9 @@ def assert_built_as(z, re, im):
     assert z == built and hash(z) == hash(built) and str(z) == str(built)
 
 
-@given(reals, reals)
+@given(operands, operands)
 def test_real_operations_match_the_general_formulas(x, y):
+    """Real, complex and large operands give the Fraction formulas' parts."""
     a, b, c, d = x.re, x.im, y.re, y.im
     assert_built_as(x * y, a * c - b * d, a * d + b * c)
     assert_built_as(x + y, a + c, b + d)
@@ -75,12 +91,13 @@ def test_real_operations_match_the_general_formulas(x, y):
     assert_built_as(1 - y, 1 - c, -d)
 
 
-@given(reals.filter(bool))
+@given(operands.filter(bool))
 def test_real_reciprocal_matches_conjugate_over_norm(x):
     norm = x.re * x.re + x.im * x.im
-    assert_built_as(x.reciprocal(), x.re / norm, -x.im / norm)
-    assert_built_as(ONE / x, x.re / norm, -x.im / norm)
-    assert_built_as(x**-2, (x.re / norm) ** 2, Fraction(0))
+    u, v = x.re / norm, -x.im / norm
+    assert_built_as(x.reciprocal(), u, v)
+    assert_built_as(ONE / x, u, v)
+    assert_built_as(x**-2, u * u - v * v, 2 * u * v)
 
 
 @given(scalars, scalars, scalars)
@@ -144,6 +161,8 @@ def test_values_are_immutable_and_hashable():
     v = gq((1, 2), 1)
     with pytest.raises(AttributeError):
         v.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        v._d = 2
     assert len({v, gq((1, 2), 1), ONE}) == 2
 
 
