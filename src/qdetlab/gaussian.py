@@ -40,6 +40,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational values are immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GaussianRational values are immutable")
+
     re = property(lambda self: Fraction(self._r, self._d), doc="The real part, in lowest terms.")
     im = property(lambda self: Fraction(self._i, self._d), doc="The imaginary part, in lowest terms.")
 
@@ -194,6 +197,8 @@ def _add(a: int, b: int, p: int, c: int, e: int, s: int) -> GaussianRational:
 
 
 def _coerce(x) -> "GaussianRational":
+    if type(x) is int:
+        return _new(x, 0, 1)
     try:
         return x if isinstance(x, GaussianRational) else GaussianRational(x)
     except TypeError:

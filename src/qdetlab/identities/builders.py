@@ -15,7 +15,7 @@ from typing import Sequence
 from ..errors import PoleError
 from ..gaussian import ONE, ZERO, GaussianRational, sign, to_gq
 from ..linalg import ExactMatrix
-from ..qseries import q_binomial, q_pochhammer, rising_factorial
+from ..qseries import q_binomial, rising_factorial
 
 
 def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
@@ -117,22 +117,26 @@ def theorem_matrix_rows(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
 
 def build_m(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     """Denominator-cleared row matrix with entries
-    (q^{k_i-1} - c q^{j-1}) (a q^{k_i};q)_{j-1} (a b q^{k_i+j};q)_{n-j}."""
+    (q^{k_i-1} - c q^{j-1}) (a q^{k_i};q)_{j-1} (a b q^{k_i+j};q)_{n-j}.
+
+    Along a row the two q-shifted factorials are a prefix product and a
+    suffix product over the same run of q-powers, so each row takes O(n)
+    factors.
+    """
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
     n = len(k_tuple)
     ab = a * b
     qp = _Powers(q)
     cq = [c * qp[j] for j in range(n)]
-
-    def entry(i, j):
-        k = k_tuple[i - 1]
-        return (
-            (qp[k - 1] - cq[j - 1])
-            * q_pochhammer(a * qp[k], q, j - 1)
-            * q_pochhammer(ab * qp[k + j], q, n - j)
-        )
-
-    return ExactMatrix.build(n, n, entry)
+    rows = []
+    for k in k_tuple:
+        prefix = [ONE]  # (a q^k;q)_j at index j
+        suffix = [ONE]  # (ab q^{k+j};q)_{n-j}, from j = n down
+        for j in range(1, n):
+            prefix.append(prefix[-1] * (ONE - a * qp[k + j - 1]))
+            suffix.append(suffix[-1] * (ONE - ab * qp[k + n - j]))
+        rows.append([(qp[k - 1] - cq[j]) * prefix[j] * suffix[n - 1 - j] for j in range(n)])
+    return ExactMatrix.from_rows(rows)
 
 
 def build_triangular(kind: str, n: int, k_tuple: Sequence[int] | None, a=None, b=None, q=None) -> ExactMatrix:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..gaussian import I, ONE, ZERO
 from ..linalg import ExactMatrix, determinant, submatrix
-from ..orthopoly import AWParams, askey_wilson
+from ..orthopoly import AWParams, askey_wilson_values
 from ..qseries import q_pochhammer as qp, terminating_phi
 from .builders import build_theorem_matrix
 from .points import Comparison, check
@@ -63,9 +63,9 @@ def quadratic_full(pt, n: int) -> list[Comparison]:
     alpha, beta, gamma, kappa = pt.alpha, pt.beta, pt.gamma, pt.kappa
     a, b, q = pt.a, pt.b, pt.q
 
-    def p(deg, e1, e2):
-        return askey_wilson(
-            deg,
+    def p(e1, e2, top):
+        return askey_wilson_values(
+            top,
             AWParams(
                 alpha * gamma * kappa**e1 * I,
                 -(alpha / gamma) * kappa**e2 * I,
@@ -74,13 +74,13 @@ def quadratic_full(pt, n: int) -> list[Comparison]:
                 q,
                 ZERO,
             ),
-            "recurrence",
         )
 
-    lhs = a * q * (ONE - q ** (n - 1)) * (ONE - b * q ** (n - 2)) * p(n, 1, 1) * p(n - 2, 3, 3)
-    rhs = (ONE - a * q**n) * (ONE - a * b * q**n) * p(n - 1, 1, 1) * p(n - 1, 3, 3) - (
+    p11, p33, p31, p13 = p(1, 1, n), p(3, 3, n - 1), p(3, 1, n - 1), p(1, 3, n - 1)
+    lhs = a * q * (ONE - q ** (n - 1)) * (ONE - b * q ** (n - 2)) * p11[n] * p33[n - 2]
+    rhs = (ONE - a * q**n) * (ONE - a * b * q**n) * p11[n - 1] * p33[n - 1] - (
         ONE - a * q
-    ) * (ONE - a * b * q ** (2 * n - 1)) * p(n - 1, 3, 1) * p(n - 1, 1, 3)
+    ) * (ONE - a * b * q ** (2 * n - 1)) * p31[n - 1] * p13[n - 1]
     return [("quadratic relation in root parameters", lhs, rhs)]
 
 
@@ -94,22 +94,15 @@ def quadratic_clean(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     c2 = c * c
 
-    def p(deg, aa, bb):
-        return askey_wilson(deg, AWParams(aa, bb, c, -c, q, ZERO), "recurrence")
+    def p(aa, bb, top):
+        return askey_wilson_values(top, AWParams(aa, bb, c, -c, q, ZERO))
 
-    lhs = (
-        a
-        * b
-        * (ONE - q ** (n - 1))
-        * (ONE + c2 * q ** (n - 2))
-        * p(n, a, b)
-        * p(n - 2, a * q, b * q)
-    )
-    rhs = (ONE - a * b * q ** (n - 1)) * (ONE + a * b * c2 * q ** (n - 1)) * p(n - 1, a, b) * p(
-        n - 1, a * q, b * q
-    ) - (ONE - a * b) * (ONE + a * b * c2 * q ** (2 * n - 2)) * p(n - 1, a * q, b) * p(
-        n - 1, a, b * q
-    )
+    # p_ij: the values with a shifted by q^i and b by q^j
+    p00, p11 = p(a, b, n), p(a * q, b * q, n - 1)
+    p10, p01 = p(a * q, b, n - 1), p(a, b * q, n - 1)
+    lhs = a * b * (ONE - q ** (n - 1)) * (ONE + c2 * q ** (n - 2)) * p00[n] * p11[n - 2]
+    rhs = (ONE - a * b * q ** (n - 1)) * (ONE + a * b * c2 * q ** (n - 1)) * p00[n - 1] * p11[n - 1]
+    rhs = rhs - (ONE - a * b) * (ONE + a * b * c2 * q ** (2 * n - 2)) * p10[n - 1] * p01[n - 1]
     return [("quadratic relation at the origin", lhs, rhs)]
 
 
@@ -175,20 +168,13 @@ def quadratic_phi(pt, n: int) -> list[Comparison]:
 def conjecture_mw3(pt, n: int) -> list[Comparison]:
     a, b, c, d, q, x = pt.a, pt.b, pt.c, pt.d, pt.q, pt.x
 
-    def p(deg, aa, bb):
-        return askey_wilson(deg, AWParams(aa, bb, c, d, q, x), "recurrence")
+    def p(aa, bb, top):
+        return askey_wilson_values(top, AWParams(aa, bb, c, d, q, x))
 
-    lhs = (
-        a
-        * b
-        * (ONE - q ** (n - 1))
-        * (ONE - c * d * q ** (n - 2))
-        * p(n, a, b)
-        * p(n - 2, a * q, b * q)
-    )
-    rhs = (ONE - a * b * q ** (n - 1)) * (ONE - a * b * c * d * q ** (n - 1)) * p(n - 1, a, b) * p(
-        n - 1, a * q, b * q
-    ) - (ONE - a * b) * (ONE - a * b * c * d * q ** (2 * n - 2)) * p(n - 1, a * q, b) * p(
-        n - 1, a, b * q
-    )
+    # p_ij: the values with a shifted by q^i and b by q^j
+    p00, p11 = p(a, b, n), p(a * q, b * q, n - 1)
+    p10, p01 = p(a * q, b, n - 1), p(a, b * q, n - 1)
+    lhs = a * b * (ONE - q ** (n - 1)) * (ONE - c * d * q ** (n - 2)) * p00[n] * p11[n - 2]
+    rhs = (ONE - a * b * q ** (n - 1)) * (ONE - a * b * c * d * q ** (n - 1)) * p00[n - 1] * p11[n - 1]
+    rhs = rhs - (ONE - a * b) * (ONE - a * b * c * d * q ** (2 * n - 2)) * p10[n - 1] * p01[n - 1]
     return [("two-extra-parameter quadratic relation", lhs, rhs)]

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from ..gaussian import ONE, ZERO, sign
 from ..orthopoly import AWParams, andrews_rhs, askey_wilson
-from ..qseries import (
-    phi_coeff,
-    q_pochhammer as qp,
-    terminating_phi,
-    very_well_poised,
-)
+from ..qseries import phi_terms, q_pochhammer as qp, terminating_phi, very_well_poised
 from .points import Comparison, check
 
 
@@ -26,12 +21,12 @@ def phi_contiguous_1(pt, order: int) -> list[Comparison]:
     s2 = ((a * q, b, c, d), (e, f, g))
     s3 = ((a * q, b * q, c * q, d * q), (e * q, f * q, g * q))
     factor = (b - a) * (ONE - c) * (ONE - d) / ((ONE - e) * (ONE - f) * (ONE - g))
-    comps = []
-    for k in range(order + 1):
-        lhs = phi_coeff(*s1, q, k) - phi_coeff(*s2, q, k)
-        rhs = factor * phi_coeff(*s3, q, k - 1) if k >= 1 else ZERO
-        comps.append((f"argument-power {k} coefficient", lhs, rhs))
-    return comps
+    t1, t2 = phi_terms(*s1, q, ONE, order), phi_terms(*s2, q, ONE, order)
+    t3 = phi_terms(*s3, q, ONE, order - 1)
+    return [
+        (f"argument-power {k} coefficient", t1[k] - t2[k], factor * t3[k - 1] if k >= 1 else ZERO)
+        for k in range(order + 1)
+    ]
 
 
 @check(
@@ -46,11 +41,11 @@ def phi_contiguous_2(pt, order: int) -> list[Comparison]:
     s1 = ((a, b, c, d), (e * q, f, g))
     s2 = ((a, b, c, d), (e, f * q, g))
     s3 = ((a * q, b, c, d), (e * q, f * q, g))
+    t1, t2, t3 = (phi_terms(*s, q, ONE, order) for s in (s1, s2, s3))
     comps = []
     for k in range(order + 1):
-        lhs = (ONE - f) * (a - e) * phi_coeff(*s1, q, k) - (ONE - e) * (a - f) * phi_coeff(*s2, q, k)
-        rhs = (ONE - a) * (f - e) * phi_coeff(*s3, q, k)
-        comps.append((f"argument-power {k} coefficient", lhs, rhs))
+        lhs = (ONE - f) * (a - e) * t1[k] - (ONE - e) * (a - f) * t2[k]
+        comps.append((f"argument-power {k} coefficient", lhs, (ONE - a) * (f - e) * t3[k]))
     return comps
 
 

@@ -31,6 +31,9 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ExactMatrix is immutable")
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
         rows = [list(r) for r in rows]

@@ -42,50 +42,52 @@ def aw_params(a, b, c, d, q, x) -> AWParams:
     return AWParams(to_gq(a), to_gq(b), to_gq(c), to_gq(d), to_gq(q), to_gq(x))
 
 
-def _aw_recurrence_coeffs(k: int, p: AWParams):
-    """Recurrence coefficients at step k, exactly as printed, with pole guards."""
-    a, q = p.a, p.q
+def askey_wilson_values(n: int, params: AWParams) -> dict[int, GaussianRational]:
+    """p_{-1}..p_n(x; a, b, c, d; q) keyed by degree, by the printed three-term recurrence.
+
+    Step k checks the printed coefficients in order: the denominators of A
+    and C, the division in B, then a vanishing A.  The values up to n raise
+    PoleError exactly when p_n does.
+    """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    values = {-1: ZERO, 0: ONE}
+    if n == 0:
+        return values
+    a, b, c, d, q = params.a, params.b, params.c, params.d, params.q
     if not a:
         raise PoleError("recurrence requires a nonzero leading parameter", "a=0")
-    abcd = a * p.b * p.c * p.d
-    qk1 = q ** (k - 1)
-    d1 = (ONE - abcd * q ** (2 * k - 1)) * (ONE - abcd * q ** (2 * k))
-    if not d1:
-        raise PoleError("vanishing recurrence denominator", f"A at n={k}")
-    coeff_a = (ONE - abcd * qk1) / d1
-    d2 = (ONE - abcd * q ** (2 * k - 2)) * (ONE - abcd * q ** (2 * k - 1))
-    if not d2:
-        raise PoleError("vanishing recurrence denominator", f"C at n={k}")
-    pair1 = (ONE - a * p.b * qk1) * (ONE - a * p.c * qk1) * (ONE - a * p.d * qk1)
-    coeff_c = (
-        (ONE - q**k)
-        * pair1
-        * (ONE - p.b * p.c * qk1)
-        * (ONE - p.b * p.d * qk1)
-        * (ONE - p.c * p.d * qk1)
-        / d2
-    )
-    if not pair1:
-        raise PoleError("vanishing recurrence denominator", f"B division at n={k}")
-    qk = q**k
-    coeff_b = (
-        a
-        + a.reciprocal()
-        - coeff_a * a.reciprocal() * (ONE - a * p.b * qk) * (ONE - a * p.c * qk) * (ONE - a * p.d * qk)
-        - coeff_c * a / pair1
-    )
-    return coeff_a, coeff_b, coeff_c
-
-
-def _aw_recurrence(n: int, p: AWParams) -> GaussianRational:
-    prev, cur = ZERO, ONE
-    two_x = TWO * p.x
+    a_inv = a.reciprocal()
+    ab, ac, ad, bc, bd, cd = a * b, a * c, a * d, b * c, b * d, c * d
+    abcd = ab * cd
+    two_x = TWO * params.x
+    qk1 = q.reciprocal()  # q^{k-1}
+    w = abcd * qk1 * qk1  # abcd q^{2k-2}
+    f_lo = ONE - w
+    pair = (ONE - ab * qk1) * (ONE - ac * qk1) * (ONE - ad * qk1)
     for k in range(n):
-        ca, cb, cc = _aw_recurrence_coeffs(k, p)
-        if not ca:
+        qk = qk1 * q
+        w = w * q
+        f_mid = ONE - w  # 1 - abcd q^{2k-1}, in both the A and C denominators
+        w = w * q
+        f_hi = ONE - w  # 1 - abcd q^{2k}, the next step's f_lo
+        den_a = f_mid * f_hi
+        if not den_a:
+            raise PoleError("vanishing recurrence denominator", f"A at n={k}")
+        coeff_a = (ONE - abcd * qk1) / den_a
+        den_c = f_lo * f_mid
+        if not den_c:
+            raise PoleError("vanishing recurrence denominator", f"C at n={k}")
+        coeff_c = (ONE - qk) * pair * (ONE - bc * qk1) * (ONE - bd * qk1) * (ONE - cd * qk1) / den_c
+        if not pair:
+            raise PoleError("vanishing recurrence denominator", f"B division at n={k}")
+        pair_next = (ONE - ab * qk) * (ONE - ac * qk) * (ONE - ad * qk)
+        coeff_b = a + a_inv - coeff_a * a_inv * pair_next - coeff_c * a / pair
+        if not coeff_a:
             raise PoleError("vanishing leading recurrence coefficient", f"A at n={k}")
-        prev, cur = cur, ((two_x - cb) * cur - cc * prev) / ca
-    return cur
+        values[k + 1] = ((two_x - coeff_b) * values[k] - coeff_c * values[k - 1]) / coeff_a
+        qk1, f_lo, pair = qk, f_hi, pair_next
+    return values
 
 
 def _aw_hypergeometric(n: int, p: AWParams) -> GaussianRational:
@@ -129,7 +131,7 @@ def askey_wilson(n: int, params: AWParams, method: str = "recurrence") -> Gaussi
     if n < -1:
         raise ValueError("degree must be >= -1")
     if method == "recurrence":
-        return _aw_recurrence(n, params)
+        return askey_wilson_values(n, params)[n]
     if method == "hypergeometric":
         return _aw_hypergeometric(n, params)
     raise ValueError(f"unknown method {method!r}")

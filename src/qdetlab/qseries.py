@@ -102,20 +102,17 @@ def rising_factorial(a, n: int) -> GaussianRational:
     return result
 
 
-def terminating_phi(numerators, denominators, q, z, order: int) -> GaussianRational:
-    """Sum r+1_phi_r(numerators; denominators; q, z) exactly up to z**order.
+def phi_terms(numerators, denominators, q, z, order: int) -> list[GaussianRational]:
+    """The terms of r+1_phi_r(numerators; denominators; q, z) up to z**order.
 
-    Some numerator must equal q**(-order), else NonTerminatingSeriesError.
+    Term k is (numerators;q)_k z**k / ((q;q)_k (denominators;q)_k), built
+    from term k - 1 by its ratio; a vanishing denominator factor raises
+    PoleError.
     """
     numerators = [to_gq(a) for a in numerators]
     denominators = [to_gq(b) for b in denominators]
     q, z = to_gq(q), to_gq(z)
-    if not any(a * q**order == ONE for a in numerators):
-        raise NonTerminatingSeriesError(
-            f"declared order {order} has no matching q**(-n) numerator; refusing to sum"
-        )
-    total = ONE
-    term = ONE
+    terms = [ONE]
     qk = ONE  # q**k
     for k in range(order):
         factor = z
@@ -132,20 +129,23 @@ def terminating_phi(numerators, denominators, q, z, order: int) -> GaussianRatio
                     f"denominator parameter {j + 1} at k={k + 1}",
                 )
             den = den * f
-        term = term * factor / den
-        total = total + term
+        terms.append(terms[-1] * factor / den)
         qk = qk * q
-    return total
+    return terms
 
 
-def phi_coeff(numerators, denominators, q, k: int) -> GaussianRational:
-    """Coefficient of z**k in r+1_phi_r(numerators; denominators; q, z)."""
-    q = to_gq(q)
-    num = q_pochhammer_multi(numerators, q, k)
-    den = q_pochhammer(q, q, k) * q_pochhammer_multi(denominators, q, k)
-    if not den:
-        raise PoleError("vanishing denominator q-shifted factorial", f"coefficient k={k}")
-    return num / den
+def terminating_phi(numerators, denominators, q, z, order: int) -> GaussianRational:
+    """Sum r+1_phi_r(numerators; denominators; q, z) exactly up to z**order.
+
+    Some numerator must equal q**(-order), else NonTerminatingSeriesError.
+    """
+    numerators = [to_gq(a) for a in numerators]
+    q_order = to_gq(q) ** order
+    if not any(a * q_order == ONE for a in numerators):
+        raise NonTerminatingSeriesError(
+            f"declared order {order} has no matching q**(-n) numerator; refusing to sum"
+        )
+    return sum(phi_terms(numerators, denominators, q, z, order), ZERO)
 
 
 def very_well_poised(a1_sqrt, tail, q, z, order: int) -> GaussianRational:

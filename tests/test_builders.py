@@ -118,17 +118,22 @@ class TestClearedMatrix:
         m = build_m([5], A, B, C, Q)
         assert m.at(1, 1) == Q**4 - C
 
-    def test_size_two_hand_expansion(self):
-        k = [1, 2]
-        m = build_m(k, A, B, C, Q)
-        for i, ki in enumerate(k, start=1):
-            for j in range(1, 3):
-                expected = (
-                    (Q ** (ki - 1) - C * Q ** (j - 1))
-                    * q_pochhammer(A * Q**ki, Q, j - 1)
-                    * q_pochhammer(A * B * Q ** (ki + j), Q, 2 - j)
-                )
-                assert m.at(i, j) == expected
+    def test_hand_expansion(self):
+        rng = random.Random(13)
+        for n in range(6):
+            tuples = [tuple(range(1, n + 1)), tuple(range(n, 0, -1))]
+            tuples += [tuple(rng.sample(range(-3, 9), n)) for _ in range(3)]
+            for k in tuples:
+                m = build_m(k, A, B, C, Q)
+                assert (m.rows, m.cols) == (n, n)
+                for i, ki in enumerate(k, start=1):
+                    for j in range(1, n + 1):
+                        expected = (
+                            (Q ** (ki - 1) - C * Q ** (j - 1))
+                            * q_pochhammer(A * Q**ki, Q, j - 1)
+                            * q_pochhammer(A * B * Q ** (ki + j), Q, n - j)
+                        )
+                        assert m.at(i, j) == expected, (k, i, j)
 
     def test_duplicate_rows_kill_determinant(self):
         m = build_m([3, 3], A, B, C, Q)

@@ -163,7 +163,30 @@ def test_values_are_immutable_and_hashable():
         v.re = Fraction(1)
     with pytest.raises(AttributeError):
         v._d = 2
+    for name in ("_r", "_i", "_d", "re"):
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert v == gq((1, 2), 1)
     assert len({v, gq((1, 2), 1), ONE}) == 2
+
+
+plain_ints = st.one_of(
+    st.integers(-10, 10),
+    st.integers(2**70 - 10, 2**70 + 10),
+    st.integers(-(2**70) - 10, -(2**70) + 10),
+)
+
+
+@given(operands, plain_ints)
+def test_int_operands_agree_with_their_scalar(x, k):
+    g = GaussianRational(k)
+    assert x + k == x + g
+    assert k + x == g + x
+    assert k * x == g * x
+    assert x - k == x - g
+    assert k - x == g - x
+    assert (x == k) == (x == g)
+    assert g == k
 
 
 def test_conjugate_and_real_predicates():

@@ -187,6 +187,10 @@ class TestSubmatrixAndAccess:
         m = ExactMatrix.identity(2)
         with pytest.raises(AttributeError):
             m.rows = 5
+        for name in ("rows", "cols", "_e"):
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert m == ExactMatrix.identity(2)
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):

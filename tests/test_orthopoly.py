@@ -12,6 +12,7 @@ from qdetlab.orthopoly import (
     al_salam_chihara,
     andrews_rhs,
     askey_wilson,
+    askey_wilson_values,
     aw_params,
     continuous_hahn,
     mehta_wang_d,
@@ -38,6 +39,71 @@ def rand_q(rng):
 
 def rand_aw(rng):
     return aw_params(*(rand_scalar(rng) for _ in range(4)), rand_q(rng), rand_scalar(rng))
+
+
+def aw_coeffs_reference(k, p):
+    """The printed recurrence coefficients A_k, B_k, C_k, each power taken afresh,
+    with the pole guards in printed order."""
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    if not a:
+        raise PoleError("recurrence requires a nonzero leading parameter", "a=0")
+    abcd = a * b * c * d
+    qk1, qk = q ** (k - 1), q**k
+    den_a = (ONE - abcd * q ** (2 * k - 1)) * (ONE - abcd * q ** (2 * k))
+    if not den_a:
+        raise PoleError("vanishing recurrence denominator", f"A at n={k}")
+    coeff_a = (ONE - abcd * qk1) / den_a
+    den_c = (ONE - abcd * q ** (2 * k - 2)) * (ONE - abcd * q ** (2 * k - 1))
+    if not den_c:
+        raise PoleError("vanishing recurrence denominator", f"C at n={k}")
+    pair = (ONE - a * b * qk1) * (ONE - a * c * qk1) * (ONE - a * d * qk1)
+    coeff_c = (
+        (ONE - qk) * pair * (ONE - b * c * qk1) * (ONE - b * d * qk1) * (ONE - c * d * qk1) / den_c
+    )
+    if not pair:
+        raise PoleError("vanishing recurrence denominator", f"B division at n={k}")
+    coeff_b = (
+        a
+        + ONE / a
+        - coeff_a / a * (ONE - a * b * qk) * (ONE - a * c * qk) * (ONE - a * d * qk)
+        - coeff_c * a / pair
+    )
+    return coeff_a, coeff_b, coeff_c
+
+
+def aw_values_reference(n, p):
+    """P_{-1}..P_n from the printed coefficients; a vanishing A_k is a pole."""
+    values = {-1: ZERO, 0: ONE}
+    for k in range(n):
+        coeff_a, coeff_b, coeff_c = aw_coeffs_reference(k, p)
+        if not coeff_a:
+            raise PoleError("vanishing leading recurrence coefficient", f"A at n={k}")
+        values[k + 1] = ((2 * p.x - coeff_b) * values[k] - coeff_c * values[k - 1]) / coeff_a
+    return values
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (PoleError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+GRID = [frac(v, d) for v, d in ((0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1),
+                               (1, 2), (-1, 2), (1, 3), (-1, 3))]
+GRID_Q = [v for v in GRID if v not in (ZERO, ONE, -ONE)]
+
+
+def aw_grid():
+    """(a, b, c, d) over GRID, with q and x cycling through their own lists.
+
+    The printed coefficients and their guards are symmetric in b, c, d, so
+    each multiset {b, c, d} appears once.
+    """
+    tuples = itertools.product(GRID, itertools.combinations_with_replacement(GRID, 3))
+    for idx, (a, (b, c, d)) in enumerate(tuples):
+        yield AWParams(a, b, c, d, GRID_Q[idx % len(GRID_Q)], GRID[idx % 7])
 
 
 class TestAskeyWilson:
@@ -82,6 +148,43 @@ class TestAskeyWilson:
         a = rand_scalar(rng) * I
         p = AWParams(a, -a, rand_scalar(rng), rand_q(rng), rand_q(rng), rand_scalar(rng))
         assert askey_wilson(3, p, "recurrence") == askey_wilson(3, p, "hypergeometric")
+
+    def test_values_match_printed_coefficients_on_grid(self):
+        # Values, exception types and messages agree with the printed
+        # coefficients, poles and the a = 0 guard included: at degree 5 over
+        # the whole grid, and at every degree up to 5 over a fifth of it.
+        poles = 0
+        for idx, p in enumerate(aw_grid()):
+            for n in range(6) if idx % 5 == 0 else (5,):
+                expected = outcome(aw_values_reference, n, p)
+                assert outcome(askey_wilson_values, n, p) == expected, (p, n)
+            poles += isinstance(expected, tuple)
+        assert poles > 300
+
+    def test_values_match_hypergeometric_form_on_grid(self):
+        compared = 0
+        for p in itertools.islice(aw_grid(), 0, None, 2):
+            try:
+                values = askey_wilson_values(5, p)
+            except PoleError:
+                continue
+            for deg in range(6):
+                try:
+                    hyp = askey_wilson(deg, p, "hypergeometric")
+                except PoleError:
+                    continue
+                assert values[deg] == hyp, (p, deg)
+                compared += 1
+        assert compared > 500
+
+    def test_values_start_at_minus_one(self):
+        p = rand_aw(random.Random(12))
+        assert askey_wilson_values(0, p) == {-1: ZERO, 0: ONE}
+        values = askey_wilson_values(4, p)
+        assert list(values) == [-1, 0, 1, 2, 3, 4]
+        assert values[4] == askey_wilson(4, p, "recurrence")
+        with pytest.raises(ValueError):
+            askey_wilson_values(-1, p)
 
     def test_guard_rejects_vanishing_division(self):
         # ab q^{n-1} = 1 at n = 1 makes the printed middle-coefficient division vanish

@@ -8,7 +8,7 @@ import pytest
 from qdetlab import NonTerminatingSeriesError, ONE, PoleError, ZERO, GaussianRational
 from qdetlab.qseries import (
     hyper_f,
-    phi_coeff,
+    phi_terms,
     q_binomial,
     q_factorial,
     q_number,
@@ -197,22 +197,32 @@ class TestPhi:
             terminating_phi([frac(3)], [frac(5)], frac(2), frac(1), order=2)
 
 
-class TestPhiCoeff:
+class TestPhiTerms:
     def test_order_zero(self):
-        assert phi_coeff([frac(3), frac(4)], [frac(5)], frac(2), 0) == ONE
+        assert phi_terms([frac(3), frac(4)], [frac(5)], frac(2), ONE, 0) == [ONE]
 
     def test_order_one_formula(self):
-        assert phi_coeff([frac(3), frac(4)], [frac(5)], frac(2), 1) == frac(3, 2)
+        assert phi_terms([frac(3), frac(4)], [frac(5)], frac(2), ONE, 1)[1] == frac(3, 2)
 
     def test_matches_definition(self):
         rng = random.Random(11)
         q = rand_q(rng)
-        a, b, c = (rand_scalar(rng) for _ in range(3))
-        k = 3
-        expected = q_pochhammer_multi((a, b), q, k) / (
-            q_pochhammer(q, q, k) * q_pochhammer(c, q, k)
-        )
-        assert phi_coeff([a, b], [c], q, k) == expected
+        a, b, c, z = (rand_scalar(rng) for _ in range(4))
+        order = 6
+        terms = phi_terms([a, b], [c], q, z, order)
+        assert len(terms) == order + 1
+        for k, term in enumerate(terms):
+            expected = q_pochhammer_multi((a, b), q, k) * z**k / (
+                q_pochhammer(q, q, k) * q_pochhammer(c, q, k)
+            )
+            assert term == expected
+        # (c;q)_3 = 0 at c = q^{-2}: the first pole is term 3
+        with pytest.raises(PoleError, match="denominator parameter 1 at k=3"):
+            phi_terms([a, b], [q**-2], q, z, 3)
+        assert len(phi_terms([a, b], [q**-2], q, z, 2)) == 3
+        # (q;q)_2 = 0 at q = -1
+        with pytest.raises(PoleError, match=r"\(q;q\) factor in series \[k=2\]"):
+            phi_terms([a, b], [c], -ONE, z, 2)
 
 
 class TestVeryWellPoised:
