@@ -33,7 +33,6 @@ class GaussianRational:
     def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
         if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
             raise TypeError(f"Gaussian rational parts must be ints or Fractions, not {re!r} and {im!r}")
-        re, im = Fraction(re), Fraction(im)
         p, s = re.denominator, im.denominator
         return _reduced(re.numerator * s, im.numerator * p, p * s)
 
@@ -149,17 +148,20 @@ class GaussianRational:
         return self._r == other._r and self._i == other._i and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # Real values hash as the equal int or Fraction does.
+        if self._i:
+            return hash((self._r, self._i, self._d))
+        return hash(self._r) if self._d == 1 else hash(Fraction(self._r, self._d))
 
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        sign = "-" if im < 0 else ("+" if re else "")
-        coeff = "" if abs(im) == 1 else str(abs(im))
-        return f"{str(re) if re else ''}{sign}{coeff}i"
+        r, i, d = self._r, self._i, self._d
+        if not i:
+            return _ratio(r, d)
+        sign = "-" if i < 0 else ("+" if r else "")
+        coeff = "" if abs(i) == d else _ratio(abs(i), d)
+        return f"{_ratio(r, d) if r else ''}{sign}{coeff}i"
 
     def __repr__(self) -> str:
         return f"GaussianRational('{self}')"
@@ -194,6 +196,15 @@ def _add(a: int, b: int, p: int, c: int, e: int, s: int) -> GaussianRational:
     r, i = a * t + c * p, b * t + e * p
     g = gcd(r, i, g)
     return _new(r, i, p * s) if g == 1 else _new(r // g, i // g, p * (s // g))
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, rendered as str(Fraction(n, d)) renders it (d > 0)."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _coerce(x) -> "GaussianRational":

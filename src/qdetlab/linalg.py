@@ -1,16 +1,21 @@
 """Exact dense matrices over QQ(i): determinants, Pfaffians, submatrices.
 
 The public index convention is 1-based, matching the displayed formulas the
-matrices come from; storage is a row-major list.  Sizes in this package stay
-tiny (n <= 12), so plain fraction arithmetic with first-nonzero pivoting is
-both exact and fast, and keeps runs reproducible.
+matrices come from; storage is a row-major list.  Determinants and Pfaffians
+are eliminated fraction-free over the Gaussian integers: each row is cleared
+of its denominators first, and every later division is exact (Bareiss 1968
+for determinants, the Pfaffian form of Sylvester's identity for Pfaffians;
+Knuth, "Overlapping Pfaffians", 1996).  The value is reduced to lowest terms
+once, at the end.  Pivots are the first nonzero entries, so runs stay
+reproducible.
 """
 
 from __future__ import annotations
 
+from math import lcm, prod
 from typing import Callable, Sequence
 
-from .gaussian import ONE, ZERO, GaussianRational, to_gq
+from .gaussian import ONE, ZERO, GaussianRational, _reduced, to_gq
 
 
 class ExactMatrix:
@@ -99,38 +104,58 @@ def submatrix(m: ExactMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) ->
     for j in col_idx:
         if not 1 <= j <= m.cols:
             raise IndexError(f"column index {j} out of range")
-    return ExactMatrix(
-        len(row_idx), len(col_idx), [m.at(i, j) for i in row_idx for j in col_idx]
-    )
+    e, n = m._e, m.cols
+    return ExactMatrix(len(row_idx), len(col_idx), [e[(i - 1) * n + j - 1] for i in row_idx for j in col_idx])
+
+
+def _cleared(m: ExactMatrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """(L, re, im): row r of m times L[r], the lcm of its denominators, as
+    lists of the real and of the imaginary Gaussian-integer parts."""
+    e, n = m._e, m.cols
+    ls, re, im = [], [], []
+    for r in range(m.rows):
+        row = e[r * n : (r + 1) * n]
+        l = lcm(*[x._d for x in row])
+        ls.append(l)
+        re.append([x._r * (l // x._d) for x in row])
+        im.append([x._i * (l // x._d) for x in row])
+    return ls, re, im
 
 
 def _det_elimination(m: ExactMatrix) -> GaussianRational:
+    # Bareiss on the cleared matrix W: after step k, w[r][c] (r, c > k) is
+    # the minor on rows 0..k, r and columns 0..k, c, so each division by the
+    # previous pivot q is exact; the last pivot is det W = det(M) * prod(L).
     n = m.rows
-    w = m.to_lists()
-    sign = ONE
-    result = ONE
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if w[r][col]:
-                pivot_row = r
+    ls, wr, wi = _cleared(m)
+    sign = 1
+    qr, qi = 1, 0
+    for k in range(n):
+        for p in range(k, n):
+            if wr[p][k] or wi[p][k]:
                 break
-        if pivot_row is None:
+        else:
             return ZERO
-        if pivot_row != col:
-            w[col], w[pivot_row] = w[pivot_row], w[col]
+        if p != k:
+            wr[k], wr[p] = wr[p], wr[k]
+            wi[k], wi[p] = wi[p], wi[k]
             sign = -sign
-        pivot = w[col][col]
-        result = result * pivot
-        for r in range(col + 1, n):
-            factor = w[r][col]
-            if not factor:
-                continue
-            ratio = factor / pivot
-            wr, wc = w[r], w[col]
-            for c in range(col, n):
-                wr[c] = wr[c] - ratio * wc[c]
-    return sign * result
+        kr, ki = wr[k], wi[k]
+        pr, pi = kr[k], ki[k]
+        norm = qr * qr + qi * qi
+        for r in range(k + 1, n):
+            rr, ri = wr[r], wi[r]
+            br, bi = rr[k], ri[k]
+            for c in range(k + 1, n):
+                ar, ai, cr, ci = rr[c], ri[c], kr[c], ki[c]
+                xr = ar * pr - ai * pi - br * cr + bi * ci
+                xi = ar * pi + ai * pr - br * ci - bi * cr
+                if qi:
+                    rr[c], ri[c] = (xr * qr + xi * qi) // norm, (xi * qr - xr * qi) // norm
+                else:
+                    rr[c], ri[c] = xr // qr, xi // qr
+        qr, qi = pr, pi
+    return _reduced(sign * qr, sign * qi, prod(ls))
 
 
 def _det_cofactor(m: ExactMatrix) -> GaussianRational:
@@ -158,8 +183,10 @@ def _det_cofactor(m: ExactMatrix) -> GaussianRational:
 def determinant(m: ExactMatrix, method: str = "elimination") -> GaussianRational:
     """Exact determinant; the 0x0 determinant is 1.
 
-    ``elimination`` is the workhorse (exact division, first nonzero pivot);
-    ``cofactor`` is the independent first-row-expansion oracle for n <= 5.
+    ``elimination`` is the workhorse: fraction-free Bareiss elimination over
+    the Gaussian integers, with first-nonzero pivoting, after each row is
+    scaled by the lcm of its denominators.  ``cofactor`` is the independent
+    first-row-expansion oracle for n <= 5.
     """
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
@@ -175,42 +202,61 @@ def _check_skew(m: ExactMatrix) -> None:
         raise ValueError("Pfaffian requires a square matrix")
     if m.rows % 2 == 1:
         raise ValueError("Pfaffian requires even dimension")
-    for i in range(1, m.rows + 1):
-        for j in range(i, m.cols + 1):
-            if m.at(i, j) != -m.at(j, i):
-                raise ValueError(f"matrix is not skew-symmetric at ({i}, {j})")
+    e, n = m._e, m.cols
+    for i in range(n):
+        for j in range(i, n):
+            a, b = e[i * n + j], e[j * n + i]
+            if a._r != -b._r or a._i != -b._i or a._d != b._d:
+                raise ValueError(f"matrix is not skew-symmetric at ({i + 1}, {j + 1})")
 
 
 def _pf_elimination(m: ExactMatrix) -> GaussianRational:
+    # W = D M D with D = diag(L) is skew over Z[i] and Pf W = Pf(M) * prod(L).
+    # Eliminating the pivot pair (k, k+1) replaces w[i][j] (k+1 < i < j) by
+    # the Pfaffian of W on rows 0..k+1, i, j; the division by the previous
+    # pivot q is exact, and the last pivot is Pf W.
     n = m.rows
-    w = m.to_lists()
-    sign = ONE
-    result = ONE
+    ls, wr, wi = _cleared(m)
+    for rr, ri in zip(wr, wi):
+        for c, l in enumerate(ls):
+            rr[c] *= l
+            ri[c] *= l
+    sign = 1
+    qr, qi = 1, 0
     for k in range(0, n, 2):
-        pivot_col = None
-        for j in range(k + 1, n):
-            if w[k][j]:
-                pivot_col = j
+        k1 = k + 1
+        for p in range(k1, n):
+            if wr[k][p] or wi[k][p]:
                 break
-        if pivot_col is None:
+        else:
             return ZERO
-        if pivot_col != k + 1:
+        if p != k1:
             # congruence swap of row/column pair flips the sign
-            w[k + 1], w[pivot_col] = w[pivot_col], w[k + 1]
-            for row in w:
-                row[k + 1], row[pivot_col] = row[pivot_col], row[k + 1]
+            for w in (wr, wi):
+                w[k1], w[p] = w[p], w[k1]
+                for row in w:
+                    row[k1], row[p] = row[p], row[k1]
             sign = -sign
-        pivot = w[k][k + 1]
-        result = result * pivot
-        for j in range(k + 2, n):
-            if not w[k][j]:
-                continue
-            ratio = w[k][j] / pivot
-            for i in range(n):
-                w[i][j] = w[i][j] - ratio * w[i][k + 1]
-            for c in range(n):
-                w[j][c] = w[j][c] - ratio * w[k + 1][c]
-    return sign * result
+        kr, ki, hr, hi = wr[k], wi[k], wr[k1], wi[k1]
+        pr, pi = kr[k1], ki[k1]
+        norm = qr * qr + qi * qi
+        for i in range(k + 2, n):
+            rr, ri = wr[i], wi[i]
+            ar, ai, br, bi = kr[i], ki[i], hr[i], hi[i]
+            for j in range(i + 1, n):
+                cr, ci, dr, di = kr[j], ki[j], hr[j], hi[j]
+                xr, xi = rr[j], ri[j]
+                # p * w[i][j] - w[k][i] * w[k1][j] + w[k][j] * w[k1][i]
+                yr = pr * xr - pi * xi - ar * dr + ai * di + cr * br - ci * bi
+                yi = pr * xi + pi * xr - ar * di - ai * dr + cr * bi + ci * br
+                if qi:
+                    yr, yi = (yr * qr + yi * qi) // norm, (yi * qr - yr * qi) // norm
+                else:
+                    yr, yi = yr // qr, yi // qr
+                rr[j], ri[j] = yr, yi
+                wr[j][i], wi[j][i] = -yr, -yi
+        qr, qi = pr, pi
+    return _reduced(sign * qr, sign * qi, prod(ls))
 
 
 def _pf_expansion(m: ExactMatrix) -> GaussianRational:
@@ -237,7 +283,11 @@ def pfaffian(m: ExactMatrix, method: str = "elimination") -> GaussianRational:
     """Exact Pfaffian of an even-dimensional skew-symmetric matrix; Pf of the
     0x0 matrix is 1.  Odd dimension or non-skew input is rejected outright.
 
-    ``expansion`` is the first-row-expansion oracle for sizes up to 6.
+    ``elimination`` is the workhorse: fraction-free pivot-pair elimination
+    over the Gaussian integers, with the first nonzero partner in the pivot
+    row, after the congruence W = D M D, D the diagonal of the rows' lcms of
+    denominators.  ``expansion`` is the first-row-expansion oracle for sizes
+    up to 6.
     """
     _check_skew(m)
     if method == "elimination":

@@ -189,6 +189,41 @@ def test_int_operands_agree_with_their_scalar(x, k):
     assert g == k
 
 
+@given(reals)
+def test_real_values_hash_like_the_equal_fraction(x):
+    assert x == x.re and hash(x) == hash(x.re)
+
+
+def test_hash_agrees_with_equality_across_types():
+    assert ONE in {1} and 1 in {ONE}
+    assert gq((1, 2)) in {Fraction(1, 2)}
+    assert len({ZERO, 0, Fraction(0), ONE, 1, Fraction(1), gq((1, 2)), Fraction(1, 2)}) == 3
+    assert hash(gq(3, -1)) == hash(gq((6, 2), (-2, 2)))
+
+
+def reference_str(z):
+    """The rendering from the Fraction parts, as the canonical grammar states it."""
+    re, im = z.re, z.im
+    if not im:
+        return str(re)
+    sign = "-" if im < 0 else ("+" if re else "")
+    coeff = "" if abs(im) == 1 else str(abs(im))
+    return f"{str(re) if re else ''}{sign}{coeff}i"
+
+
+@given(operands)
+def test_str_matches_the_fraction_rendering(x):
+    assert str(x) == reference_str(x)
+
+
+@pytest.mark.parametrize(
+    "z, text",
+    [(I, "i"), (-I, "-i"), (I / 2, "1/2i"), (-I / 2, "-1/2i"), (gq(3, -1), "3-i"), (ZERO, "0"), (gq((-4, 6), (4, 6)), "-2/3+2/3i")],
+)
+def test_str_examples_match_the_fraction_rendering(z, text):
+    assert str(z) == reference_str(z) == text
+
+
 def test_conjugate_and_real_predicates():
     v = gq(1, 2)
     assert v.conjugate() == gq(1, -2)

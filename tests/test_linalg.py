@@ -25,14 +25,31 @@ def rand_matrix(rng, n, m=None):
     return ExactMatrix(n, m, [rand_entry(rng) for _ in range(n * m)])
 
 
-def rand_skew(rng, n):
+def sparse_entry(rng, complex_entries):
+    """Zero half the time, so pivots vanish and rows, columns or partners swap."""
+    if rng.random() < 0.5:
+        return ZERO
+    im = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if complex_entries else 0
+    return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), im)
+
+
+def big_entry(rng):
+    """An entry over a denominator near 2**200, different from entry to entry."""
+    den = 2**200 + rng.randint(0, 2**20)
+    return GaussianRational(Fraction(rng.randint(-(2**200), 2**200), den), Fraction(rng.randint(-9, 9), den))
+
+
+def skew_from(n, entry):
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = rand_entry(rng)
-            rows[i][j] = v
-            rows[j][i] = -v
+            rows[i][j] = entry(i, j)
+            rows[j][i] = -rows[i][j]
     return ExactMatrix.from_rows(rows)
+
+
+def rand_skew(rng, n):
+    return skew_from(n, lambda i, j: rand_entry(rng))
 
 
 class TestDeterminant:
@@ -59,6 +76,48 @@ class TestDeterminant:
             for _ in range(4):
                 m = rand_matrix(rng, n)
                 assert determinant(m, "elimination") == determinant(m, "cofactor")
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_sparse_elimination_matches_cofactor(self, complex_entries):
+        rng = random.Random(31 + complex_entries)
+        swaps = zeros = 0
+        for n in range(1, 6):
+            for _ in range(40):
+                m = ExactMatrix(n, n, [sparse_entry(rng, complex_entries) for _ in range(n * n)])
+                value = determinant(m, "elimination")
+                assert value == determinant(m, "cofactor")
+                swaps += not m.at(1, 1)
+                zeros += not value
+        assert swaps > 20 and zeros > 20
+
+    def test_zero_row_or_column(self):
+        rng = random.Random(33)
+        for k in range(1, 5):
+            m = rand_matrix(rng, 4)
+            rows = m.to_lists()
+            rows[k - 1] = [ZERO] * 4
+            assert determinant(ExactMatrix.from_rows(rows)) == ZERO
+            assert determinant(ExactMatrix.from_rows(rows).transpose()) == ZERO
+
+    def test_first_pivot_below_the_diagonal(self):
+        # zeros above the anti-diagonal: the first two pivots lie below the diagonal
+        m = ExactMatrix.from_rows([[0, 0, 0, 2], [0, 0, 3, 1], [0, 5, 1, 1], [7, 1, 1, 1]])
+        assert determinant(m) == determinant(m, "cofactor") == frac(2 * 3 * 5 * 7)
+
+    def test_one_complex_entry_in_a_real_matrix(self):
+        rng = random.Random(34)
+        base = [[frac(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)] for _ in range(4)]
+        for r, c in itertools.product(range(4), repeat=2):
+            rows = [list(row) for row in base]
+            rows[r][c] = GaussianRational(Fraction(2, 3), Fraction(-5, 7))
+            m = ExactMatrix.from_rows(rows)
+            assert determinant(m) == determinant(m, "cofactor")
+
+    def test_denominators_near_two_to_the_200(self):
+        rng = random.Random(35)
+        for n in range(1, 5):
+            m = ExactMatrix(n, n, [big_entry(rng) for _ in range(n * n)])
+            assert determinant(m) == determinant(m, "cofactor")
 
     def test_multiplicativity(self):
         rng = random.Random(22)
@@ -138,6 +197,50 @@ class TestPfaffian:
         for n in (2, 4, 6):
             m = rand_skew(rng, n)
             assert pfaffian(m, "elimination") == pfaffian(m, "expansion")
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_sparse_elimination_matches_expansion(self, complex_entries):
+        rng = random.Random(41 + complex_entries)
+        swaps = zeros = 0
+        for n in (2, 4, 6):
+            for _ in range(60):
+                m = skew_from(n, lambda i, j: sparse_entry(rng, complex_entries))
+                value = pfaffian(m, "elimination")
+                assert value == pfaffian(m, "expansion")
+                swaps += not m.at(1, 2) and any(m.at(1, j) for j in range(3, n + 1))
+                zeros += not value
+        assert swaps > 20 and zeros > 20
+
+    def test_zero_row_and_column(self):
+        rng = random.Random(43)
+        for k in range(6):
+            m = skew_from(6, lambda i, j: ZERO if k in (i, j) else rand_entry(rng))
+            assert pfaffian(m) == ZERO
+
+    def test_one_complex_pair_in_a_real_matrix(self):
+        rng = random.Random(44)
+        base = skew_from(6, lambda i, j: frac(rng.randint(-9, 9), rng.randint(1, 9))).to_lists()
+        for r, c in itertools.combinations(range(6), 2):
+            rows = [list(row) for row in base]
+            rows[r][c] = GaussianRational(Fraction(2, 3), Fraction(-5, 7))
+            rows[c][r] = -rows[r][c]
+            m = ExactMatrix.from_rows(rows)
+            assert pfaffian(m) == pfaffian(m, "expansion")
+
+    def test_denominators_near_two_to_the_200(self):
+        rng = random.Random(45)
+        for n in (2, 4, 6):
+            m = skew_from(n, lambda i, j: big_entry(rng))
+            assert pfaffian(m) == pfaffian(m, "expansion")
+
+    def test_non_skew_error_names_the_first_entry(self):
+        rows = rand_skew(random.Random(46), 4).to_lists()
+        rows[2][3] = rows[2][3] + frac(1, 5)
+        with pytest.raises(ValueError, match=r"not skew-symmetric at \(3, 4\)"):
+            pfaffian(ExactMatrix.from_rows(rows))
+        rows[1][1] = GaussianRational(0, 1)
+        with pytest.raises(ValueError, match=r"not skew-symmetric at \(2, 2\)"):
+            pfaffian(ExactMatrix.from_rows(rows))
 
     def test_singular_skew(self):
         mat = ExactMatrix.from_rows(
