@@ -1,21 +1,23 @@
 """Builders for the structured matrices and combinatorial sums the checks use.
 
-Everything here is a direct transcription of a displayed formula into exact
-arithmetic: moment sequences of the little q-Jacobi polynomials, the
-determinant kernels built from them, the denominator-cleared row matrix and
-its four triangular companions, and the ordered-partition sum R_{n,nu}.
-All matrix builders use the 1-based convention of the formulas.
+Each builder evaluates a displayed formula in exact arithmetic: moment
+sequences of the little q-Jacobi polynomials, the determinant kernels built
+from them, the denominator-cleared row matrix and its four triangular
+companions, and the ordered-partition sum R_{n,nu}.  Every sequence a
+builder reads (moments, q-powers, q-shifted and rising factorials) is built
+once per call by one running loop and read by index, and R_{n,nu} is summed
+by dynamic programming over the row indices instead of over its C(n, nu)
+splittings.  All matrix builders use the 1-based convention of the formulas.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from ..errors import PoleError
 from ..gaussian import ONE, ZERO, GaussianRational, sign, to_gq
 from ..linalg import ExactMatrix
-from ..qseries import q_binomial, rising_factorial
+from ..qseries import q_binomials, q_pochhammer_tails, q_pochhammers, rising_factorials
 
 
 def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
@@ -115,13 +117,21 @@ def theorem_matrix_rows(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     )
 
 
+def row_factors(x, a, ab, q, n: int) -> list[GaussianRational]:
+    """(a x;q)_{j-1} (ab x q^j;q)_{n-j} for j = 1..n, at list index j - 1.
+
+    The first factorial is a prefix of (a x;q)_n and the second a suffix of
+    (ab x;q)_n, so the n values take one table of each.
+    """
+    prefix = q_pochhammers(to_gq(a) * x, q, 0, n - 1)
+    suffix = q_pochhammer_tails(to_gq(ab) * x, q, n)
+    return [prefix[j] * suffix[n - 1 - j] for j in range(n)]
+
+
 def build_m(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     """Denominator-cleared row matrix with entries
-    (q^{k_i-1} - c q^{j-1}) (a q^{k_i};q)_{j-1} (a b q^{k_i+j};q)_{n-j}.
-
-    Along a row the two q-shifted factorials are a prefix product and a
-    suffix product over the same run of q-powers, so each row takes O(n)
-    factors.
+    (q^{k_i-1} - c q^{j-1}) (a q^{k_i};q)_{j-1} (a b q^{k_i+j};q)_{n-j},
+    each row's factorials read from :func:`row_factors` at x = q^{k_i}.
     """
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
     n = len(k_tuple)
@@ -130,12 +140,8 @@ def build_m(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     cq = [c * qp[j] for j in range(n)]
     rows = []
     for k in k_tuple:
-        prefix = [ONE]  # (a q^k;q)_j at index j
-        suffix = [ONE]  # (ab q^{k+j};q)_{n-j}, from j = n down
-        for j in range(1, n):
-            prefix.append(prefix[-1] * (ONE - a * qp[k + j - 1]))
-            suffix.append(suffix[-1] * (ONE - ab * qp[k + n - j]))
-        rows.append([(qp[k - 1] - cq[j]) * prefix[j] * suffix[n - 1 - j] for j in range(n)])
+        factors = row_factors(qp[k], a, ab, q, n)
+        rows.append([(qp[k - 1] - cq[j]) * factors[j] for j in range(n)])
     return ExactMatrix.from_rows(rows)
 
 
@@ -148,9 +154,9 @@ def build_triangular(kind: str, n: int, k_tuple: Sequence[int] | None, a=None, b
     indicator factors.
     """
     q = to_gq(q)
+    qp = _Powers(q)
     if kind == "X" or kind == "L":
         a = to_gq(a)
-        qp = _Powers(q)
         if kind == "L":
             ab_shift = a * to_gq(b) * qp[n - 1]
 
@@ -171,21 +177,21 @@ def build_triangular(kind: str, n: int, k_tuple: Sequence[int] | None, a=None, b
 
         return ExactMatrix.build(n, n, entry)
     if kind == "Y":
+        binomial = q_binomials(q, n)
 
         def entry(i, j):
             if i < j:
                 return ZERO
-            return sign(i + j) * q ** (-((i - j) * (2 * n + 1 - i - j)) // 2) * q_binomial(
-                n - j, i - j, q
-            )
+            return sign(i + j) * qp[-((i - j) * (2 * n + 1 - i - j)) // 2] * binomial(n - j, i - j)
 
         return ExactMatrix.build(n, n, entry)
     if kind == "U":
+        binomial = q_binomials(q, n)
 
         def entry(i, j):
             if i > j:
                 return ZERO
-            return sign(i + j) * q ** (((j - i) * (j - i + 1)) // 2) * q_binomial(j - 1, j - i, q)
+            return sign(i + j) * qp[((j - i) * (j - i + 1)) // 2] * binomial(j - 1, j - i)
 
         return ExactMatrix.build(n, n, entry)
     raise ValueError(f"unknown triangular kind {kind!r}")
@@ -194,14 +200,13 @@ def build_triangular(kind: str, n: int, k_tuple: Sequence[int] | None, a=None, b
 def triangular_inverse(kind: str, n: int, q) -> ExactMatrix:
     """Closed-form inverses of the Y and U unitriangular matrices."""
     q = to_gq(q)
+    qp = _Powers(q)
     if kind == "Y":
-        return ExactMatrix.build(
-            n, n, lambda i, j: q ** ((j - i) * (n + 1 - i)) * q_binomial(n - j, i - j, q)
-        )
+        binomial = q_binomials(q, n)
+        return ExactMatrix.build(n, n, lambda i, j: qp[(j - i) * (n + 1 - i)] * binomial(n - j, i - j))
     if kind == "U":
-        return ExactMatrix.build(
-            n, n, lambda i, j: q ** (j - i) * q_binomial(j - 1, i - 1, q)
-        )
+        binomial = q_binomials(q, n)
+        return ExactMatrix.build(n, n, lambda i, j: qp[j - i] * binomial(j - 1, i - 1))
     raise ValueError(f"unknown triangular kind {kind!r}")
 
 
@@ -211,6 +216,13 @@ def compute_r(n: int, nu: int, k_tuple: Sequence[int], a, b, q) -> GaussianRatio
     The sum runs over splittings of {1..n} into an increasing (n-nu)-tuple i
     and its increasing nu-tuple complement j, weighting each by
     q^{sum i_l - n + nu} prod (1 - a q^{k_{i_l}-i_l+l+nu}) prod (1 - ab q^{k_{j_l}+j_l-l+nu-1}).
+
+    It is summed by dynamic programming over v = 1..n: after v steps,
+    ``partial[t]`` is the sum over the placements of 1..v with t of them in
+    the i-tuple.  Placing v in the i-tuple as its (t+1)-th entry (while
+    t < n - nu) multiplies by q^{v-1} (1 - a q^{k_v-v+t+1+nu}); placing it in
+    the j-tuple as its (v-t)-th entry (while v - t <= nu) multiplies by
+    (1 - ab q^{k_v+t+nu-1}).  R is ``partial[n - nu]``, in O(n^2) factors.
     """
     if nu < 0 or nu > n:
         return ZERO
@@ -219,25 +231,26 @@ def compute_r(n: int, nu: int, k_tuple: Sequence[int], a, b, q) -> GaussianRatio
     a, b, q = to_gq(a), to_gq(b), to_gq(q)
     ab = a * b
     qp = _Powers(q)
-    total = ZERO
-    universe = range(1, n + 1)
-    for i_set in itertools.combinations(universe, n - nu):
-        j_set = tuple(v for v in universe if v not in i_set)
-        weight = qp[sum(i_set) - n + nu]
-        for l, iv in enumerate(i_set, start=1):
-            weight = weight * (ONE - a * qp[k_tuple[iv - 1] - iv + l + nu])
-        for l, jv in enumerate(j_set, start=1):
-            weight = weight * (ONE - ab * qp[k_tuple[jv - 1] + jv - l + nu - 1])
-        total = total + weight
-    return total
+    partial = [ONE] + [ZERO] * (n - nu)
+    for v in range(1, n + 1):
+        k = k_tuple[v - 1]
+        step = [ZERO] * (n - nu + 1)
+        for t, value in enumerate(partial):
+            if not value:
+                continue  # unreached, or a sum that adds nothing
+            if t < n - nu:
+                step[t + 1] = step[t + 1] + value * qp[v - 1] * (ONE - a * qp[k - v + t + 1 + nu])
+            if v - t <= nu:
+                step[t] = step[t] + value * (ONE - ab * qp[k + t + nu - 1])
+        partial = step
+    return partial[n - nu]
 
 
 def mehta_wang_matrix(n: int, a, b) -> ExactMatrix:
     """Gamma-normalized classical kernel ((a + j - i) (b)_{i+j-2})_{1<=i,j<=n}."""
     a, b = to_gq(a), to_gq(b)
-    return ExactMatrix.build(
-        n, n, lambda i, j: (a + (j - i)) * rising_factorial(b, i + j - 2)
-    )
+    rf = rising_factorials(b, 0, 2 * n - 2)
+    return ExactMatrix.build(n, n, lambda i, j: (a + (j - i)) * rf[i + j - 2])
 
 
 def nishizawa_matrix(n: int, s, t, q) -> ExactMatrix:
@@ -254,12 +267,13 @@ def nishizawa_matrix(n: int, s, t, q) -> ExactMatrix:
 def classical_matrix(n: int, r: int, alpha, beta, gamma) -> ExactMatrix:
     """Classical-limit kernel ((gamma + j - i) (alpha+1)_{i+j+r-2} / (alpha+beta+2)_{i+j+r-2})."""
     alpha, beta, gamma = to_gq(alpha), to_gq(beta), to_gq(gamma)
+    den = rising_factorials(alpha + beta + 2, r, 2 * n + r - 2)
+    num = rising_factorials(alpha + 1, r, 2 * n + r - 2)
 
     def entry(i, j):
         m = i + j + r - 2
-        den = rising_factorial(alpha + beta + 2, m)
-        if not den:
+        if not den[m]:
             raise PoleError("vanishing classical moment denominator", f"(alpha+beta+2)_{m}")
-        return (gamma + (j - i)) * rising_factorial(alpha + 1, m) / den
+        return (gamma + (j - i)) * num[m] / den[m]
 
     return ExactMatrix.build(n, n, entry)

@@ -25,7 +25,9 @@ from ..qseries import (
     hyper_f,
     q_factorial,
     q_pochhammer as qp,
+    q_pochhammers,
     rising_factorial as rf,
+    rising_factorials,
     terminating_phi,
 )
 from .builders import (
@@ -48,14 +50,12 @@ def hankel(pt, n: int) -> list[Comparison]:
     a, b, q, r = pt.a, pt.b, pt.q, pt.r
     lhs = determinant(moment_hankel(n, r, a, b, q))
     rhs = a ** (n * (n - 1) // 2) * q ** (n * (n - 1) * (2 * n - 1) // 6 + n * (n - 1) * r // 2)
+    fq = q_pochhammers(q, q, 0, n - 1)
+    fb = q_pochhammers(b * q, q, 0, n - 1)
+    fa = q_pochhammers(a * q, q, r, n + r - 1)
+    fab = q_pochhammers(a * b * q * q, q, n + r - 1, 2 * n + r - 2)
     for k in range(1, n + 1):
-        rhs = (
-            rhs
-            * qp(q, q, k - 1)
-            * qp(b * q, q, k - 1)
-            * qp(a * q, q, k + r - 1)
-            / qp(a * b * q * q, q, k + n + r - 2)
-        )
+        rhs = rhs * fq[k - 1] * fb[k - 1] * fa[k + r - 1] / fab[k + n + r - 2]
     return [("moment Hankel determinant vs closed product", lhs, rhs)]
 
 
@@ -69,15 +69,14 @@ def pfaffian_moments(pt, m: int) -> list[Comparison]:
     a, b, q, r = pt.a, pt.b, pt.q, pt.r
     lhs = pfaffian(build_theorem_matrix(2 * m, r, a, b, ONE, q))
     rhs = a ** (m * (m - 1)) * q ** (m * (m - 1) * (4 * m + 1) // 3 + m * (m - 1) * r)
+    fb = q_pochhammers(b * q, q, 2, 2 * m - 2)
     for k in range(1, m):
-        rhs = rhs * qp(b * q, q, 2 * k)
+        rhs = rhs * fb[2 * k]
+    fq = q_pochhammers(q, q, 1, 2 * m - 1)
+    fa = q_pochhammers(a * q, q, r + 1, 2 * m + r - 1)
+    fab = q_pochhammers(a * b * q * q, q, 2 * m + r - 1, 4 * m + r - 3)
     for k in range(1, m + 1):
-        rhs = (
-            rhs
-            * qp(q, q, 2 * k - 1)
-            * qp(a * q, q, 2 * k + r - 1)
-            / qp(a * b * q * q, q, 2 * (k + m) + r - 3)
-        )
+        rhs = rhs * fq[2 * k - 1] * fa[2 * k + r - 1] / fab[2 * (k + m) + r - 3]
     return [("skew moment Pfaffian vs closed product", lhs, rhs)]
 
 
@@ -104,8 +103,9 @@ def mehta_wang(pt, n: int) -> list[Comparison]:
     lhs = determinant(mehta_wang_matrix(n, a, b))
     d_rec = mehta_wang_d(n, a, b, "recurrence")
     prod = ONE
+    fb = rising_factorials(b, 0, n - 1)
     for i in range(n):
-        prod = prod * factorial(i) * rf(b, i)
+        prod = prod * factorial(i) * fb[i]
     return [
         ("normalized determinant vs D-sequence product", lhs, d_rec * prod),
         ("D-sequence recurrence vs signed binomial sum", d_rec, mehta_wang_d(n, a, b, "sum")),
@@ -123,8 +123,10 @@ def nishizawa(pt, n: int) -> list[Comparison]:
     t2 = t * t
     det_f = determinant(nishizawa_matrix(n, s, t, q))
     pre = (-I) ** n * t ** (n * (n - 2)) * s**n * q ** (n * (n - 1) * (n - 2) // 3)
+    fq = q_pochhammers(q, q, 0, n - 1)
+    ft = q_pochhammers(t2, q, 0, n - 1)
     for k in range(1, n + 1):
-        pre = pre * qp(q, q, k - 1) * qp(t2, q, k - 1)
+        pre = pre * fq[k - 1] * ft[k - 1]
     rhs = pre * al_salam_chihara(n, ZERO, s * t * I, -(t / s) * I, q, "recurrence")
     comps = [("normalized determinant vs Al-Salam-Chihara closed form", det_f, rhs)]
 
@@ -140,7 +142,7 @@ def nishizawa(pt, n: int) -> list[Comparison]:
         * d_val
     )
     for k in range(n):
-        rhs2 = rhs2 * q_factorial(k, q) * qp(t2, q, k) / one_minus_q**k
+        rhs2 = rhs2 * q_factorial(k, q) * ft[k] / one_minus_q**k
     comps.append(("q-Gamma-normalized determinant vs D-sequence product", det_e, rhs2))
     comps.append(
         ("D recurrence vs explicit sum", d_val, nishizawa_d(n, s, t, q, "explicit"))
@@ -180,14 +182,12 @@ def thm_main_phi(pt, n: int) -> list[Comparison]:
         * q ** (n * (n + 1) * (2 * n - 5) // 6 + n * (n - 3) * r // 2)
         * qp(a * b * c * q ** (r + 1), q * q, n)
     )
+    fq = q_pochhammers(q, q, 0, n - 1)
+    fa = q_pochhammers(a * q, q, r + 1, n + r)
+    fb = q_pochhammers(b * q, q, -1, n - 2)
+    fab = q_pochhammers(a * b * q * q, q, n + r - 1, 2 * n + r - 2)
     for k in range(1, n + 1):
-        rhs = (
-            rhs
-            * qp(q, q, k - 1)
-            * qp(a * q, q, k + r)
-            * qp(b * q, q, k - 2)
-            / qp(a * b * q * q, q, k + n + r - 2)
-        )
+        rhs = rhs * fq[k - 1] * fa[k + r] * fb[k - 2] / fab[k + n + r - 2]
     return [("kernel determinant vs terminating series form", lhs, rhs * series)]
 
 
@@ -213,14 +213,12 @@ def thm_main_aw(pt, n: int) -> list[Comparison]:
         * gamma**n
         * kappa ** (n * (n - 2) * (2 * n + 1) // 3 + n * (n - 2) * r)
     )
+    fq = q_pochhammers(q, q, 0, n - 1)
+    fa = q_pochhammers(a * q, q, r, n + r - 1)
+    fb = q_pochhammers(b * q, q, -1, n - 2)
+    fab = q_pochhammers(a * b * q * q, q, n + r - 1, 2 * n + r - 2)
     for k in range(1, n + 1):
-        rhs = (
-            rhs
-            * qp(q, q, k - 1)
-            * qp(a * q, q, k + r - 1)
-            * qp(b * q, q, k - 2)
-            / qp(a * b * q * q, q, k + n + r - 2)
-        )
+        rhs = rhs * fq[k - 1] * fa[k + r - 1] * fb[k - 2] / fab[k + n + r - 2]
     return [("kernel determinant vs Askey-Wilson form", lhs, rhs * value)]
 
 
@@ -244,13 +242,12 @@ def cor_even_phi(pt, m: int) -> list[Comparison]:
     rhs = a ** (2 * m * (m - 1)) * c**m * q ** (
         2 * m * (m - 1) * (4 * m + 1) // 3 + 2 * m * (m - 1) * r
     )
+    fq = q_pochhammers(q, q, 1, 2 * m - 1)
+    fa = q_pochhammers(a * q, q, r + 1, 2 * m + r - 1)
+    fb = q_pochhammers(b * q, q, 0, 2 * m - 2)
+    fab = q_pochhammers(a * b * q * q, q, 2 * m + r - 1, 4 * m + r - 3)
     for k in range(1, m + 1):
-        f = (
-            qp(q, q, 2 * k - 1)
-            * qp(a * q, q, 2 * k + r - 1)
-            * qp(b * q, q, 2 * k - 2)
-            / qp(a * b * q * q, q, 2 * (k + m) + r - 3)
-        )
+        f = fq[2 * k - 1] * fa[2 * k + r - 1] * fb[2 * k - 2] / fab[2 * (k + m) + r - 3]
         rhs = rhs * f * f
     return [("even-size determinant vs base-q^2 series form", lhs, rhs * series)]
 
@@ -284,10 +281,14 @@ def cor_even_aw(pt, m: int) -> list[Comparison]:
         * c**m
         * q ** (m * (8 * m * m + 3 * m - 2) // 3 + m * (2 * m - 1) * r)
     )
+    fq = q_pochhammers(q, q, 0, 2 * m - 1)
+    fa = q_pochhammers(a * q, q, r, 2 * m + r - 1)
+    fab = q_pochhammers(a * b * q * q, q, 2 * m + r - 1, 4 * m + r - 2)
     for k in range(1, 2 * m + 1):
-        rhs = rhs * qp(q, q, k - 1) * qp(a * q, q, k + r - 1) / qp(a * b * q * q, q, k + 2 * m + r - 2)
+        rhs = rhs * fq[k - 1] * fa[k + r - 1] / fab[k + 2 * m + r - 2]
+    fb = q_pochhammers(b * q, q, 0, 2 * m - 2)
     for k in range(1, m + 1):
-        f = qp(b * q, q, 2 * k - 2)
+        f = fb[2 * k - 2]
         rhs = rhs * f * f
     return [("even-size determinant vs base-q^2 Askey-Wilson form", lhs, rhs * value)]
 
@@ -316,22 +317,14 @@ def cor_odd_phi(pt, m: int) -> list[Comparison]:
         * (ONE - c)
         / (ONE - q)
     )
+    fq = q_pochhammers(q, q, 1, 2 * m + 1)
+    fa = q_pochhammers(a * q, q, r, 2 * m + r)
+    fb = q_pochhammers(b * q, q, 0, 2 * m)
+    fab = q_pochhammers(a * b * q * q, q, 2 * m + r, 4 * m + r)
     for k in range(1, m + 2):
-        rhs = (
-            rhs
-            * qp(q, q, 2 * k - 1)
-            * qp(a * q, q, 2 * k + r - 2)
-            * qp(b * q, q, 2 * k - 2)
-            / qp(a * b * q * q, q, 2 * (k + m - 1) + r)
-        )
+        rhs = rhs * fq[2 * k - 1] * fa[2 * k + r - 2] * fb[2 * k - 2] / fab[2 * (k + m - 1) + r]
     for k in range(1, m + 1):
-        rhs = (
-            rhs
-            * qp(q, q, 2 * k - 1)
-            * qp(a * q, q, 2 * k + r)
-            * qp(b * q, q, 2 * k - 2)
-            / qp(a * b * q * q, q, 2 * (k + m - 1) + r)
-        )
+        rhs = rhs * fq[2 * k - 1] * fa[2 * k + r] * fb[2 * k - 2] / fab[2 * (k + m - 1) + r]
     return [("odd-size determinant vs base-q^2 series form", lhs, rhs * series)]
 
 
@@ -365,12 +358,16 @@ def cor_odd_aw(pt, m: int) -> list[Comparison]:
         * (ONE - c)
         * q ** (m * (8 * m * m + 15 * m + 4) // 3 + m * (2 * m + 1) * r)
     )
+    fq = q_pochhammers(q, q, 0, 2 * m)
+    fa = q_pochhammers(a * q, q, r, 2 * m + r)
+    fab = q_pochhammers(a * b * q * q, q, 2 * m + r, 4 * m + r)
     for k in range(1, 2 * m + 2):
-        rhs = rhs * qp(q, q, k - 1) * qp(a * q, q, k + r - 1) / qp(a * b * q * q, q, k + 2 * m + r - 1)
+        rhs = rhs * fq[k - 1] * fa[k + r - 1] / fab[k + 2 * m + r - 1]
+    fb = q_pochhammers(b * q, q, 0, 2 * m)
     for k in range(1, m + 2):
-        rhs = rhs * qp(b * q, q, 2 * k - 2)
+        rhs = rhs * fb[2 * k - 2]
     for k in range(1, m + 1):
-        rhs = rhs * qp(b * q, q, 2 * k - 2)
+        rhs = rhs * fb[2 * k - 2]
     return [("odd-size determinant vs base-q^2 Askey-Wilson form", lhs, rhs * value)]
 
 
@@ -384,14 +381,11 @@ def classical_hahn(pt, n: int) -> list[Comparison]:
     al, be, ga, r = pt.alpha_c, pt.beta_c, pt.gamma_c, pt.r
     lhs = determinant(classical_matrix(n, r, al, be, ga))
     pre1 = GaussianRational(-2) ** n * rf(half(al + be + ga + (r + 1)), n)
+    fa = rising_factorials(al + 1, r, n + r)
+    fb = rising_factorials(be + 1, -1, n - 2)
+    fab = rising_factorials(al + be + 2, n + r - 1, 2 * n + r - 2)
     for k in range(1, n + 1):
-        pre1 = (
-            pre1
-            * factorial(k - 1)
-            * rf(al + 1, k + r)
-            * rf(be + 1, k - 2)
-            / rf(al + be + 2, k + n + r - 2)
-        )
+        pre1 = pre1 * factorial(k - 1) * fa[k + r] * fb[k - 2] / fab[k + n + r - 2]
     rhs1 = pre1 * hyper_f(
         [GaussianRational(-n), half(al + ga + (r + 1)), al + be + (n + r)],
         [half(al + be + ga + (r + 1)), al + (r + 1)],
@@ -399,13 +393,7 @@ def classical_hahn(pt, n: int) -> list[Comparison]:
     )
     pre2 = (2 * I) ** n
     for k in range(1, n + 1):
-        pre2 = (
-            pre2
-            * factorial(k)
-            * rf(al + 1, k + r - 1)
-            * rf(be + 1, k - 2)
-            / rf(al + be + 2, k + n + r - 2)
-        )
+        pre2 = pre2 * factorial(k) * fa[k + r - 1] * fb[k - 2] / fab[k + n + r - 2]
     rhs2 = pre2 * continuous_hahn(
         n, ZERO, half(al + ga + (r + 1)), half(be), half(al - ga + (r + 1)), half(be)
     )
@@ -428,13 +416,11 @@ def classical_wilson_even(pt, m: int) -> list[Comparison]:
     slot3 = half(al + (r + 1))
     slot4 = -2 * m - half(al + be + (r - 1))
     pre1 = ONE
+    fa = rising_factorials(al + 1, r, 2 * m + r - 1)
+    fb = rising_factorials(be + 1, 0, 2 * m - 2)
+    fab = rising_factorials(al + be + 2, 2 * m + r - 1, 4 * m + r - 2)
     for k in range(1, m + 1):
-        f = (
-            factorial(2 * k - 1)
-            * rf(al + 1, 2 * k + r - 1)
-            * rf(be + 1, 2 * k - 2)
-            / rf(al + be + 2, 2 * (k + m) + r - 3)
-        )
+        f = factorial(2 * k - 1) * fa[2 * k + r - 1] * fb[2 * k - 2] / fab[2 * (k + m) + r - 3]
         pre1 = pre1 * f * f
     rhs1 = pre1 * hyper_f(
         [GaussianRational(-m), -half(be - 1) - m, hg, -hg],
@@ -443,9 +429,9 @@ def classical_wilson_even(pt, m: int) -> list[Comparison]:
     )
     pre2 = GaussianRational(-2) ** (3 * m)
     for k in range(1, 2 * m + 1):
-        pre2 = pre2 * factorial(k - 1) * rf(al + 1, k + r - 1) / rf(al + be + 2, k + 2 * m + r - 2)
+        pre2 = pre2 * factorial(k - 1) * fa[k + r - 1] / fab[k + 2 * m + r - 2]
     for k in range(1, m + 1):
-        f = rf(be + 1, 2 * k - 2)
+        f = fb[2 * k - 2]
         pre2 = pre2 * f * f
     rhs2 = pre2 * wilson(m, hg, ZERO, half(1), slot3, slot4)
     return [
@@ -464,22 +450,13 @@ def classical_wilson_odd(pt, m: int) -> list[Comparison]:
     al, be, ga, r = pt.alpha_c, pt.beta_c, pt.gamma_c, pt.r
     lhs = determinant(classical_matrix(2 * m + 1, r, al, be, ga))
     pre1 = ga
+    fa = rising_factorials(al + 1, r, 2 * m + r)
+    fb = rising_factorials(be + 1, 0, 2 * m)
+    fab = rising_factorials(al + be + 2, 2 * m + r, 4 * m + r)
     for k in range(1, m + 2):
-        pre1 = (
-            pre1
-            * factorial(2 * k - 1)
-            * rf(al + 1, 2 * k + r - 2)
-            * rf(be + 1, 2 * k - 2)
-            / rf(al + be + 2, 2 * (k + m - 1) + r)
-        )
+        pre1 = pre1 * factorial(2 * k - 1) * fa[2 * k + r - 2] * fb[2 * k - 2] / fab[2 * (k + m - 1) + r]
     for k in range(1, m + 1):
-        pre1 = (
-            pre1
-            * factorial(2 * k - 1)
-            * rf(al + 1, 2 * k + r)
-            * rf(be + 1, 2 * k - 2)
-            / rf(al + be + 2, 2 * (k + m - 1) + r)
-        )
+        pre1 = pre1 * factorial(2 * k - 1) * fa[2 * k + r] * fb[2 * k - 2] / fab[2 * (k + m - 1) + r]
     rhs1 = pre1 * hyper_f(
         [GaussianRational(-m), -half(be - 1) - m, half(ga + 1), half(1 - ga)],
         [half(3), half(al + r) + 1, -2 * m - half(al + be + r)],
@@ -487,11 +464,11 @@ def classical_wilson_odd(pt, m: int) -> list[Comparison]:
     )
     pre2 = GaussianRational(-2) ** (3 * m) * ga
     for k in range(1, 2 * m + 2):
-        pre2 = pre2 * factorial(k - 1) * rf(al + 1, k + r - 1) / rf(al + be + 2, k + 2 * m + r - 1)
+        pre2 = pre2 * factorial(k - 1) * fa[k + r - 1] / fab[k + 2 * m + r - 1]
     for k in range(1, m + 2):
-        pre2 = pre2 * rf(be + 1, 2 * k - 2)
+        pre2 = pre2 * fb[2 * k - 2]
     for k in range(1, m + 1):
-        pre2 = pre2 * rf(be + 1, 2 * k - 2)
+        pre2 = pre2 * fb[2 * k - 2]
     rhs2 = pre2 * wilson(
         m, half(ga), half(1), ONE, half(al + (r + 1)), -2 * m - half(al + be + (r + 1))
     )

@@ -12,12 +12,13 @@ from itertools import combinations
 
 from ..gaussian import ONE, ZERO, GaussianRational, sign
 from ..linalg import ExactMatrix, determinant, submatrix
-from ..qseries import q_binomial, q_pochhammer as qp
+from ..qseries import q_binomials, q_pochhammer as qp, q_pochhammer_tails, q_pochhammers
 from .builders import (
     build_m,
     build_triangular,
     compute_r,
     moment_hankel_rows,
+    row_factors,
     theorem_matrix_rows,
     triangular_inverse,
 )
@@ -46,9 +47,11 @@ def _x_products(xs, a, abq) -> tuple[GaussianRational, GaussianRational, Gaussia
 
 def _row_scale(k, n, a, b, q) -> GaussianRational:
     """prod_i (aq;q)_{k_i-1} / (abq^2;q)_{k_i+n-2}: the kernel over the cleared matrix."""
+    fa = q_pochhammers(a * q, q, min(k) - 1, max(k) - 1)
+    fb = q_pochhammers(a * b * q * q, q, min(k) + n - 2, max(k) + n - 2)
     scale = ONE
     for kv in k:
-        scale = scale * qp(a * q, q, kv - 1) / qp(a * b * q * q, q, kv + n - 2)
+        scale = scale * fa[kv - 1] / fb[kv + n - 2]
     return scale
 
 
@@ -57,18 +60,16 @@ def _r_closed_form(n, k, a, b, c, q) -> GaussianRational:
     (-1)^n a^{n(n-3)/2} q^{n(n+1)(n-4)/6} prod_i (bq;q)_{i-2} prod_{i<j} (q^{k_i-1} - q^{k_j-1})
     sum_nu (-1)^nu (abc q^{2nu+1}; q^2)_{n-nu} (acq; q^2)_nu R_{n,nu}."""
     pre = sign(n) * a ** (n * (n - 3) // 2) * q ** (n * (n + 1) * (n - 4) // 6)
+    fb = q_pochhammers(b * q, q, -1, n - 2)
     for i in range(1, n + 1):
-        pre = pre * qp(b * q, q, i - 2)
+        pre = pre * fb[i - 2]
     pre = pre * _q_vandermonde(k, q)
     q2 = q * q
+    tail = q_pochhammer_tails(a * b * c * q, q2, n)  # (abc q^{2nu+1}; q^2)_{n-nu} at n - nu
+    fac = q_pochhammers(a * c * q, q2, 0, n)
     total = ZERO
     for nu in range(n + 1):
-        total = total + (
-            sign(nu)
-            * qp(a * b * c * q ** (2 * nu + 1), q2, n - nu)
-            * qp(a * c * q, q2, nu)
-            * compute_r(n, nu, k, a, b, q)
-        )
+        total = total + sign(nu) * tail[n - nu] * fac[nu] * compute_r(n, nu, k, a, b, q)
     return pre * total
 
 
@@ -100,11 +101,9 @@ def q_kratt(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
     k = pt.k_tuple[:n]
     lhs = determinant(moment_hankel_rows(k, a, b, q))
-    rhs = a ** (n * (n - 1) // 2) * q ** ((n + 1) * n * (n - 1) // 6)
-    for i in range(1, n + 1):
-        rhs = rhs * qp(a * q, q, k[i - 1] - 1) / qp(a * b * q * q, q, k[i - 1] + n - 2)
-    for j in range(1, n + 1):
-        rhs = rhs * qp(b * q, q, j - 1)
+    rhs = a ** (n * (n - 1) // 2) * q ** ((n + 1) * n * (n - 1) // 6) * _row_scale(k, n, a, b, q)
+    for f in q_pochhammers(b * q, q, 0, n - 1).values():
+        rhs = rhs * f
     rhs = rhs * _q_vandermonde(k, q)
     return [("arbitrary-row moment determinant vs product form", lhs, rhs)]
 
@@ -118,15 +117,13 @@ def q_kratt(pt, n: int) -> list[Comparison]:
 def r_closed(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
     consecutive = tuple(range(1, n + 1))
+    binomial = q_binomials(q, n)
+    tail = q_pochhammer_tails(a * q, q, n)  # (a q^{nu+1};q)_{n-nu} at n - nu
+    fab = q_pochhammers(a * b * q**n, q, 0, n)
     comps = []
     for nu in range(n + 1):
         lhs = compute_r(n, nu, consecutive, a, b, q)
-        rhs = (
-            q ** ((n - nu) * (n - nu - 1) // 2)
-            * q_binomial(n, nu, q)
-            * qp(a * q ** (nu + 1), q, n - nu)
-            * qp(a * b * q**n, q, nu)
-        )
+        rhs = q ** ((n - nu) * (n - nu - 1) // 2) * binomial(n, nu) * tail[n - nu] * fab[nu]
         comps.append((f"R at consecutive rows, nu={nu}", lhs, rhs))
     return comps
 
@@ -182,13 +179,14 @@ def residue_ids(pt, n: int) -> list[Comparison]:
     xs = pt.x_list[:n]
     abq = a * b * q ** (n - 1)
     prod_x, inv_ax, inv_abx = _x_products(xs, a, abq)
+    factors = [row_factors(x, a, a * b, q, n) for x in xs]
     comps = []
     for j in range(1, n + 1):
         s1 = ZERO
         s2 = ZERO
         for nu in range(n):
             x = xs[nu]
-            num = (x / q - c * q ** (j - 1)) * qp(a * x, q, j - 1) * qp(a * b * q**j * x, q, n - j)
+            num = (x / q - c * q ** (j - 1)) * factors[nu][j - 1]
             core = x
             for l in range(n):
                 if l != nu:
@@ -226,23 +224,18 @@ def vandermonde_vw(pt, n: int) -> list[Comparison]:
             vandermonde = vandermonde * (xs[j] - xs[i])
     abq = a * b * q ** (n - 1)
     prod_x, inv_ax, inv_abx = _x_products(xs, a, abq)
+    factors = [row_factors(x, a, a * b, q, n) for x in xs]
     comps = []
     for k in range(1, n + 1):
 
-        def last_col(x, divisor):
-            return -(
-                (x - c * q**k)
-                * qp(a * x, q, k - 1)
-                * qp(a * b * q**k * x, q, n - k)
-                / (x * divisor)
-            )
+        def last_col(i, divisor):
+            x = xs[i - 1]
+            return -((x - c * q**k) * factors[i - 1][k - 1] / (x * divisor))
 
         v = ExactMatrix.build(
             n,
             n,
-            lambda i, j: xs[i - 1] ** (j - 1)
-            if j < n
-            else last_col(xs[i - 1], ONE - a * xs[i - 1]),
+            lambda i, j: xs[i - 1] ** (j - 1) if j < n else last_col(i, ONE - a * xs[i - 1]),
         )
         lhs_v = sign(n - 1) * determinant(v) / vandermonde
         rhs_v = c * q**k / prod_x
@@ -253,9 +246,7 @@ def vandermonde_vw(pt, n: int) -> list[Comparison]:
         w = ExactMatrix.build(
             n,
             n,
-            lambda i, j: xs[i - 1] ** (j - 1)
-            if j < n
-            else last_col(xs[i - 1], ONE - abq * xs[i - 1]),
+            lambda i, j: xs[i - 1] ** (j - 1) if j < n else last_col(i, ONE - abq * xs[i - 1]),
         )
         lhs_w = sign(n - 1) * determinant(w) / vandermonde
         rhs_w = c * q**k / prod_x
@@ -323,16 +314,15 @@ def triangular_inverses(pt, n: int) -> list[Comparison]:
     q = pt.q
     identity = ExactMatrix.identity(n)
     comps = []
-    for kind in ("Y", "U"):
-        tri = build_triangular(kind, n, None, q=q)
+    y = build_triangular("Y", n, None, q=q)
+    u = build_triangular("U", n, None, q=q)
+    for kind, tri in (("Y", y), ("U", u)):
         prod = tri @ triangular_inverse(kind, n, q)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 comps.append(
                     (f"{kind} inverse product entry ({i},{j})", prod.at(i, j), identity.at(i, j))
                 )
-    y = build_triangular("Y", n, None, q=q)
-    u = build_triangular("U", n, None, q=q)
     all_rows = list(range(1, n + 1))
     for i in range(1, n + 1):
         rows = [r for r in all_rows if r != i]

@@ -17,10 +17,9 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Callable
 
-from ..gaussian import GaussianRational, ONE
+from ..gaussian import ONE, GaussianRational, _reduced
 
 _NUMERATORS = [k for k in range(-9, 10) if k != 0]
 
@@ -75,7 +74,7 @@ class ParamPoint:
 
 def draw_rational(rng: random.Random) -> GaussianRational:
     """One nonzero rational with numerator in [-9,9] and denominator in [1,9]."""
-    return GaussianRational(Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9)))
+    return _reduced(rng.choice(_NUMERATORS), 0, rng.randint(1, 9))
 
 
 def draw_unit_free(rng: random.Random) -> GaussianRational:
@@ -87,10 +86,12 @@ def draw_unit_free(rng: random.Random) -> GaussianRational:
 
 
 def draw_complex(rng: random.Random) -> GaussianRational:
-    return GaussianRational(
-        Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9)),
-        Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9)),
-    )
+    """re + im i with each part drawn as :func:`draw_rational` draws it, real part first."""
+    re_num = rng.choice(_NUMERATORS)
+    re_den = rng.randint(1, 9)
+    im_num = rng.choice(_NUMERATORS)
+    im_den = rng.randint(1, 9)
+    return _reduced(re_num * im_den, im_num * re_den, re_den * im_den)
 
 
 def draw_r(rng: random.Random) -> int:

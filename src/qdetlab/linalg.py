@@ -1,18 +1,21 @@
 """Exact dense matrices over QQ(i): determinants, Pfaffians, submatrices.
 
 The public index convention is 1-based, matching the displayed formulas the
-matrices come from; storage is a row-major list.  Determinants and Pfaffians
-are eliminated fraction-free over the Gaussian integers: each row is cleared
-of its denominators first, and every later division is exact (Bareiss 1968
-for determinants, the Pfaffian form of Sylvester's identity for Pfaffians;
-Knuth, "Overlapping Pfaffians", 1996).  The value is reduced to lowest terms
-once, at the end.  Pivots are the first nonzero entries, so runs stay
+matrices come from; storage is a row-major list.  Products, determinants
+and Pfaffians work over the Gaussian integers: each row (and, for the right
+factor of a product, each column) is cleared of its denominators first.
+A product entry is then one integer dot product.  Elimination is
+fraction-free, and every later division is exact (Bareiss 1968 for
+determinants, the Pfaffian form of Sylvester's identity for Pfaffians;
+Knuth, "Overlapping Pfaffians", 1996).  Each value is reduced to lowest
+terms once, at the end.  Pivots are the first nonzero entries, so runs stay
 reproducible.
 """
 
 from __future__ import annotations
 
 from math import lcm, prod
+from operator import mul
 from typing import Callable, Sequence
 
 from .gaussian import ONE, ZERO, GaussianRational, _reduced, to_gq
@@ -26,7 +29,7 @@ class ExactMatrix:
     def __init__(self, rows: int, cols: int, entries: Sequence):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        e = [to_gq(x) for x in entries]
+        e = [x if type(x) is GaussianRational else to_gq(x) for x in entries]
         if len(e) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
         object.__setattr__(self, "rows", rows)
@@ -70,17 +73,22 @@ class ExactMatrix:
         return ExactMatrix.build(self.cols, self.rows, lambda i, j: self.at(j, i))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Matrix product over the Gaussian integers.
+
+        Row i of self is cleared by L_i, the lcm of its denominators, and
+        column j of other by M_j, so entry (i, j) is one dot product over
+        Z[i], reduced once over L_i M_j.
+        """
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        a, b = self.to_lists(), other.to_lists()
+        ls, ar, ai = _cleared(self.to_lists())
+        ms, br, bi = _cleared([other._e[j :: other.cols] for j in range(other.cols)])
         out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    acc = acc + ai[k] * b[k][j]
-                out.append(acc)
+        for l, xr, xi in zip(ls, ar, ai):
+            for m, yr, yi in zip(ms, br, bi):
+                re = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
+                im = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
+                out.append(_reduced(re, im, l * m))
         return ExactMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other) -> bool:
@@ -108,17 +116,16 @@ def submatrix(m: ExactMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) ->
     return ExactMatrix(len(row_idx), len(col_idx), [e[(i - 1) * n + j - 1] for i in row_idx for j in col_idx])
 
 
-def _cleared(m: ExactMatrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """(L, re, im): row r of m times L[r], the lcm of its denominators, as
-    lists of the real and of the imaginary Gaussian-integer parts."""
-    e, n = m._e, m.cols
+def _cleared(lines) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """(L, re, im): line r (a row or a column) times L[r], the lcm of its
+    denominators, as lists of the real and of the imaginary Gaussian-integer
+    parts."""
     ls, re, im = [], [], []
-    for r in range(m.rows):
-        row = e[r * n : (r + 1) * n]
-        l = lcm(*[x._d for x in row])
+    for line in lines:
+        l = lcm(*[x._d for x in line])
         ls.append(l)
-        re.append([x._r * (l // x._d) for x in row])
-        im.append([x._i * (l // x._d) for x in row])
+        re.append([x._r * (l // x._d) for x in line])
+        im.append([x._i * (l // x._d) for x in line])
     return ls, re, im
 
 
@@ -127,7 +134,7 @@ def _det_elimination(m: ExactMatrix) -> GaussianRational:
     # the minor on rows 0..k, r and columns 0..k, c, so each division by the
     # previous pivot q is exact; the last pivot is det W = det(M) * prod(L).
     n = m.rows
-    ls, wr, wi = _cleared(m)
+    ls, wr, wi = _cleared(m.to_lists())
     sign = 1
     qr, qi = 1, 0
     for k in range(n):
@@ -216,7 +223,7 @@ def _pf_elimination(m: ExactMatrix) -> GaussianRational:
     # the Pfaffian of W on rows 0..k+1, i, j; the division by the previous
     # pivot q is exact, and the last pivot is Pf W.
     n = m.rows
-    ls, wr, wi = _cleared(m)
+    ls, wr, wi = _cleared(m.to_lists())
     for rr, ri in zip(wr, wi):
         for c, l in enumerate(ls):
             rr[c] *= l

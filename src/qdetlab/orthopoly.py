@@ -22,7 +22,9 @@ from .qseries import (
     q_number,
     q_pochhammer,
     q_pochhammer_multi,
+    q_pochhammers,
     rising_factorial,
+    rising_factorials,
 )
 
 
@@ -207,11 +209,10 @@ def mehta_wang_d(n: int, a, b, method: str = "recurrence") -> GaussianRational:
     if method == "sum":
         u = half(b - a)
         v = half(a + b)
+        fu, fv = rising_factorials(u, 0, n), rising_factorials(v, 0, n)
         total = ZERO
         for k in range(n + 1):
-            total = total + sign(k) * binomial(n, k) * rising_factorial(u, k) * rising_factorial(
-                v, n - k
-            )
+            total = total + sign(k) * binomial(n, k) * fu[k] * fv[n - k]
         return total
     raise ValueError(f"unknown method {method!r}")
 
@@ -254,8 +255,9 @@ def nishizawa_d(n: int, s, t, q, method: str = "recurrence") -> GaussianRational
         total = ZERO
         inner = ONE
         s2t2 = s2 * t2
+        fm, fq = q_pochhammers(q ** (-n), q, 0, n), q_pochhammers(q, q, 0, n)
         for k in range(n + 1):
-            total = total + q**k * q_pochhammer(q ** (-n), q, k) / q_pochhammer(q, q, k) * inner
+            total = total + q**k * fm[k] / fq[k] * inner
             f = ONE - t2 * q**k
             if not f:
                 raise PoleError("vanishing denominator factor in explicit sum", f"j={k}")

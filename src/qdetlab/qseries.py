@@ -1,6 +1,11 @@
 """q-shifted factorials, q-binomials, and terminating hypergeometric sums.
 
-All evaluation is exact over QQ(i).  Series are only ever summed when they
+All evaluation is exact over QQ(i).  Each factorial sequence has one loop:
+:func:`q_pochhammers` and :func:`rising_factorials` build a whole index
+range by the running recurrence, and the single-index :func:`q_pochhammer`,
+:func:`rising_factorial` and :func:`q_binomial` read those tables, so a
+caller that needs many indices builds one table instead of one product per
+index.  Series are only ever summed when they
 terminate.  A basic series is summed to the order n its caller declares,
 and some numerator must equal ``q**(-n)``; the order is never searched for.
 A classical series terminates at its nonpositive-integer numerator.
@@ -11,10 +16,62 @@ Running into a vanishing denominator factor raises
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import NonTerminatingSeriesError, PoleError
 from .gaussian import HALF, ONE, ZERO, GaussianRational, to_gq
+
+
+def q_pochhammers(a, q, lo: int, hi: int) -> dict[int, GaussianRational]:
+    """q-shifted factorials (a;q)_lo..(a;q)_hi keyed by index, for any integers.
+
+    Runs (a;q)_{m+1} = (a;q)_m (1 - a q^m) up from (a;q)_0 = 1 and, for
+    negative m, (a;q)_m = (a;q)_{m+1} / (1 - a q^m) down from it (Gasper and
+    Rahman, Basic Hypergeometric Series, 1.2).  A vanishing factor on the way
+    down is a pole.  Poles are downward-closed, so the range raises PoleError
+    exactly when (a;q)_lo has one, naming the same factor.
+    """
+    if lo > hi:
+        return {}
+    a = to_gq(a)
+    q = to_gq(q)
+    table = {0: ONE}
+    value, p = ONE, a  # (a;q)_m, a q^m at m = 0
+    for m in range(hi):
+        value = table[m + 1] = value * (ONE - p)
+        p = p * q
+    if lo < 0:
+        qinv = q.reciprocal()
+        value, p = ONE, a * qinv  # (a;q)_{m+1}, a q^m at m = -1
+        for m in range(-1, lo - 1, -1):
+            factor = ONE - p
+            if not factor:
+                raise PoleError(
+                    "vanishing factor in negative-index q-shifted factorial",
+                    f"(a;q)_{lo} at k={-m}",
+                )
+            value = table[m] = value / factor
+            p = p * qinv
+    return {m: table[m] for m in range(lo, hi + 1)}
+
+
+def q_pochhammer_tails(a, q, n: int) -> list[GaussianRational]:
+    """(a q^{n-t};q)_t for t = 0..n at list index t: the products of the last
+    t factors of (a;q)_n, built from the top factor down.
+
+    These are the suffix products that a quotient of q_pochhammers tables
+    would give, without its 0/0 when a factor below them vanishes.
+    """
+    a, q = to_gq(a), to_gq(q)
+    factors = []
+    p = a
+    for _ in range(n):
+        factors.append(ONE - p)
+        p = p * q
+    tails = [ONE]
+    for factor in reversed(factors):
+        tails.append(tails[-1] * factor)
+    return tails
 
 
 def q_pochhammer(a, q, n: int) -> GaussianRational:
@@ -24,27 +81,7 @@ def q_pochhammer(a, q, n: int) -> GaussianRational:
     finite reciprocal prod_{k=1}^{-n} (1 - a q^{-k})^{-1}; a vanishing factor
     there is a pole.
     """
-    a = to_gq(a)
-    q = to_gq(q)
-    result = ONE
-    if n >= 0:
-        p = a
-        for _ in range(n):
-            result = result * (ONE - p)
-            p = p * q
-        return result
-    qinv = q.reciprocal()
-    p = a * qinv
-    for k in range(1, -n + 1):
-        factor = ONE - p
-        if not factor:
-            raise PoleError(
-                "vanishing factor in negative-index q-shifted factorial",
-                f"(a;q)_{n} at k={k}",
-            )
-        result = result / factor
-        p = p * qinv
-    return result
+    return q_pochhammers(a, q, n, n)[n]
 
 
 def q_pochhammer_multi(params: Sequence, q, n: int) -> GaussianRational:
@@ -71,35 +108,56 @@ def q_factorial(n: int, q) -> GaussianRational:
     return result
 
 
+def q_binomials(q, top: int) -> Callable[[int, int], GaussianRational]:
+    """The Gaussian binomial coefficient as a function of (n, k) for n <= top,
+    read from one (q;q)_0..(q;q)_top table; 0 when k is out of range."""
+    f = q_pochhammers(q, q, 0, top)
+
+    def binomial(n: int, k: int) -> GaussianRational:
+        if k < 0 or k > n:
+            return ZERO
+        return f[n] / (f[k] * f[n - k])
+
+    return binomial
+
+
 def q_binomial(n: int, k: int, q) -> GaussianRational:
     """Gaussian binomial coefficient; 0 when k is out of range."""
-    if k < 0 or k > n:
-        return ZERO
-    q = to_gq(q)
-    return q_pochhammer(q, q, n) / (q_pochhammer(q, q, k) * q_pochhammer(q, q, n - k))
+    return q_binomials(q, n)(n, k)
 
 
-def rising_factorial(a, n: int) -> GaussianRational:
-    """Rising factorial (a)_n = prod_{k=0}^{n-1} (a + k) for n >= 0.
+def rising_factorials(a, lo: int, hi: int) -> dict[int, GaussianRational]:
+    """Rising factorials (a)_lo..(a)_hi keyed by index, for any integers.
 
-    Negative n uses the reciprocal convention (a)_{-m} = 1/prod_{k=1}^m (a-k),
-    which extends the Gamma-function quotient to integer shifts.
+    Runs (a)_{m+1} = (a)_m (a + m) up from (a)_0 = 1 and, for negative m,
+    (a)_m = (a)_{m+1} / (a + m) down from it: the reciprocal convention
+    (a)_{-k} = 1/prod_{j=1}^k (a - j), which extends the Gamma-function
+    quotient to integer shifts.  A vanishing factor on the way down is a
+    pole; as for q_pochhammers, the range raises exactly when (a)_lo does.
     """
+    if lo > hi:
+        return {}
     a = to_gq(a)
-    result = ONE
-    if n >= 0:
-        for k in range(n):
-            result = result * (a + k)
-        return result
-    for k in range(1, -n + 1):
-        factor = a - k
+    table = {0: ONE}
+    value = ONE
+    for m in range(hi):
+        value = table[m + 1] = value * (a + m)
+    value = ONE
+    for m in range(-1, lo - 1, -1):
+        factor = a + m
         if not factor:
             raise PoleError(
                 "vanishing factor in negative-index rising factorial",
-                f"(a)_{n} at k={k}",
+                f"(a)_{lo} at k={-m}",
             )
-        result = result / factor
-    return result
+        value = table[m] = value / factor
+    return {m: table[m] for m in range(lo, hi + 1)}
+
+
+def rising_factorial(a, n: int) -> GaussianRational:
+    """Rising factorial (a)_n = prod_{k=0}^{n-1} (a + k) for n >= 0, and
+    (a)_{-m} = 1/prod_{k=1}^m (a - k) for negative n."""
+    return rising_factorials(a, n, n)[n]
 
 
 def phi_terms(numerators, denominators, q, z, order: int) -> list[GaussianRational]:

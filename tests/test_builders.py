@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdetlab import GaussianRational, ONE, PoleError, ZERO, determinant
+from qdetlab import ExactMatrix, GaussianRational, ONE, PoleError, ZERO, determinant
 from qdetlab.identities import (
     build_m,
     build_theorem_matrix,
@@ -18,6 +18,7 @@ from qdetlab.identities import (
     moment_hankel_rows,
     moments,
     nishizawa_matrix,
+    row_factors,
     theorem_matrix_rows,
     triangular_inverse,
 )
@@ -185,8 +186,90 @@ class TestTriangulars:
         y = build_triangular("Y", 3, None, q=Q)
         assert y.at(3, 1) == Q ** (-3) * q_binomial(2, 2, Q)
 
+    def test_q_binomial_entries(self):
+        # every entry of Y, U and their inverses against the displayed formulas
+        sign = lambda e: ONE if e % 2 == 0 else -ONE
+        formulas = {
+            "Y": lambda n, i, j, q: sign(i + j) * q ** (-((i - j) * (2 * n + 1 - i - j)) // 2)
+            * q_binomial(n - j, i - j, q),
+            "U": lambda n, i, j, q: sign(i + j) * q ** (((j - i) * (j - i + 1)) // 2)
+            * q_binomial(j - 1, j - i, q),
+        }
+        inverses = {
+            "Y": lambda n, i, j, q: q ** ((j - i) * (n + 1 - i)) * q_binomial(n - j, i - j, q),
+            "U": lambda n, i, j, q: q ** (j - i) * q_binomial(j - 1, i - 1, q),
+        }
+        for q in (Q, frac(-3, 4), GaussianRational(1, 2)):
+            for n in range(0, 7):
+                for kind in ("Y", "U"):
+                    lower = kind == "Y"
+                    expected = ExactMatrix.build(
+                        n, n, lambda i, j: formulas[kind](n, i, j, q) if (i >= j) == lower or i == j else ZERO
+                    )
+                    assert build_triangular(kind, n, None, q=q) == expected
+                    expected = ExactMatrix.build(n, n, lambda i, j: inverses[kind](n, i, j, q))
+                    assert triangular_inverse(kind, n, q) == expected
+
+
+def compute_r_reference(n, nu, k_tuple, a, b, q):
+    """R_{n,nu} summed over its C(n, nu) splittings, one weight per splitting."""
+    if nu < 0 or nu > n:
+        return ZERO
+    ab = a * b
+    total = ZERO
+    universe = range(1, n + 1)
+    for i_set in itertools.combinations(universe, n - nu):
+        j_set = tuple(v for v in universe if v not in i_set)
+        weight = q ** (sum(i_set) - n + nu)
+        for l, iv in enumerate(i_set, start=1):
+            weight = weight * (ONE - a * q ** (k_tuple[iv - 1] - iv + l + nu))
+        for l, jv in enumerate(j_set, start=1):
+            weight = weight * (ONE - ab * q ** (k_tuple[jv - 1] + jv - l + nu - 1))
+        total = total + weight
+    return total
+
+
+class TestRowFactors:
+    def test_matches_two_q_pochhammers(self):
+        rng = random.Random(61)
+        for n in range(0, 7):
+            for _ in range(3):
+                x, a, ab = (frac(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+                q = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-2, 2))
+                expected = [
+                    q_pochhammer(a * x, q, j - 1) * q_pochhammer(ab * x * q**j, q, n - j)
+                    for j in range(1, n + 1)
+                ]
+                assert row_factors(x, a, ab, q, n) == expected
+
+    def test_build_m_rows(self):
+        k = (3, 1, 4)
+        m = build_m(k, A, B, C, Q)
+        for i, kv in enumerate(k, start=1):
+            factors = row_factors(Q**kv, A, A * B, Q, 3)
+            for j in range(1, 4):
+                assert m.at(i, j) == (Q ** (kv - 1) - C * Q ** (j - 1)) * factors[j - 1]
+
 
 class TestComputeR:
+    def test_matches_subset_enumeration(self):
+        rng = random.Random(62)
+        for n in range(0, 7):
+            for _ in range(3):
+                k = [rng.randint(1, 12) for _ in range(n + rng.randint(0, 2))]
+                a, b = frac(rng.randint(-9, 9), rng.randint(1, 9)), frac(rng.randint(-9, 9), rng.randint(1, 9))
+                q = GaussianRational(Fraction(rng.choice([-3, -2, 2, 3]), rng.randint(1, 4)), rng.randint(-1, 1))
+                for nu in range(-1, n + 2):
+                    assert compute_r(n, nu, k, a, b, q) == compute_r_reference(n, nu, k, a, b, q)
+
+    def test_polynomial_in_q(self):
+        # R is a polynomial in q, so it is defined at q = 0: the sum must never
+        # form a negative power of q.
+        for n in range(0, 6):
+            for k in ([1] * n, list(range(1, n + 1)), [3, 1, 2, 1, 1][:n]):
+                for nu in range(-1, n + 2):
+                    assert compute_r(n, nu, k, A, B, ZERO) == compute_r_reference(n, nu, k, A, B, ZERO)
+
     def test_single_row(self):
         assert compute_r(1, 0, [4], A, B, Q) == ONE - A * Q**4
 
@@ -237,6 +320,44 @@ class TestClassicalKernels:
         s, t = frac(2, 5), frac(5, 3)
         m = nishizawa_matrix(1, s, t, Q)
         assert determinant(m) == ONE - s * s
+
+    def test_classical_matches_per_entry_factorials_and_poles(self):
+        from qdetlab.identities import classical_matrix
+
+        def reference(n, r, al, be, ga):
+            def entry(i, j):
+                m = i + j + r - 2
+                den = rising_factorial(al + be + 2, m)
+                if not den:
+                    raise PoleError("vanishing classical moment denominator", f"(alpha+beta+2)_{m}")
+                return (ga + (j - i)) * rising_factorial(al + 1, m) / den
+
+            return ExactMatrix.build(n, n, entry)
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except PoleError as exc:
+                return str(exc)
+
+        values = [frac(v) for v in (0, 1, -1, 2, -2, -3, -4)] + [frac(1, 2)]
+        raised = set()
+        for al, be in itertools.product(values, repeat=2):
+            for n, r in itertools.product(range(0, 4), range(-2, 4)):
+                expected = outcome(reference, n, r, al, be, frac(3, 7))
+                if isinstance(expected, str):
+                    raised.add(expected.partition(" [")[0])
+                assert outcome(classical_matrix, n, r, al, be, frac(3, 7)) == expected
+        assert raised == {
+            "vanishing classical moment denominator",
+            "vanishing factor in negative-index rising factorial",
+        }
+
+    def test_mehta_wang_matches_per_entry_factorials(self):
+        for a, b in itertools.product((frac(1, 2), frac(-3)), (frac(3, 4), frac(-2), ZERO)):
+            for n in range(0, 5):
+                expected = ExactMatrix.build(n, n, lambda i, j: (a + (j - i)) * rising_factorial(b, i + j - 2))
+                assert mehta_wang_matrix(n, a, b) == expected
 
     def test_classical_negative_shift_uses_reciprocals(self):
         from qdetlab.identities import classical_matrix

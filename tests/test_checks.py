@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from qdetlab.identities import (
     run_suite,
     sample_point,
 )
+from qdetlab.identities.points import _NUMERATORS, draw_complex, draw_rational
 from qdetlab.identities.runner import EVIDENCE_PASS, FAIL, PASS, SKIPPED
 from qdetlab.qseries import q_pochhammer
 
@@ -300,3 +302,27 @@ class TestRunSuite:
         r2 = run_suite(["q_kratt"], trials=1, seed=2)
         assert all(res.status == PASS for res in r1.results + r2.results)
         assert r1.to_json() != r2.to_json()
+
+
+def fraction_draw_rational(rng):
+    """The draw as built before: a Fraction, then a GaussianRational from it."""
+    return GaussianRational(Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9)))
+
+
+def fraction_draw_complex(rng):
+    return GaussianRational(
+        Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9)),
+        Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9)),
+    )
+
+
+@pytest.mark.parametrize(
+    "draw, reference",
+    [(draw_rational, fraction_draw_rational), (draw_complex, fraction_draw_complex)],
+)
+def test_draws_match_fraction_construction_and_rng_state(draw, reference):
+    rng, ref_rng = random.Random(2024), random.Random(2024)
+    for _ in range(2000):
+        value, expected = draw(rng), reference(ref_rng)
+        assert (value._r, value._i, value._d) == (expected._r, expected._i, expected._d)
+        assert rng.getstate() == ref_rng.getstate()

@@ -152,6 +152,69 @@ class TestDeterminant:
             assert determinant(a @ b) == total
 
 
+def matmul_reference(a, b):
+    """The product by the scalar triple loop over reduced fractions."""
+    rows, cols = a.to_lists(), b.to_lists()
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = ZERO
+            for k in range(a.cols):
+                acc = acc + rows[i][k] * cols[k][j]
+            out.append(acc)
+    return ExactMatrix(a.rows, b.cols, out)
+
+
+def real_entry(rng):
+    return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+
+
+class TestProduct:
+    SHAPES = [(1, 1, 1), (2, 3, 4), (4, 2, 3), (3, 3, 3), (5, 1, 5), (1, 5, 1), (6, 6, 6)]
+
+    def check(self, rng, entry, shapes=SHAPES):
+        for n, k, m in shapes:
+            a = ExactMatrix(n, k, [entry(rng) for _ in range(n * k)])
+            b = ExactMatrix(k, m, [entry(rng) for _ in range(k * m)])
+            assert a @ b == matmul_reference(a, b)
+
+    def test_real(self):
+        self.check(random.Random(41), real_entry)
+
+    def test_complex(self):
+        self.check(random.Random(42), rand_entry)
+
+    def test_sparse(self):
+        for complex_entries in (False, True):
+            self.check(random.Random(43), lambda rng: sparse_entry(rng, complex_entries))
+
+    def test_denominators_near_two_to_the_200(self):
+        self.check(random.Random(44), big_entry, [(1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 4, 4)])
+
+    def test_mixed_real_and_complex_factors(self):
+        rng = random.Random(45)
+        for n in range(1, 5):
+            a = ExactMatrix(n, n, [real_entry(rng) for _ in range(n * n)])
+            b = rand_matrix(rng, n)
+            assert a @ b == matmul_reference(a, b)
+            assert b @ a == matmul_reference(b, a)
+
+    def test_empty_shapes(self):
+        rng = random.Random(46)
+        for n, k, m in [(0, 3, 2), (2, 3, 0), (0, 0, 0), (3, 0, 2), (0, 2, 0)]:
+            a = ExactMatrix(n, k, [rand_entry(rng) for _ in range(n * k)])
+            b = ExactMatrix(k, m, [rand_entry(rng) for _ in range(k * m)])
+            product = a @ b
+            assert (product.rows, product.cols) == (n, m)
+            assert product == matmul_reference(a, b)
+
+    def test_entries_are_canonical(self):
+        half = frac(1, 2)
+        product = ExactMatrix.from_rows([[half, half]]) @ ExactMatrix.from_rows([[half], [-half]])
+        assert product.at(1, 1) == ZERO
+        assert str(product.at(1, 1)) == "0"
+
+
 class TestPfaffian:
     def test_two_by_two(self):
         m = frac(7, 3)
@@ -294,6 +357,12 @@ class TestSubmatrixAndAccess:
             with pytest.raises(AttributeError):
                 delattr(m, name)
         assert m == ExactMatrix.identity(2)
+
+    def test_entries_are_coerced_or_rejected(self):
+        m = ExactMatrix(1, 3, [2, Fraction(1, 3), GaussianRational(0, 1)])
+        assert [m.at(1, j) for j in (1, 2, 3)] == [frac(2), frac(1, 3), GaussianRational(0, 1)]
+        with pytest.raises(TypeError):
+            ExactMatrix(1, 1, [0.5])
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,10 @@ from qdetlab.qseries import (
     q_number,
     q_pochhammer,
     q_pochhammer_multi,
+    q_pochhammer_tails,
+    q_pochhammers,
     rising_factorial,
+    rising_factorials,
     terminating_phi,
     very_well_poised,
 )
@@ -34,6 +37,104 @@ def rand_q(rng):
         v = rand_scalar(rng)
         if v != ONE and v != -ONE:
             return v
+
+
+def q_pochhammer_reference(a, q, n):
+    """(a;q)_n as the product of its factors; the reciprocal one for negative n."""
+    result = ONE
+    if n >= 0:
+        for k in range(n):
+            result = result * (ONE - a * q**k)
+        return result
+    for k in range(1, -n + 1):
+        factor = ONE - a * q ** (-k)
+        if not factor:
+            raise PoleError(
+                "vanishing factor in negative-index q-shifted factorial", f"(a;q)_{n} at k={k}"
+            )
+        result = result / factor
+    return result
+
+
+def rising_factorial_reference(a, n):
+    """(a)_n as the product of its factors; the reciprocal one for negative n."""
+    result = ONE
+    if n >= 0:
+        for k in range(n):
+            result = result * (a + k)
+        return result
+    for k in range(1, -n + 1):
+        factor = a - k
+        if not factor:
+            raise PoleError("vanishing factor in negative-index rising factorial", f"(a)_{n} at k={k}")
+        result = result / factor
+    return result
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except PoleError as exc:
+        return (type(exc), str(exc))
+
+
+def assert_table_matches_per_index(table, reference):
+    """Every range -3 <= lo <= hi <= 4 of ``table`` against per-index ``reference``
+    calls; returns the indices at which a per-index call raised."""
+    pole_indices = set()
+    for lo in range(-3, 5):
+        for hi in range(lo, 5):
+            per_index = {m: outcome(reference, m) for m in range(lo, hi + 1)}
+            raised = {m for m, v in per_index.items() if isinstance(v, tuple)}
+            pole_indices |= raised
+            if raised:
+                # poles are downward-closed: the range raises as its lowest index does
+                assert lo in raised
+                assert outcome(table, lo, hi) == per_index[lo]
+            else:
+                assert table(lo, hi) == per_index
+    return pole_indices
+
+
+class TestTables:
+    def test_q_pochhammers_match_per_index_products_and_poles(self):
+        pole_indices = set()
+        for q in (frac(2), frac(-2), frac(1, 3), frac(-3, 4), GaussianRational(1, 1)):
+            for a in (ZERO, ONE, -ONE, frac(3, 5), GaussianRational(Fraction(1, 2), 2), q, q * q, q**3):
+                pole_indices |= assert_table_matches_per_index(
+                    lambda lo, hi: q_pochhammers(a, q, lo, hi),
+                    lambda m: q_pochhammer_reference(a, q, m),
+                )
+        # a = q^k puts a pole at every index up to -k
+        assert pole_indices == {-3, -2, -1}
+
+    def test_rising_factorials_match_per_index_products_and_poles(self):
+        pole_indices = set()
+        for a in (ZERO, ONE, frac(2), frac(3), -ONE, frac(1, 2), frac(-5, 2), GaussianRational(1, 1)):
+            pole_indices |= assert_table_matches_per_index(
+                lambda lo, hi: rising_factorials(a, lo, hi),
+                lambda m: rising_factorial_reference(a, m),
+            )
+        assert pole_indices == {-3, -2, -1}
+
+    def test_single_index_reads_agree_with_tables(self):
+        for m in range(-3, 5):
+            assert outcome(q_pochhammer, frac(3, 5), frac(2), m) == outcome(
+                q_pochhammer_reference, frac(3, 5), frac(2), m
+            )
+            assert outcome(rising_factorial, frac(2), m) == outcome(rising_factorial_reference, frac(2), m)
+
+    def test_q_pochhammer_tails_are_the_last_factors(self):
+        for q in (frac(2), frac(-1, 3), GaussianRational(1, 1)):
+            for a in (ZERO, ONE, frac(3, 5), q**-2, GaussianRational(Fraction(1, 2), 2)):
+                for n in range(0, 6):
+                    expected = [q_pochhammer_reference(a * q ** (n - t), q, t) for t in range(n + 1)]
+                    assert q_pochhammer_tails(a, q, n) == expected
+
+    def test_empty_range(self):
+        assert q_pochhammers(frac(2), frac(3), 2, 1) == {}
+        assert rising_factorials(frac(2), 0, -1) == {}
 
 
 class TestQPochhammer:
