@@ -82,30 +82,44 @@ class GaussianRational:
         a, b, p = self._r, self._i, self._d
         c, e, s = other._r, other._i, other._d
         if b or e:
-            return _reduced(a * c - b * e, a * e + b * c, p * s)
-        # Real times real: cancel each numerator against the other
-        # denominator first; the product is then in lowest terms.
-        g = gcd(a, s)
-        if g != 1:
-            a //= g
-            s //= g
-        g = gcd(c, p)
-        if g != 1:
-            c //= g
-            p //= g
-        return _new(a * c, 0, p * s)
+            r, i, d = a * c - b * e, a * e + b * c, p * s
+            g = gcd(r, i, d)
+            if g != 1:
+                r, i, d = r // g, i // g, d // g
+        else:
+            # Real times real: cancel each numerator against the other
+            # denominator first; the product is then in lowest terms.
+            g = gcd(a, s)
+            if g != 1:
+                a //= g
+                s //= g
+            g = gcd(c, p)
+            if g != 1:
+                c //= g
+                p //= g
+            r, i, d = a * c, 0, p * s
+        # Built in place, as _new does, to save a call on the hottest path.
+        z = object.__new__(GaussianRational)
+        _set_r(z, r)
+        _set_i(z, i)
+        _set_d(z, d)
+        return z
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return self * other.reciprocal()
+        if self._i or other._i:
+            return self * other.reciprocal()
+        return _real_div(self._r, self._d, other._r, other._d)
 
     def __rtruediv__(self, other):
         if type(other) is not GaussianRational and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return other * self.reciprocal()
+        if self._i or other._i:
+            return other * self.reciprocal()
+        return _real_div(other._r, other._d, self._r, self._d)
 
     def __neg__(self):
         return _new(-self._r, -self._i, self._d)
@@ -189,13 +203,55 @@ def _reduced(r: int, i: int, d: int) -> GaussianRational:
 def _add(a: int, b: int, p: int, c: int, e: int, s: int) -> GaussianRational:
     """(a + b*i)/p + (c + e*i)/s.  Only primes of gcd(p, s) can cancel, as in Fraction._add."""
     g = gcd(p, s)
-    if g == 1:
-        return _new(a * s + c * p, b * s + e * p, p * s)
-    p //= g
-    t = s // g
-    r, i = a * t + c * p, b * t + e * p
-    g = gcd(r, i, g)
-    return _new(r, i, p * s) if g == 1 else _new(r // g, i // g, p * (s // g))
+    if b or e:
+        if g == 1:
+            r, i, d = a * s + c * p, b * s + e * p, p * s
+        else:
+            p //= g
+            t = s // g
+            r, i = a * t + c * p, b * t + e * p
+            g = gcd(r, i, g)
+            if g == 1:
+                d = p * s
+            else:
+                r, i, d = r // g, i // g, p * (s // g)
+    elif g == 1:
+        r, i, d = a * s + c * p, 0, p * s
+    else:
+        p //= g
+        r, i = a * (s // g) + c * p, 0
+        g = gcd(r, g)
+        if g == 1:
+            d = p * s
+        else:
+            r, d = r // g, p * (s // g)
+    z = object.__new__(GaussianRational)
+    _set_r(z, r)
+    _set_i(z, i)
+    _set_d(z, d)
+    return z
+
+
+def _real_div(a: int, p: int, c: int, s: int) -> GaussianRational:
+    """(a/p) / (c/s), cancelling a against c and p against s first, as Fraction._div does."""
+    if not c:
+        raise ZeroDivisionError("division by zero in QQ(i)")
+    g = gcd(a, c)
+    if g != 1:
+        a //= g
+        c //= g
+    g = gcd(p, s)
+    if g != 1:
+        p //= g
+        s //= g
+    r, d = a * s, p * c
+    if d < 0:
+        r, d = -r, -d
+    z = object.__new__(GaussianRational)
+    _set_r(z, r)
+    _set_i(z, 0)
+    _set_d(z, d)
+    return z
 
 
 def _ratio(n: int, d: int) -> str:

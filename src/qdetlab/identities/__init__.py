@@ -12,6 +12,7 @@ from .builders import (
     moment_hankel_rows,
     moments,
     nishizawa_matrix,
+    r_values,
     row_factors,
     theorem_matrix_rows,
     triangular_inverse,
@@ -39,6 +40,7 @@ __all__ = [
     "moment_hankel_rows",
     "moments",
     "nishizawa_matrix",
+    "r_values",
     "row_factors",
     "run_check",
     "run_suite",

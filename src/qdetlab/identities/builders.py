@@ -5,9 +5,10 @@ sequences of the little q-Jacobi polynomials, the determinant kernels built
 from them, the denominator-cleared row matrix and its four triangular
 companions, and the ordered-partition sum R_{n,nu}.  Every sequence a
 builder reads (moments, q-powers, q-shifted and rising factorials) is built
-once per call by one running loop and read by index, and R_{n,nu} is summed
-by dynamic programming over the row indices instead of over its C(n, nu)
-splittings.  All matrix builders use the 1-based convention of the formulas.
+once per call by one running loop and read by index, and the n + 1 sums
+R_{n,0}..R_{n,n} come from one backward dynamic program over the row indices
+instead of from their C(n, nu) splittings.  All matrix builders use the
+1-based convention of the formulas.
 """
 
 from __future__ import annotations
@@ -156,26 +157,21 @@ def build_triangular(kind: str, n: int, k_tuple: Sequence[int] | None, a=None, b
     q = to_gq(q)
     qp = _Powers(q)
     if kind == "X" or kind == "L":
-        a = to_gq(a)
-        if kind == "L":
-            ab_shift = a * to_gq(b) * qp[n - 1]
-
-        def entry(i, j):
-            if i < j:
-                return ZERO
-            qk = qp[k_tuple[j - 1]]
-            if kind == "X":
-                head = qk * (ONE - a * qk)
-            else:
-                head = qk * (ONE - ab_shift * qk)
-            prod = head
-            for l in range(1, i + 1):
-                if l == j:
-                    continue
-                prod = prod * (qp[k_tuple[l - 1]] - qk)
-            return -prod.reciprocal()
-
-        return ExactMatrix.build(n, n, entry)
+        # Entry (i, j), i >= j, is -1/P_{ij} with
+        # P_{ij} = q^{k_j} (1 - shift q^{k_j}) prod_{l <= i, l != j} (q^{k_l} - q^{k_j}),
+        # carried down column j one factor per row.
+        shift = to_gq(a) if kind == "X" else to_gq(a) * to_gq(b) * qp[n - 1]
+        qk = [qp[k] for k in k_tuple[:n]]
+        rows = [[ZERO] * n for _ in range(n)]
+        for j, x in enumerate(qk):
+            prod = x * (ONE - shift * x)
+            for y in qk[:j]:
+                prod = prod * (y - x)
+            rows[j][j] = -prod.reciprocal()
+            for i in range(j + 1, n):
+                prod = prod * (qk[i] - x)
+                rows[i][j] = -prod.reciprocal()
+        return ExactMatrix.from_rows(rows)
     if kind == "Y":
         binomial = q_binomials(q, n)
 
@@ -210,40 +206,45 @@ def triangular_inverse(kind: str, n: int, q) -> ExactMatrix:
     raise ValueError(f"unknown triangular kind {kind!r}")
 
 
-def compute_r(n: int, nu: int, k_tuple: Sequence[int], a, b, q) -> GaussianRational:
-    """The ordered disjoint-pair partition sum R_{n,nu}; 0 unless 0 <= nu <= n.
+def r_values(n: int, k_tuple: Sequence[int], a, b, q) -> list[GaussianRational]:
+    """[R_{n,0}, ..., R_{n,n}], the ordered disjoint-pair partition sums.
 
-    The sum runs over splittings of {1..n} into an increasing (n-nu)-tuple i
+    R_{n,nu} runs over splittings of {1..n} into an increasing (n-nu)-tuple i
     and its increasing nu-tuple complement j, weighting each by
     q^{sum i_l - n + nu} prod (1 - a q^{k_{i_l}-i_l+l+nu}) prod (1 - ab q^{k_{j_l}+j_l-l+nu-1}).
 
-    It is summed by dynamic programming over v = 1..n: after v steps,
-    ``partial[t]`` is the sum over the placements of 1..v with t of them in
-    the i-tuple.  Placing v in the i-tuple as its (t+1)-th entry (while
-    t < n - nu) multiplies by q^{v-1} (1 - a q^{k_v-v+t+1+nu}); placing it in
-    the j-tuple as its (v-t)-th entry (while v - t <= nu) multiplies by
-    (1 - ab q^{k_v+t+nu-1}).  R is ``partial[n - nu]``, in O(n^2) factors.
+    Place v = 1..n in turn and let s be nu plus the number of earlier values
+    placed in the i-tuple.  Placing v in the i-tuple (while s < n) multiplies
+    by q^{v-1} (1 - a q^{k_v-v+s+1}) = q^{v-1} - a q^{k_v+s} and moves s to
+    s + 1; placing it in the j-tuple (while v <= s) multiplies by
+    (1 - ab q^{k_v+s-1}) and keeps s.  Neither weight depends on nu, so one
+    backward pass serves every nu: H_n(s) = [s = n], H_{v-1}(s) sums the two
+    steps into H_v, and R_{n,nu} = H_0(nu).  Only the cells s >= v - 1 can
+    reach s = n, and only they are computed, so every q-exponent is
+    nonnegative and R is defined at q = 0.  All n + 1 values cost O(n^2)
+    factors.
     """
-    if nu < 0 or nu > n:
-        return ZERO
     if len(k_tuple) < n:
         raise ValueError("k-tuple shorter than n")
     a, b, q = to_gq(a), to_gq(b), to_gq(q)
     ab = a * b
     qp = _Powers(q)
-    partial = [ONE] + [ZERO] * (n - nu)
-    for v in range(1, n + 1):
-        k = k_tuple[v - 1]
-        step = [ZERO] * (n - nu + 1)
-        for t, value in enumerate(partial):
-            if not value:
-                continue  # unreached, or a sum that adds nothing
-            if t < n - nu:
-                step[t + 1] = step[t + 1] + value * qp[v - 1] * (ONE - a * qp[k - v + t + 1 + nu])
-            if v - t <= nu:
-                step[t] = step[t] + value * (ONE - ab * qp[k + t + nu - 1])
-        partial = step
-    return partial[n - nu]
+    h = [ZERO] * n + [ONE]  # H_v(s) at list index s
+    for v in range(n, 0, -1):
+        k, qv = k_tuple[v - 1], qp[v - 1]
+        # In place, upward in s: H_{v-1}(s) reads H_v(s) and H_v(s + 1).
+        # H_v(v - 1) was never written and is 0, so the j-step needs no v <= s test.
+        for s in range(v - 1, n + 1):
+            total = h[s] * (ONE - ab * qp[k + s - 1]) if h[s] else ZERO
+            if s < n and h[s + 1]:
+                total = total + h[s + 1] * (qv - a * qp[k + s])
+            h[s] = total
+    return h
+
+
+def compute_r(n: int, nu: int, k_tuple: Sequence[int], a, b, q) -> GaussianRational:
+    """R_{n,nu} read from :func:`r_values`; 0 unless 0 <= nu <= n."""
+    return r_values(n, k_tuple, a, b, q)[nu] if 0 <= nu <= n else ZERO
 
 
 def mehta_wang_matrix(n: int, a, b) -> ExactMatrix:

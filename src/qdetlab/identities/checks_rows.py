@@ -16,8 +16,8 @@ from ..qseries import q_binomials, q_pochhammer as qp, q_pochhammer_tails, q_poc
 from .builders import (
     build_m,
     build_triangular,
-    compute_r,
     moment_hankel_rows,
+    r_values,
     row_factors,
     theorem_matrix_rows,
     triangular_inverse,
@@ -28,8 +28,8 @@ from .points import Comparison, check
 def _q_vandermonde(k, q) -> GaussianRational:
     """prod_{i<j} (q^{k_i - 1} - q^{k_j - 1})."""
     out = ONE
-    for ki, kj in combinations(k, 2):
-        out = out * (q ** (ki - 1) - q ** (kj - 1))
+    for x, y in combinations([q ** (kv - 1) for kv in k], 2):
+        out = out * (x - y)
     return out
 
 
@@ -68,8 +68,8 @@ def _r_closed_form(n, k, a, b, c, q) -> GaussianRational:
     tail = q_pochhammer_tails(a * b * c * q, q2, n)  # (abc q^{2nu+1}; q^2)_{n-nu} at n - nu
     fac = q_pochhammers(a * c * q, q2, 0, n)
     total = ZERO
-    for nu in range(n + 1):
-        total = total + sign(nu) * tail[n - nu] * fac[nu] * compute_r(n, nu, k, a, b, q)
+    for nu, r in enumerate(r_values(n, k, a, b, q)):
+        total = total + sign(nu) * tail[n - nu] * fac[nu] * r
     return pre * total
 
 
@@ -121,8 +121,7 @@ def r_closed(pt, n: int) -> list[Comparison]:
     tail = q_pochhammer_tails(a * q, q, n)  # (a q^{nu+1};q)_{n-nu} at n - nu
     fab = q_pochhammers(a * b * q**n, q, 0, n)
     comps = []
-    for nu in range(n + 1):
-        lhs = compute_r(n, nu, consecutive, a, b, q)
+    for nu, lhs in enumerate(r_values(n, consecutive, a, b, q)):
         rhs = q ** ((n - nu) * (n - nu - 1) // 2) * binomial(n, nu) * tail[n - nu] * fab[nu]
         comps.append((f"R at consecutive rows, nu={nu}", lhs, rhs))
     return comps
@@ -140,12 +139,12 @@ def r_recurrence(pt, n: int) -> list[Comparison]:
     k = pt.k_tuple[:n]
     head = k[:-1]
     kn = k[-1]
+    # R_{n-1,nu} is 0 outside 0 <= nu <= n - 1.
+    shifted = [ZERO] + r_values(n - 1, head, a * q, b, q)
+    plain = r_values(n - 1, head, a, b, q) + [ZERO]
     comps = []
-    for nu in range(n + 1):
-        lhs = compute_r(n, nu, k, a, b, q)
-        rhs = (ONE - a * b * q ** (kn + n - 1)) * compute_r(n - 1, nu - 1, head, a * q, b, q) + q ** (
-            n - 1
-        ) * (ONE - a * q**kn) * compute_r(n - 1, nu, head, a, b, q)
+    for nu, lhs in enumerate(r_values(n, k, a, b, q)):
+        rhs = (ONE - a * b * q ** (kn + n - 1)) * shifted[nu] + q ** (n - 1) * (ONE - a * q**kn) * plain[nu]
         comps.append((f"R last-index recurrence, nu={nu}", lhs, rhs))
     return comps
 
@@ -161,8 +160,8 @@ def r_sum(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
     k = pt.k_tuple[:n]
     total = ZERO
-    for nu in range(n + 1):
-        total = total + sign(n - nu) * compute_r(n, nu, k, a, b, q)
+    for nu, r in enumerate(r_values(n, k, a, b, q)):
+        total = total + sign(n - nu) * r
     rhs = a**n * q ** (n * (n - 1) // 2 + sum(k)) * qp(b, q, n)
     return [("alternating R-sum vs single product", total, rhs)]
 
@@ -180,26 +179,33 @@ def residue_ids(pt, n: int) -> list[Comparison]:
     abq = a * b * q ** (n - 1)
     prod_x, inv_ax, inv_abx = _x_products(xs, a, abq)
     factors = [row_factors(x, a, a * b, q, n) for x in xs]
+    # x_nu / q and both kinds' denominators, x_nu prod_{l != nu} (x_l - x_nu)
+    # times (1 - a x_nu) or (1 - abq x_nu), do not depend on j.
+    xq, den1, den2 = [], [], []
+    for nu, x in enumerate(xs):
+        core = x
+        for l, y in enumerate(xs):
+            if l != nu:
+                core = core * (y - x)
+        xq.append(x / q)
+        den1.append(core * (ONE - a * x))
+        den2.append(core * (ONE - abq * x))
     comps = []
     for j in range(1, n + 1):
+        cq = c * q ** (j - 1)
         s1 = ZERO
         s2 = ZERO
-        for nu in range(n):
-            x = xs[nu]
-            num = (x / q - c * q ** (j - 1)) * factors[nu][j - 1]
-            core = x
-            for l in range(n):
-                if l != nu:
-                    core = core * (xs[l] - x)
-            s1 = s1 + num / (core * (ONE - a * x))
-            s2 = s2 + num / (core * (ONE - abq * x))
-        rhs1 = c * q ** (j - 1) / prod_x
+        for x, f, d1, d2 in zip(xq, factors, den1, den2):
+            num = (x - cq) * f[j - 1]
+            s1 = s1 + num / d1
+            s2 = s2 + num / d2
+        rhs1 = cq / prod_x
         if j == 1:
             rhs1 = rhs1 + sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / (
                 q * inv_ax
             )
         comps.append((f"residue identity (first kind), j={j}", -s1, rhs1))
-        rhs2 = c * q ** (j - 1) / prod_x
+        rhs2 = cq / prod_x
         if j == n:
             rhs2 = rhs2 - a ** (n - 1) * q ** (n * (n - 3) // 2) * (
                 ONE - a * b * c * q ** (2 * n - 1)
@@ -225,31 +231,25 @@ def vandermonde_vw(pt, n: int) -> list[Comparison]:
     abq = a * b * q ** (n - 1)
     prod_x, inv_ax, inv_abx = _x_products(xs, a, abq)
     factors = [row_factors(x, a, a * b, q, n) for x in xs]
+    # The first n - 1 columns x^0..x^{n-2} and the last column's divisors
+    # x (1 - a x) and x (1 - abq x) are the same for every k.
+    powers = [[x**e for e in range(n - 1)] for x in xs]
+    div_v = [x * (ONE - a * x) for x in xs]
+    div_w = [x * (ONE - abq * x) for x in xs]
     comps = []
     for k in range(1, n + 1):
-
-        def last_col(i, divisor):
-            x = xs[i - 1]
-            return -((x - c * q**k) * factors[i - 1][k - 1] / (x * divisor))
-
-        v = ExactMatrix.build(
-            n,
-            n,
-            lambda i, j: xs[i - 1] ** (j - 1) if j < n else last_col(i, ONE - a * xs[i - 1]),
-        )
+        cq = c * q**k
+        nums = [(x - cq) * f[k - 1] for x, f in zip(xs, factors)]
+        v = ExactMatrix.from_rows([row + [-(num / d)] for row, num, d in zip(powers, nums, div_v)])
         lhs_v = sign(n - 1) * determinant(v) / vandermonde
-        rhs_v = c * q**k / prod_x
+        rhs_v = cq / prod_x
         if k == 1:
             rhs_v = rhs_v + sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / inv_ax
         comps.append((f"structured-column Vandermonde (first kind), k={k}", lhs_v, rhs_v))
 
-        w = ExactMatrix.build(
-            n,
-            n,
-            lambda i, j: xs[i - 1] ** (j - 1) if j < n else last_col(i, ONE - abq * xs[i - 1]),
-        )
+        w = ExactMatrix.from_rows([row + [-(num / d)] for row, num, d in zip(powers, nums, div_w)])
         lhs_w = sign(n - 1) * determinant(w) / vandermonde
-        rhs_w = c * q**k / prod_x
+        rhs_w = cq / prod_x
         if k == n:
             rhs_w = rhs_w - a ** (n - 1) * q ** ((n - 1) * (n - 2) // 2) * (
                 ONE - a * b * c * q ** (2 * n - 1)
@@ -264,7 +264,7 @@ def _conjugated(pt, n: int):
     m = build_m(k, a, b, c, q)
     p = build_triangular("X", n, k, a=a, q=q) @ m @ build_triangular("Y", n, None, q=q)
     qq = build_triangular("L", n, k, a=a, b=b, q=q) @ m @ build_triangular("U", n, None, q=q)
-    return k, m, p, qq
+    return k, p, qq
 
 
 @check(
@@ -277,7 +277,15 @@ def _conjugated(pt, n: int):
 )
 def bottom_rows(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
-    k, _, p, qq = _conjugated(pt, n)
+    k = pt.k_tuple[:n]
+    m = build_m(k, a, b, c, q)
+    # Only row n of each conjugation is read, so row n of X (and of L) is
+    # carried through as 1 x n products.
+    bottom, cols = [n], list(range(1, n + 1))
+    x_row = submatrix(build_triangular("X", n, k, a=a, q=q), bottom, cols)
+    p = x_row @ m @ build_triangular("Y", n, None, q=q)
+    l_row = submatrix(build_triangular("L", n, k, a=a, b=b, q=q), bottom, cols)
+    qq = l_row @ m @ build_triangular("U", n, None, q=q)
     sum_k = sum(k)
     _, inv_ax, inv_abx = _x_products([q**kv for kv in k], a, a * b * q ** (n - 1))
     comps = []
@@ -299,8 +307,8 @@ def bottom_rows(pt, n: int) -> list[Comparison]:
         else:
             expected_p = ZERO
             expected_q = ZERO
-        comps.append((f"first conjugation bottom row, j={j}", p.at(n, j), expected_p))
-        comps.append((f"second conjugation bottom row, j={j}", qq.at(n, j), expected_q))
+        comps.append((f"first conjugation bottom row, j={j}", p.at(1, j), expected_p))
+        comps.append((f"second conjugation bottom row, j={j}", qq.at(1, j), expected_q))
     return comps
 
 
@@ -343,7 +351,7 @@ def triangular_inverses(pt, n: int) -> list[Comparison]:
 )
 def pq_lemma(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
-    k, _, p, qq = _conjugated(pt, n)
+    k, p, qq = _conjugated(pt, n)
     head = list(k[:-1])
     denom = q ** sum(head) * _q_vandermonde([h + 1 for h in head], q)
     rows = list(range(1, n))

@@ -36,6 +36,12 @@ REPORT_SHA256_AT_SEED = {
     8: "9f4de97d21b789580094727270430bac65c0c69adf547f18731257a066582c70",
     2012: "0e42d02ec2f3e432a5b9be1de5d9ffa6b297db01eb3493c035868be6a9aabb20",
 }
+# The R-sum and conjugation checks above their default sizes (n = 7..9, 2
+# trials, seed 2012), where the dynamic programs and running products run longest.
+ROWS_ABOVE_DEFAULT_CHECKS = [
+    "bottom_rows", "m_closed", "m_recurrence", "pq_lemma", "r_closed", "r_recurrence", "r_sum", "thm_rows",
+]
+ROWS_ABOVE_DEFAULT_SHA256 = "6e59ee1c3a876142586d3f358bff43070c9764782cb4437f25ef4a1bf4faa6fd"
 
 
 def criterion(num, description, fn):
@@ -336,3 +342,10 @@ def test_default_report_is_pinned_at_other_seeds(monkeypatch, seed):
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
     report = run_suite(check_ids(), trials=TRIALS, seed=seed)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256_AT_SEED[seed]
+
+
+def test_rows_checks_above_default_sizes_are_pinned(monkeypatch):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    report = run_suite(ROWS_ABOVE_DEFAULT_CHECKS, n_min=7, n_max=9, trials=2, seed=2012)
+    assert_clean(report)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == ROWS_ABOVE_DEFAULT_SHA256

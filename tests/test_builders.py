@@ -18,6 +18,7 @@ from qdetlab.identities import (
     moment_hankel_rows,
     moments,
     nishizawa_matrix,
+    r_values,
     row_factors,
     theorem_matrix_rows,
     triangular_inverse,
@@ -175,6 +176,36 @@ class TestTriangulars:
         expected = -(Q**kj * (ONE - A * B * Q ** (kj + n - 1))).reciprocal()
         assert l_mat.at(1, 1) == expected
 
+    def test_x_and_l_match_the_per_entry_product(self):
+        def reference(kind, n, k, a, b, q):
+            shift = a if kind == "X" else a * b * q ** (n - 1)
+
+            def entry(i, j):
+                if i < j:
+                    return ZERO
+                qk = q ** k[j - 1]
+                prod = qk * (ONE - shift * qk)
+                for l in range(1, i + 1):
+                    if l != j:
+                        prod = prod * (q ** k[l - 1] - qk)
+                return -prod.reciprocal()
+
+            return ExactMatrix.build(n, n, entry)
+
+        rng = random.Random(64)
+        for n in range(0, 7):
+            for q in (Q, frac(-3, 4), GaussianRational(Fraction(1, 2), 1)):
+                k = rng.sample(range(1, 13), 12)
+                for kind in ("X", "L"):
+                    expected = reference(kind, n, k, A, B, q)
+                    assert build_triangular(kind, n, k, a=A, b=B, q=q) == expected
+        # Where a product vanishes (a repeated row index, or 1 - a q^{k_j} = 0),
+        # both raise the same error.
+        for kind, k, a in (("X", [2, 3, 2], A), ("L", [2, 3, 2], A), ("X", [1, 3, 4], frac(1, 2))):
+            for build in (reference, lambda kind, n, k, a, b, q: build_triangular(kind, n, k, a=a, b=b, q=q)):
+                with pytest.raises(ZeroDivisionError, match="division by zero in QQ"):
+                    build(kind, 3, k, a, B, Q)
+
     def test_closed_inverses(self):
         from qdetlab import ExactMatrix
 
@@ -229,6 +260,32 @@ def compute_r_reference(n, nu, k_tuple, a, b, q):
     return total
 
 
+def compute_r_forward(n, nu, k_tuple, a, b, q):
+    """R_{n,nu} by a forward dynamic program for this nu alone.
+
+    After v steps, partial[t] sums the placements of 1..v with t of them in
+    the i-tuple.  Placing v in the i-tuple (while t < n - nu) multiplies by
+    q^{v-1} (1 - a q^{k_v-v+t+1+nu}); placing it in the j-tuple (while
+    v - t <= nu) multiplies by (1 - ab q^{k_v+t+nu-1}).
+    """
+    if nu < 0 or nu > n:
+        return ZERO
+    ab = a * b
+    partial = [ONE] + [ZERO] * (n - nu)
+    for v in range(1, n + 1):
+        k = k_tuple[v - 1]
+        step = [ZERO] * (n - nu + 1)
+        for t, value in enumerate(partial):
+            if not value:
+                continue  # unreached, or a sum that adds nothing
+            if t < n - nu:
+                step[t + 1] = step[t + 1] + value * q ** (v - 1) * (ONE - a * q ** (k - v + t + 1 + nu))
+            if v - t <= nu:
+                step[t] = step[t] + value * (ONE - ab * q ** (k + t + nu - 1))
+        partial = step
+    return partial[n - nu]
+
+
 class TestRowFactors:
     def test_matches_two_q_pochhammers(self):
         rng = random.Random(61)
@@ -269,6 +326,30 @@ class TestComputeR:
             for k in ([1] * n, list(range(1, n + 1)), [3, 1, 2, 1, 1][:n]):
                 for nu in range(-1, n + 2):
                     assert compute_r(n, nu, k, A, B, ZERO) == compute_r_reference(n, nu, k, A, B, ZERO)
+
+    def test_values_match_both_references_for_every_nu(self):
+        rng = random.Random(63)
+        for n in range(0, 7):
+            for _ in range(3):
+                k = [rng.randint(1, 12) for _ in range(n + rng.randint(0, 2))]
+                a, b = frac(rng.randint(-9, 9), rng.randint(1, 9)), frac(rng.randint(-9, 9), rng.randint(1, 9))
+                for q in (
+                    GaussianRational(Fraction(rng.choice([-3, -2, 2, 3]), rng.randint(1, 4)), rng.randint(1, 2)),
+                    frac(rng.choice([-3, -1, 1, 3]), rng.randint(2, 5)),
+                    ZERO,
+                ):
+                    values = r_values(n, k, a, b, q)
+                    assert len(values) == n + 1
+                    assert values == [compute_r_reference(n, nu, k, a, b, q) for nu in range(n + 1)]
+                    assert values == [compute_r_forward(n, nu, k, a, b, q) for nu in range(n + 1)]
+
+    def test_values_at_size_zero_and_short_tuples(self):
+        assert r_values(0, [], A, B, Q) == [ONE]
+        assert r_values(0, [5], A, B, ZERO) == [ONE]
+        with pytest.raises(ValueError):
+            r_values(2, [3], A, B, Q)
+        # compute_r reads r_values only inside 0 <= nu <= n.
+        assert compute_r(3, 4, [1, 2], A, B, Q) == ZERO
 
     def test_single_row(self):
         assert compute_r(1, 0, [4], A, B, Q) == ONE - A * Q**4

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qdetlab import GaussianRational, I, ONE, ZERO, ParseError, parse
 
@@ -44,6 +44,9 @@ def test_division_by_conjugate():
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+    for x in (ONE, ZERO, I, Fraction(-2, 3), 5):
+        with pytest.raises(ZeroDivisionError, match="division by zero in QQ"):
+            x / ZERO
     with pytest.raises(ZeroDivisionError):
         ZERO.reciprocal()
     with pytest.raises(ZeroDivisionError):
@@ -81,6 +84,8 @@ def assert_built_as(z, re, im):
 
 
 @given(operands, operands)
+# (4/9) / (-2/3) = -2/3 needs both cross-gcds, 2 and 3, and the sign moved up.
+@example(gq((4, 9)), gq((-2, 3)))
 def test_real_operations_match_the_general_formulas(x, y):
     """Real, complex and large operands give the Fraction formulas' parts."""
     a, b, c, d = x.re, x.im, y.re, y.im
@@ -89,6 +94,11 @@ def test_real_operations_match_the_general_formulas(x, y):
     assert_built_as(x - y, a - c, b - d)
     assert_built_as(a - y, a - c, -d)  # Fraction - GaussianRational goes through __rsub__
     assert_built_as(1 - y, 1 - c, -d)
+    if y:
+        norm = c * c + d * d
+        assert_built_as(x / y, (a * c + b * d) / norm, (b * c - a * d) / norm)
+        # Fraction / GaussianRational goes through __rtruediv__
+        assert_built_as(a / y, a * c / norm, -a * d / norm)
 
 
 @given(operands.filter(bool))
