@@ -5,7 +5,6 @@ from .builders import (
     build_theorem_matrix,
     build_triangular,
     classical_matrix,
-    compute_r,
     mehta_wang_matrix,
     moment,
     moment_hankel,
@@ -32,7 +31,6 @@ __all__ = [
     "build_triangular",
     "check_ids",
     "classical_matrix",
-    "compute_r",
     "get_check",
     "mehta_wang_matrix",
     "moment",

@@ -242,11 +242,6 @@ def r_values(n: int, k_tuple: Sequence[int], a, b, q) -> list[GaussianRational]:
     return h
 
 
-def compute_r(n: int, nu: int, k_tuple: Sequence[int], a, b, q) -> GaussianRational:
-    """R_{n,nu} read from :func:`r_values`; 0 unless 0 <= nu <= n."""
-    return r_values(n, k_tuple, a, b, q)[nu] if 0 <= nu <= n else ZERO
-
-
 def mehta_wang_matrix(n: int, a, b) -> ExactMatrix:
     """Gamma-normalized classical kernel ((a + j - i) (b)_{i+j-2})_{1<=i,j<=n}."""
     a, b = to_gq(a), to_gq(b)

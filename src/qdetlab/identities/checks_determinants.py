@@ -127,7 +127,7 @@ def nishizawa(pt, n: int) -> list[Comparison]:
     ft = q_pochhammers(t2, q, 0, n - 1)
     for k in range(1, n + 1):
         pre = pre * fq[k - 1] * ft[k - 1]
-    rhs = pre * al_salam_chihara(n, ZERO, s * t * I, -(t / s) * I, q, "recurrence")
+    rhs = pre * al_salam_chihara(n, ZERO, s * t * I, -(t / s) * I, q)
     comps = [("normalized determinant vs Al-Salam-Chihara closed form", det_f, rhs)]
 
     # The same determinant, renormalized by q-Gamma ratios, against the
@@ -205,7 +205,6 @@ def thm_main_aw(pt, n: int) -> list[Comparison]:
     value = askey_wilson(
         n,
         AWParams(alpha * gamma * krp * I, -(alpha / gamma) * krp * I, beta * I, -(beta * I), q, ZERO),
-        "hypergeometric",
     )
     rhs = (
         (-I) ** n
@@ -272,7 +271,6 @@ def cor_even_aw(pt, m: int) -> list[Comparison]:
             q2,
             (c + c.reciprocal()) / 2,
         ),
-        "hypergeometric",
     )
     rhs = (
         sign(m)
@@ -348,7 +346,6 @@ def cor_odd_aw(pt, m: int) -> list[Comparison]:
             q2,
             (c + c.reciprocal()) / 2,
         ),
-        "hypergeometric",
     )
     rhs = (
         sign(m)

@@ -45,6 +45,18 @@ def _x_products(xs, a, abq) -> tuple[GaussianRational, GaussianRational, Gaussia
     return prod_x, inv_ax, inv_abx
 
 
+def _residue_denominators(xs, shift) -> list[GaussianRational]:
+    """x_nu (1 - shift x_nu) prod_{l != nu} (x_l - x_nu) for each x_nu in ``xs``."""
+    out = []
+    for nu, x in enumerate(xs):
+        d = x * (ONE - shift * x)
+        for l, y in enumerate(xs):
+            if l != nu:
+                d = d * (y - x)
+        out.append(d)
+    return out
+
+
 def _row_scale(k, n, a, b, q) -> GaussianRational:
     """prod_i (aq;q)_{k_i-1} / (abq^2;q)_{k_i+n-2}: the kernel over the cleared matrix."""
     fa = q_pochhammers(a * q, q, min(k) - 1, max(k) - 1)
@@ -179,17 +191,10 @@ def residue_ids(pt, n: int) -> list[Comparison]:
     abq = a * b * q ** (n - 1)
     prod_x, inv_ax, inv_abx = _x_products(xs, a, abq)
     factors = [row_factors(x, a, a * b, q, n) for x in xs]
-    # x_nu / q and both kinds' denominators, x_nu prod_{l != nu} (x_l - x_nu)
-    # times (1 - a x_nu) or (1 - abq x_nu), do not depend on j.
-    xq, den1, den2 = [], [], []
-    for nu, x in enumerate(xs):
-        core = x
-        for l, y in enumerate(xs):
-            if l != nu:
-                core = core * (y - x)
-        xq.append(x / q)
-        den1.append(core * (ONE - a * x))
-        den2.append(core * (ONE - abq * x))
+    # x_nu / q and both kinds' denominators do not depend on j.
+    xq = [x / q for x in xs]
+    den1 = _residue_denominators(xs, a)
+    den2 = _residue_denominators(xs, abq)
     comps = []
     for j in range(1, n + 1):
         cq = c * q ** (j - 1)
@@ -279,15 +284,16 @@ def bottom_rows(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
     m = build_m(k, a, b, c, q)
-    # Only row n of each conjugation is read, so row n of X (and of L) is
-    # carried through as 1 x n products.
-    bottom, cols = [n], list(range(1, n + 1))
-    x_row = submatrix(build_triangular("X", n, k, a=a, q=q), bottom, cols)
+    # Only row n of each conjugation is read: -1/d_j in X (in L), d_j the residue denominator
+    # at x = q^{k_j} with shift a (ab q^{n-1}), which every entry's denominator in column j divides.
+    xs = [q**kv for kv in k]
+    abq = a * b * q ** (n - 1)
+    x_row = ExactMatrix(1, n, [-d.reciprocal() for d in _residue_denominators(xs, a)])
     p = x_row @ m @ build_triangular("Y", n, None, q=q)
-    l_row = submatrix(build_triangular("L", n, k, a=a, b=b, q=q), bottom, cols)
+    l_row = ExactMatrix(1, n, [-d.reciprocal() for d in _residue_denominators(xs, abq)])
     qq = l_row @ m @ build_triangular("U", n, None, q=q)
     sum_k = sum(k)
-    _, inv_ax, inv_abx = _x_products([q**kv for kv in k], a, a * b * q ** (n - 1))
+    _, inv_ax, inv_abx = _x_products(xs, a, abq)
     comps = []
     for j in range(1, n + 1):
         if j == 1:

@@ -131,7 +131,7 @@ def even_odd_factorization(pt, m: int) -> list[Comparison]:
     q2 = q * q
     c2 = c * c
     x0 = -(a / b + b / a) / 2
-    even_lhs = askey_wilson(2 * m, AWParams(a, b, c, -c, q, ZERO), "hypergeometric")
+    even_lhs = askey_wilson(2 * m, AWParams(a, b, c, -c, q, ZERO))
     even_rhs = (
         sign(m)
         * a**m
@@ -142,10 +142,9 @@ def even_odd_factorization(pt, m: int) -> list[Comparison]:
         * askey_wilson(
             m,
             AWParams(ONE, q, a * b, -(q ** (-4 * m + 2)) / (a * b * c2), q2, x0),
-            "hypergeometric",
         )
     )
-    odd_lhs = askey_wilson(2 * m + 1, AWParams(a, b, c, -c, q, ZERO), "hypergeometric")
+    odd_lhs = askey_wilson(2 * m + 1, AWParams(a, b, c, -c, q, ZERO))
     odd_rhs = (
         sign(m + 1)
         * a**m
@@ -157,7 +156,6 @@ def even_odd_factorization(pt, m: int) -> list[Comparison]:
         * askey_wilson(
             m,
             AWParams(q, q2, a * b, -(q ** (-4 * m)) / (a * b * c2), q2, x0),
-            "hypergeometric",
         )
     )
     return [
@@ -174,5 +172,5 @@ def even_odd_factorization(pt, m: int) -> list[Comparison]:
 )
 def andrews(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
-    lhs = askey_wilson(n, AWParams(a, -a, b, -b, q, ZERO), "hypergeometric")
+    lhs = askey_wilson(n, AWParams(a, -a, b, -b, q, ZERO))
     return [("paired-parameter origin value vs closed product", lhs, andrews_rhs(n, a, b, q))]

@@ -9,7 +9,7 @@ fraction-free, and every later division is exact (Bareiss 1968 for
 determinants, the Pfaffian form of Sylvester's identity for Pfaffians;
 Knuth, "Overlapping Pfaffians", 1996).  Each value is reduced to lowest
 terms once, at the end.  Pivots are the first nonzero entries, so runs stay
-reproducible.
+reproducible.  The tests check this one path against expansion oracles.
 """
 
 from __future__ import annotations
@@ -165,43 +165,13 @@ def _det_elimination(m: ExactMatrix) -> GaussianRational:
     return _reduced(sign * qr, sign * qi, prod(ls))
 
 
-def _det_cofactor(m: ExactMatrix) -> GaussianRational:
-    n = m.rows
-    rows = m.to_lists()
-
-    def rec(row_ids: list[int], col_ids: list[int]) -> GaussianRational:
-        if not row_ids:
-            return ONE
-        i = row_ids[0]
-        rest = row_ids[1:]
-        total = ZERO
-        for pos, j in enumerate(col_ids):
-            a = rows[i][j]
-            if not a:
-                continue
-            minor = rec(rest, col_ids[:pos] + col_ids[pos + 1 :])
-            term = a * minor
-            total = total + (term if pos % 2 == 0 else -term)
-        return total
-
-    return rec(list(range(n)), list(range(n)))
-
-
-def determinant(m: ExactMatrix, method: str = "elimination") -> GaussianRational:
-    """Exact determinant; the 0x0 determinant is 1.
-
-    ``elimination`` is the workhorse: fraction-free Bareiss elimination over
-    the Gaussian integers, with first-nonzero pivoting, after each row is
-    scaled by the lcm of its denominators.  ``cofactor`` is the independent
-    first-row-expansion oracle for n <= 5.
-    """
+def determinant(m: ExactMatrix) -> GaussianRational:
+    """Exact determinant by fraction-free Bareiss elimination over the
+    Gaussian integers, with first-nonzero pivoting, after each row is scaled
+    by the lcm of its denominators; the 0x0 determinant is 1."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    if method == "elimination":
-        return _det_elimination(m)
-    if method == "cofactor":
-        return _det_cofactor(m)
-    raise ValueError(f"unknown method {method!r}")
+    return _det_elimination(m)
 
 
 def _check_skew(m: ExactMatrix) -> None:
@@ -266,39 +236,13 @@ def _pf_elimination(m: ExactMatrix) -> GaussianRational:
     return _reduced(sign * qr, sign * qi, prod(ls))
 
 
-def _pf_expansion(m: ExactMatrix) -> GaussianRational:
-    rows = m.to_lists()
-
-    def rec(ids: list[int]) -> GaussianRational:
-        if not ids:
-            return ONE
-        i = ids[0]
-        total = ZERO
-        for pos in range(1, len(ids)):
-            j = ids[pos]
-            a = rows[i][j]
-            if not a:
-                continue
-            term = a * rec(ids[1:pos] + ids[pos + 1 :])
-            total = total + (term if pos % 2 == 1 else -term)
-        return total
-
-    return rec(list(range(m.rows)))
-
-
-def pfaffian(m: ExactMatrix, method: str = "elimination") -> GaussianRational:
+def pfaffian(m: ExactMatrix) -> GaussianRational:
     """Exact Pfaffian of an even-dimensional skew-symmetric matrix; Pf of the
     0x0 matrix is 1.  Odd dimension or non-skew input is rejected outright.
 
-    ``elimination`` is the workhorse: fraction-free pivot-pair elimination
-    over the Gaussian integers, with the first nonzero partner in the pivot
-    row, after the congruence W = D M D, D the diagonal of the rows' lcms of
-    denominators.  ``expansion`` is the first-row-expansion oracle for sizes
-    up to 6.
+    Fraction-free pivot-pair elimination over the Gaussian integers, with the
+    first nonzero partner in the pivot row, after the congruence W = D M D,
+    D the diagonal of the rows' lcms of denominators.
     """
     _check_skew(m)
-    if method == "elimination":
-        return _pf_elimination(m)
-    if method == "expansion":
-        return _pf_expansion(m)
-    raise ValueError(f"unknown method {method!r}")
+    return _pf_elimination(m)

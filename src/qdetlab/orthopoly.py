@@ -1,11 +1,11 @@
 """Exact evaluators for the orthogonal-polynomial families used by the checks.
 
-Each family ships at least two independent computation paths (three for the
-q-deformed Meixner-type sequence) so the test suite can cross-validate them.
-The complex exponential never appears: the conjugate parameter pair of the
-basic hypergeometric form is evaluated through the paired product
-prod_j (1 - 2 a x q^j + a^2 q^{2j}), which is rational in x = cos(theta),
-keeping everything inside QQ(i).
+Each function has one evaluation path, except the D-sequences, whose forms
+are what the checks compare.  Askey-Wilson values come from the 4-phi-3 form
+or, degree by degree, from the recurrence.  The complex exponential never
+appears: the conjugate parameter pair of the basic hypergeometric form is
+evaluated through the paired product prod_j (1 - 2 a x q^j + a^2 q^{2j}),
+which is rational in x = cos(theta), keeping everything inside QQ(i).
 """
 
 from __future__ import annotations
@@ -40,16 +40,14 @@ class AWParams:
     x: GaussianRational
 
 
-def aw_params(a, b, c, d, q, x) -> AWParams:
-    return AWParams(to_gq(a), to_gq(b), to_gq(c), to_gq(d), to_gq(q), to_gq(x))
-
-
 def askey_wilson_values(n: int, params: AWParams) -> dict[int, GaussianRational]:
     """p_{-1}..p_n(x; a, b, c, d; q) keyed by degree, by the printed three-term recurrence.
 
     Step k checks the printed coefficients in order: the denominators of A
-    and C, the division in B, then a vanishing A.  The values up to n raise
-    PoleError exactly when p_n does.
+    and C, then the division in B.  A itself never vanishes: its numerator
+    1 - abcd q^{k-1} is a factor of the A denominator at step ceil((k-1)/2),
+    which is checked first.  The values up to n raise PoleError exactly when
+    p_n does.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -85,14 +83,18 @@ def askey_wilson_values(n: int, params: AWParams) -> dict[int, GaussianRational]
             raise PoleError("vanishing recurrence denominator", f"B division at n={k}")
         pair_next = (ONE - ab * qk) * (ONE - ac * qk) * (ONE - ad * qk)
         coeff_b = a + a_inv - coeff_a * a_inv * pair_next - coeff_c * a / pair
-        if not coeff_a:
-            raise PoleError("vanishing leading recurrence coefficient", f"A at n={k}")
         values[k + 1] = ((two_x - coeff_b) * values[k] - coeff_c * values[k - 1]) / coeff_a
         qk1, f_lo, pair = qk, f_hi, pair_next
     return values
 
 
-def _aw_hypergeometric(n: int, p: AWParams) -> GaussianRational:
+def askey_wilson(n: int, p: AWParams) -> GaussianRational:
+    """p_n(x; a, b, c, d; q) for n >= -1 (p_{-1} = 0, p_0 = 1), by the
+    terminating 4-phi-3 form."""
+    if n == -1:
+        return ZERO
+    if n < -1:
+        raise ValueError("degree must be >= -1")
     a, q = p.a, p.q
     if not a:
         raise PoleError("basic hypergeometric form requires a nonzero leading parameter", "a=0")
@@ -122,44 +124,23 @@ def _aw_hypergeometric(n: int, p: AWParams) -> GaussianRational:
     return prefactor * total
 
 
-def askey_wilson(n: int, params: AWParams, method: str = "recurrence") -> GaussianRational:
-    """p_n(x; a, b, c, d; q) for n >= -1 (p_{-1} = 0, p_0 = 1).
-
-    ``method`` selects the three-term recurrence or the terminating 4-phi-3
-    form; the two agree exactly and serve as mutual oracles.
-    """
-    if n == -1:
-        return ZERO
-    if n < -1:
-        raise ValueError("degree must be >= -1")
-    if method == "recurrence":
-        return askey_wilson_values(n, params)[n]
-    if method == "hypergeometric":
-        return _aw_hypergeometric(n, params)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def al_salam_chihara(n: int, x, big_a, big_b, q, method: str = "recurrence") -> GaussianRational:
-    """Q_n(x; A, B; q) by recurrence or by its 3-phi-2 form, summed as the c = d = 0
-    case of the Askey-Wilson 4-phi-3 form (Koekoek, Lesky and Swarttouw, 14.8)."""
+def al_salam_chihara(n: int, x, big_a, big_b, q) -> GaussianRational:
+    """Q_n(x; A, B; q) by its three-term recurrence.  It is the c = d = 0 case
+    of Askey-Wilson (Koekoek, Lesky and Swarttouw, 14.8)."""
     x, big_a, big_b, q = to_gq(x), to_gq(big_a), to_gq(big_b), to_gq(q)
     if n == -1:
         return ZERO
     if n < -1:
         raise ValueError("degree must be >= -1")
-    if method == "recurrence":
-        prev, cur = ZERO, ONE
-        two_x = TWO * x
-        ab = big_a * big_b
-        for k in range(n):
-            prev, cur = cur, (
-                (two_x - (big_a + big_b) * q**k) * cur
-                - (ONE - q**k) * (ONE - ab * q ** (k - 1)) * prev
-            )
-        return cur
-    if method == "hypergeometric":
-        return askey_wilson(n, AWParams(big_a, big_b, ZERO, ZERO, q, x), "hypergeometric")
-    raise ValueError(f"unknown method {method!r}")
+    prev, cur = ZERO, ONE
+    two_x = TWO * x
+    ab = big_a * big_b
+    for k in range(n):
+        prev, cur = cur, (
+            (two_x - (big_a + big_b) * q**k) * cur
+            - (ONE - q**k) * (ONE - ab * q ** (k - 1)) * prev
+        )
+    return cur
 
 
 def continuous_hahn(n: int, t, a, b, c, d) -> GaussianRational:
@@ -269,7 +250,7 @@ def nishizawa_d(n: int, s, t, q, method: str = "recurrence") -> GaussianRational
             (-I) ** n
             * st ** (-n)
             * (ONE - q) ** (-n)
-            * al_salam_chihara(n, ZERO, st * I, -(t / s) * I, q, "recurrence")
+            * al_salam_chihara(n, ZERO, st * I, -(t / s) * I, q)
         )
     raise ValueError(f"unknown method {method!r}")
 

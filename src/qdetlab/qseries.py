@@ -2,11 +2,11 @@
 
 All evaluation is exact over QQ(i).  Each factorial sequence has one loop:
 :func:`q_pochhammers` and :func:`rising_factorials` build a whole index
-range by the running recurrence, and the single-index :func:`q_pochhammer`,
-:func:`rising_factorial` and :func:`q_binomial` read those tables, so a
-caller that needs many indices builds one table instead of one product per
-index.  Series are only ever summed when they
-terminate.  A basic series is summed to the order n its caller declares,
+range by the running recurrence, the single-index :func:`q_pochhammer` and
+:func:`rising_factorial` read those tables, and :func:`q_binomials` reads
+every coefficient up to its top row from one (q;q) table, so a caller that
+needs many indices builds one table instead of one product per index.
+Series are only ever summed when they terminate.  A basic series is summed to the order n its caller declares,
 and some numerator must equal ``q**(-n)``; the order is never searched for.
 A classical series terminates at its nonpositive-integer numerator.
 Running into a vanishing denominator factor raises
@@ -119,11 +119,6 @@ def q_binomials(q, top: int) -> Callable[[int, int], GaussianRational]:
         return f[n] / (f[k] * f[n - k])
 
     return binomial
-
-
-def q_binomial(n: int, k: int, q) -> GaussianRational:
-    """Gaussian binomial coefficient; 0 when k is out of range."""
-    return q_binomials(q, n)(n, k)
 
 
 def rising_factorials(a, lo: int, hi: int) -> dict[int, GaussianRational]:

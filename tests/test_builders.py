@@ -11,7 +11,6 @@ from qdetlab.identities import (
     build_m,
     build_theorem_matrix,
     build_triangular,
-    compute_r,
     mehta_wang_matrix,
     moment,
     moment_hankel,
@@ -23,7 +22,7 @@ from qdetlab.identities import (
     theorem_matrix_rows,
     triangular_inverse,
 )
-from qdetlab.qseries import q_binomial, q_pochhammer, rising_factorial
+from qdetlab.qseries import q_binomials, q_pochhammer, rising_factorial
 
 
 def frac(num, den=1):
@@ -215,30 +214,31 @@ class TestTriangulars:
 
     def test_y_binomial_content(self):
         y = build_triangular("Y", 3, None, q=Q)
-        assert y.at(3, 1) == Q ** (-3) * q_binomial(2, 2, Q)
+        assert y.at(3, 1) == Q ** (-3) * q_binomials(Q, 2)(2, 2)
 
     def test_q_binomial_entries(self):
-        # every entry of Y, U and their inverses against the displayed formulas
+        # every entry of Y, U and their inverses against the displayed formulas,
+        # with qb(n, k) the Gaussian binomial [n, k]_q
         sign = lambda e: ONE if e % 2 == 0 else -ONE
         formulas = {
-            "Y": lambda n, i, j, q: sign(i + j) * q ** (-((i - j) * (2 * n + 1 - i - j)) // 2)
-            * q_binomial(n - j, i - j, q),
-            "U": lambda n, i, j, q: sign(i + j) * q ** (((j - i) * (j - i + 1)) // 2)
-            * q_binomial(j - 1, j - i, q),
+            "Y": lambda n, i, j, q, qb: sign(i + j) * q ** (-((i - j) * (2 * n + 1 - i - j)) // 2)
+            * qb(n - j, i - j),
+            "U": lambda n, i, j, q, qb: sign(i + j) * q ** (((j - i) * (j - i + 1)) // 2) * qb(j - 1, j - i),
         }
         inverses = {
-            "Y": lambda n, i, j, q: q ** ((j - i) * (n + 1 - i)) * q_binomial(n - j, i - j, q),
-            "U": lambda n, i, j, q: q ** (j - i) * q_binomial(j - 1, i - 1, q),
+            "Y": lambda n, i, j, q, qb: q ** ((j - i) * (n + 1 - i)) * qb(n - j, i - j),
+            "U": lambda n, i, j, q, qb: q ** (j - i) * qb(j - 1, i - 1),
         }
         for q in (Q, frac(-3, 4), GaussianRational(1, 2)):
             for n in range(0, 7):
+                qb = q_binomials(q, n)
                 for kind in ("Y", "U"):
                     lower = kind == "Y"
                     expected = ExactMatrix.build(
-                        n, n, lambda i, j: formulas[kind](n, i, j, q) if (i >= j) == lower or i == j else ZERO
+                        n, n, lambda i, j: formulas[kind](n, i, j, q, qb) if (i >= j) == lower or i == j else ZERO
                     )
                     assert build_triangular(kind, n, None, q=q) == expected
-                    expected = ExactMatrix.build(n, n, lambda i, j: inverses[kind](n, i, j, q))
+                    expected = ExactMatrix.build(n, n, lambda i, j: inverses[kind](n, i, j, q, qb))
                     assert triangular_inverse(kind, n, q) == expected
 
 
@@ -309,6 +309,8 @@ class TestRowFactors:
 
 
 class TestComputeR:
+    """R_{n,0}..R_{n,n} as :func:`r_values` returns them."""
+
     def test_matches_subset_enumeration(self):
         rng = random.Random(62)
         for n in range(0, 7):
@@ -316,16 +318,16 @@ class TestComputeR:
                 k = [rng.randint(1, 12) for _ in range(n + rng.randint(0, 2))]
                 a, b = frac(rng.randint(-9, 9), rng.randint(1, 9)), frac(rng.randint(-9, 9), rng.randint(1, 9))
                 q = GaussianRational(Fraction(rng.choice([-3, -2, 2, 3]), rng.randint(1, 4)), rng.randint(-1, 1))
-                for nu in range(-1, n + 2):
-                    assert compute_r(n, nu, k, a, b, q) == compute_r_reference(n, nu, k, a, b, q)
+                expected = [compute_r_reference(n, nu, k, a, b, q) for nu in range(n + 1)]
+                assert r_values(n, k, a, b, q) == expected
 
     def test_polynomial_in_q(self):
         # R is a polynomial in q, so it is defined at q = 0: the sum must never
         # form a negative power of q.
         for n in range(0, 6):
             for k in ([1] * n, list(range(1, n + 1)), [3, 1, 2, 1, 1][:n]):
-                for nu in range(-1, n + 2):
-                    assert compute_r(n, nu, k, A, B, ZERO) == compute_r_reference(n, nu, k, A, B, ZERO)
+                expected = [compute_r_reference(n, nu, k, A, B, ZERO) for nu in range(n + 1)]
+                assert r_values(n, k, A, B, ZERO) == expected
 
     def test_values_match_both_references_for_every_nu(self):
         rng = random.Random(63)
@@ -348,18 +350,12 @@ class TestComputeR:
         assert r_values(0, [5], A, B, ZERO) == [ONE]
         with pytest.raises(ValueError):
             r_values(2, [3], A, B, Q)
-        # compute_r reads r_values only inside 0 <= nu <= n.
-        assert compute_r(3, 4, [1, 2], A, B, Q) == ZERO
 
     def test_single_row(self):
-        assert compute_r(1, 0, [4], A, B, Q) == ONE - A * Q**4
-
-    def test_out_of_range_convention(self):
-        assert compute_r(2, -1, [1, 2], A, B, Q) == ZERO
-        assert compute_r(2, 3, [1, 2], A, B, Q) == ZERO
+        assert r_values(1, [4], A, B, Q)[0] == ONE - A * Q**4
 
     def test_empty(self):
-        assert compute_r(0, 0, [], A, B, Q) == ONE
+        assert r_values(0, [], A, B, Q)[0] == ONE
 
     def test_three_row_expansion(self):
         k = [2, 5, 7]
@@ -369,11 +365,11 @@ class TestComputeR:
             + Q * (ONE - A * Q ** (k[1] + 1)) * (ONE - ab * Q ** (k[0] + 1)) * (ONE - ab * Q ** (k[2] + 2))
             + Q * Q * (ONE - A * Q ** k[2]) * (ONE - ab * Q ** (k[0] + 1)) * (ONE - ab * Q ** (k[1] + 1))
         )
-        assert compute_r(3, 2, k, A, B, Q) == expected
+        assert r_values(3, k, A, B, Q)[2] == expected
 
     def test_requires_enough_rows(self):
         with pytest.raises(ValueError):
-            compute_r(3, 1, [1, 2], A, B, Q)
+            r_values(3, [1, 2], A, B, Q)
 
 
 class TestClassicalKernels:

@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from qdetlab import I, ONE, PoleError, ZERO, GaussianRational
+from qdetlab import I, ONE, PoleError, ZERO, GaussianRational, to_gq
 from qdetlab.orthopoly import (
     AWParams,
     al_salam_chihara,
     andrews_rhs,
     askey_wilson,
     askey_wilson_values,
-    aw_params,
     continuous_hahn,
     mehta_wang_d,
     nishizawa_d,
@@ -38,7 +37,7 @@ def rand_q(rng):
 
 
 def rand_aw(rng):
-    return aw_params(*(rand_scalar(rng) for _ in range(4)), rand_q(rng), rand_scalar(rng))
+    return AWParams(*(rand_scalar(rng) for _ in range(4)), rand_q(rng), rand_scalar(rng))
 
 
 def aw_coeffs_reference(k, p):
@@ -109,9 +108,11 @@ def aw_grid():
 class TestAskeyWilson:
     def test_degree_zero_and_minus_one(self):
         p = rand_aw(random.Random(1))
-        assert askey_wilson(0, p, "recurrence") == ONE
-        assert askey_wilson(0, p, "hypergeometric") == ONE
-        assert askey_wilson(-1, p, "recurrence") == ZERO
+        assert askey_wilson_values(0, p)[0] == ONE
+        assert askey_wilson(0, p) == ONE
+        assert askey_wilson(-1, p) == ZERO
+        with pytest.raises(ValueError):
+            askey_wilson(-2, p)
 
     def test_methods_agree(self):
         rng = random.Random(2)
@@ -120,8 +121,8 @@ class TestAskeyWilson:
             p = rand_aw(rng)
             n = rng.randint(1, 8)
             try:
-                rec = askey_wilson(n, p, "recurrence")
-                hyp = askey_wilson(n, p, "hypergeometric")
+                rec = askey_wilson_values(n, p)[n]
+                hyp = askey_wilson(n, p)
             except PoleError:
                 continue
             assert rec == hyp
@@ -135,7 +136,7 @@ class TestAskeyWilson:
             n = rng.randint(1, 4)
             try:
                 values = {
-                    askey_wilson(n, AWParams(a, b, c, d, p.q, p.x), "hypergeometric")
+                    askey_wilson(n, AWParams(a, b, c, d, p.q, p.x))
                     for a, b, c, d in itertools.permutations((p.a, p.b, p.c, p.d))
                 }
             except PoleError:
@@ -147,7 +148,7 @@ class TestAskeyWilson:
         rng = random.Random(4)
         a = rand_scalar(rng) * I
         p = AWParams(a, -a, rand_scalar(rng), rand_q(rng), rand_q(rng), rand_scalar(rng))
-        assert askey_wilson(3, p, "recurrence") == askey_wilson(3, p, "hypergeometric")
+        assert askey_wilson_values(3, p)[3] == askey_wilson(3, p)
 
     def test_values_match_printed_coefficients_on_grid(self):
         # Values, exception types and messages agree with the printed
@@ -161,6 +162,21 @@ class TestAskeyWilson:
             poles += isinstance(expected, tuple)
         assert poles > 300
 
+    def test_vanishing_a_numerator_is_caught_by_an_earlier_denominator(self):
+        # abcd q^{k-1} = 1 zeroes the numerator of A at step k, but the same
+        # factor is in the A denominator at step ceil((k-1)/2) <= k, so both
+        # paths raise there, before the reference's vanishing-A guard.
+        rng = random.Random(14)
+        for k in range(7):
+            for _ in range(12):
+                a, b, c = (rand_scalar(rng) for _ in range(3))
+                q = rand_q(rng)
+                p = AWParams(a, b, c, q ** (1 - k) / (a * b * c), q, rand_scalar(rng))
+                for n in range(k + 2):
+                    assert outcome(askey_wilson_values, n, p) == outcome(aw_values_reference, n, p), (p, n)
+                raised = outcome(askey_wilson_values, k + 1, p)
+                assert raised[0] is PoleError and "vanishing recurrence denominator" in raised[1]
+
     def test_values_match_hypergeometric_form_on_grid(self):
         compared = 0
         for p in itertools.islice(aw_grid(), 0, None, 2):
@@ -170,7 +186,7 @@ class TestAskeyWilson:
                 continue
             for deg in range(6):
                 try:
-                    hyp = askey_wilson(deg, p, "hypergeometric")
+                    hyp = askey_wilson(deg, p)
                 except PoleError:
                     continue
                 assert values[deg] == hyp, (p, deg)
@@ -182,15 +198,15 @@ class TestAskeyWilson:
         assert askey_wilson_values(0, p) == {-1: ZERO, 0: ONE}
         values = askey_wilson_values(4, p)
         assert list(values) == [-1, 0, 1, 2, 3, 4]
-        assert values[4] == askey_wilson(4, p, "recurrence")
+        assert values[4] == askey_wilson(4, p)
         with pytest.raises(ValueError):
             askey_wilson_values(-1, p)
 
     def test_guard_rejects_vanishing_division(self):
         # ab q^{n-1} = 1 at n = 1 makes the printed middle-coefficient division vanish
-        p = aw_params(2, frac(1, 2), 3, 5, frac(1, 7), 1)
+        p = AWParams(*map(to_gq, (2, frac(1, 2), 3, 5, frac(1, 7), 1)))
         with pytest.raises(PoleError):
-            askey_wilson(2, p, "recurrence")
+            askey_wilson_values(2, p)
 
 
 class TestAlSalamChihara:
@@ -209,24 +225,20 @@ class TestAlSalamChihara:
             x, a, b, q = rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), rand_q(rng)
             n = rng.randint(1, 4)
             try:
-                recurrence = al_salam_chihara(n, x, a, b, q, "recurrence")
-                series = al_salam_chihara(n, x, a, b, q, "hypergeometric")
+                recurrence = al_salam_chihara(n, x, a, b, q)
+                series = askey_wilson(n, AWParams(a, b, ZERO, ZERO, q, x))
             except PoleError:
                 continue
             assert recurrence == series
             done += 1
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            al_salam_chihara(2, 1, 2, 3, frac(1, 2), "aw_special")
-
     def test_equals_askey_wilson_with_trailing_zeros(self):
         rng = random.Random(6)
         x, a, b, q = rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), rand_q(rng)
         for n in range(6):
-            assert al_salam_chihara(n, x, a, b, q) == askey_wilson(
-                n, AWParams(a, b, ZERO, ZERO, q, x), "recurrence"
-            )
+            assert al_salam_chihara(n, x, a, b, q) == askey_wilson_values(
+                n, AWParams(a, b, ZERO, ZERO, q, x)
+            )[n]
 
 
 class TestAndrews:
@@ -249,7 +261,7 @@ class TestAndrews:
             a, b, q = rand_scalar(rng), rand_scalar(rng), rand_q(rng)
             n = rng.randint(0, 8)
             try:
-                value = askey_wilson(n, AWParams(a, -a, b, -b, q, ZERO), "hypergeometric")
+                value = askey_wilson(n, AWParams(a, -a, b, -b, q, ZERO))
             except PoleError:
                 continue
             assert value == andrews_rhs(n, a, b, q)

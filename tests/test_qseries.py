@@ -9,7 +9,7 @@ from qdetlab import NonTerminatingSeriesError, ONE, PoleError, ZERO, GaussianRat
 from qdetlab.qseries import (
     hyper_f,
     phi_terms,
-    q_binomial,
+    q_binomials,
     q_factorial,
     q_number,
     q_pochhammer,
@@ -192,12 +192,12 @@ class TestQNumbers:
         assert q_factorial(3, q) == q_number(1, q) * q_number(2, q) * q_number(3, q)
 
     def test_q_binomial_edges(self):
-        assert q_binomial(5, 0, frac(4, 3)) == ONE
-        assert q_binomial(3, 5, frac(4, 3)) == ZERO
-        assert q_binomial(3, -1, frac(4, 3)) == ZERO
+        assert q_binomials(frac(4, 3), 5)(5, 0) == ONE
+        assert q_binomials(frac(4, 3), 3)(3, 5) == ZERO
+        assert q_binomials(frac(4, 3), 3)(3, -1) == ZERO
 
     def test_q_binomial_value(self):
-        assert q_binomial(4, 2, 2) == frac(35)
+        assert q_binomials(2, 4)(4, 2) == frac(35)
 
     def test_q_binomial_symmetry(self):
         rng = random.Random(33)
@@ -205,7 +205,8 @@ class TestQNumbers:
             q = rand_q(rng)
             n = rng.randint(0, 9)
             k = rng.randint(0, n)
-            assert q_binomial(n, k, q) == q_binomial(n, n - k, q)
+            binomial = q_binomials(q, n)
+            assert binomial(n, k) == binomial(n, n - k)
 
     def test_q_binomial_theorem(self):
         # sum_k (-1)^k x^k q^{k(k-1)/2} [n,k]_q == (x;q)_n
@@ -213,10 +214,11 @@ class TestQNumbers:
         for _ in range(20):
             x, q = rand_scalar(rng), rand_q(rng)
             n = rng.randint(0, 12)
+            binomial = q_binomials(q, n)
             total = ZERO
             for k in range(n + 1):
                 sign = ONE if k % 2 == 0 else -ONE
-                total = total + sign * x**k * q ** (k * (k - 1) // 2) * q_binomial(n, k, q)
+                total = total + sign * x**k * q ** (k * (k - 1) // 2) * binomial(n, k)
             assert total == q_pochhammer(x, q, n)
 
 
