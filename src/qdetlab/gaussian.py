@@ -200,6 +200,55 @@ def _reduced(r: int, i: int, d: int) -> GaussianRational:
     return _new(r, i, d) if g == 1 else _new(r // g, i // g, d // g)
 
 
+# -- unreduced triples --------------------------------------------------------
+# A running loop (a series, a recurrence, a moment sequence) carries each
+# quantity as a triple (re, im, den) of ints with den > 0, the value
+# (re + im*i)/den, unreduced, and reduces once per value it emits, with
+# _reduced(*triple).  A triple is zero exactly when both of its numerator
+# ints are.
+
+Triple = tuple[int, int, int]
+_ONE = (1, 0, 1)  # the triple of 1
+
+
+def _parts(z: GaussianRational) -> Triple:
+    """The triple of a scalar."""
+    return z._r, z._i, z._d
+
+
+def _tmul(x: Triple, y: Triple) -> Triple:
+    """x * y."""
+    a, b, p = x
+    c, e, s = y
+    return a * c - b * e, a * e + b * c, p * s
+
+
+def _tone_minus(x: Triple, y: Triple | None = None) -> Triple:
+    """1 - x, or 1 - x * y."""
+    r, i, d = x if y is None else _tmul(x, y)
+    return d - r, -i, d
+
+
+def _tsub(x: Triple, y: Triple) -> Triple:
+    """x - y."""
+    a, b, p = x
+    c, e, s = y
+    return a * s - c * p, b * s - e * p, p * s
+
+
+def _tdiv(x: Triple, y: Triple) -> Triple:
+    """x / y: x times the conjugate of y's numerator over its norm."""
+    a, b, p = x
+    c, e, s = y
+    if e:
+        return (a * c + b * e) * s, (b * c - a * e) * s, p * (c * c + e * e)
+    if c > 0:
+        return a * s, b * s, p * c
+    if not c:
+        raise ZeroDivisionError("division by zero in QQ(i)")
+    return -a * s, -b * s, -p * c
+
+
 def _add(a: int, b: int, p: int, c: int, e: int, s: int) -> GaussianRational:
     """(a + b*i)/p + (c + e*i)/s.  Only primes of gcd(p, s) can cancel, as in Fraction._add."""
     g = gcd(p, s)

@@ -7,8 +7,9 @@ companions, and the ordered-partition sum R_{n,nu}.  Every sequence a
 builder reads (moments, q-powers, q-shifted and rising factorials) is built
 once per call by one running loop and read by index, and the n + 1 sums
 R_{n,0}..R_{n,n} come from one backward dynamic program over the row indices
-instead of from their C(n, nu) splittings.  All matrix builders use the
-1-based convention of the formulas.
+instead of from their C(n, nu) splittings.  The moment loop runs on
+unreduced Gaussian-integer triples and reduces once per moment.  All matrix
+builders use the 1-based convention of the formulas.
 """
 
 from __future__ import annotations
@@ -16,43 +17,47 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import PoleError
-from ..gaussian import ONE, ZERO, GaussianRational, sign, to_gq
+from ..gaussian import _ONE, ONE, ZERO, GaussianRational, _reduced, _tdiv, _tmul, sign, to_gq
 from ..linalg import ExactMatrix
-from ..qseries import q_binomials, q_pochhammer_tails, q_pochhammers, rising_factorials
+from ..qseries import _one_minus_powers, q_binomials, q_pochhammer_tails, q_pochhammers, rising_factorials
 
 
 def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
     """Little q-Jacobi moments mu_lo..mu_hi keyed by index, mu_m = (aq;q)_m / (abq^2;q)_m.
 
     Runs mu_{m+1} = mu_m (1 - a q^{m+1}) / (1 - ab q^{m+2}) up from mu_0 = 1
-    and down from it for negative m.  Poles are upward-closed for m >= 0 and
-    downward-closed for m < 0, so the range raises PoleError exactly when one
-    of its moments has a pole.
+    and down from it for negative m, carrying the numerator and denominator
+    products apart and dividing once per emitted moment.  Poles are
+    upward-closed for m >= 0 and downward-closed for m < 0, so the range
+    raises PoleError exactly when one of its moments has a pole.
     """
     if lo > hi:
         return {}
     a, b, q = to_gq(a), to_gq(b), to_gq(q)
-    mu = {0: ONE}
-    value, x, y = ONE, a * q, a * b * q * q  # mu_m, a q^{m+1}, ab q^{m+2} at m = 0
-    for m in range(hi):
-        den = ONE - y
-        if not den:
-            raise PoleError("vanishing moment denominator", f"(abq^2;q)_{m + 1}")
-        value = mu[m + 1] = value * (ONE - x) / den
-        x, y = x * q, y * q
+    aq, abq2 = a * q, a * b * q * q
+    out = [ONE] if lo <= 0 <= hi else []
+    num = den = _ONE
+    for m, fx, fy in zip(range(1, hi + 1), _one_minus_powers(aq, q), _one_minus_powers(abq2, q)):
+        if not (fy[0] or fy[1]):
+            raise PoleError("vanishing moment denominator", f"(abq^2;q)_{m}")
+        num, den = _tmul(num, fx), _tmul(den, fy)
+        if m >= lo:
+            out.append(_reduced(*_tdiv(num, den)))
     if lo < 0:
-        qinv = q.reciprocal()
-        value, x, y = ONE, a, a * b * q  # mu_{m+1}, a q^{m+1}, ab q^{m+2} at m = -1
-        for m in range(-1, lo - 1, -1):
-            num, den = ONE - y, ONE - x
-            if not num or not den:
+        down = []
+        num = den = _ONE
+        steps = zip(range(-1, lo - 1, -1), _one_minus_powers(abq2, q, True), _one_minus_powers(aq, q, True))
+        for m, fy, fx in steps:
+            if not (fy[0] or fy[1]) or not (fx[0] or fx[1]):
                 raise PoleError(
                     "vanishing factor in negative-index q-shifted factorial",
-                    f"(abq^2;q)_{m}" if not num else f"(aq;q)_{m}",
+                    f"(abq^2;q)_{m}" if not (fy[0] or fy[1]) else f"(aq;q)_{m}",
                 )
-            value = mu[m] = value * num / den
-            x, y = x * qinv, y * qinv
-    return {m: mu[m] for m in range(lo, hi + 1)}
+            num, den = _tmul(num, fy), _tmul(den, fx)
+            if m <= hi:
+                down.append(_reduced(*_tdiv(num, den)))
+        out = down[::-1] + out
+    return dict(zip(range(lo, hi + 1), out))
 
 
 def moment(m: int, a, b, q) -> GaussianRational:

@@ -45,16 +45,18 @@ def _x_products(xs, a, abq) -> tuple[GaussianRational, GaussianRational, Gaussia
     return prod_x, inv_ax, inv_abx
 
 
-def _residue_denominators(xs, shift) -> list[GaussianRational]:
-    """x_nu (1 - shift x_nu) prod_{l != nu} (x_l - x_nu) for each x_nu in ``xs``."""
-    out = []
+def _residue_denominators(xs, *shifts) -> list[list[GaussianRational]]:
+    """For each shift, x_nu (1 - shift x_nu) prod_{l != nu} (x_l - x_nu) for each
+    x_nu in ``xs``; the shared core x_nu prod_{l != nu} (x_l - x_nu) is formed
+    once per nu."""
+    cores = []
     for nu, x in enumerate(xs):
-        d = x * (ONE - shift * x)
+        d = x
         for l, y in enumerate(xs):
             if l != nu:
                 d = d * (y - x)
-        out.append(d)
-    return out
+        cores.append(d)
+    return [[d * (ONE - shift * x) for d, x in zip(cores, xs)] for shift in shifts]
 
 
 def _row_scale(k, n, a, b, q) -> GaussianRational:
@@ -193,8 +195,7 @@ def residue_ids(pt, n: int) -> list[Comparison]:
     factors = [row_factors(x, a, a * b, q, n) for x in xs]
     # x_nu / q and both kinds' denominators do not depend on j.
     xq = [x / q for x in xs]
-    den1 = _residue_denominators(xs, a)
-    den2 = _residue_denominators(xs, abq)
+    den1, den2 = _residue_denominators(xs, a, abq)
     comps = []
     for j in range(1, n + 1):
         cq = c * q ** (j - 1)
@@ -288,9 +289,10 @@ def bottom_rows(pt, n: int) -> list[Comparison]:
     # at x = q^{k_j} with shift a (ab q^{n-1}), which every entry's denominator in column j divides.
     xs = [q**kv for kv in k]
     abq = a * b * q ** (n - 1)
-    x_row = ExactMatrix(1, n, [-d.reciprocal() for d in _residue_denominators(xs, a)])
+    x_den, l_den = _residue_denominators(xs, a, abq)
+    x_row = ExactMatrix(1, n, [-d.reciprocal() for d in x_den])
     p = x_row @ m @ build_triangular("Y", n, None, q=q)
-    l_row = ExactMatrix(1, n, [-d.reciprocal() for d in _residue_denominators(xs, abq)])
+    l_row = ExactMatrix(1, n, [-d.reciprocal() for d in l_den])
     qq = l_row @ m @ build_triangular("U", n, None, q=q)
     sum_k = sum(k)
     _, inv_ax, inv_abx = _x_products(xs, a, abq)

@@ -5,7 +5,9 @@ are what the checks compare.  Askey-Wilson values come from the 4-phi-3 form
 or, degree by degree, from the recurrence.  The complex exponential never
 appears: the conjugate parameter pair of the basic hypergeometric form is
 evaluated through the paired product prod_j (1 - 2 a x q^j + a^2 q^{2j}),
-which is rational in x = cos(theta), keeping everything inside QQ(i).
+which is rational in x = cos(theta), keeping everything inside QQ(i).  Both
+Askey-Wilson loops run on unreduced Gaussian-integer triples and reduce once
+per value they return: each recurrence value, and the 4-phi-3 sum.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PoleError
-from .gaussian import I, ONE, TWO, ZERO, GaussianRational, sign, to_gq
+from .gaussian import _ONE, I, ONE, TWO, ZERO, GaussianRational, sign, to_gq
+from .gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus, _tsub
 from .qseries import (
+    _series_sum,
     factorial,
     binomial,
     half,
@@ -47,43 +51,50 @@ def askey_wilson_values(n: int, params: AWParams) -> dict[int, GaussianRational]
     and C, then the division in B.  A itself never vanishes: its numerator
     1 - abcd q^{k-1} is a factor of the A denominator at step ceil((k-1)/2),
     which is checked first.  The values up to n raise PoleError exactly when
-    p_n does.
+    p_n does.  C a / pair in B is taken as rest a / den_c, with the
+    (ab, ac, ad) pair cancelled.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     values = {-1: ZERO, 0: ONE}
     if n == 0:
         return values
-    a, b, c, d, q = params.a, params.b, params.c, params.d, params.q
-    if not a:
+    if not params.a:
         raise PoleError("recurrence requires a nonzero leading parameter", "a=0")
-    a_inv = a.reciprocal()
-    ab, ac, ad, bc, bd, cd = a * b, a * c, a * d, b * c, b * d, c * d
-    abcd = ab * cd
-    two_x = TWO * params.x
-    qk1 = q.reciprocal()  # q^{k-1}
-    w = abcd * qk1 * qk1  # abcd q^{2k-2}
-    f_lo = ONE - w
-    pair = (ONE - ab * qk1) * (ONE - ac * qk1) * (ONE - ad * qk1)
+    a_inv = params.a.reciprocal()
+    a_plus_inv, two_x = _parts(params.a + a_inv), _parts(TWO * params.x)
+    a_inv, qk1 = _parts(a_inv), _parts(params.q.reciprocal())  # qk1 is q^{k-1}
+    a, b, c, d, q = map(_parts, (params.a, params.b, params.c, params.d, params.q))
+    ab, ac, ad, bc, bd, cd = _tmul(a, b), _tmul(a, c), _tmul(a, d), _tmul(b, c), _tmul(b, d), _tmul(c, d)
+    abcd = _tmul(ab, cd)
+    w = _tmul(_tmul(abcd, qk1), qk1)  # abcd q^{2k-2}
+    f_lo = _tone_minus(w)
+    pair = _tmul(_tmul(_tone_minus(ab, qk1), _tone_minus(ac, qk1)), _tone_minus(ad, qk1))
+    prev, cur = (0, 0, 1), _ONE  # p_{k-1}, p_k
     for k in range(n):
-        qk = qk1 * q
-        w = w * q
-        f_mid = ONE - w  # 1 - abcd q^{2k-1}, in both the A and C denominators
-        w = w * q
-        f_hi = ONE - w  # 1 - abcd q^{2k}, the next step's f_lo
-        den_a = f_mid * f_hi
-        if not den_a:
+        qk = _tmul(qk1, q)
+        w = _tmul(w, q)
+        f_mid = _tone_minus(w)  # 1 - abcd q^{2k-1}, in both the A and C denominators
+        w = _tmul(w, q)
+        f_hi = _tone_minus(w)  # 1 - abcd q^{2k}, the next step's f_lo
+        den_a = _tmul(f_mid, f_hi)
+        if not (den_a[0] or den_a[1]):
             raise PoleError("vanishing recurrence denominator", f"A at n={k}")
-        coeff_a = (ONE - abcd * qk1) / den_a
-        den_c = f_lo * f_mid
-        if not den_c:
+        coeff_a = _tdiv(_tone_minus(abcd, qk1), den_a)
+        den_c = _tmul(f_lo, f_mid)
+        if not (den_c[0] or den_c[1]):
             raise PoleError("vanishing recurrence denominator", f"C at n={k}")
-        coeff_c = (ONE - qk) * pair * (ONE - bc * qk1) * (ONE - bd * qk1) * (ONE - cd * qk1) / den_c
-        if not pair:
+        rest = _tmul(_tone_minus(qk), _tone_minus(bc, qk1))
+        rest = _tmul(_tmul(rest, _tone_minus(bd, qk1)), _tone_minus(cd, qk1))
+        coeff_c = _tdiv(_tmul(pair, rest), den_c)
+        if not (pair[0] or pair[1]):
             raise PoleError("vanishing recurrence denominator", f"B division at n={k}")
-        pair_next = (ONE - ab * qk) * (ONE - ac * qk) * (ONE - ad * qk)
-        coeff_b = a + a_inv - coeff_a * a_inv * pair_next - coeff_c * a / pair
-        values[k + 1] = ((two_x - coeff_b) * values[k] - coeff_c * values[k - 1]) / coeff_a
+        pair_next = _tmul(_tmul(_tone_minus(ab, qk), _tone_minus(ac, qk)), _tone_minus(ad, qk))
+        coeff_b = _tsub(a_plus_inv, _tmul(_tmul(coeff_a, a_inv), pair_next))
+        coeff_b = _tsub(coeff_b, _tdiv(_tmul(rest, a), den_c))  # C a / pair, with pair cancelled
+        step = _tsub(_tmul(_tsub(two_x, coeff_b), cur), _tmul(coeff_c, prev))
+        value = values[k + 1] = _reduced(*_tdiv(step, coeff_a))
+        prev, cur = cur, _parts(value)
         qk1, f_lo, pair = qk, f_hi, pair_next
     return values
 
@@ -100,28 +111,29 @@ def askey_wilson(n: int, p: AWParams) -> GaussianRational:
         raise PoleError("basic hypergeometric form requires a nonzero leading parameter", "a=0")
     ab, ac, ad = a * p.b, a * p.c, a * p.d
     prefactor = q_pochhammer_multi((ab, ac, ad), q, n) * a ** (-n)
-    abcd_q = ab * p.c * p.d * q ** (n - 1)
-    qmn = q ** (-n)
-    two_ax = TWO * a * p.x
-    a2 = a * a
-    total = ONE
-    term = ONE
-    qk = ONE
-    q2k = ONE
-    q2 = q * q
-    for k in range(n):
-        num = (ONE - qmn * qk) * (ONE - abcd_q * qk) * (ONE - two_ax * qk + a2 * q2k) * q
-        den = ONE - q * qk
-        for name, u in (("ab", ab), ("ac", ac), ("ad", ad)):
-            f = ONE - u * qk
-            if not f:
-                raise PoleError("vanishing denominator q-shifted factorial", f"({name};q) at k={k + 1}")
-            den = den * f
-        term = term * num / den
-        total = total + term
-        qk = qk * q
-        q2k = q2k * q2
-    return prefactor * total
+    abcd_q, qmn, two_ax, a2 = map(_parts, (ab * p.c * p.d * q ** (n - 1), q ** (-n), TWO * a * p.x, a * a))
+    named = (("ab", _parts(ab)), ("ac", _parts(ac)), ("ad", _parts(ad)))
+    q = _parts(q)
+    q2 = _tmul(q, q)
+
+    def ratios():
+        qk = q2k = _ONE  # q^k, q^{2k}
+        for k in range(n):
+            num = _tmul(
+                _tmul(_tone_minus(qmn, qk), _tone_minus(abcd_q, qk)),
+                _tmul(_tone_minus(_tsub(_tmul(two_ax, qk), _tmul(a2, q2k))), q),
+            )
+            qk1 = _tmul(q, qk)
+            den = _tone_minus(qk1)
+            for name, u in named:
+                f = _tone_minus(u, qk)
+                if not (f[0] or f[1]):
+                    raise PoleError("vanishing denominator q-shifted factorial", f"({name};q) at k={k + 1}")
+                den = _tmul(den, f)
+            yield _tdiv(num, den)
+            qk, q2k = qk1, _tmul(q2k, q2)
+
+    return _reduced(*_tmul(_parts(prefactor), _series_sum(ratios())))
 
 
 def al_salam_chihara(n: int, x, big_a, big_b, q) -> GaussianRational:

@@ -3,11 +3,15 @@
 All evaluation is exact over QQ(i).  Each factorial sequence has one loop:
 :func:`q_pochhammers` and :func:`rising_factorials` build a whole index
 range by the running recurrence, the single-index :func:`q_pochhammer` and
-:func:`rising_factorial` read those tables, and :func:`q_binomials` reads
-every coefficient up to its top row from one (q;q) table, so a caller that
-needs many indices builds one table instead of one product per index.
-Series are only ever summed when they terminate.  A basic series is summed to the order n its caller declares,
-and some numerator must equal ``q**(-n)``; the order is never searched for.
+:func:`rising_factorial` return that loop's value at their index, and
+:func:`q_binomials` reads every coefficient up to its top row from one (q;q)
+table, so a caller that needs many indices builds one table instead of one
+product per index.  The loops, and the term ratios and sums of the series,
+run on unreduced Gaussian-integer triples (see ``gaussian._tmul``) and reduce
+once per value they return.
+Series are only ever summed when they terminate.  A basic series is summed to
+the order n its caller declares, and some numerator must equal ``q**(-n)``;
+the order is never searched for.
 A classical series terminates at its nonpositive-integer numerator.
 Running into a vanishing denominator factor raises
 :class:`~qdetlab.errors.PoleError` naming the offending factor.
@@ -15,44 +19,74 @@ Running into a vanishing denominator factor raises
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
 from .errors import NonTerminatingSeriesError, PoleError
-from .gaussian import HALF, ONE, ZERO, GaussianRational, to_gq
+from .gaussian import _ONE, HALF, ONE, ZERO, GaussianRational, Triple, to_gq
+from .gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus
+
+
+def _one_minus_powers(x, q, downward: bool = False):
+    """1 - x q^j as triples for j = 0, 1, 2, ... or, downward, for j = -1, -2, ..."""
+    q = _parts(q.reciprocal() if downward else q)
+    x = _tmul(_parts(x), q) if downward else _parts(x)
+    while True:
+        yield _tone_minus(x)
+        x = _tmul(x, q)
+
+
+def _products(lo: int, hi: int, up, down=(), pole: str = "", name: str = "") -> list[GaussianRational]:
+    """Values lo..hi of a factorial sequence in index order, each reduced once.
+
+    Value m >= 0 is the product of the first m factor triples of ``up``
+    (indices 0, 1, ...), and value m < 0 is one over the product of the first
+    -m of ``down`` (indices -1, -2, ...).  A vanishing factor on the way down
+    raises PoleError(pole), located as factor k of ``name`` at lo.
+    """
+    if lo > hi:
+        return []
+    out = []
+    if lo < 0:
+        den = _ONE
+        for m, factor in zip(range(-1, lo - 1, -1), down):
+            if not (factor[0] or factor[1]):
+                raise PoleError(pole, f"{name}_{lo} at k={-m}")
+            den = _tmul(den, factor)
+            if m <= hi:
+                out.append(_reduced(*_tdiv(_ONE, den)))
+        out.reverse()
+    if lo <= 0 <= hi:
+        out.append(ONE)
+    value = _ONE
+    for m, factor in zip(range(1, hi + 1), up):
+        value = _tmul(value, factor)
+        if m >= lo:
+            out.append(_reduced(*value))
+    return out
+
+
+def _q_pochhammer_list(a, q, lo: int, hi: int) -> list[GaussianRational]:
+    """(a;q)_lo..(a;q)_hi in index order; see q_pochhammers."""
+    a, q = to_gq(a), to_gq(q)
+    return _products(
+        lo, hi, _one_minus_powers(a, q), _one_minus_powers(a, q, downward=True),
+        "vanishing factor in negative-index q-shifted factorial", "(a;q)",
+    )
 
 
 def q_pochhammers(a, q, lo: int, hi: int) -> dict[int, GaussianRational]:
     """q-shifted factorials (a;q)_lo..(a;q)_hi keyed by index, for any integers.
 
     Runs (a;q)_{m+1} = (a;q)_m (1 - a q^m) up from (a;q)_0 = 1 and, for
-    negative m, (a;q)_m = (a;q)_{m+1} / (1 - a q^m) down from it (Gasper and
-    Rahman, Basic Hypergeometric Series, 1.2).  A vanishing factor on the way
-    down is a pole.  Poles are downward-closed, so the range raises PoleError
-    exactly when (a;q)_lo has one, naming the same factor.
+    negative m, (a;q)_m = 1 / prod_{m <= j < 0} (1 - a q^j) down from it
+    (Gasper and Rahman, Basic Hypergeometric Series, 1.2).  A vanishing
+    factor on the way down is a pole.  Poles are downward-closed, so the
+    range raises PoleError exactly when (a;q)_lo has one, naming the same
+    factor.
     """
-    if lo > hi:
-        return {}
-    a = to_gq(a)
-    q = to_gq(q)
-    table = {0: ONE}
-    value, p = ONE, a  # (a;q)_m, a q^m at m = 0
-    for m in range(hi):
-        value = table[m + 1] = value * (ONE - p)
-        p = p * q
-    if lo < 0:
-        qinv = q.reciprocal()
-        value, p = ONE, a * qinv  # (a;q)_{m+1}, a q^m at m = -1
-        for m in range(-1, lo - 1, -1):
-            factor = ONE - p
-            if not factor:
-                raise PoleError(
-                    "vanishing factor in negative-index q-shifted factorial",
-                    f"(a;q)_{lo} at k={-m}",
-                )
-            value = table[m] = value / factor
-            p = p * qinv
-    return {m: table[m] for m in range(lo, hi + 1)}
+    return dict(zip(range(lo, hi + 1), _q_pochhammer_list(a, q, lo, hi)))
 
 
 def q_pochhammer_tails(a, q, n: int) -> list[GaussianRational]:
@@ -62,16 +96,8 @@ def q_pochhammer_tails(a, q, n: int) -> list[GaussianRational]:
     These are the suffix products that a quotient of q_pochhammers tables
     would give, without its 0/0 when a factor below them vanishes.
     """
-    a, q = to_gq(a), to_gq(q)
-    factors = []
-    p = a
-    for _ in range(n):
-        factors.append(ONE - p)
-        p = p * q
-    tails = [ONE]
-    for factor in reversed(factors):
-        tails.append(tails[-1] * factor)
-    return tails
+    factors = list(itertools.islice(_one_minus_powers(to_gq(a), to_gq(q)), n))
+    return _products(0, n, reversed(factors))
 
 
 def q_pochhammer(a, q, n: int) -> GaussianRational:
@@ -81,7 +107,7 @@ def q_pochhammer(a, q, n: int) -> GaussianRational:
     finite reciprocal prod_{k=1}^{-n} (1 - a q^{-k})^{-1}; a vanishing factor
     there is a pole.
     """
-    return q_pochhammers(a, q, n, n)[n]
+    return _q_pochhammer_list(a, q, n, n)[0]
 
 
 def q_pochhammer_multi(params: Sequence, q, n: int) -> GaussianRational:
@@ -121,38 +147,79 @@ def q_binomials(q, top: int) -> Callable[[int, int], GaussianRational]:
     return binomial
 
 
+def _rising_factorial_list(a, lo: int, hi: int) -> list[GaussianRational]:
+    """(a)_lo..(a)_hi in index order; see rising_factorials."""
+    ar, ai, ad = _parts(to_gq(a))
+    return _products(
+        lo, hi,
+        ((ar + j * ad, ai, ad) for j in itertools.count()),
+        ((ar + j * ad, ai, ad) for j in itertools.count(-1, -1)),
+        "vanishing factor in negative-index rising factorial", "(a)",
+    )
+
+
 def rising_factorials(a, lo: int, hi: int) -> dict[int, GaussianRational]:
     """Rising factorials (a)_lo..(a)_hi keyed by index, for any integers.
 
     Runs (a)_{m+1} = (a)_m (a + m) up from (a)_0 = 1 and, for negative m,
-    (a)_m = (a)_{m+1} / (a + m) down from it: the reciprocal convention
-    (a)_{-k} = 1/prod_{j=1}^k (a - j), which extends the Gamma-function
-    quotient to integer shifts.  A vanishing factor on the way down is a
-    pole; as for q_pochhammers, the range raises exactly when (a)_lo does.
+    (a)_m = 1 / prod_{m <= j < 0} (a + j) down from it: the reciprocal
+    convention (a)_{-k} = 1/prod_{j=1}^k (a - j), which extends the
+    Gamma-function quotient to integer shifts.  A vanishing factor on the way
+    down is a pole; as for q_pochhammers, the range raises exactly when
+    (a)_lo does.
     """
-    if lo > hi:
-        return {}
-    a = to_gq(a)
-    table = {0: ONE}
-    value = ONE
-    for m in range(hi):
-        value = table[m + 1] = value * (a + m)
-    value = ONE
-    for m in range(-1, lo - 1, -1):
-        factor = a + m
-        if not factor:
-            raise PoleError(
-                "vanishing factor in negative-index rising factorial",
-                f"(a)_{lo} at k={-m}",
-            )
-        value = table[m] = value / factor
-    return {m: table[m] for m in range(lo, hi + 1)}
+    return dict(zip(range(lo, hi + 1), _rising_factorial_list(a, lo, hi)))
 
 
 def rising_factorial(a, n: int) -> GaussianRational:
     """Rising factorial (a)_n = prod_{k=0}^{n-1} (a + k) for n >= 0, and
     (a)_{-m} = 1/prod_{k=1}^m (a - k) for negative n."""
-    return rising_factorials(a, n, n)[n]
+    return _rising_factorial_list(a, n, n)[0]
+
+
+def _series_sum(ratios) -> Triple:
+    """1 + t_1 + t_2 + ... as a triple, where t_0 = 1 and t_{k+1} = t_k r_k
+    for the ratio triples r_k.  Term and total share one denominator: each
+    step multiplies both by the denominator of r_k."""
+    term = total = _ONE
+    for ratio in ratios:
+        tr, ti, d = term = _tmul(term, ratio)
+        m = ratio[2]
+        total = (total[0] * m + tr, total[1] * m + ti, d)
+    return total
+
+
+def _phi_ratios(numerators, denominators, q, z, order: int):
+    """Term k + 1 over term k of r+1_phi_r(numerators; denominators; q, z) as
+    a triple, for k = 0..order-1.  The arguments are converted when it is
+    called, so a non-scalar raises TypeError even at order 0; a vanishing
+    denominator factor raises PoleError as the ratios are drawn."""
+    numerators = [_parts(to_gq(a)) for a in numerators]
+    denominators = [_parts(to_gq(b)) for b in denominators]
+    q, z = _parts(to_gq(q)), _parts(to_gq(z))
+
+    def ratios():
+        qk = _ONE  # q**k
+        for k in range(order):
+            factor = z
+            for a in numerators:
+                factor = _tmul(factor, _tone_minus(a, qk))
+            next_qk = _tmul(qk, q)
+            den = _tone_minus(next_qk)
+            if not (den[0] or den[1]):
+                raise PoleError("vanishing (q;q) factor in series", f"k={k + 1}")
+            for j, b in enumerate(denominators):
+                f = _tone_minus(b, qk)
+                if not (f[0] or f[1]):
+                    raise PoleError(
+                        "vanishing denominator factor in series",
+                        f"denominator parameter {j + 1} at k={k + 1}",
+                    )
+                den = _tmul(den, f)
+            yield _tdiv(factor, den)
+            qk = next_qk
+
+    return ratios()
 
 
 def phi_terms(numerators, denominators, q, z, order: int) -> list[GaussianRational]:
@@ -162,29 +229,7 @@ def phi_terms(numerators, denominators, q, z, order: int) -> list[GaussianRation
     from term k - 1 by its ratio; a vanishing denominator factor raises
     PoleError.
     """
-    numerators = [to_gq(a) for a in numerators]
-    denominators = [to_gq(b) for b in denominators]
-    q, z = to_gq(q), to_gq(z)
-    terms = [ONE]
-    qk = ONE  # q**k
-    for k in range(order):
-        factor = z
-        for a in numerators:
-            factor = factor * (ONE - a * qk)
-        den = ONE - q * qk
-        if not den:
-            raise PoleError("vanishing (q;q) factor in series", f"k={k + 1}")
-        for j, b in enumerate(denominators):
-            f = ONE - b * qk
-            if not f:
-                raise PoleError(
-                    "vanishing denominator factor in series",
-                    f"denominator parameter {j + 1} at k={k + 1}",
-                )
-            den = den * f
-        terms.append(terms[-1] * factor / den)
-        qk = qk * q
-    return terms
+    return _products(0, order, _phi_ratios(numerators, denominators, q, z, order))
 
 
 def terminating_phi(numerators, denominators, q, z, order: int) -> GaussianRational:
@@ -198,7 +243,7 @@ def terminating_phi(numerators, denominators, q, z, order: int) -> GaussianRatio
         raise NonTerminatingSeriesError(
             f"declared order {order} has no matching q**(-n) numerator; refusing to sum"
         )
-    return sum(phi_terms(numerators, denominators, q, z, order), ZERO)
+    return _reduced(*_series_sum(_phi_ratios(numerators, denominators, q, z, order)))
 
 
 def very_well_poised(a1_sqrt, tail, q, z, order: int) -> GaussianRational:
@@ -222,36 +267,35 @@ def hyper_f(numerators, denominators, z) -> GaussianRational:
     Terminates at the smallest n with -n among the numerators; a nonpositive
     integer denominator parameter reached inside the range is a pole.
     """
-    numerators = [to_gq(a) for a in numerators]
-    denominators = [to_gq(b) for b in denominators]
-    z = to_gq(z)
+    numerators = [_parts(to_gq(a)) for a in numerators]
+    denominators = [_parts(to_gq(b)) for b in denominators]
+    z = _parts(to_gq(z))
     n = None
-    for a in numerators:
-        v = a.as_integer()
-        if v is not None and v <= 0 and (n is None or -v < n):
-            n = -v
+    for r, i, d in numerators:
+        if not i and d == 1 and r <= 0 and (n is None or -r < n):
+            n = -r
     if n is None:
         raise NonTerminatingSeriesError(
             "classical series has no nonpositive-integer numerator; refusing to sum"
         )
-    total = ONE
-    term = ONE
-    for k in range(n):
-        factor = z
-        for a in numerators:
-            factor = factor * (a + k)
-        den = GaussianRational(k + 1)
-        for j, b in enumerate(denominators):
-            f = b + k
-            if not f:
-                raise PoleError(
-                    "nonpositive integer denominator parameter in classical series",
-                    f"denominator parameter {j + 1} at k={k}",
-                )
-            den = den * f
-        term = term * factor / den
-        total = total + term
-    return total
+
+    def ratios():
+        for k in range(n):
+            factor = z
+            for ar, ai, ad in numerators:
+                factor = _tmul(factor, (ar + k * ad, ai, ad))
+            den = (k + 1, 0, 1)
+            for j, (br, bi, bd) in enumerate(denominators):
+                f = (br + k * bd, bi, bd)
+                if not (f[0] or bi):
+                    raise PoleError(
+                        "nonpositive integer denominator parameter in classical series",
+                        f"denominator parameter {j + 1} at k={k}",
+                    )
+                den = _tmul(den, f)
+            yield _tdiv(factor, den)
+
+    return _reduced(*_series_sum(ratios()))
 
 
 def factorial(n: int) -> GaussianRational:

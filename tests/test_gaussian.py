@@ -1,11 +1,13 @@
 """Scalar field: arithmetic, powers, and the canonical string codec."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from qdetlab import GaussianRational, I, ONE, ZERO, ParseError, parse
+from qdetlab.gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus, _tsub
 
 
 def gq(re, im=0):
@@ -99,6 +101,32 @@ def test_real_operations_match_the_general_formulas(x, y):
         assert_built_as(x / y, (a * c + b * d) / norm, (b * c - a * d) / norm)
         # Fraction / GaussianRational goes through __rtruediv__
         assert_built_as(a / y, a * c / norm, -a * d / norm)
+
+
+def unreduced(z, scale):
+    """The triple of z with numerator and denominator multiplied by scale > 0."""
+    return tuple(part * scale for part in _parts(z))
+
+
+@given(operands, operands, st.integers(1, 10**6), st.integers(1, 10**6))
+def test_triple_helpers_match_the_scalar_operations(x, y, s, t):
+    """Unreduced triples give the scalar results once reduced, and reduce to canonical fields."""
+    x3, y3 = unreduced(x, s), unreduced(y, t)
+    for triple, expected in (
+        (_tmul(x3, y3), x * y),
+        (_tsub(x3, y3), x - y),
+        (_tone_minus(x3), 1 - x),
+    ):
+        assert triple[2] > 0
+        z = _reduced(*triple)
+        assert _parts(z) == _parts(expected)
+        assert z._d > 0 and gcd(z._r, z._i, z._d) == 1
+    if y:
+        assert _tdiv(x3, y3)[2] > 0
+        assert _parts(_reduced(*_tdiv(x3, y3))) == _parts(x / y)
+    else:
+        with pytest.raises(ZeroDivisionError, match="division by zero in QQ"):
+            _tdiv(x3, y3)
 
 
 @given(operands.filter(bool))
