@@ -3,18 +3,15 @@
 from .builders import (
     build_m,
     build_theorem_matrix,
-    build_triangular,
     classical_matrix,
     mehta_wang_matrix,
     moment,
-    moment_hankel,
     moment_hankel_rows,
     moments,
     nishizawa_matrix,
     r_values,
     row_factors,
     theorem_matrix_rows,
-    triangular_inverse,
 )
 from .points import ParamPoint
 from .registry import REGISTRY, CheckDef, check_ids, get_check
@@ -28,13 +25,11 @@ __all__ = [
     "Report",
     "build_m",
     "build_theorem_matrix",
-    "build_triangular",
     "check_ids",
     "classical_matrix",
     "get_check",
     "mehta_wang_matrix",
     "moment",
-    "moment_hankel",
     "moment_hankel_rows",
     "moments",
     "nishizawa_matrix",
@@ -44,5 +39,4 @@ __all__ = [
     "run_suite",
     "sample_point",
     "theorem_matrix_rows",
-    "triangular_inverse",
 ]

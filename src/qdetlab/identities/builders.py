@@ -2,19 +2,21 @@
 
 Each builder evaluates a displayed formula in exact arithmetic: moment
 sequences of the little q-Jacobi polynomials, the determinant kernels built
-from them, the denominator-cleared row matrix and its four triangular
-companions, and the ordered-partition sum R_{n,nu}.  Every sequence a
-builder reads (moments, q-powers, q-shifted and rising factorials) is built
-once per call by one running loop and read by index, and the n + 1 sums
-R_{n,0}..R_{n,n} come from one backward dynamic program over the row indices
-instead of from their C(n, nu) splittings.  The moment loop runs on
-unreduced Gaussian-integer triples and reduces once per moment.  All matrix
-builders use the 1-based convention of the formulas.
+from them, the denominator-cleared row matrix, its four triangular
+companions X, L, Y and U (one builder each, plus the closed-form inverses
+of Y and U; X and L share one running product down each column), and the
+ordered-partition sum R_{n,nu}.  Every sequence a builder reads (moments,
+q-powers, q-shifted and rising factorials) is built once per call by one
+running loop and read by index, and the n + 1 sums R_{n,0}..R_{n,n} come
+from one backward dynamic program over the row indices instead of from
+their C(n, nu) splittings.  The moment loop runs on unreduced
+Gaussian-integer triples and reduces once per moment.  All matrix builders
+use the 1-based convention of the formulas.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..errors import PoleError
 from ..gaussian import _ONE, ONE, ZERO, GaussianRational, _reduced, _tdiv, _tmul, sign, to_gq
@@ -84,12 +86,6 @@ def _row_moments(k_tuple: Sequence[int], a, b, q) -> dict[int, GaussianRational]
     return moments(min(k_tuple) - 1, max(k_tuple) + len(k_tuple) - 2, a, b, q)
 
 
-def moment_hankel(n: int, r: int, a, b, q) -> ExactMatrix:
-    """Hankel matrix (mu_{i+j+r-2})_{1<=i,j<=n}."""
-    mu = moments(r, 2 * n + r - 2, a, b, q)
-    return ExactMatrix.build(n, n, lambda i, j: mu[i + j + r - 2])
-
-
 def moment_hankel_rows(k_tuple: Sequence[int], a, b, q) -> ExactMatrix:
     """Row-selected moment matrix (mu_{k_i+j-2})."""
     n = len(k_tuple)
@@ -151,64 +147,76 @@ def build_m(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     return ExactMatrix.from_rows(rows)
 
 
-def build_triangular(kind: str, n: int, k_tuple: Sequence[int] | None, a=None, b=None, q=None) -> ExactMatrix:
-    """The four triangular companions of the cleared row matrix.
+def _column_products(xs: Sequence[GaussianRational], shift: GaussianRational) -> ExactMatrix:
+    """Lower triangular with entry (i, j), i >= j, equal to -1/P_{ij}, where
+    P_{ij} = x_j (1 - shift x_j) prod_{l <= i, l != j} (x_l - x_j),
+    carried down column j one factor per row."""
+    n = len(xs)
+    rows = [[ZERO] * n for _ in range(n)]
+    for j, x in enumerate(xs):
+        prod = x * (ONE - shift * x)
+        for y in xs[:j]:
+            prod = prod * (y - x)
+        rows[j][j] = -prod.reciprocal()
+        for i in range(j + 1, n):
+            prod = prod * (xs[i] - x)
+            rows[i][j] = -prod.reciprocal()
+    return ExactMatrix.from_rows(rows)
 
-    ``X`` and ``L`` are lower triangular with row-dependent reciprocal
-    entries over the k-tuple; ``Y`` (lower) and ``U`` (upper) are the
-    unitriangular q-binomial matrices.  Structural zeros realize the
-    indicator factors.
-    """
+
+def x_matrix(k_tuple: Sequence[int], a, q) -> ExactMatrix:
+    """Lower triangular X over the k-tuple: entry (i, j), i >= j, is
+    -1 / (q^{k_j} (1 - a q^{k_j}) prod_{l <= i, l != j} (q^{k_l} - q^{k_j}))."""
+    qp = _Powers(to_gq(q))
+    return _column_products([qp[k] for k in k_tuple], to_gq(a))
+
+
+def l_matrix(k_tuple: Sequence[int], a, b, q) -> ExactMatrix:
+    """Lower triangular L: X with a replaced by ab q^{n-1}, n = len(k_tuple)."""
+    qp = _Powers(to_gq(q))
+    return _column_products([qp[k] for k in k_tuple], to_gq(a) * to_gq(b) * qp[len(k_tuple) - 1])
+
+
+def _binomial_tables(n: int, q) -> tuple[_Powers, Callable[[int, int], GaussianRational]]:
+    """The q-power table and the Gaussian binomials [m, k]_q, m <= n, of one q-binomial matrix."""
     q = to_gq(q)
-    qp = _Powers(q)
-    if kind == "X" or kind == "L":
-        # Entry (i, j), i >= j, is -1/P_{ij} with
-        # P_{ij} = q^{k_j} (1 - shift q^{k_j}) prod_{l <= i, l != j} (q^{k_l} - q^{k_j}),
-        # carried down column j one factor per row.
-        shift = to_gq(a) if kind == "X" else to_gq(a) * to_gq(b) * qp[n - 1]
-        qk = [qp[k] for k in k_tuple[:n]]
-        rows = [[ZERO] * n for _ in range(n)]
-        for j, x in enumerate(qk):
-            prod = x * (ONE - shift * x)
-            for y in qk[:j]:
-                prod = prod * (y - x)
-            rows[j][j] = -prod.reciprocal()
-            for i in range(j + 1, n):
-                prod = prod * (qk[i] - x)
-                rows[i][j] = -prod.reciprocal()
-        return ExactMatrix.from_rows(rows)
-    if kind == "Y":
-        binomial = q_binomials(q, n)
-
-        def entry(i, j):
-            if i < j:
-                return ZERO
-            return sign(i + j) * qp[-((i - j) * (2 * n + 1 - i - j)) // 2] * binomial(n - j, i - j)
-
-        return ExactMatrix.build(n, n, entry)
-    if kind == "U":
-        binomial = q_binomials(q, n)
-
-        def entry(i, j):
-            if i > j:
-                return ZERO
-            return sign(i + j) * qp[((j - i) * (j - i + 1)) // 2] * binomial(j - 1, j - i)
-
-        return ExactMatrix.build(n, n, entry)
-    raise ValueError(f"unknown triangular kind {kind!r}")
+    return _Powers(q), q_binomials(q, n)
 
 
-def triangular_inverse(kind: str, n: int, q) -> ExactMatrix:
-    """Closed-form inverses of the Y and U unitriangular matrices."""
-    q = to_gq(q)
-    qp = _Powers(q)
-    if kind == "Y":
-        binomial = q_binomials(q, n)
-        return ExactMatrix.build(n, n, lambda i, j: qp[(j - i) * (n + 1 - i)] * binomial(n - j, i - j))
-    if kind == "U":
-        binomial = q_binomials(q, n)
-        return ExactMatrix.build(n, n, lambda i, j: qp[j - i] * binomial(j - 1, i - 1))
-    raise ValueError(f"unknown triangular kind {kind!r}")
+def y_matrix(n: int, q) -> ExactMatrix:
+    """Lower unitriangular q-binomial Y: (-1)^{i+j} q^{-(i-j)(2n+1-i-j)/2} [n-j, i-j]_q for i >= j."""
+    qp, binomial = _binomial_tables(n, q)
+
+    def entry(i, j):
+        if i < j:
+            return ZERO
+        return sign(i + j) * qp[-((i - j) * (2 * n + 1 - i - j)) // 2] * binomial(n - j, i - j)
+
+    return ExactMatrix.build(n, n, entry)
+
+
+def u_matrix(n: int, q) -> ExactMatrix:
+    """Upper unitriangular q-binomial U: (-1)^{i+j} q^{(j-i)(j-i+1)/2} [j-1, j-i]_q for i <= j."""
+    qp, binomial = _binomial_tables(n, q)
+
+    def entry(i, j):
+        if i > j:
+            return ZERO
+        return sign(i + j) * qp[((j - i) * (j - i + 1)) // 2] * binomial(j - 1, j - i)
+
+    return ExactMatrix.build(n, n, entry)
+
+
+def y_inverse(n: int, q) -> ExactMatrix:
+    """Closed-form inverse of Y: q^{(j-i)(n+1-i)} [n-j, i-j]_q."""
+    qp, binomial = _binomial_tables(n, q)
+    return ExactMatrix.build(n, n, lambda i, j: qp[(j - i) * (n + 1 - i)] * binomial(n - j, i - j))
+
+
+def u_inverse(n: int, q) -> ExactMatrix:
+    """Closed-form inverse of U: q^{j-i} [j-1, i-1]_q."""
+    qp, binomial = _binomial_tables(n, q)
+    return ExactMatrix.build(n, n, lambda i, j: qp[j - i] * binomial(j - 1, i - 1))
 
 
 def r_values(n: int, k_tuple: Sequence[int], a, b, q) -> list[GaussianRational]:

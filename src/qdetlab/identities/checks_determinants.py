@@ -23,7 +23,6 @@ from ..qseries import (
     factorial,
     half,
     hyper_f,
-    q_factorial,
     q_pochhammer as qp,
     q_pochhammers,
     rising_factorial as rf,
@@ -34,7 +33,7 @@ from .builders import (
     build_theorem_matrix,
     classical_matrix,
     mehta_wang_matrix,
-    moment_hankel,
+    moment_hankel_rows,
     nishizawa_matrix,
 )
 from .points import Comparison, check
@@ -48,7 +47,7 @@ from .points import Comparison, check
 )
 def hankel(pt, n: int) -> list[Comparison]:
     a, b, q, r = pt.a, pt.b, pt.q, pt.r
-    lhs = determinant(moment_hankel(n, r, a, b, q))
+    lhs = determinant(moment_hankel_rows(range(r + 1, n + r + 1), a, b, q))
     rhs = a ** (n * (n - 1) // 2) * q ** (n * (n - 1) * (2 * n - 1) // 6 + n * (n - 1) * r // 2)
     fq = q_pochhammers(q, q, 0, n - 1)
     fb = q_pochhammers(b * q, q, 0, n - 1)
@@ -142,7 +141,8 @@ def nishizawa(pt, n: int) -> list[Comparison]:
         * d_val
     )
     for k in range(n):
-        rhs2 = rhs2 * q_factorial(k, q) * ft[k] / one_minus_q**k
+        # [k]_q! (t^2;q)_k / (1 - q)^k, with [k]_q! = (q;q)_k / (1 - q)^k
+        rhs2 = rhs2 * fq[k] * ft[k] / one_minus_q ** (2 * k)
     comps.append(("q-Gamma-normalized determinant vs D-sequence product", det_e, rhs2))
     comps.append(
         ("D recurrence vs explicit sum", d_val, nishizawa_d(n, s, t, q, "explicit"))

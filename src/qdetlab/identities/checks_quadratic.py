@@ -16,7 +16,6 @@ from .points import Comparison, check
     draws=("matrix_entries",),
     default_sizes=(4, 5, 6),
     min_size=2,
-    max_size=6,
 )
 def dj_generic(pt, n: int) -> list[Comparison]:
     a = ExactMatrix(n, n, pt.matrix_entries[: n * n])

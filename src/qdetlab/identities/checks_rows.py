@@ -15,12 +15,16 @@ from ..linalg import ExactMatrix, determinant, submatrix
 from ..qseries import q_binomials, q_pochhammer as qp, q_pochhammer_tails, q_pochhammers
 from .builders import (
     build_m,
-    build_triangular,
+    l_matrix,
     moment_hankel_rows,
     r_values,
     row_factors,
     theorem_matrix_rows,
-    triangular_inverse,
+    u_inverse,
+    u_matrix,
+    x_matrix,
+    y_inverse,
+    y_matrix,
 )
 from .points import Comparison, check
 
@@ -43,6 +47,18 @@ def _x_products(xs, a, abq) -> tuple[GaussianRational, GaussianRational, Gaussia
         inv_ax = inv_ax * (ONE - a * x)
         inv_abx = inv_abx * (ONE - abq * x)
     return prod_x, inv_ax, inv_abx
+
+
+def _boundary_terms(xs, a, b, c, q) -> tuple[GaussianRational, GaussianRational, GaussianRational]:
+    """prod x over ``xs`` (n of them) and the two residue boundary terms
+    sign(n) a^{n-1} (1 - acq) (bq;q)_{n-1} / (q prod (1 - a x)) and
+    a^{n-1} q^{n(n-3)/2} (1 - abc q^{2n-1}) (bq;q)_{n-1} / prod (1 - ab q^{n-1} x)."""
+    n = len(xs)
+    prod_x, inv_ax, inv_abx = _x_products(xs, a, a * b * q ** (n - 1))
+    common = a ** (n - 1) * qp(b * q, q, n - 1)
+    first = sign(n) * common * (ONE - a * c * q) / (q * inv_ax)
+    second = common * q ** (n * (n - 3) // 2) * (ONE - a * b * c * q ** (2 * n - 1)) / inv_abx
+    return prod_x, first, second
 
 
 def _residue_denominators(xs, *shifts) -> list[list[GaussianRational]]:
@@ -92,7 +108,6 @@ def _r_closed_form(n, k, a, b, c, q) -> GaussianRational:
     size_role="number of rows n",
     draws=("a", "b", "q", "c", "k_tuple"),
     default_sizes=(1, 2, 3, 4, 5, 6),
-    max_size=12,
 )
 def thm_rows(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
@@ -109,7 +124,6 @@ def thm_rows(pt, n: int) -> list[Comparison]:
     size_role="number of rows n",
     draws=("a", "b", "q", "k_tuple"),
     default_sizes=(1, 2, 3, 4, 5, 6),
-    max_size=12,
 )
 def q_kratt(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
@@ -146,7 +160,6 @@ def r_closed(pt, n: int) -> list[Comparison]:
     size_role="number of rows n",
     draws=("a", "b", "q", "k_tuple"),
     default_sizes=(1, 2, 3, 4, 5, 6),
-    max_size=12,
 )
 def r_recurrence(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
@@ -168,7 +181,6 @@ def r_recurrence(pt, n: int) -> list[Comparison]:
     size_role="number of rows n",
     draws=("a", "b", "q", "k_tuple"),
     default_sizes=(1, 2, 3, 4, 5, 6),
-    max_size=12,
 )
 def r_sum(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
@@ -185,17 +197,15 @@ def r_sum(pt, n: int) -> list[Comparison]:
     size_role="number of variables n",
     draws=("a", "b", "q", "c", "x_list"),
     default_sizes=(1, 2, 3, 4, 5, 6),
-    max_size=6,
 )
 def residue_ids(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     xs = pt.x_list[:n]
-    abq = a * b * q ** (n - 1)
-    prod_x, inv_ax, inv_abx = _x_products(xs, a, abq)
+    prod_x, first, second = _boundary_terms(xs, a, b, c, q)
     factors = [row_factors(x, a, a * b, q, n) for x in xs]
     # x_nu / q and both kinds' denominators do not depend on j.
     xq = [x / q for x in xs]
-    den1, den2 = _residue_denominators(xs, a, abq)
+    den1, den2 = _residue_denominators(xs, a, a * b * q ** (n - 1))
     comps = []
     for j in range(1, n + 1):
         cq = c * q ** (j - 1)
@@ -205,18 +215,9 @@ def residue_ids(pt, n: int) -> list[Comparison]:
             num = (x - cq) * f[j - 1]
             s1 = s1 + num / d1
             s2 = s2 + num / d2
-        rhs1 = cq / prod_x
-        if j == 1:
-            rhs1 = rhs1 + sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / (
-                q * inv_ax
-            )
-        comps.append((f"residue identity (first kind), j={j}", -s1, rhs1))
-        rhs2 = cq / prod_x
-        if j == n:
-            rhs2 = rhs2 - a ** (n - 1) * q ** (n * (n - 3) // 2) * (
-                ONE - a * b * c * q ** (2 * n - 1)
-            ) * qp(b * q, q, n - 1) / inv_abx
-        comps.append((f"residue identity (second kind), j={j}", -s2, rhs2))
+        rhs = cq / prod_x
+        comps.append((f"residue identity (first kind), j={j}", -s1, rhs + first if j == 1 else rhs))
+        comps.append((f"residue identity (second kind), j={j}", -s2, rhs - second if j == n else rhs))
     return comps
 
 
@@ -225,7 +226,6 @@ def residue_ids(pt, n: int) -> list[Comparison]:
     size_role="matrix size n",
     draws=("a", "b", "q", "c", "x_list"),
     default_sizes=(1, 2, 3, 4, 5, 6),
-    max_size=6,
 )
 def vandermonde_vw(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
@@ -235,7 +235,9 @@ def vandermonde_vw(pt, n: int) -> list[Comparison]:
         for j in range(i + 1, n):
             vandermonde = vandermonde * (xs[j] - xs[i])
     abq = a * b * q ** (n - 1)
-    prod_x, inv_ax, inv_abx = _x_products(xs, a, abq)
+    # The column uses c q^k where the residue identities use c q^{k-1}, so
+    # each boundary term enters times q.
+    prod_x, first, second = _boundary_terms(xs, a, b, c, q)
     factors = [row_factors(x, a, a * b, q, n) for x in xs]
     # The first n - 1 columns x^0..x^{n-2} and the last column's divisors
     # x (1 - a x) and x (1 - abq x) are the same for every k.
@@ -248,29 +250,13 @@ def vandermonde_vw(pt, n: int) -> list[Comparison]:
         nums = [(x - cq) * f[k - 1] for x, f in zip(xs, factors)]
         v = ExactMatrix.from_rows([row + [-(num / d)] for row, num, d in zip(powers, nums, div_v)])
         lhs_v = sign(n - 1) * determinant(v) / vandermonde
-        rhs_v = cq / prod_x
-        if k == 1:
-            rhs_v = rhs_v + sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / inv_ax
-        comps.append((f"structured-column Vandermonde (first kind), k={k}", lhs_v, rhs_v))
+        rhs = cq / prod_x
+        comps.append((f"structured-column Vandermonde (first kind), k={k}", lhs_v, rhs + q * first if k == 1 else rhs))
 
         w = ExactMatrix.from_rows([row + [-(num / d)] for row, num, d in zip(powers, nums, div_w)])
         lhs_w = sign(n - 1) * determinant(w) / vandermonde
-        rhs_w = cq / prod_x
-        if k == n:
-            rhs_w = rhs_w - a ** (n - 1) * q ** ((n - 1) * (n - 2) // 2) * (
-                ONE - a * b * c * q ** (2 * n - 1)
-            ) * qp(b * q, q, n - 1) / inv_abx
-        comps.append((f"structured-column Vandermonde (second kind), k={k}", lhs_w, rhs_w))
+        comps.append((f"structured-column Vandermonde (second kind), k={k}", lhs_w, rhs - q * second if k == n else rhs))
     return comps
-
-
-def _conjugated(pt, n: int):
-    a, b, c, q = pt.a, pt.b, pt.c, pt.q
-    k = pt.k_tuple[:n]
-    m = build_m(k, a, b, c, q)
-    p = build_triangular("X", n, k, a=a, q=q) @ m @ build_triangular("Y", n, None, q=q)
-    qq = build_triangular("L", n, k, a=a, b=b, q=q) @ m @ build_triangular("U", n, None, q=q)
-    return k, p, qq
 
 
 @check(
@@ -279,7 +265,6 @@ def _conjugated(pt, n: int):
     draws=("a", "b", "q", "c", "k_tuple"),
     default_sizes=(2, 3, 4, 5, 6),
     min_size=2,
-    max_size=12,
 )
 def bottom_rows(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
@@ -291,27 +276,19 @@ def bottom_rows(pt, n: int) -> list[Comparison]:
     abq = a * b * q ** (n - 1)
     x_den, l_den = _residue_denominators(xs, a, abq)
     x_row = ExactMatrix(1, n, [-d.reciprocal() for d in x_den])
-    p = x_row @ m @ build_triangular("Y", n, None, q=q)
+    p = x_row @ m @ y_matrix(n, q)
     l_row = ExactMatrix(1, n, [-d.reciprocal() for d in l_den])
-    qq = l_row @ m @ build_triangular("U", n, None, q=q)
+    qq = l_row @ m @ u_matrix(n, q)
     sum_k = sum(k)
-    _, inv_ax, inv_abx = _x_products(xs, a, abq)
+    _, first, second = _boundary_terms(xs, a, b, c, q)
     comps = []
     for j in range(1, n + 1):
         if j == 1:
-            expected_p = sign(n) * a ** (n - 1) * (ONE - a * c * q) * qp(b * q, q, n - 1) / (
-                q * inv_ax
-            )
+            expected_p = first
             expected_q = c * q ** (-sum_k)
         elif j == n:
             expected_p = c * q ** (n - 1 - sum_k)
-            expected_q = -(
-                a ** (n - 1)
-                * q ** (n * (n - 3) // 2)
-                * (ONE - a * b * c * q ** (2 * n - 1))
-                * qp(b * q, q, n - 1)
-                / inv_abx
-            )
+            expected_q = -second
         else:
             expected_p = ZERO
             expected_q = ZERO
@@ -330,14 +307,14 @@ def triangular_inverses(pt, n: int) -> list[Comparison]:
     q = pt.q
     identity = ExactMatrix.identity(n)
     comps = []
-    y = build_triangular("Y", n, None, q=q)
-    u = build_triangular("U", n, None, q=q)
-    for kind, tri in (("Y", y), ("U", u)):
-        prod = tri @ triangular_inverse(kind, n, q)
+    y = y_matrix(n, q)
+    u = u_matrix(n, q)
+    for name, tri, inverse in (("Y", y, y_inverse), ("U", u, u_inverse)):
+        prod = tri @ inverse(n, q)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 comps.append(
-                    (f"{kind} inverse product entry ({i},{j})", prod.at(i, j), identity.at(i, j))
+                    (f"{name} inverse product entry ({i},{j})", prod.at(i, j), identity.at(i, j))
                 )
     all_rows = list(range(1, n + 1))
     for i in range(1, n + 1):
@@ -355,11 +332,13 @@ def triangular_inverses(pt, n: int) -> list[Comparison]:
     draws=("a", "b", "q", "c", "k_tuple"),
     default_sizes=(2, 3, 4, 5, 6),
     min_size=2,
-    max_size=12,
 )
 def pq_lemma(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
-    k, p, qq = _conjugated(pt, n)
+    k = pt.k_tuple[:n]
+    m = build_m(k, a, b, c, q)
+    p = x_matrix(k, a, q) @ m @ y_matrix(n, q)
+    qq = l_matrix(k, a, b, q) @ m @ u_matrix(n, q)
     head = list(k[:-1])
     denom = q ** sum(head) * _q_vandermonde([h + 1 for h in head], q)
     rows = list(range(1, n))
@@ -394,7 +373,6 @@ def pq_lemma(pt, n: int) -> list[Comparison]:
     draws=("a", "b", "q", "c", "k_tuple"),
     default_sizes=(2, 3, 4, 5, 6),
     min_size=2,
-    max_size=12,
 )
 def m_recurrence(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
@@ -419,7 +397,6 @@ def m_recurrence(pt, n: int) -> list[Comparison]:
     size_role="matrix size n",
     draws=("a", "b", "q", "c", "k_tuple"),
     default_sizes=(1, 2, 3, 4, 5, 6),
-    max_size=12,
 )
 def m_closed(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q

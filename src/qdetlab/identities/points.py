@@ -8,20 +8,26 @@ plain rational parameters, square roots (kappa^2 = q and friends, so both
 sides of a root-bearing identity use the same root), integer shifts, row
 index tuples, variable lists, and raw matrix entries.  A check names its
 draws once, in RNG order; :func:`draw` turns the names into values with
-numerators in [-9, 9] \\ {0} and denominators in [1, 9].  The rejection
-loop that keeps only non-degenerate points lives in :mod:`.runner`.
+numerators in [-9, 9] \\ {0} and denominators in [1, 9].  The sized draws
+hold :data:`CAPACITY` values (a square matrix of that order), which is also
+every reading check's ``max_size``.  The rejection loop that keeps only
+non-degenerate points lives in :mod:`.runner`.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from ..gaussian import ONE, GaussianRational, _reduced
 
 _NUMERATORS = [k for k in range(-9, 10) if k != 0]
+
+# The sized draws and their capacity, the largest n a check reading one can run
+# at: checks take the first n of a tuple, or the leading n x n block of the matrix.
+CAPACITY = {"k_tuple": 12, "x_list": 6, "matrix_entries": 6}
 
 # What an evaluator returns: labeled (lhs, rhs) pairs that must agree exactly.
 Comparison = tuple[str, GaussianRational, GaussianRational]
@@ -99,18 +105,23 @@ def draw_r(rng: random.Random) -> int:
 
 
 def draw_k_tuple(rng: random.Random) -> tuple[int, ...]:
-    """Twelve distinct row indices; checks slice the first n."""
-    return tuple(rng.sample(range(1, 13), 12))
+    """A permutation of the row indices 1..capacity; checks slice the first n."""
+    size = CAPACITY["k_tuple"]
+    return tuple(rng.sample(range(1, size + 1), size))
 
 
-def draw_x_list(rng: random.Random, size: int = 6) -> tuple[GaussianRational, ...]:
+def draw_x_list(rng: random.Random) -> tuple[GaussianRational, ...]:
+    """Distinct rationals, as many as the capacity."""
+    size = CAPACITY["x_list"]
     while True:
         values = tuple(draw_rational(rng) for _ in range(size))
         if len(set(values)) == size:
             return values
 
 
-def draw_matrix(rng: random.Random, size: int = 6) -> tuple[GaussianRational, ...]:
+def draw_matrix(rng: random.Random) -> tuple[GaussianRational, ...]:
+    """The row-major entries of a square complex matrix of the capacity's order."""
+    size = CAPACITY["matrix_entries"]
     return tuple(draw_complex(rng) for _ in range(size * size))
 
 
@@ -165,7 +176,8 @@ class CheckDef:
     """One check: what to draw, how to evaluate, how to describe it.
 
     ``draws`` names the sampled slots once, in RNG order (see :func:`draw`);
-    ``sample`` defaults to drawing them.
+    ``sample`` defaults to drawing them.  ``max_size`` is not declared but
+    read from :data:`CAPACITY` for the sized draws (None when there are none).
     """
 
     id: str
@@ -176,10 +188,12 @@ class CheckDef:
     evaluate: Callable[[ParamPoint, int], list[Comparison]]
     mode: str = "identity"
     min_size: int = 1
-    max_size: int | None = None
+    max_size: int | None = field(init=False)
     sample: Callable[[random.Random], dict] | None = None
 
     def __post_init__(self):
+        caps = [CAPACITY[name] for name in self.draws if name in CAPACITY]
+        object.__setattr__(self, "max_size", min(caps, default=None))
         if self.sample is None:
             object.__setattr__(self, "sample", functools.partial(draw, self.draws))
 

@@ -129,7 +129,12 @@ def _cleared(lines) -> tuple[list[int], list[list[int]], list[list[int]]]:
     return ls, re, im
 
 
-def _det_elimination(m: ExactMatrix) -> GaussianRational:
+def determinant(m: ExactMatrix) -> GaussianRational:
+    """Exact determinant by fraction-free Bareiss elimination over the
+    Gaussian integers, with first-nonzero pivoting, after each row is scaled
+    by the lcm of its denominators; the 0x0 determinant is 1."""
+    if m.rows != m.cols:
+        raise ValueError("determinant requires a square matrix")
     # Bareiss on the cleared matrix W: after step k, w[r][c] (r, c > k) is
     # the minor on rows 0..k, r and columns 0..k, c, so each division by the
     # previous pivot q is exact; the last pivot is det W = det(M) * prod(L).
@@ -165,16 +170,14 @@ def _det_elimination(m: ExactMatrix) -> GaussianRational:
     return _reduced(sign * qr, sign * qi, prod(ls))
 
 
-def determinant(m: ExactMatrix) -> GaussianRational:
-    """Exact determinant by fraction-free Bareiss elimination over the
-    Gaussian integers, with first-nonzero pivoting, after each row is scaled
-    by the lcm of its denominators; the 0x0 determinant is 1."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    return _det_elimination(m)
+def pfaffian(m: ExactMatrix) -> GaussianRational:
+    """Exact Pfaffian of an even-dimensional skew-symmetric matrix; Pf of the
+    0x0 matrix is 1.  Odd dimension or non-skew input is rejected outright.
 
-
-def _check_skew(m: ExactMatrix) -> None:
+    Fraction-free pivot-pair elimination over the Gaussian integers, with the
+    first nonzero partner in the pivot row, after the congruence W = D M D,
+    D the diagonal of the rows' lcms of denominators.
+    """
     if m.rows != m.cols:
         raise ValueError("Pfaffian requires a square matrix")
     if m.rows % 2 == 1:
@@ -185,14 +188,10 @@ def _check_skew(m: ExactMatrix) -> None:
             a, b = e[i * n + j], e[j * n + i]
             if a._r != -b._r or a._i != -b._i or a._d != b._d:
                 raise ValueError(f"matrix is not skew-symmetric at ({i + 1}, {j + 1})")
-
-
-def _pf_elimination(m: ExactMatrix) -> GaussianRational:
     # W = D M D with D = diag(L) is skew over Z[i] and Pf W = Pf(M) * prod(L).
     # Eliminating the pivot pair (k, k+1) replaces w[i][j] (k+1 < i < j) by
     # the Pfaffian of W on rows 0..k+1, i, j; the division by the previous
     # pivot q is exact, and the last pivot is Pf W.
-    n = m.rows
     ls, wr, wi = _cleared(m.to_lists())
     for rr, ri in zip(wr, wi):
         for c, l in enumerate(ls):
@@ -234,15 +233,3 @@ def _pf_elimination(m: ExactMatrix) -> GaussianRational:
                 wr[j][i], wi[j][i] = -yr, -yi
         qr, qi = pr, pi
     return _reduced(sign * qr, sign * qi, prod(ls))
-
-
-def pfaffian(m: ExactMatrix) -> GaussianRational:
-    """Exact Pfaffian of an even-dimensional skew-symmetric matrix; Pf of the
-    0x0 matrix is 1.  Odd dimension or non-skew input is rejected outright.
-
-    Fraction-free pivot-pair elimination over the Gaussian integers, with the
-    first nonzero partner in the pivot row, after the congruence W = D M D,
-    D the diagonal of the rows' lcms of denominators.
-    """
-    _check_skew(m)
-    return _pf_elimination(m)

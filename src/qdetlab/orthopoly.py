@@ -125,6 +125,8 @@ def askey_wilson(n: int, p: AWParams) -> GaussianRational:
             )
             qk1 = _tmul(q, qk)
             den = _tone_minus(qk1)
+            if not (den[0] or den[1]):
+                raise PoleError("vanishing denominator q-shifted factorial", f"(q;q) at k={k + 1}")
             for name, u in named:
                 f = _tone_minus(u, qk)
                 if not (f[0] or f[1]):

@@ -126,14 +126,6 @@ def q_number(n: int, q) -> GaussianRational:
     return (ONE - q**n) / (ONE - q)
 
 
-def q_factorial(n: int, q) -> GaussianRational:
-    """[n]_q! = prod_{k=1}^n [k]_q."""
-    result = ONE
-    for k in range(1, n + 1):
-        result = result * q_number(k, q)
-    return result
-
-
 def q_binomials(q, top: int) -> Callable[[int, int], GaussianRational]:
     """The Gaussian binomial coefficient as a function of (n, k) for n <= top,
     read from one (q;q)_0..(q;q)_top table; 0 when k is out of range."""

@@ -10,18 +10,16 @@ from qdetlab import ExactMatrix, GaussianRational, ONE, PoleError, ZERO, determi
 from qdetlab.identities import (
     build_m,
     build_theorem_matrix,
-    build_triangular,
     mehta_wang_matrix,
     moment,
-    moment_hankel,
     moment_hankel_rows,
     moments,
     nishizawa_matrix,
     r_values,
     row_factors,
     theorem_matrix_rows,
-    triangular_inverse,
 )
+from qdetlab.identities.builders import l_matrix, u_inverse, u_matrix, x_matrix, y_inverse, y_matrix
 from qdetlab.qseries import q_binomials, q_pochhammer, rising_factorial
 
 
@@ -86,7 +84,7 @@ class TestMoment:
 
     def test_empty_range_and_empty_matrices(self):
         assert moments(3, 2, A, B, Q) == {}
-        for m in (moment_hankel(0, 2, A, B, Q), moment_hankel_rows((), A, B, Q),
+        for m in (moment_hankel_rows(range(3, 3), A, B, Q), moment_hankel_rows((), A, B, Q),
                   theorem_matrix_rows((), A, B, C, Q), build_theorem_matrix(0, 1, A, B, C, Q)):
             assert (m.rows, m.cols) == (0, 0)
 
@@ -107,8 +105,8 @@ class TestTheoremMatrix:
                 assert m.at(i, j) == -m.at(j, i)
 
     def test_hankel_is_c_zero_column_scaled(self):
-        # the plain Hankel builder agrees with the moments directly
-        h = moment_hankel(3, 2, A, B, Q)
+        # the consecutive-row Hankel matrix agrees with the moments directly
+        h = moment_hankel_rows(range(3, 6), A, B, Q)
         for i in range(1, 4):
             for j in range(1, 4):
                 assert h.at(i, j) == moment(i + j, A, B, Q)
@@ -143,23 +141,23 @@ class TestClearedMatrix:
 
 class TestTriangulars:
     def test_y_unit_diagonal(self):
-        y = build_triangular("Y", 5, None, q=Q)
+        y = y_matrix(5, Q)
         for i in range(1, 6):
             assert y.at(i, i) == ONE
 
     def test_u_superdiagonal_entry(self):
-        u = build_triangular("U", 4, None, q=Q)
+        u = u_matrix(4, Q)
         assert u.at(1, 2) == -Q
 
     def test_x_strictly_upper_zero(self):
-        x = build_triangular("X", 4, [2, 5, 7, 11], a=A, q=Q)
+        x = x_matrix([2, 5, 7, 11], A, Q)
         for i in range(1, 5):
             for j in range(i + 1, 5):
                 assert x.at(i, j) == ZERO
 
     def test_x_diagonal_closed_form(self):
         k = [2, 5, 7]
-        x = build_triangular("X", 3, k, a=A, q=Q)
+        x = x_matrix(k, A, Q)
         j = 2
         kj = k[j - 1]
         expected = -(
@@ -170,13 +168,16 @@ class TestTriangulars:
     def test_l_uses_shifted_parameter(self):
         k = [2, 5]
         n = 2
-        l_mat = build_triangular("L", n, k, a=A, b=B, q=Q)
+        l_mat = l_matrix(k, A, B, Q)
         kj = k[0]
         expected = -(Q**kj * (ONE - A * B * Q ** (kj + n - 1))).reciprocal()
         assert l_mat.at(1, 1) == expected
 
     def test_x_and_l_match_the_per_entry_product(self):
-        def reference(kind, n, k, a, b, q):
+        builders = {"X": lambda k, a, b, q: x_matrix(k, a, q), "L": l_matrix}
+
+        def reference(kind, k, a, b, q):
+            n = len(k)
             shift = a if kind == "X" else a * b * q ** (n - 1)
 
             def entry(i, j):
@@ -194,26 +195,24 @@ class TestTriangulars:
         rng = random.Random(64)
         for n in range(0, 7):
             for q in (Q, frac(-3, 4), GaussianRational(Fraction(1, 2), 1)):
-                k = rng.sample(range(1, 13), 12)
-                for kind in ("X", "L"):
-                    expected = reference(kind, n, k, A, B, q)
-                    assert build_triangular(kind, n, k, a=A, b=B, q=q) == expected
+                k = rng.sample(range(1, 13), 12)[:n]
+                for kind, build in builders.items():
+                    assert build(k, A, B, q) == reference(kind, k, A, B, q)
         # Where a product vanishes (a repeated row index, or 1 - a q^{k_j} = 0),
         # both raise the same error.
         for kind, k, a in (("X", [2, 3, 2], A), ("L", [2, 3, 2], A), ("X", [1, 3, 4], frac(1, 2))):
-            for build in (reference, lambda kind, n, k, a, b, q: build_triangular(kind, n, k, a=a, b=b, q=q)):
+            for build in (lambda *args: reference(kind, *args), builders[kind]):
                 with pytest.raises(ZeroDivisionError, match="division by zero in QQ"):
-                    build(kind, 3, k, a, B, Q)
+                    build(k, a, B, Q)
 
     def test_closed_inverses(self):
         from qdetlab import ExactMatrix
 
-        for kind in ("Y", "U"):
-            tri = build_triangular(kind, 5, None, q=Q)
-            assert tri @ triangular_inverse(kind, 5, Q) == ExactMatrix.identity(5)
+        for build, inverse in ((y_matrix, y_inverse), (u_matrix, u_inverse)):
+            assert build(5, Q) @ inverse(5, Q) == ExactMatrix.identity(5)
 
     def test_y_binomial_content(self):
-        y = build_triangular("Y", 3, None, q=Q)
+        y = y_matrix(3, Q)
         assert y.at(3, 1) == Q ** (-3) * q_binomials(Q, 2)(2, 2)
 
     def test_q_binomial_entries(self):
@@ -229,17 +228,18 @@ class TestTriangulars:
             "Y": lambda n, i, j, q, qb: q ** ((j - i) * (n + 1 - i)) * qb(n - j, i - j),
             "U": lambda n, i, j, q, qb: q ** (j - i) * qb(j - 1, i - 1),
         }
+        builders = {"Y": (y_matrix, y_inverse), "U": (u_matrix, u_inverse)}
         for q in (Q, frac(-3, 4), GaussianRational(1, 2)):
             for n in range(0, 7):
                 qb = q_binomials(q, n)
-                for kind in ("Y", "U"):
+                for kind, (build, inverse) in builders.items():
                     lower = kind == "Y"
                     expected = ExactMatrix.build(
                         n, n, lambda i, j: formulas[kind](n, i, j, q, qb) if (i >= j) == lower or i == j else ZERO
                     )
-                    assert build_triangular(kind, n, None, q=q) == expected
+                    assert build(n, q) == expected
                     expected = ExactMatrix.build(n, n, lambda i, j: inverses[kind](n, i, j, q, qb))
-                    assert triangular_inverse(kind, n, q) == expected
+                    assert inverse(n, q) == expected
 
 
 def compute_r_reference(n, nu, k_tuple, a, b, q):

@@ -11,6 +11,7 @@ from qdetlab import GaussianRational, ONE, ZERO
 from qdetlab.errors import DegenerateSampleError, UsageError
 from qdetlab.identities import (
     REGISTRY,
+    CheckDef,
     ParamPoint,
     check_ids,
     checks_determinants,
@@ -65,6 +66,22 @@ class TestRegistryShape:
             assert undeclared == [], module.__name__
         for cid, entry in REGISTRY.items():
             assert entry.evaluate.__name__ == cid
+
+    def test_max_size_is_the_capacity_of_what_a_check_draws(self):
+        rows = ("thm_rows", "q_kratt", "r_recurrence", "r_sum", "bottom_rows", "pq_lemma", "m_recurrence", "m_closed")
+        sized = dict.fromkeys(rows, 12) | {"residue_ids": 6, "vandermonde_vw": 6, "dj_generic": 6}
+        assert {cid: e.max_size for cid, e in REGISTRY.items() if e.max_size is not None} == sized
+        for cid, size in sized.items():
+            drawn = REGISTRY[cid].sample(random.Random(cid))
+            lengths = [len(drawn[slot]) for slot in ("k_tuple", "x_list") if slot in drawn]
+            if "matrix_entries" in drawn:
+                lengths.append(len(drawn["matrix_entries"]) // size)
+            assert lengths == [size], cid
+            replaced = dataclasses.replace(REGISTRY[cid], evaluate=lambda pt, n: [])
+            assert replaced.max_size == size
+        fields = dict(id="x", summary="s", size_role="n", draws=("k_tuple",), default_sizes=(1,))
+        with pytest.raises(TypeError):
+            CheckDef(**fields, evaluate=lambda pt, n: [], max_size=3)
 
 
 class TestSampler:

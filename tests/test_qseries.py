@@ -10,7 +10,6 @@ from qdetlab.qseries import (
     hyper_f,
     phi_terms,
     q_binomials,
-    q_factorial,
     q_number,
     q_pochhammer,
     q_pochhammer_multi,
@@ -186,10 +185,6 @@ class TestQNumbers:
     def test_q_number_rejects_q_equal_one(self):
         with pytest.raises(PoleError):
             q_number(2, 1)
-
-    def test_q_factorial(self):
-        q = frac(3)
-        assert q_factorial(3, q) == q_number(1, q) * q_number(2, q) * q_number(3, q)
 
     def test_q_binomial_edges(self):
         assert q_binomials(frac(4, 3), 5)(5, 0) == ONE

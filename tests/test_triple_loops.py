@@ -227,6 +227,8 @@ def askey_wilson_scalar(n, p):
     for k in range(n):
         num = (ONE - qmn * qk) * (ONE - abcd_q * qk) * (ONE - two_ax * qk + a2 * q2k) * q
         den = ONE - q * qk
+        if not den:
+            raise PoleError("vanishing denominator q-shifted factorial", f"(q;q) at k={k + 1}")
         for name, u in (("ab", ab), ("ac", ac), ("ad", ad)):
             f = ONE - u * qk
             if not f:
@@ -433,6 +435,17 @@ class TestAskeyWilson:
             for n in range(-2, 6):
                 poles += raised(agree(askey_wilson, askey_wilson_scalar, n, p))
         assert poles > 100
+
+    def test_hypergeometric_form_guards_the_q_factor(self):
+        # 1 - q^k vanishes first at k = 2 for q = -1 and at k = 4 for q = +-i.
+        for q, k in ((-ONE, 2), (I, 4), (-I, 4)):
+            p = AWParams(ONE, frac(2), frac(3), frac(5), q, frac(1, 2))
+            for n in range(k + 2):
+                got = agree(askey_wilson, askey_wilson_scalar, n, p)
+                if n < k:
+                    assert not raised(got)
+                else:
+                    assert got[0] is PoleError and got[2] == f"(q;q) at k={k}"
 
 
 class TestMoments:
