@@ -2,9 +2,10 @@
 
 Exit codes: 0 all identity checks passed, 1 any identity-check failure,
 2 usage error (bad arguments, a malformed SOURCE_DATE_EPOCH, or an --output
-that cannot be written).  Evidence-mode outcomes are summarized but never
-affect the exit code.  The default seed is 42, overridable by the
-QDETLAB_SEED environment variable and then by --seed.
+that cannot be written), 3 internal error (an unexpected exception, printed
+with its traceback; no verdict was reached).  Evidence-mode outcomes are
+summarized but never affect the exit code.  The default seed is 42,
+overridable by the QDETLAB_SEED environment variable and then by --seed.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from .errors import UsageError
 from .identities import REGISTRY, check_ids, get_check, run_suite
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,6 +136,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"qdet-lab: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        # a bug, not a verdict: keep it apart from exit 1, an identity failure
+        print(f"qdet-lab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 def entry() -> None:

@@ -67,20 +67,42 @@ class ParamPoint:
     def describe(self) -> dict:
         """JSON-ready view of the set slots, scalars in canonical form."""
         out: dict = {}
-        for slot in fields(self)[2:]:
-            value = getattr(self, slot.name)
+        for name in _DESCRIBED:
+            value = getattr(self, name)
             if value is None:
                 continue
             if isinstance(value, tuple):
-                out[slot.name] = [v if isinstance(v, int) else str(v) for v in value]
+                out[name] = [v if isinstance(v, int) else str(v) for v in value]
             else:
-                out[slot.name] = value if isinstance(value, int) else str(value)
+                out[name] = value if isinstance(value, int) else str(value)
         return out
+
+
+# The slots ParamPoint.describe reports, in declaration order.
+_DESCRIBED = tuple(slot.name for slot in fields(ParamPoint)[2:])
+
+
+def _fraction_parts(getrandbits) -> tuple[int, int]:
+    """(numerator, denominator) as rng.choice(_NUMERATORS), then rng.randint(1, 9).
+
+    Both read ``getrandbits`` by the rule of ``Random._randbelow``: a value
+    below n takes n.bit_length() bits, drawn again while it is >= n (18
+    numerators: 5 bits; 9 denominators: 4 bits).  The stream, and so every
+    point, is the one choice and randint give, without their call chain.
+    """
+    k = getrandbits(5)
+    while k >= 18:
+        k = getrandbits(5)
+    d = getrandbits(4)
+    while d >= 9:
+        d = getrandbits(4)
+    return _NUMERATORS[k], d + 1
 
 
 def draw_rational(rng: random.Random) -> GaussianRational:
     """One nonzero rational with numerator in [-9,9] and denominator in [1,9]."""
-    return _reduced(rng.choice(_NUMERATORS), 0, rng.randint(1, 9))
+    num, den = _fraction_parts(rng.getrandbits)
+    return _reduced(num, 0, den)
 
 
 def draw_unit_free(rng: random.Random) -> GaussianRational:
@@ -93,10 +115,9 @@ def draw_unit_free(rng: random.Random) -> GaussianRational:
 
 def draw_complex(rng: random.Random) -> GaussianRational:
     """re + im i with each part drawn as :func:`draw_rational` draws it, real part first."""
-    re_num = rng.choice(_NUMERATORS)
-    re_den = rng.randint(1, 9)
-    im_num = rng.choice(_NUMERATORS)
-    im_den = rng.randint(1, 9)
+    getrandbits = rng.getrandbits
+    re_num, re_den = _fraction_parts(getrandbits)
+    im_num, im_den = _fraction_parts(getrandbits)
     return _reduced(re_num * im_den, im_num * re_den, re_den * im_den)
 
 

@@ -9,7 +9,8 @@ fraction-free, and every later division is exact (Bareiss 1968 for
 determinants, the Pfaffian form of Sylvester's identity for Pfaffians;
 Knuth, "Overlapping Pfaffians", 1996).  Each value is reduced to lowest
 terms once, at the end.  Pivots are the first nonzero entries, so runs stay
-reproducible.  The tests check this one path against expansion oracles.
+reproducible.  A determinant whose entries are all real is eliminated over
+the integers alone.  The tests check each path against expansion oracles.
 """
 
 from __future__ import annotations
@@ -35,6 +36,16 @@ class ExactMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_e", tuple(e))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple) -> "ExactMatrix":
+        """A rows x cols matrix over a tuple of entries that are already
+        GaussianRational, taken as they are."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_e", entries)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -89,7 +100,7 @@ class ExactMatrix:
                 re = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
                 im = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
                 out.append(_reduced(re, im, l * m))
-        return ExactMatrix(self.rows, other.cols, out)
+        return ExactMatrix._of(self.rows, other.cols, tuple(out))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -113,7 +124,8 @@ def submatrix(m: ExactMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) ->
         if not 1 <= j <= m.cols:
             raise IndexError(f"column index {j} out of range")
     e, n = m._e, m.cols
-    return ExactMatrix(len(row_idx), len(col_idx), [e[(i - 1) * n + j - 1] for i in row_idx for j in col_idx])
+    picked = tuple([e[(i - 1) * n + j - 1] for i in row_idx for j in col_idx])
+    return ExactMatrix._of(len(row_idx), len(col_idx), picked)
 
 
 def _cleared(lines) -> tuple[list[int], list[list[int]], list[list[int]]]:
@@ -124,22 +136,71 @@ def _cleared(lines) -> tuple[list[int], list[list[int]], list[list[int]]]:
     for line in lines:
         l = lcm(*[x._d for x in line])
         ls.append(l)
-        re.append([x._r * (l // x._d) for x in line])
-        im.append([x._i * (l // x._d) for x in line])
+        r, i = [], []
+        for x in line:
+            f = l // x._d
+            r.append(x._r * f)
+            i.append(x._i * f)
+        re.append(r)
+        im.append(i)
     return ls, re, im
 
 
 def determinant(m: ExactMatrix) -> GaussianRational:
     """Exact determinant by fraction-free Bareiss elimination over the
     Gaussian integers, with first-nonzero pivoting, after each row is scaled
-    by the lcm of its denominators; the 0x0 determinant is 1."""
+    by the lcm of its denominators; the 0x0 determinant is 1.  A matrix
+    whose entries are all real is eliminated over the integers alone."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    # Bareiss on the cleared matrix W: after step k, w[r][c] (r, c > k) is
-    # the minor on rows 0..k, r and columns 0..k, c, so each division by the
-    # previous pivot q is exact; the last pivot is det W = det(M) * prod(L).
-    n = m.rows
     ls, wr, wi = _cleared(m.to_lists())
+    if any(map(any, wi)):
+        re, im = _bareiss_gaussian(wr, wi)
+    else:
+        re, im = _bareiss_real(wr), 0
+    return _reduced(re, im, prod(ls))
+
+
+# Bareiss on the cleared matrix W: after step k, w[r][c] (r, c > k) is the
+# minor on rows 0..k, r and columns 0..k, c, so each division by the previous
+# pivot q is exact; the last pivot is det W = det(M) * prod(L).  Both loops
+# work in place, swap rows to the first nonzero pivot (flipping the sign) and
+# return 0 when a column has none.
+
+
+def _bareiss_real(w: list[list[int]]) -> int:
+    """det W for an integer matrix W: 2 products and 1 division per entry."""
+    n = len(w)
+    sign, q = 1, 1
+    for k in range(n):
+        for p in range(k, n):
+            if w[p][k]:
+                break
+        else:
+            return 0
+        if p != k:
+            w[k], w[p] = w[p], w[k]
+            sign = -sign
+        pivot_row = w[k]
+        pivot = pivot_row[k]
+        for r in range(k + 1, n):
+            row = w[r]
+            b = row[k]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * pivot - b * pivot_row[c]) // q
+        q = pivot
+    return sign * q
+
+
+def _bareiss_gaussian(wr: list[list[int]], wi: list[list[int]]) -> tuple[int, int]:
+    """det W for W = wr + i*wi over Z[i], as (re, im).
+
+    The division rule is picked once per step: by a real q it is floor
+    division by q; by a complex q, x / q = x conj(q) / |q|^2, and conj(q)
+    is folded into the pivot and each row's multiplier, so every entry is
+    still one Z[i] expression divided by one integer.
+    """
+    n = len(wr)
     sign = 1
     qr, qi = 1, 0
     for k in range(n):
@@ -147,27 +208,32 @@ def determinant(m: ExactMatrix) -> GaussianRational:
             if wr[p][k] or wi[p][k]:
                 break
         else:
-            return ZERO
+            return 0, 0
         if p != k:
             wr[k], wr[p] = wr[p], wr[k]
             wi[k], wi[p] = wi[p], wi[k]
             sign = -sign
         kr, ki = wr[k], wi[k]
         pr, pi = kr[k], ki[k]
-        norm = qr * qr + qi * qi
+        if qi:
+            # scale by conj(q) = qr - qi i and divide by the norm
+            d = qr * qr + qi * qi
+            sr, si = pr * qr + pi * qi, pi * qr - pr * qi
+        else:
+            d, sr, si = qr, pr, pi
         for r in range(k + 1, n):
             rr, ri = wr[r], wi[r]
             br, bi = rr[k], ri[k]
+            if qi:
+                br, bi = br * qr + bi * qi, bi * qr - br * qi
             for c in range(k + 1, n):
                 ar, ai, cr, ci = rr[c], ri[c], kr[c], ki[c]
-                xr = ar * pr - ai * pi - br * cr + bi * ci
-                xi = ar * pi + ai * pr - br * ci - bi * cr
-                if qi:
-                    rr[c], ri[c] = (xr * qr + xi * qi) // norm, (xi * qr - xr * qi) // norm
-                else:
-                    rr[c], ri[c] = xr // qr, xi // qr
+                rr[c], ri[c] = (
+                    (ar * sr - ai * si - br * cr + bi * ci) // d,
+                    (ar * si + ai * sr - br * ci - bi * cr) // d,
+                )
         qr, qi = pr, pi
-    return _reduced(sign * qr, sign * qi, prod(ls))
+    return sign * qr, sign * qi
 
 
 def pfaffian(m: ExactMatrix) -> GaussianRational:

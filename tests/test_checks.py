@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qdetlab import GaussianRational, ONE, ZERO
 from qdetlab.errors import DegenerateSampleError, UsageError
@@ -23,7 +24,17 @@ from qdetlab.identities import (
     run_suite,
     sample_point,
 )
-from qdetlab.identities.points import _NUMERATORS, draw_complex, draw_rational
+from qdetlab.identities.points import (
+    _NUMERATORS,
+    CAPACITY,
+    draw_complex,
+    draw_matrix,
+    draw_r,
+    draw_rational,
+    draw_roots,
+    draw_unit_free,
+    draw_x_list,
+)
 from qdetlab.identities.runner import EVIDENCE_PASS, FAIL, PASS, SKIPPED
 from qdetlab.qseries import q_pochhammer
 
@@ -321,9 +332,20 @@ class TestRunSuite:
         assert r1.to_json() != r2.to_json()
 
 
+# The draws as first written: every scalar a Fraction built from rng.choice and
+# rng.randint, then a GaussianRational built from it.  The draws themselves read
+# rng.getrandbits directly; each must leave the same value and RNG state.
+
+
 def fraction_draw_rational(rng):
-    """The draw as built before: a Fraction, then a GaussianRational from it."""
     return GaussianRational(Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9)))
+
+
+def fraction_draw_unit_free(rng):
+    while True:
+        v = fraction_draw_rational(rng)
+        if v != ONE and v != -ONE:
+            return v
 
 
 def fraction_draw_complex(rng):
@@ -333,13 +355,58 @@ def fraction_draw_complex(rng):
     )
 
 
+def fraction_draw_r(rng):
+    return rng.randint(-2, 3)
+
+
+def fraction_draw_x_list(rng):
+    while True:
+        values = tuple(fraction_draw_rational(rng) for _ in range(CAPACITY["x_list"]))
+        if len(set(values)) == len(values):
+            return values
+
+
+def fraction_draw_matrix(rng):
+    return tuple(fraction_draw_complex(rng) for _ in range(CAPACITY["matrix_entries"] ** 2))
+
+
+def fraction_draw_roots(rng):
+    kappa = fraction_draw_unit_free(rng)
+    alpha, beta, gamma = (fraction_draw_rational(rng) for _ in range(3))
+    roots = {"kappa": kappa, "alpha": alpha, "beta": beta, "gamma": gamma}
+    squares = {"a": alpha, "b": beta, "c": gamma, "q": kappa}
+    return roots | {name: root * root for name, root in squares.items()}
+
+
+def _exact(value):
+    """Every scalar in a drawn value as its (re, im, den) ints."""
+    if isinstance(value, GaussianRational):
+        return value._r, value._i, value._d
+    if isinstance(value, dict):
+        return {name: _exact(v) for name, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    return value
+
+
 @pytest.mark.parametrize(
     "draw, reference",
-    [(draw_rational, fraction_draw_rational), (draw_complex, fraction_draw_complex)],
+    [
+        (draw_rational, fraction_draw_rational),
+        (draw_complex, fraction_draw_complex),
+        (draw_unit_free, fraction_draw_unit_free),
+        (draw_r, fraction_draw_r),
+        (draw_x_list, fraction_draw_x_list),
+        (draw_matrix, fraction_draw_matrix),
+        (draw_roots, fraction_draw_roots),
+    ],
 )
-def test_draws_match_fraction_construction_and_rng_state(draw, reference):
-    rng, ref_rng = random.Random(2024), random.Random(2024)
-    for _ in range(2000):
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64))
+@example(seed=2024)
+def test_draws_match_fraction_construction_and_rng_state(draw, reference, seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(40):
         value, expected = draw(rng), reference(ref_rng)
-        assert (value._r, value._i, value._d) == (expected._r, expected._i, expected._d)
+        assert _exact(value) == _exact(expected)
         assert rng.getstate() == ref_rng.getstate()

@@ -92,14 +92,18 @@ class TestRun:
         entry = REGISTRY["hankel"]
 
         def broken(pt, n):
-            raise ValueError("raised inside an evaluator")
+            raise RuntimeError("raised inside an evaluator")
 
         try:
             REGISTRY["hankel"] = dataclasses.replace(entry, evaluate=broken)
-            with pytest.raises(ValueError, match="inside an evaluator"):
-                run_cli(capsys, "run", "--check", "hankel", "--trials", "1")
+            code, out, err = run_cli(capsys, "run", "--check", "hankel", "--trials", "1")
         finally:
             REGISTRY["hankel"] = entry
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qdet-lab: internal error: RuntimeError: raised inside an evaluator\n")
+        assert "Traceback (most recent call last):" in err
+        assert "in broken" in err
 
     def test_check_all_covers_registry(self, capsys):
         code, out, _ = run_cli(

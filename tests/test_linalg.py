@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from qdetlab import ExactMatrix, GaussianRational, ONE, ZERO, determinant, pfaffian, submatrix
+from qdetlab import ExactMatrix, GaussianRational, ONE, ZERO, determinant, linalg, pfaffian, submatrix
+from qdetlab.gaussian import I
 
 
 def frac(num, den=1):
@@ -31,6 +32,18 @@ def sparse_entry(rng, complex_entries):
         return ZERO
     im = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if complex_entries else 0
     return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), im)
+
+
+def alternating_pivots():
+    """Rows of L @ U, L lower triangular with diagonal (2, i, -i, i, -i), U unit
+    upper triangular: the Bareiss pivots (the leading minors) are 2, 2i, 2, 2i,
+    2, so consecutive steps divide by a real and by a complex pivot."""
+    diagonal = [2, I, -I, I, -I]
+    low = ExactMatrix.build(
+        5, 5, lambda i, j: diagonal[i - 1] if i == j else (GaussianRational(i - j, i * j % 3) if i > j else 0)
+    )
+    up = ExactMatrix.build(5, 5, lambda i, j: 1 if i == j else (i * j - 3 if i < j else 0))
+    return (low @ up).to_lists()
 
 
 def det_cofactor(m):
@@ -141,6 +154,32 @@ class TestDeterminant:
             rows[r][c] = GaussianRational(Fraction(2, 3), Fraction(-5, 7))
             m = ExactMatrix.from_rows(rows)
             assert determinant(m) == det_cofactor(m)
+
+    @pytest.mark.parametrize(
+        "rows, loop",
+        [
+            # real, the first pivot in the third row
+            ([[0, 3, 1], [0, 2, 5], [4, 1, 1]], "real"),
+            # real but for one entry below the diagonal
+            ([[2, 1, 3], [1, 4, 1], [GaussianRational(1, 2), 1, 5]], "gaussian"),
+            (alternating_pivots(), "gaussian"),
+            ([], "real"),
+        ],
+        ids=["real-row-swap", "one-complex-entry-below-diagonal", "alternating-pivots", "empty"],
+    )
+    def test_each_elimination_loop_matches_cofactor(self, monkeypatch, rows, loop):
+        taken = []
+        for name in ("real", "gaussian"):
+            kernel = getattr(linalg, f"_bareiss_{name}")
+
+            def spy(*w, kernel=kernel, name=name):
+                taken.append(name)
+                return kernel(*w)
+
+            monkeypatch.setattr(linalg, f"_bareiss_{name}", spy)
+        m = ExactMatrix.from_rows(rows)
+        assert determinant(m) == det_cofactor(m)
+        assert taken == [loop]
 
     def test_denominators_near_two_to_the_200(self):
         rng = random.Random(35)
