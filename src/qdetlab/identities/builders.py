@@ -9,57 +9,53 @@ ordered-partition sum R_{n,nu}.  Every sequence a builder reads (moments,
 q-powers, q-shifted and rising factorials) is built once per call by one
 running loop and read by index, and the n + 1 sums R_{n,0}..R_{n,n} come
 from one backward dynamic program over the row indices instead of from
-their C(n, nu) splittings.  The moment loop runs on unreduced
-Gaussian-integer triples and reduces once per moment.  All matrix builders
-use the 1-based convention of the formulas.
+their C(n, nu) splittings.  The moments are the running products of their
+term ratios, taken by the factorial loop of :mod:`qdetlab.qseries`.  All
+matrix builders use the 1-based convention of the formulas.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import PoleError
-from ..gaussian import _ONE, ONE, ZERO, GaussianRational, _reduced, _tdiv, _tmul, sign, to_gq
+from ..gaussian import ONE, ZERO, GaussianRational, _tdiv, sign, to_gq
 from ..linalg import ExactMatrix
-from ..qseries import _one_minus_powers, q_binomials, q_pochhammer_tails, q_pochhammers, rising_factorials
+from ..qseries import _one_minus_powers, _products, q_binomials
+from ..qseries import q_pochhammer_tails, q_pochhammers, rising_factorials
 
 
 def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
     """Little q-Jacobi moments mu_lo..mu_hi keyed by index, mu_m = (aq;q)_m / (abq^2;q)_m.
 
-    Runs mu_{m+1} = mu_m (1 - a q^{m+1}) / (1 - ab q^{m+2}) up from mu_0 = 1
-    and down from it for negative m, carrying the numerator and denominator
-    products apart and dividing once per emitted moment.  Poles are
+    mu_{m+1} = mu_m (1 - a q^{m+1}) / (1 - ab q^{m+2}), so the moments are
+    the running products of these ratios, up from mu_0 = 1 and, for negative
+    m, down from it; :func:`~qdetlab.qseries._products` runs both.  Each
+    ratio's generator raises PoleError at a vanishing factor.  Poles are
     upward-closed for m >= 0 and downward-closed for m < 0, so the range
-    raises PoleError exactly when one of its moments has a pole.
+    raises PoleError exactly when one of its moments has a pole, and the
+    upward pole when both directions have one.
     """
-    if lo > hi:
-        return {}
     a, b, q = to_gq(a), to_gq(b), to_gq(q)
     aq, abq2 = a * q, a * b * q * q
-    out = [ONE] if lo <= 0 <= hi else []
-    num = den = _ONE
-    for m, fx, fy in zip(range(1, hi + 1), _one_minus_powers(aq, q), _one_minus_powers(abq2, q)):
-        if not (fy[0] or fy[1]):
-            raise PoleError("vanishing moment denominator", f"(abq^2;q)_{m}")
-        num, den = _tmul(num, fx), _tmul(den, fy)
-        if m >= lo:
-            out.append(_reduced(*_tdiv(num, den)))
-    if lo < 0:
-        down = []
-        num = den = _ONE
-        steps = zip(range(-1, lo - 1, -1), _one_minus_powers(abq2, q, True), _one_minus_powers(aq, q, True))
-        for m, fy, fx in steps:
+
+    def up():
+        for m, fx, fy in zip(range(1, hi + 1), _one_minus_powers(aq, q), _one_minus_powers(abq2, q)):
+            if not (fy[0] or fy[1]):
+                raise PoleError("vanishing moment denominator", f"(abq^2;q)_{m}")
+            yield _tdiv(fx, fy)
+
+    def down():
+        steps = zip(range(-1, lo - 1, -1), _one_minus_powers(aq, q, True), _one_minus_powers(abq2, q, True))
+        for m, fx, fy in steps:
             if not (fy[0] or fy[1]) or not (fx[0] or fx[1]):
                 raise PoleError(
                     "vanishing factor in negative-index q-shifted factorial",
                     f"(abq^2;q)_{m}" if not (fy[0] or fy[1]) else f"(aq;q)_{m}",
                 )
-            num, den = _tmul(num, fy), _tmul(den, fx)
-            if m <= hi:
-                down.append(_reduced(*_tdiv(num, den)))
-        out = down[::-1] + out
-    return dict(zip(range(lo, hi + 1), out))
+            yield _tdiv(fx, fy)
+
+    return dict(zip(range(lo, hi + 1), _products(lo, hi, up(), down())))
 
 
 def moment(m: int, a, b, q) -> GaussianRational:
@@ -177,15 +173,9 @@ def l_matrix(k_tuple: Sequence[int], a, b, q) -> ExactMatrix:
     return _column_products([qp[k] for k in k_tuple], to_gq(a) * to_gq(b) * qp[len(k_tuple) - 1])
 
 
-def _binomial_tables(n: int, q) -> tuple[_Powers, Callable[[int, int], GaussianRational]]:
-    """The q-power table and the Gaussian binomials [m, k]_q, m <= n, of one q-binomial matrix."""
-    q = to_gq(q)
-    return _Powers(q), q_binomials(q, n)
-
-
 def y_matrix(n: int, q) -> ExactMatrix:
     """Lower unitriangular q-binomial Y: (-1)^{i+j} q^{-(i-j)(2n+1-i-j)/2} [n-j, i-j]_q for i >= j."""
-    qp, binomial = _binomial_tables(n, q)
+    qp, binomial = _Powers(to_gq(q)), q_binomials(q, n)
 
     def entry(i, j):
         if i < j:
@@ -197,7 +187,7 @@ def y_matrix(n: int, q) -> ExactMatrix:
 
 def u_matrix(n: int, q) -> ExactMatrix:
     """Upper unitriangular q-binomial U: (-1)^{i+j} q^{(j-i)(j-i+1)/2} [j-1, j-i]_q for i <= j."""
-    qp, binomial = _binomial_tables(n, q)
+    qp, binomial = _Powers(to_gq(q)), q_binomials(q, n)
 
     def entry(i, j):
         if i > j:
@@ -209,13 +199,13 @@ def u_matrix(n: int, q) -> ExactMatrix:
 
 def y_inverse(n: int, q) -> ExactMatrix:
     """Closed-form inverse of Y: q^{(j-i)(n+1-i)} [n-j, i-j]_q."""
-    qp, binomial = _binomial_tables(n, q)
+    qp, binomial = _Powers(to_gq(q)), q_binomials(q, n)
     return ExactMatrix.build(n, n, lambda i, j: qp[(j - i) * (n + 1 - i)] * binomial(n - j, i - j))
 
 
 def u_inverse(n: int, q) -> ExactMatrix:
     """Closed-form inverse of U: q^{j-i} [j-1, i-1]_q."""
-    qp, binomial = _binomial_tables(n, q)
+    qp, binomial = _Powers(to_gq(q)), q_binomials(q, n)
     return ExactMatrix.build(n, n, lambda i, j: qp[j - i] * binomial(j - 1, i - 1))
 
 

@@ -8,6 +8,7 @@ sides live in QQ(i).
 
 from __future__ import annotations
 
+from ..errors import PoleError
 from ..gaussian import I, ONE, ZERO, GaussianRational, sign
 from ..linalg import determinant, pfaffian
 from ..orthopoly import (
@@ -20,6 +21,7 @@ from ..orthopoly import (
     wilson,
 )
 from ..qseries import (
+    binomial,
     factorial,
     half,
     hyper_f,
@@ -100,14 +102,19 @@ def c1_pfaffian_square(pt, m: int) -> list[Comparison]:
 def mehta_wang(pt, n: int) -> list[Comparison]:
     a, b = pt.a, pt.b
     lhs = determinant(mehta_wang_matrix(n, a, b))
-    d_rec = mehta_wang_d(n, a, b, "recurrence")
+    d_rec = mehta_wang_d(n, a, b)
     prod = ONE
     fb = rising_factorials(b, 0, n - 1)
     for i in range(n):
         prod = prod * factorial(i) * fb[i]
+    # D_n = sum_k (-1)^k C(n,k) ((b-a)/2)_k ((a+b)/2)_{n-k}
+    fu, fv = rising_factorials(half(b - a), 0, n), rising_factorials(half(a + b), 0, n)
+    d_sum = ZERO
+    for k in range(n + 1):
+        d_sum = d_sum + sign(k) * binomial(n, k) * fu[k] * fv[n - k]
     return [
         ("normalized determinant vs D-sequence product", lhs, d_rec * prod),
-        ("D-sequence recurrence vs signed binomial sum", d_rec, mehta_wang_d(n, a, b, "sum")),
+        ("D-sequence recurrence vs signed binomial sum", d_rec, d_sum),
     ]
 
 
@@ -119,21 +126,21 @@ def mehta_wang(pt, n: int) -> list[Comparison]:
 )
 def nishizawa(pt, n: int) -> list[Comparison]:
     s, t, q = pt.s_half, pt.t_half, pt.q
-    t2 = t * t
+    s2, t2 = s * s, t * t
     det_f = determinant(nishizawa_matrix(n, s, t, q))
     pre = (-I) ** n * t ** (n * (n - 2)) * s**n * q ** (n * (n - 1) * (n - 2) // 3)
-    fq = q_pochhammers(q, q, 0, n - 1)
-    ft = q_pochhammers(t2, q, 0, n - 1)
+    fq = q_pochhammers(q, q, 0, n)
+    ft = q_pochhammers(t2, q, 0, n)
     for k in range(1, n + 1):
         pre = pre * fq[k - 1] * ft[k - 1]
-    rhs = pre * al_salam_chihara(n, ZERO, s * t * I, -(t / s) * I, q)
-    comps = [("normalized determinant vs Al-Salam-Chihara closed form", det_f, rhs)]
+    asc = al_salam_chihara(n, ZERO, s * t * I, -(t / s) * I, q)
+    comps = [("normalized determinant vs Al-Salam-Chihara closed form", det_f, pre * asc)]
 
     # The same determinant, renormalized by q-Gamma ratios, against the
     # D-sequence statement with its original power-of-q prefactor.
     one_minus_q = ONE - q
     det_e = det_f / (q ** (n * (n - 1) // 2) * one_minus_q ** (n * n))
-    d_val = nishizawa_d(n, s, t, q, "recurrence")
+    d_val = nishizawa_d(n, s, t, q)
     rhs2 = (
         s ** (2 * n)
         * t ** (n * (n - 1))
@@ -144,16 +151,24 @@ def nishizawa(pt, n: int) -> list[Comparison]:
         # [k]_q! (t^2;q)_k / (1 - q)^k, with [k]_q! = (q;q)_k / (1 - q)^k
         rhs2 = rhs2 * fq[k] * ft[k] / one_minus_q ** (2 * k)
     comps.append(("q-Gamma-normalized determinant vs D-sequence product", det_e, rhs2))
-    comps.append(
-        ("D recurrence vs explicit sum", d_val, nishizawa_d(n, s, t, q, "explicit"))
-    )
-    comps.append(
-        (
-            "D recurrence vs Al-Salam-Chihara specialization",
-            d_val,
-            nishizawa_d(n, s, t, q, "al_salam_chihara"),
-        )
-    )
+
+    # Nishizawa's explicit sum: D_n = (t^2;q)_n / ((st)^{2n} (q-1)^n) times
+    # sum_k q^k (q^{-n};q)_k / (q;q)_k * (s^2t^2;q^2)_k / (t^2;q)_k.  The last
+    # quotient is a running product, and none of its factors 1 - t^2 q^j, j <= n,
+    # may vanish.
+    fm = q_pochhammers(q ** (-n), q, 0, n)
+    total, inner = ZERO, ONE
+    for k in range(n + 1):
+        total = total + q**k * fm[k] / fq[k] * inner
+        f = ONE - t2 * q**k
+        if not f:
+            raise PoleError("vanishing denominator factor in explicit sum", f"j={k}")
+        inner = inner * (ONE - s2 * t2 * q ** (2 * k)) / f
+    explicit = ft[n] / ((s * t) ** (2 * n) * (q - ONE) ** n) * total
+    comps.append(("D recurrence vs explicit sum", d_val, explicit))
+    # D_n = (-i)^n (st)^{-n} (1-q)^{-n} Q_n(0; st i, -(t/s) i; q)
+    specialized = (-I) ** n * asc / ((s * t) ** n * one_minus_q**n)
+    comps.append(("D recurrence vs Al-Salam-Chihara specialization", d_val, specialized))
     return comps
 
 

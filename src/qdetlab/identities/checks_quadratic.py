@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from ..gaussian import I, ONE, ZERO
+from ..gaussian import I, ONE, ZERO, GaussianRational
 from ..linalg import ExactMatrix, determinant, submatrix
 from ..orthopoly import AWParams, askey_wilson_values
 from ..qseries import q_pochhammer as qp, terminating_phi
 from .builders import build_theorem_matrix
-from .points import Comparison, check
+from .points import CAPACITY, Comparison, check
 
 
 @check(
@@ -18,7 +18,9 @@ from .points import Comparison, check
     min_size=2,
 )
 def dj_generic(pt, n: int) -> list[Comparison]:
-    a = ExactMatrix(n, n, pt.matrix_entries[: n * n])
+    size = CAPACITY["matrix_entries"]
+    lead = list(range(1, n + 1))
+    a = submatrix(ExactMatrix(size, size, pt.matrix_entries), lead, lead)
     inner = list(range(2, n))
     head = list(range(1, n))
     tail = list(range(2, n + 1))
@@ -83,6 +85,22 @@ def quadratic_full(pt, n: int) -> list[Comparison]:
     return [("quadratic relation in root parameters", lhs, rhs)]
 
 
+def _quadratic_relation(n: int, a, b, c, d, q, x) -> tuple[GaussianRational, GaussianRational]:
+    """Both sides of the quadratic relation among the values p_k(x; a, b, c, d; q)
+    with a, b or both shifted by q."""
+
+    def p(aa, bb, top):
+        return askey_wilson_values(top, AWParams(aa, bb, c, d, q, x))
+
+    # p_ij: the values with a shifted by q^i and b by q^j
+    p00, p11 = p(a, b, n), p(a * q, b * q, n - 1)
+    p10, p01 = p(a * q, b, n - 1), p(a, b * q, n - 1)
+    lhs = a * b * (ONE - q ** (n - 1)) * (ONE - c * d * q ** (n - 2)) * p00[n] * p11[n - 2]
+    rhs = (ONE - a * b * q ** (n - 1)) * (ONE - a * b * c * d * q ** (n - 1)) * p00[n - 1] * p11[n - 1]
+    rhs = rhs - (ONE - a * b) * (ONE - a * b * c * d * q ** (2 * n - 2)) * p10[n - 1] * p01[n - 1]
+    return lhs, rhs
+
+
 @check(
     summary="Quadratic relation among origin values in plain parameters",
     size_role="polynomial degree n",
@@ -90,18 +108,8 @@ def quadratic_full(pt, n: int) -> list[Comparison]:
     default_sizes=(1, 2, 3, 4, 5, 6, 7, 8),
 )
 def quadratic_clean(pt, n: int) -> list[Comparison]:
-    a, b, c, q = pt.a, pt.b, pt.c, pt.q
-    c2 = c * c
-
-    def p(aa, bb, top):
-        return askey_wilson_values(top, AWParams(aa, bb, c, -c, q, ZERO))
-
-    # p_ij: the values with a shifted by q^i and b by q^j
-    p00, p11 = p(a, b, n), p(a * q, b * q, n - 1)
-    p10, p01 = p(a * q, b, n - 1), p(a, b * q, n - 1)
-    lhs = a * b * (ONE - q ** (n - 1)) * (ONE + c2 * q ** (n - 2)) * p00[n] * p11[n - 2]
-    rhs = (ONE - a * b * q ** (n - 1)) * (ONE + a * b * c2 * q ** (n - 1)) * p00[n - 1] * p11[n - 1]
-    rhs = rhs - (ONE - a * b) * (ONE + a * b * c2 * q ** (2 * n - 2)) * p10[n - 1] * p01[n - 1]
+    # At d = -c the factors 1 - cd q^j of the relation are 1 + c^2 q^j.
+    lhs, rhs = _quadratic_relation(n, pt.a, pt.b, pt.c, -pt.c, pt.q, ZERO)
     return [("quadratic relation at the origin", lhs, rhs)]
 
 
@@ -165,15 +173,5 @@ def quadratic_phi(pt, n: int) -> list[Comparison]:
     mode="evidence",
 )
 def conjecture_mw3(pt, n: int) -> list[Comparison]:
-    a, b, c, d, q, x = pt.a, pt.b, pt.c, pt.d, pt.q, pt.x
-
-    def p(aa, bb, top):
-        return askey_wilson_values(top, AWParams(aa, bb, c, d, q, x))
-
-    # p_ij: the values with a shifted by q^i and b by q^j
-    p00, p11 = p(a, b, n), p(a * q, b * q, n - 1)
-    p10, p01 = p(a * q, b, n - 1), p(a, b * q, n - 1)
-    lhs = a * b * (ONE - q ** (n - 1)) * (ONE - c * d * q ** (n - 2)) * p00[n] * p11[n - 2]
-    rhs = (ONE - a * b * q ** (n - 1)) * (ONE - a * b * c * d * q ** (n - 1)) * p00[n - 1] * p11[n - 1]
-    rhs = rhs - (ONE - a * b) * (ONE - a * b * c * d * q ** (2 * n - 2)) * p10[n - 1] * p01[n - 1]
+    lhs, rhs = _quadratic_relation(n, pt.a, pt.b, pt.c, pt.d, pt.q, pt.x)
     return [("two-extra-parameter quadratic relation", lhs, rhs)]

@@ -1,13 +1,14 @@
 """Exact evaluators for the orthogonal-polynomial families used by the checks.
 
-Each function has one evaluation path, except the D-sequences, whose forms
-are what the checks compare.  Askey-Wilson values come from the 4-phi-3 form
-or, degree by degree, from the recurrence.  The complex exponential never
-appears: the conjugate parameter pair of the basic hypergeometric form is
-evaluated through the paired product prod_j (1 - 2 a x q^j + a^2 q^{2j}),
-which is rational in x = cos(theta), keeping everything inside QQ(i).  Both
-Askey-Wilson loops run on unreduced Gaussian-integer triples and reduce once
-per value they return: each recurrence value, and the 4-phi-3 sum.
+Each function has one evaluation path.  The D-sequences are their
+recurrences; their closed sums are the sides the checks compare them with.
+Askey-Wilson values come from the 4-phi-3 form or, degree by degree, from
+the recurrence.  The complex exponential never appears: the conjugate
+parameter pair of the basic hypergeometric form is evaluated through the
+paired product prod_j (1 - 2 a x q^j + a^2 q^{2j}), which is rational in
+x = cos(theta), keeping everything inside QQ(i).  Both Askey-Wilson loops
+run on unreduced Gaussian-integer triples and reduce once per value they
+return: each recurrence value, and the 4-phi-3 sum.
 """
 
 from __future__ import annotations
@@ -17,19 +18,7 @@ from dataclasses import dataclass
 from .errors import PoleError
 from .gaussian import _ONE, I, ONE, TWO, ZERO, GaussianRational, sign, to_gq
 from .gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus, _tsub
-from .qseries import (
-    _series_sum,
-    factorial,
-    binomial,
-    half,
-    hyper_f,
-    q_number,
-    q_pochhammer,
-    q_pochhammer_multi,
-    q_pochhammers,
-    rising_factorial,
-    rising_factorials,
-)
+from .qseries import _series_sum, factorial, hyper_f, q_number, q_pochhammer_multi, rising_factorial
 
 
 @dataclass(frozen=True)
@@ -185,41 +174,24 @@ def wilson(n: int, t, alpha, beta, gamma, delta) -> GaussianRational:
     )
 
 
-def mehta_wang_d(n: int, a, b, method: str = "recurrence") -> GaussianRational:
-    """The Meixner-Pollaczek-type sequence D_n with D_{-1}=0, D_0=1.
-
-    ``recurrence``: D_{n+1} = a D_n + n (b + n - 1) D_{n-1}.
-    ``sum``: sum_k (-1)^k C(n,k) ((b-a)/2)_k ((a+b)/2)_{n-k}.
-    """
+def mehta_wang_d(n: int, a, b) -> GaussianRational:
+    """The Meixner-Pollaczek-type sequence D_n with D_{-1}=0, D_0=1, by its
+    recurrence D_{n+1} = a D_n + n (b + n - 1) D_{n-1}."""
     a, b = to_gq(a), to_gq(b)
     if n == -1:
         return ZERO
     if n < -1:
         raise ValueError("index must be >= -1")
-    if method == "recurrence":
-        prev, cur = ZERO, ONE
-        for k in range(n):
-            prev, cur = cur, a * cur + k * (b + (k - 1)) * prev
-        return cur
-    if method == "sum":
-        u = half(b - a)
-        v = half(a + b)
-        fu, fv = rising_factorials(u, 0, n), rising_factorials(v, 0, n)
-        total = ZERO
-        for k in range(n + 1):
-            total = total + sign(k) * binomial(n, k) * fu[k] * fv[n - k]
-        return total
-    raise ValueError(f"unknown method {method!r}")
+    prev, cur = ZERO, ONE
+    for k in range(n):
+        prev, cur = cur, a * cur + k * (b + (k - 1)) * prev
+    return cur
 
 
-def nishizawa_d(n: int, s, t, q, method: str = "recurrence") -> GaussianRational:
-    """The q-deformation of mehta_wang_d, parameterized by the square roots
-    s, t of the two q-powers so that all half-integer exponents are exact.
-
-    Three paths: the three-term recurrence, the explicit single sum, and the
-    Al-Salam--Chihara specialization (-i)^n (st)^{-n} (1-q)^{-n}
-    Q_n(0; st*i, -(t/s)*i; q).
-    """
+def nishizawa_d(n: int, s, t, q) -> GaussianRational:
+    """The q-deformation of mehta_wang_d by its three-term recurrence,
+    parameterized by the square roots s, t of the two q-powers so that all
+    half-integer exponents are exact."""
     s, t, q = to_gq(s), to_gq(t), to_gq(q)
     if not s or not t or not q:
         raise PoleError("parameters must be nonzero", "s, t, q")
@@ -231,42 +203,19 @@ def nishizawa_d(n: int, s, t, q, method: str = "recurrence") -> GaussianRational
         raise ValueError("index must be >= -1")
     s2 = s * s
     t2 = t * t
-    if method == "recurrence":
-        one_minus_q = ONE - q
-        prev, cur = ZERO, ONE
-        for k in range(n):
-            term1 = s2.reciprocal() * q**k * (ONE - s2) / one_minus_q * cur
-            term2 = (
-                (s2 * t2).reciprocal()
-                * q_number(k, q)
-                * (ONE - t2 * q ** (k - 1))
-                / one_minus_q
-                * prev
-            )
-            prev, cur = cur, term1 + term2
-        return cur
-    if method == "explicit":
-        pre = q_pochhammer(t2, q, n) / ((s * t) ** (2 * n) * (q - ONE) ** n)
-        total = ZERO
-        inner = ONE
-        s2t2 = s2 * t2
-        fm, fq = q_pochhammers(q ** (-n), q, 0, n), q_pochhammers(q, q, 0, n)
-        for k in range(n + 1):
-            total = total + q**k * fm[k] / fq[k] * inner
-            f = ONE - t2 * q**k
-            if not f:
-                raise PoleError("vanishing denominator factor in explicit sum", f"j={k}")
-            inner = inner * (ONE - s2t2 * q ** (2 * k)) / f
-        return pre * total
-    if method == "al_salam_chihara":
-        st = s * t
-        return (
-            (-I) ** n
-            * st ** (-n)
-            * (ONE - q) ** (-n)
-            * al_salam_chihara(n, ZERO, st * I, -(t / s) * I, q)
+    one_minus_q = ONE - q
+    prev, cur = ZERO, ONE
+    for k in range(n):
+        term1 = s2.reciprocal() * q**k * (ONE - s2) / one_minus_q * cur
+        term2 = (
+            (s2 * t2).reciprocal()
+            * q_number(k, q)
+            * (ONE - t2 * q ** (k - 1))
+            / one_minus_q
+            * prev
         )
-    raise ValueError(f"unknown method {method!r}")
+        prev, cur = cur, term1 + term2
+    return cur
 
 
 def andrews_rhs(n: int, a, b, q) -> GaussianRational:

@@ -43,27 +43,28 @@ def _products(lo: int, hi: int, up, down=(), pole: str = "", name: str = "") -> 
     Value m >= 0 is the product of the first m factor triples of ``up``
     (indices 0, 1, ...), and value m < 0 is one over the product of the first
     -m of ``down`` (indices -1, -2, ...).  A vanishing factor on the way down
-    raises PoleError(pole), located as factor k of ``name`` at lo.
+    raises PoleError(pole), located as factor k of ``name`` at lo.  The
+    upward part runs first: when generators that raise themselves would do
+    so in both directions, the upward error is the one raised.
     """
     if lo > hi:
         return []
-    out = []
+    out = [ONE] if lo <= 0 <= hi else []
+    value = _ONE
+    for m, factor in zip(range(1, hi + 1), up):
+        value = _tmul(value, factor)
+        if m >= lo:
+            out.append(_reduced(*value))
     if lo < 0:
+        below = []
         den = _ONE
         for m, factor in zip(range(-1, lo - 1, -1), down):
             if not (factor[0] or factor[1]):
                 raise PoleError(pole, f"{name}_{lo} at k={-m}")
             den = _tmul(den, factor)
             if m <= hi:
-                out.append(_reduced(*_tdiv(_ONE, den)))
-        out.reverse()
-    if lo <= 0 <= hi:
-        out.append(ONE)
-    value = _ONE
-    for m, factor in zip(range(1, hi + 1), up):
-        value = _tmul(value, factor)
-        if m >= lo:
-            out.append(_reduced(*value))
+                below.append(_reduced(*_tdiv(_ONE, den)))
+        out = below[::-1] + out
     return out
 
 

@@ -14,15 +14,9 @@ from fractions import Fraction
 import pytest
 
 from qdetlab import ExactMatrix, GaussianRational, ONE, PoleError, ZERO, determinant, pfaffian
-from qdetlab.identities import check_ids, run_suite
+from qdetlab.identities import REGISTRY, ParamPoint, check_ids, run_suite
 from qdetlab.identities.runner import EVIDENCE_PASS, PASS, Report
-from qdetlab.orthopoly import (
-    AWParams,
-    askey_wilson,
-    askey_wilson_values,
-    mehta_wang_d,
-    nishizawa_d,
-)
+from qdetlab.orthopoly import AWParams, askey_wilson, askey_wilson_values
 from qdetlab.qseries import q_binomials, q_pochhammer
 from test_linalg import det_cofactor
 
@@ -125,19 +119,21 @@ def test_criterion_4_factorial_deformations():
     def body():
         report = run_suite(["mehta_wang", "nishizawa"], trials=TRIALS, seed=SEED)
         assert_clean(report)
+        # Each evaluator compares its D-sequence recurrence with the closed
+        # sums, so running it to n = 10 checks their agreement there.
         rng = random.Random(2024)
         for _ in range(4):
             a, b = rand_scalar(rng), rand_scalar(rng)
             for n in range(11):
-                assert mehta_wang_d(n, a, b, "recurrence") == mehta_wang_d(n, a, b, "sum")
+                for _, lhs, rhs in REGISTRY["mehta_wang"].evaluate(ParamPoint(a=a, b=b), n):
+                    assert lhs == rhs
         done = 0
         while done < 4:
-            s, t, q = rand_scalar(rng), rand_scalar(rng), rand_q(rng)
+            pt = ParamPoint(s_half=rand_scalar(rng), t_half=rand_scalar(rng), q=rand_q(rng))
             try:
                 for n in range(11):
-                    rec = nishizawa_d(n, s, t, q, "recurrence")
-                    assert rec == nishizawa_d(n, s, t, q, "explicit")
-                    assert rec == nishizawa_d(n, s, t, q, "al_salam_chihara")
+                    for _, lhs, rhs in REGISTRY["nishizawa"].evaluate(pt, n):
+                        assert lhs == rhs
             except PoleError:
                 continue
             done += 1

@@ -174,6 +174,20 @@ class TestRunCheck:
         pt = sample_point("dj_generic", seed=4, trial=1, n=4)
         assert run_check("dj_generic", 4, pt).status == PASS
 
+    def test_dj_generic_reads_the_leading_block(self):
+        pt = sample_point("dj_generic", seed=4, trial=1, n=4)
+        size = CAPACITY["matrix_entries"]
+
+        def moved(i, j):
+            # The point with entry (i, j) (1-based) of the row-major matrix shifted by 1.
+            entries = list(pt.matrix_entries)
+            entries[(i - 1) * size + j - 1] += ONE
+            return dataclasses.replace(pt, matrix_entries=tuple(entries))
+
+        evaluate = REGISTRY["dj_generic"].evaluate
+        assert evaluate(moved(1, 5), 4) == evaluate(pt, 4)
+        assert evaluate(moved(4, 4), 4) != evaluate(pt, 4)
+
     def test_quadratic_phi_smallest_degree(self):
         # at degree 1 the non-terminating factor carries a vanishing multiplier
         pt = sample_point("quadratic_phi", seed=6, trial=0, n=1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdetlab import I, ONE, PoleError, ZERO, GaussianRational, to_gq
+from qdetlab import I, ONE, PoleError, ZERO, GaussianRational, orthopoly, to_gq
 from qdetlab.orthopoly import (
     AWParams,
     al_salam_chihara,
@@ -18,6 +18,7 @@ from qdetlab.orthopoly import (
     nishizawa_d,
     wilson,
 )
+from qdetlab.identities import REGISTRY, ParamPoint, checks_determinants
 from qdetlab.qseries import factorial, hyper_f, rising_factorial
 
 
@@ -34,6 +35,15 @@ def rand_q(rng):
         v = rand_scalar(rng)
         if v != ONE and v != -ONE:
             return v
+
+
+def evaluate(check_id, n, **params):
+    return REGISTRY[check_id].evaluate(ParamPoint(**params), n)
+
+
+def assert_agree(comparisons):
+    for label, lhs, rhs in comparisons:
+        assert lhs == rhs, label
 
 
 def rand_aw(rng):
@@ -350,15 +360,17 @@ class TestMehtaWangD:
 
     def test_sum_path_low_orders(self):
         a, b = frac(3, 4), frac(7, 2)
-        assert mehta_wang_d(1, a, b, "sum") == a
-        assert mehta_wang_d(0, a, b, "sum") == ONE
+        for n, expected in ((1, a), (0, ONE)):
+            sides = {label: rhs for label, _, rhs in evaluate("mehta_wang", n, a=a, b=b)}
+            assert sides["D-sequence recurrence vs signed binomial sum"] == expected
 
     def test_paths_agree_to_ten(self):
+        # The mehta_wang check compares the recurrence with the signed binomial sum.
         rng = random.Random(9)
         for _ in range(6):
             a, b = rand_scalar(rng), rand_scalar(rng)
             for n in range(11):
-                assert mehta_wang_d(n, a, b, "recurrence") == mehta_wang_d(n, a, b, "sum")
+                assert_agree(evaluate("mehta_wang", n, a=a, b=b))
 
 
 class TestNishizawaD:
@@ -370,18 +382,37 @@ class TestNishizawaD:
         assert nishizawa_d(1, s, t, q) == (ONE - s2) / (s2 * (ONE - q))
 
     def test_three_paths_agree_to_ten(self):
+        # The nishizawa check compares the recurrence with the explicit sum
+        # and with the Al-Salam-Chihara specialization.
         rng = random.Random(10)
         done = 0
         while done < 5:
             s, t, q = rand_scalar(rng), rand_scalar(rng), rand_q(rng)
             try:
                 for n in range(11):
-                    rec = nishizawa_d(n, s, t, q, "recurrence")
-                    assert rec == nishizawa_d(n, s, t, q, "explicit")
-                    assert rec == nishizawa_d(n, s, t, q, "al_salam_chihara")
+                    assert_agree(evaluate("nishizawa", n, s_half=s, t_half=t, q=q))
             except PoleError:
                 continue
             done += 1
+
+    def test_one_al_salam_chihara_value_per_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return al_salam_chihara(*args)
+
+        for module in (orthopoly, checks_determinants):
+            monkeypatch.setattr(module, "al_salam_chihara", counted)
+        comparisons = evaluate("nishizawa", 4, s_half=frac(2, 3), t_half=frac(3, 5), q=frac(2))
+        assert_agree(comparisons)
+        assert len(comparisons) == 4 and len(calls) == 1
+
+    def test_explicit_sum_pole_is_kept(self):
+        # t^2 q^n = 1 at n = 2: only the last factor 1 - t^2 q^n of the
+        # explicit sum's running quotient vanishes, and the point is rejected.
+        with pytest.raises(PoleError, match="explicit sum.*j=2"):
+            evaluate("nishizawa", 2, s_half=frac(2, 3), t_half=frac(2), q=frac(1, 2))
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(PoleError):
