@@ -68,15 +68,6 @@ def _products(lo: int, hi: int, up, down=(), pole: str = "", name: str = "") -> 
     return out
 
 
-def _q_pochhammer_list(a, q, lo: int, hi: int) -> list[GaussianRational]:
-    """(a;q)_lo..(a;q)_hi in index order; see q_pochhammers."""
-    a, q = to_gq(a), to_gq(q)
-    return _products(
-        lo, hi, _one_minus_powers(a, q), _one_minus_powers(a, q, downward=True),
-        "vanishing factor in negative-index q-shifted factorial", "(a;q)",
-    )
-
-
 def q_pochhammers(a, q, lo: int, hi: int) -> dict[int, GaussianRational]:
     """q-shifted factorials (a;q)_lo..(a;q)_hi keyed by index, for any integers.
 
@@ -87,7 +78,12 @@ def q_pochhammers(a, q, lo: int, hi: int) -> dict[int, GaussianRational]:
     range raises PoleError exactly when (a;q)_lo has one, naming the same
     factor.
     """
-    return dict(zip(range(lo, hi + 1), _q_pochhammer_list(a, q, lo, hi)))
+    a, q = to_gq(a), to_gq(q)
+    values = _products(
+        lo, hi, _one_minus_powers(a, q), _one_minus_powers(a, q, downward=True),
+        "vanishing factor in negative-index q-shifted factorial", "(a;q)",
+    )
+    return dict(zip(range(lo, hi + 1), values))
 
 
 def q_pochhammer_tails(a, q, n: int) -> list[GaussianRational]:
@@ -108,7 +104,7 @@ def q_pochhammer(a, q, n: int) -> GaussianRational:
     finite reciprocal prod_{k=1}^{-n} (1 - a q^{-k})^{-1}; a vanishing factor
     there is a pole.
     """
-    return _q_pochhammer_list(a, q, n, n)[0]
+    return q_pochhammers(a, q, n, n)[n]
 
 
 def q_pochhammer_multi(params: Sequence, q, n: int) -> GaussianRational:
@@ -140,17 +136,6 @@ def q_binomials(q, top: int) -> Callable[[int, int], GaussianRational]:
     return binomial
 
 
-def _rising_factorial_list(a, lo: int, hi: int) -> list[GaussianRational]:
-    """(a)_lo..(a)_hi in index order; see rising_factorials."""
-    ar, ai, ad = _parts(to_gq(a))
-    return _products(
-        lo, hi,
-        ((ar + j * ad, ai, ad) for j in itertools.count()),
-        ((ar + j * ad, ai, ad) for j in itertools.count(-1, -1)),
-        "vanishing factor in negative-index rising factorial", "(a)",
-    )
-
-
 def rising_factorials(a, lo: int, hi: int) -> dict[int, GaussianRational]:
     """Rising factorials (a)_lo..(a)_hi keyed by index, for any integers.
 
@@ -161,13 +146,20 @@ def rising_factorials(a, lo: int, hi: int) -> dict[int, GaussianRational]:
     down is a pole; as for q_pochhammers, the range raises exactly when
     (a)_lo does.
     """
-    return dict(zip(range(lo, hi + 1), _rising_factorial_list(a, lo, hi)))
+    ar, ai, ad = _parts(to_gq(a))
+    values = _products(
+        lo, hi,
+        ((ar + j * ad, ai, ad) for j in itertools.count()),
+        ((ar + j * ad, ai, ad) for j in itertools.count(-1, -1)),
+        "vanishing factor in negative-index rising factorial", "(a)",
+    )
+    return dict(zip(range(lo, hi + 1), values))
 
 
 def rising_factorial(a, n: int) -> GaussianRational:
     """Rising factorial (a)_n = prod_{k=0}^{n-1} (a + k) for n >= 0, and
     (a)_{-m} = 1/prod_{k=1}^m (a - k) for negative n."""
-    return _rising_factorial_list(a, n, n)[0]
+    return rising_factorials(a, n, n)[n]
 
 
 def _series_sum(ratios) -> Triple:

@@ -18,6 +18,7 @@ from qdetlab.identities import REGISTRY, ParamPoint, check_ids, run_suite
 from qdetlab.identities.runner import EVIDENCE_PASS, PASS, Report
 from qdetlab.orthopoly import AWParams, askey_wilson, askey_wilson_values
 from qdetlab.qseries import q_binomials, q_pochhammer
+from helpers import rand_q, rand_scalar
 from test_linalg import det_cofactor
 
 SEED = 42
@@ -56,21 +57,6 @@ def assert_clean(report: Report, allow_evidence: bool = False):
         )
     assert report.summary["fail"] == 0
     assert report.summary["skipped"] == 0
-
-
-def frac(num, den=1):
-    return GaussianRational(Fraction(num, den))
-
-
-def rand_scalar(rng):
-    return frac(rng.choice([k for k in range(-9, 10) if k != 0]), rng.randint(1, 9))
-
-
-def rand_q(rng):
-    while True:
-        v = rand_scalar(rng)
-        if v != ONE and v != -ONE:
-            return v
 
 
 def test_criterion_1_main_theorem_both_forms():

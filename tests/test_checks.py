@@ -39,8 +39,10 @@ from qdetlab.identities.runner import EVIDENCE_PASS, FAIL, PASS, SKIPPED
 from qdetlab.qseries import q_pochhammer
 
 
-def frac(num, den=1):
-    return GaussianRational(Fraction(num, den))
+def sampled_result(check_id, n, seed, trial):
+    """The result at the point sample_point(check_id, seed, trial, n), from
+    the one evaluation that accepted it."""
+    return run_suite([check_id], n_min=n, n_max=n, trials=trial + 1, seed=seed).results[trial]
 
 
 class TestRegistryShape:
@@ -171,8 +173,7 @@ class TestRunCheck:
         assert run_check("cor_odd_phi", 3, pt).status == PASS
 
     def test_dj_generic_passes(self):
-        pt = sample_point("dj_generic", seed=4, trial=1, n=4)
-        assert run_check("dj_generic", 4, pt).status == PASS
+        assert sampled_result("dj_generic", 4, seed=4, trial=1).status == PASS
 
     def test_dj_generic_reads_the_leading_block(self):
         pt = sample_point("dj_generic", seed=4, trial=1, n=4)
@@ -190,8 +191,7 @@ class TestRunCheck:
 
     def test_quadratic_phi_smallest_degree(self):
         # at degree 1 the non-terminating factor carries a vanishing multiplier
-        pt = sample_point("quadratic_phi", seed=6, trial=0, n=1)
-        assert run_check("quadratic_phi", 1, pt).status == PASS
+        assert sampled_result("quadratic_phi", 1, seed=6, trial=0).status == PASS
 
     def test_quadratic_phi_pole_under_zero_multiplier_is_rejected(self):
         # seed 8 first draws a = b = -3/2, q = -2/3: abq^2 = 1 puts a pole in
@@ -201,8 +201,7 @@ class TestRunCheck:
         assert [r.status for r in report.results] == [PASS]
 
     def test_conjecture_reports_evidence(self):
-        pt = sample_point("conjecture_mw3", seed=8, trial=0, n=3)
-        result = run_check("conjecture_mw3", 3, pt)
+        result = sampled_result("conjecture_mw3", 3, seed=8, trial=0)
         assert result.status == EVIDENCE_PASS
         assert result.lhs is None and result.rhs is None
 

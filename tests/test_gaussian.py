@@ -1,18 +1,13 @@
 """Scalar field: arithmetic, powers, and the canonical string codec."""
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from qdetlab import GaussianRational, I, ONE, ZERO, ParseError, parse
 from qdetlab.gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus, _tsub
-
-
-def gq(re, im=0):
-    return GaussianRational(Fraction(*re) if isinstance(re, tuple) else re,
-                            Fraction(*im) if isinstance(im, tuple) else im)
+from helpers import canonical, gq
 
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
@@ -120,7 +115,7 @@ def test_triple_helpers_match_the_scalar_operations(x, y, s, t):
         assert triple[2] > 0
         z = _reduced(*triple)
         assert _parts(z) == _parts(expected)
-        assert z._d > 0 and gcd(z._r, z._i, z._d) == 1
+        assert canonical(z)
     if y:
         assert _tdiv(x3, y3)[2] > 0
         assert _parts(_reduced(*_tdiv(x3, y3))) == _parts(x / y)

@@ -8,10 +8,7 @@ import pytest
 
 from qdetlab import ExactMatrix, GaussianRational, ONE, ZERO, determinant, linalg, pfaffian, submatrix
 from qdetlab.gaussian import I
-
-
-def frac(num, den=1):
-    return GaussianRational(Fraction(num, den))
+from helpers import frac
 
 
 def rand_entry(rng):

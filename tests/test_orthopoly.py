@@ -2,11 +2,11 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
-from qdetlab import I, ONE, PoleError, ZERO, GaussianRational, orthopoly, to_gq
+from qdetlab import I, ONE, PoleError, ZERO, orthopoly, to_gq
+from qdetlab.gaussian import TWO
 from qdetlab.orthopoly import (
     AWParams,
     al_salam_chihara,
@@ -20,21 +20,18 @@ from qdetlab.orthopoly import (
 )
 from qdetlab.identities import REGISTRY, ParamPoint, checks_determinants
 from qdetlab.qseries import factorial, hyper_f, rising_factorial
-
-
-def frac(num, den=1):
-    return GaussianRational(Fraction(num, den))
-
-
-def rand_scalar(rng):
-    return frac(rng.choice([k for k in range(-9, 10) if k != 0]), rng.randint(1, 9))
-
-
-def rand_q(rng):
-    while True:
-        v = rand_scalar(rng)
-        if v != ONE and v != -ONE:
-            return v
+from helpers import (
+    QS,
+    agree,
+    aw_grid,
+    frac,
+    outcome,
+    raised,
+    rand_gaussian,
+    rand_gaussian_q,
+    rand_q,
+    rand_scalar,
+)
 
 
 def evaluate(check_id, n, **params):
@@ -91,28 +88,45 @@ def aw_values_reference(n, p):
     return values
 
 
-def outcome(fn, *args):
-    """The value of fn(*args), or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except (PoleError, ZeroDivisionError) as exc:
-        return type(exc), str(exc)
-
-
-GRID = [frac(v, d) for v, d in ((0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1),
-                               (1, 2), (-1, 2), (1, 3), (-1, 3))]
-GRID_Q = [v for v in GRID if v not in (ZERO, ONE, -ONE)]
-
-
-def aw_grid():
-    """(a, b, c, d) over GRID, with q and x cycling through their own lists.
-
-    The printed coefficients and their guards are symmetric in b, c, d, so
-    each multiset {b, c, d} appears once.
-    """
-    tuples = itertools.product(GRID, itertools.combinations_with_replacement(GRID, 3))
-    for idx, (a, (b, c, d)) in enumerate(tuples):
-        yield AWParams(a, b, c, d, GRID_Q[idx % len(GRID_Q)], GRID[idx % 7])
+def askey_wilson_scalar(n, p):
+    """p_n by the 4-phi-3 form with one scalar per operation: the second path
+    of askey_wilson, which runs on unreduced triples."""
+    if n == -1:
+        return ZERO
+    if n < -1:
+        raise ValueError("degree must be >= -1")
+    a, q = p.a, p.q
+    if not a:
+        raise PoleError("basic hypergeometric form requires a nonzero leading parameter", "a=0")
+    ab, ac, ad = a * p.b, a * p.c, a * p.d
+    prefactor = a ** (-n)
+    for u in (ab, ac, ad):
+        for k in range(n):
+            prefactor = prefactor * (ONE - u * q**k)
+    abcd_q = ab * p.c * p.d * q ** (n - 1)
+    qmn = q ** (-n)
+    two_ax = TWO * a * p.x
+    a2 = a * a
+    total = ONE
+    term = ONE
+    qk = ONE
+    q2k = ONE
+    q2 = q * q
+    for k in range(n):
+        num = (ONE - qmn * qk) * (ONE - abcd_q * qk) * (ONE - two_ax * qk + a2 * q2k) * q
+        den = ONE - q * qk
+        if not den:
+            raise PoleError("vanishing denominator q-shifted factorial", f"(q;q) at k={k + 1}")
+        for name, u in (("ab", ab), ("ac", ac), ("ad", ad)):
+            f = ONE - u * qk
+            if not f:
+                raise PoleError("vanishing denominator q-shifted factorial", f"({name};q) at k={k + 1}")
+            den = den * f
+        term = term * num / den
+        total = total + term
+        qk = qk * q
+        q2k = q2k * q2
+    return prefactor * total
 
 
 class TestAskeyWilson:
@@ -161,16 +175,32 @@ class TestAskeyWilson:
         assert askey_wilson_values(3, p)[3] == askey_wilson(3, p)
 
     def test_values_match_printed_coefficients_on_grid(self):
-        # Values, exception types and messages agree with the printed
-        # coefficients, poles and the a = 0 guard included: at degree 5 over
-        # the whole grid, and at every degree up to 5 over a fifth of it.
-        poles = 0
-        for idx, p in enumerate(aw_grid()):
-            for n in range(6) if idx % 5 == 0 else (5,):
-                expected = outcome(aw_values_reference, n, p)
+        # Values, exception classes, messages and locations agree with the
+        # printed coefficients, poles and the a = 0 guard included, at every
+        # degree up to 5 over the whole grid.  Where no step raises, the
+        # reference values to degree n are the first of those to degree 5.
+        stops = {}
+        for p in aw_grid():
+            top = outcome(aw_values_reference, 5, p)
+            for n in range(6):
+                expected = outcome(aw_values_reference, n, p) if raised(top) else top[: n + 2]
                 assert outcome(askey_wilson_values, n, p) == expected, (p, n)
-            poles += isinstance(expected, tuple)
-        assert poles > 300
+            if raised(top):
+                stops[top[2]] = stops.get(top[2], 0) + 1
+        assert sum(stops.values()) > 300
+        # the k = 0 guards of C and of the division in B
+        assert stops["C at n=0"] == 29
+        assert stops["B division at n=0"] == 155
+
+    def test_recurrence_with_complex_and_negative_parameters(self):
+        rng = random.Random(1203)
+        poles = 0
+        for _ in range(300):
+            q = rng.choice(QS) if rng.random() < 0.3 else rand_gaussian_q(rng)
+            a, b, c, x = (rand_gaussian(rng) for _ in range(4))
+            d = rng.choice([rand_gaussian(rng), q ** rng.randint(-3, 3) / (a * b * c or ONE), q ** rng.randint(-3, 1) / (a or ONE)])
+            poles += raised(agree(askey_wilson_values, aw_values_reference, 6, AWParams(a, b, c, d, q, x)))
+        assert poles > 20
 
     def test_vanishing_a_numerator_is_caught_by_an_earlier_denominator(self):
         # abcd q^{k-1} = 1 zeroes the numerator of A at step k, but the same
@@ -184,8 +214,8 @@ class TestAskeyWilson:
                 p = AWParams(a, b, c, q ** (1 - k) / (a * b * c), q, rand_scalar(rng))
                 for n in range(k + 2):
                     assert outcome(askey_wilson_values, n, p) == outcome(aw_values_reference, n, p), (p, n)
-                raised = outcome(askey_wilson_values, k + 1, p)
-                assert raised[0] is PoleError and "vanishing recurrence denominator" in raised[1]
+                got = outcome(askey_wilson_values, k + 1, p)
+                assert got[0] is PoleError and "vanishing recurrence denominator" in got[1]
 
     def test_values_match_hypergeometric_form_on_grid(self):
         compared = 0
@@ -202,6 +232,30 @@ class TestAskeyWilson:
                 assert values[deg] == hyp, (p, deg)
                 compared += 1
         assert compared > 500
+
+    def test_hypergeometric_form_matches_scalar_loop(self):
+        rng = random.Random(1204)
+        grid = list(itertools.islice(aw_grid(), 0, None, 7))
+        samples = [
+            AWParams(*(rand_gaussian(rng) for _ in range(4)), rand_gaussian_q(rng), rand_gaussian(rng))
+            for _ in range(150)
+        ]
+        poles = 0
+        for p in grid + samples + [AWParams(ONE, frac(2), frac(3), frac(5), q, I) for q in QS]:
+            for n in range(-2, 6):
+                poles += raised(agree(askey_wilson, askey_wilson_scalar, n, p))
+        assert poles > 100
+
+    def test_hypergeometric_form_guards_the_q_factor(self):
+        # 1 - q^k vanishes first at k = 2 for q = -1 and at k = 4 for q = +-i.
+        for q, k in ((-ONE, 2), (I, 4), (-I, 4)):
+            p = AWParams(ONE, frac(2), frac(3), frac(5), q, frac(1, 2))
+            for n in range(k + 2):
+                got = agree(askey_wilson, askey_wilson_scalar, n, p)
+                if n < k:
+                    assert not raised(got)
+                else:
+                    assert got[0] is PoleError and got[2] == f"(q;q) at k={k}"
 
     def test_values_start_at_minus_one(self):
         p = rand_aw(random.Random(12))
@@ -364,14 +418,6 @@ class TestMehtaWangD:
             sides = {label: rhs for label, _, rhs in evaluate("mehta_wang", n, a=a, b=b)}
             assert sides["D-sequence recurrence vs signed binomial sum"] == expected
 
-    def test_paths_agree_to_ten(self):
-        # The mehta_wang check compares the recurrence with the signed binomial sum.
-        rng = random.Random(9)
-        for _ in range(6):
-            a, b = rand_scalar(rng), rand_scalar(rng)
-            for n in range(11):
-                assert_agree(evaluate("mehta_wang", n, a=a, b=b))
-
 
 class TestNishizawaD:
     def test_first_values(self):
@@ -380,20 +426,6 @@ class TestNishizawaD:
         assert nishizawa_d(0, s, t, q) == ONE
         s2 = s * s
         assert nishizawa_d(1, s, t, q) == (ONE - s2) / (s2 * (ONE - q))
-
-    def test_three_paths_agree_to_ten(self):
-        # The nishizawa check compares the recurrence with the explicit sum
-        # and with the Al-Salam-Chihara specialization.
-        rng = random.Random(10)
-        done = 0
-        while done < 5:
-            s, t, q = rand_scalar(rng), rand_scalar(rng), rand_q(rng)
-            try:
-                for n in range(11):
-                    assert_agree(evaluate("nishizawa", n, s_half=s, t_half=t, q=q))
-            except PoleError:
-                continue
-            done += 1
 
     def test_one_al_salam_chihara_value_per_evaluation(self, monkeypatch):
         calls = []

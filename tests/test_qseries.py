@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdetlab import NonTerminatingSeriesError, ONE, PoleError, ZERO, GaussianRational
+from qdetlab import I, NonTerminatingSeriesError, ONE, PoleError, ZERO, GaussianRational, to_gq
+from qdetlab.identities.builders import moments
+from qdetlab.orthopoly import AWParams, askey_wilson, askey_wilson_values
 from qdetlab.qseries import (
     hyper_f,
     phi_terms,
@@ -20,22 +23,20 @@ from qdetlab.qseries import (
     terminating_phi,
     very_well_poised,
 )
-
-
-def frac(num, den=1):
-    return GaussianRational(Fraction(num, den))
-
-
-def rand_scalar(rng, nonzero=True):
-    num = rng.choice([k for k in range(-9, 10) if k != 0 or not nonzero])
-    return frac(num, rng.randint(1, 9))
-
-
-def rand_q(rng):
-    while True:
-        v = rand_scalar(rng)
-        if v != ONE and v != -ONE:
-            return v
+from helpers import (
+    QS,
+    SCALARS,
+    agree,
+    canonical,
+    frac,
+    gq,
+    outcome,
+    raised,
+    rand_gaussian,
+    rand_gaussian_q,
+    rand_q,
+    rand_scalar,
+)
 
 
 def q_pochhammer_reference(a, q, n):
@@ -70,64 +71,137 @@ def rising_factorial_reference(a, n):
     return result
 
 
-def outcome(fn, *args):
-    """fn(*args), or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except PoleError as exc:
-        return (type(exc), str(exc))
+# The series loops with one scalar per operation: the second path of
+# phi_terms, terminating_phi and hyper_f, which run on unreduced triples.
 
 
-def assert_table_matches_per_index(table, reference):
-    """Every range -3 <= lo <= hi <= 4 of ``table`` against per-index ``reference``
-    calls; returns the indices at which a per-index call raised."""
-    pole_indices = set()
-    for lo in range(-3, 5):
-        for hi in range(lo, 5):
-            per_index = {m: outcome(reference, m) for m in range(lo, hi + 1)}
-            raised = {m for m, v in per_index.items() if isinstance(v, tuple)}
-            pole_indices |= raised
-            if raised:
+def phi_terms_scalar(numerators, denominators, q, z, order):
+    numerators = [to_gq(a) for a in numerators]
+    denominators = [to_gq(b) for b in denominators]
+    q, z = to_gq(q), to_gq(z)
+    terms = [ONE]
+    qk = ONE  # q**k
+    for k in range(order):
+        factor = z
+        for a in numerators:
+            factor = factor * (ONE - a * qk)
+        den = ONE - q * qk
+        if not den:
+            raise PoleError("vanishing (q;q) factor in series", f"k={k + 1}")
+        for j, b in enumerate(denominators):
+            f = ONE - b * qk
+            if not f:
+                raise PoleError(
+                    "vanishing denominator factor in series",
+                    f"denominator parameter {j + 1} at k={k + 1}",
+                )
+            den = den * f
+        terms.append(terms[-1] * factor / den)
+        qk = qk * q
+    return terms
+
+
+def terminating_phi_scalar(numerators, denominators, q, z, order):
+    numerators = [to_gq(a) for a in numerators]
+    q_order = to_gq(q) ** order
+    if not any(a * q_order == ONE for a in numerators):
+        raise NonTerminatingSeriesError(
+            f"declared order {order} has no matching q**(-n) numerator; refusing to sum"
+        )
+    return sum(phi_terms_scalar(numerators, denominators, q, z, order), ZERO)
+
+
+def hyper_f_scalar(numerators, denominators, z):
+    numerators = [to_gq(a) for a in numerators]
+    denominators = [to_gq(b) for b in denominators]
+    z = to_gq(z)
+    n = None
+    for a in numerators:
+        v = a.as_integer()
+        if v is not None and v <= 0 and (n is None or -v < n):
+            n = -v
+    if n is None:
+        raise NonTerminatingSeriesError(
+            "classical series has no nonpositive-integer numerator; refusing to sum"
+        )
+    total = ONE
+    term = ONE
+    for k in range(n):
+        factor = z
+        for a in numerators:
+            factor = factor * (a + k)
+        den = GaussianRational(k + 1)
+        for j, b in enumerate(denominators):
+            f = b + k
+            if not f:
+                raise PoleError(
+                    "nonpositive integer denominator parameter in classical series",
+                    f"denominator parameter {j + 1} at k={k}",
+                )
+            den = den * f
+        term = term * factor / den
+        total = total + term
+    return total
+
+
+def assert_table_matches_per_index(table, reference, args, lo_min, hi_max):
+    """Every range lo_min <= lo <= hi + 1 <= hi_max + 1 of table(*args, lo, hi)
+    against per-index reference(*args, m) calls: the values in index order
+    or, when a call in the range raises, what the call at lo raises.  Returns
+    the number of ranges that raised and the indices at which a call raised."""
+    per_index = {m: outcome(reference, *args, m) for m in range(lo_min, hi_max + 1)}
+    pole_indices = {m for m, v in per_index.items() if raised(v)}
+    ranges_raised = 0
+    for lo in range(lo_min, hi_max + 1):
+        for hi in range(lo - 1, hi_max + 1):
+            got = outcome(table, *args, lo, hi)
+            if pole_indices.intersection(range(lo, hi + 1)):
                 # poles are downward-closed: the range raises as its lowest index does
-                assert lo in raised
-                assert outcome(table, lo, hi) == per_index[lo]
+                assert lo in pole_indices and got == per_index[lo], (args, lo, hi)
+                ranges_raised += 1
             else:
-                assert table(lo, hi) == per_index
-    return pole_indices
+                assert got == [(m, per_index[m]) for m in range(lo, hi + 1)], (args, lo, hi)
+    return ranges_raised, pole_indices
 
 
 class TestTables:
     def test_q_pochhammers_match_per_index_products_and_poles(self):
+        # a = q^j puts a pole at every index up to -j
         pole_indices = set()
-        for q in (frac(2), frac(-2), frac(1, 3), frac(-3, 4), GaussianRational(1, 1)):
-            for a in (ZERO, ONE, -ONE, frac(3, 5), GaussianRational(Fraction(1, 2), 2), q, q * q, q**3):
-                pole_indices |= assert_table_matches_per_index(
-                    lambda lo, hi: q_pochhammers(a, q, lo, hi),
-                    lambda m: q_pochhammer_reference(a, q, m),
-                )
-        # a = q^k puts a pole at every index up to -k
+        for q in (frac(2), frac(-2), frac(1, 3), frac(-3, 4), gq(1, 1)):
+            for a in (ZERO, ONE, -ONE, frac(3, 5), gq((1, 2), 2), q, q * q, q**3):
+                pole_indices |= assert_table_matches_per_index(q_pochhammers, q_pochhammer_reference, (a, q), -3, 4)[1]
         assert pole_indices == {-3, -2, -1}
+        ranges_raised = 0
+        for q in QS:
+            for a in SCALARS + [q**j for j in range(-3, 4)]:
+                ranges_raised += assert_table_matches_per_index(q_pochhammers, q_pochhammer_reference, (a, q), -4, 5)[0]
+        assert ranges_raised > 1000
 
     def test_rising_factorials_match_per_index_products_and_poles(self):
         pole_indices = set()
-        for a in (ZERO, ONE, frac(2), frac(3), -ONE, frac(1, 2), frac(-5, 2), GaussianRational(1, 1)):
-            pole_indices |= assert_table_matches_per_index(
-                lambda lo, hi: rising_factorials(a, lo, hi),
-                lambda m: rising_factorial_reference(a, m),
-            )
+        for a in (ZERO, ONE, frac(2), frac(3), -ONE, frac(1, 2), frac(-5, 2), gq(1, 1)):
+            pole_indices |= assert_table_matches_per_index(rising_factorials, rising_factorial_reference, (a,), -3, 4)[1]
         assert pole_indices == {-3, -2, -1}
+        ranges_raised = 0
+        for a in SCALARS + [frac(k) for k in (3, -3, -4)] + [frac(5, 2), frac(-7, 2), gq(-2, 1)]:
+            ranges_raised += assert_table_matches_per_index(rising_factorials, rising_factorial_reference, (a,), -5, 6)[0]
+        assert ranges_raised > 50
 
     def test_single_index_reads_agree_with_tables(self):
-        for m in range(-3, 5):
-            assert outcome(q_pochhammer, frac(3, 5), frac(2), m) == outcome(
-                q_pochhammer_reference, frac(3, 5), frac(2), m
-            )
-            assert outcome(rising_factorial, frac(2), m) == outcome(rising_factorial_reference, frac(2), m)
+        for q in QS:
+            for a in SCALARS + [q**j for j in range(-3, 4)]:
+                for n in range(-4, 6):
+                    agree(q_pochhammer, q_pochhammer_reference, a, q, n)
+                    agree(rising_factorial, rising_factorial_reference, a, n)
+                assert q_pochhammer_multi((a, q, I), q, 3) == (
+                    q_pochhammer_reference(a, q, 3) * q_pochhammer_reference(q, q, 3) * q_pochhammer_reference(I, q, 3)
+                )
 
     def test_q_pochhammer_tails_are_the_last_factors(self):
-        for q in (frac(2), frac(-1, 3), GaussianRational(1, 1)):
-            for a in (ZERO, ONE, frac(3, 5), q**-2, GaussianRational(Fraction(1, 2), 2)):
-                for n in range(0, 6):
+        for q in QS + [frac(-1, 3), gq(1, 1)]:
+            for a in SCALARS + [gq((1, 2), 2)] + [q**j for j in range(-3, 4)]:
+                for n in range(7):
                     expected = [q_pochhammer_reference(a * q ** (n - t), q, t) for t in range(n + 1)]
                     assert q_pochhammer_tails(a, q, n) == expected
 
@@ -322,6 +396,33 @@ class TestPhiTerms:
         with pytest.raises(PoleError, match=r"\(q;q\) factor in series \[k=2\]"):
             phi_terms([a, b], [c], -ONE, z, 2)
 
+    def test_phi_terms_and_terminating_phi_match_scalar_loops(self):
+        rng = random.Random(1201)
+        poles = 0
+        for _ in range(400):
+            q = rng.choice(QS) if rng.random() < 0.3 else rand_gaussian_q(rng)
+            order = rng.randint(0, 6)
+            numerators = [rand_gaussian(rng) for _ in range(rng.randint(0, 3))]
+            numerators.insert(rng.randint(0, len(numerators)), q**-order)
+            # q^{-j} as a denominator parameter vanishes at k = j + 1
+            denominators = [rng.choice([rand_gaussian(rng), q ** -rng.randint(0, 5)]) for _ in range(rng.randint(0, 3))]
+            z = rand_gaussian(rng)
+            got = agree(phi_terms, phi_terms_scalar, numerators, denominators, q, z, order)
+            agree(phi_terms, phi_terms_scalar, numerators[1:], denominators, q, z, order)
+            agree(terminating_phi, terminating_phi_scalar, numerators, denominators, q, z, order)
+            agree(terminating_phi, terminating_phi_scalar, numerators[:1] + [ONE], denominators, q, z, order + 1)
+            poles += raised(got)
+        assert poles > 40
+
+    @pytest.mark.parametrize("order", [0, 2])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_phi_terms_converts_every_argument_on_the_call(self, order, slot):
+        args = [[frac(3)], [frac(5)], frac(2), frac(7)]
+        args[slot] = [object()] if slot < 2 else object()
+        for fn in (phi_terms, phi_terms_scalar):
+            with pytest.raises(TypeError, match="cannot interpret"):
+                fn(*args, order)
+
 
 class TestVeryWellPoised:
     def test_tail_containing_one_truncates(self):
@@ -419,3 +520,49 @@ class TestHyperF:
         with pytest.raises(PoleError) as exc:
             hyper_f([-4, frac(1, 2)], [-2], 1)
         assert "denominator parameter 1" in str(exc.value)
+
+    def test_matches_scalar_loop(self):
+        rng = random.Random(1202)
+        poles = 0
+        for _ in range(400):
+            n = rng.randint(0, 7)
+            numerators = [rand_gaussian(rng) for _ in range(rng.randint(0, 3))]
+            numerators.insert(rng.randint(0, len(numerators)), frac(-n))
+            # -j as a denominator parameter vanishes at k = j
+            denominators = [rng.choice([rand_gaussian(rng), frac(-rng.randint(0, 6))]) for _ in range(rng.randint(0, 3))]
+            z = rand_gaussian(rng)
+            poles += raised(agree(hyper_f, hyper_f_scalar, numerators, denominators, z))
+            agree(hyper_f, hyper_f_scalar, [frac(1, 2)] + numerators[1:2], denominators, z)
+        assert poles > 40
+
+
+# The series, recurrence and moment loops of qseries, orthopoly and builders
+# reduce once per value they emit; every emitted value must be in lowest terms.
+
+small = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-12, 12), st.one_of(st.just(0), st.integers(-12, 12)), st.integers(1, 12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small, small, small, small.filter(lambda q: q and q != ONE))
+def test_every_emitted_value_is_canonical(a, b, x, q):
+    calls = [
+        lambda: q_pochhammers(a, q, -3, 6).values(),
+        lambda: q_pochhammer_tails(a, q, 6),
+        lambda: [q_pochhammer(a, q, -3), rising_factorial(a, -3), rising_factorial(a, 5)],
+        lambda: rising_factorials(a, -4, 6).values(),
+        lambda: phi_terms([a, b, q**-5], [x], q, b, 5),
+        lambda: [terminating_phi([a, b, q**-5], [x, q], q, x, 5)],
+        lambda: [hyper_f([frac(-4), a], [x], b)],
+        lambda: askey_wilson_values(5, AWParams(a, b, x, q, q, x)).values(),
+        lambda: [askey_wilson(5, AWParams(a, b, x, q, q, x))],
+        lambda: moments(-3, 6, a, b, q).values(),
+    ]
+    for call in calls:
+        try:
+            values = list(call())
+        except (PoleError, ZeroDivisionError):
+            continue
+        assert all(canonical(v) for v in values), values
