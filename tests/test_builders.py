@@ -87,6 +87,8 @@ class TestMoment:
                     for hi in range(lo - 1, 7):
                         poles += raised(agree(moments, moments_scalar, lo, hi, a, b, q))
         assert poles > 1000
+
+    def test_sequence_matches_scalar_loop_at_special_values(self):
         pole_indices = set()
         for a, b, q in itertools.product(SPECIAL, SPECIAL, SPECIAL_Q):
             for lo in range(-2, 4):

@@ -166,12 +166,15 @@ def assert_table_matches_per_index(table, reference, args, lo_min, hi_max):
 
 class TestTables:
     def test_q_pochhammers_match_per_index_products_and_poles(self):
-        # a = q^j puts a pole at every index up to -j
         pole_indices = set()
         for q in (frac(2), frac(-2), frac(1, 3), frac(-3, 4), gq(1, 1)):
             for a in (ZERO, ONE, -ONE, frac(3, 5), gq((1, 2), 2), q, q * q, q**3):
                 pole_indices |= assert_table_matches_per_index(q_pochhammers, q_pochhammer_reference, (a, q), -3, 4)[1]
+        # a = q^k puts a pole at every index up to -k
         assert pole_indices == {-3, -2, -1}
+
+    def test_q_pochhammers_match_per_index_products_at_complex_and_unit_bases(self):
+        # a = q^j puts a pole at every index up to -j
         ranges_raised = 0
         for q in QS:
             for a in SCALARS + [q**j for j in range(-3, 4)]:
@@ -183,12 +186,19 @@ class TestTables:
         for a in (ZERO, ONE, frac(2), frac(3), -ONE, frac(1, 2), frac(-5, 2), gq(1, 1)):
             pole_indices |= assert_table_matches_per_index(rising_factorials, rising_factorial_reference, (a,), -3, 4)[1]
         assert pole_indices == {-3, -2, -1}
+
+    def test_rising_factorials_match_per_index_products_at_complex_and_integer_parameters(self):
         ranges_raised = 0
         for a in SCALARS + [frac(k) for k in (3, -3, -4)] + [frac(5, 2), frac(-7, 2), gq(-2, 1)]:
             ranges_raised += assert_table_matches_per_index(rising_factorials, rising_factorial_reference, (a,), -5, 6)[0]
         assert ranges_raised > 50
 
     def test_single_index_reads_agree_with_tables(self):
+        for m in range(-3, 5):
+            agree(q_pochhammer, q_pochhammer_reference, frac(3, 5), frac(2), m)
+            agree(rising_factorial, rising_factorial_reference, frac(2), m)
+
+    def test_single_index_reads_match_per_index_products_at_complex_and_unit_bases(self):
         for q in QS:
             for a in SCALARS + [q**j for j in range(-3, 4)]:
                 for n in range(-4, 6):
@@ -199,8 +209,15 @@ class TestTables:
                 )
 
     def test_q_pochhammer_tails_are_the_last_factors(self):
-        for q in QS + [frac(-1, 3), gq(1, 1)]:
-            for a in SCALARS + [gq((1, 2), 2)] + [q**j for j in range(-3, 4)]:
+        for q in (frac(2), frac(-1, 3), gq(1, 1)):
+            for a in (ZERO, ONE, frac(3, 5), q**-2, gq((1, 2), 2)):
+                for n in range(0, 6):
+                    expected = [q_pochhammer_reference(a * q ** (n - t), q, t) for t in range(n + 1)]
+                    assert q_pochhammer_tails(a, q, n) == expected
+
+    def test_q_pochhammer_tails_match_per_index_products_at_complex_and_unit_bases(self):
+        for q in QS:
+            for a in SCALARS + [q**j for j in range(-3, 4)]:
                 for n in range(7):
                     expected = [q_pochhammer_reference(a * q ** (n - t), q, t) for t in range(n + 1)]
                     assert q_pochhammer_tails(a, q, n) == expected
