@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from qdetlab import I, ONE, PoleError, ZERO, GaussianRational
 from qdetlab.orthopoly import AWParams
 
@@ -100,3 +102,27 @@ def agree(fn, reference, *args):
     got = outcome(fn, *args)
     assert got == outcome(reference, *args), args
     return got
+
+
+# -- random retries ------------------------------------------------------------
+
+# Attempts allowed to each retry loop: the most any loop needs is 11 (for 10
+# clean draws, in test_orthopoly.py::TestAskeyWilson::test_methods_agree).
+ATTEMPT_BUDGET = 100
+
+
+def until_clean(k, attempt, errors=(PoleError,)):
+    """Call ``attempt()`` until ``k`` calls have returned without raising
+    one of ``errors``; a call that raises one is a rejected draw.  Fails,
+    naming the test, when ``ATTEMPT_BUDGET`` calls do not give ``k``, as
+    when the evaluator under test raises on every draw."""
+    clean = 0
+    for _ in range(ATTEMPT_BUDGET):
+        try:
+            attempt()
+        except errors:
+            continue
+        clean += 1
+        if clean == k:
+            return
+    pytest.fail(f"{attempt.__qualname__}: {clean} of {k} draws evaluated in {ATTEMPT_BUDGET} attempts")

@@ -18,7 +18,7 @@ from qdetlab.identities import REGISTRY, ParamPoint, check_ids, run_suite
 from qdetlab.identities.runner import EVIDENCE_PASS, PASS, Report
 from qdetlab.orthopoly import AWParams, askey_wilson, askey_wilson_values
 from qdetlab.qseries import q_binomials, q_pochhammer
-from helpers import rand_q, rand_scalar
+from helpers import rand_q, rand_scalar, until_clean
 from test_linalg import det_cofactor
 
 SEED = 42
@@ -113,16 +113,14 @@ def test_criterion_4_factorial_deformations():
             for n in range(11):
                 for _, lhs, rhs in REGISTRY["mehta_wang"].evaluate(ParamPoint(a=a, b=b), n):
                     assert lhs == rhs
-        done = 0
-        while done < 4:
+
+        def attempt():
             pt = ParamPoint(s_half=rand_scalar(rng), t_half=rand_scalar(rng), q=rand_q(rng))
-            try:
-                for n in range(11):
-                    for _, lhs, rhs in REGISTRY["nishizawa"].evaluate(pt, n):
-                        assert lhs == rhs
-            except PoleError:
-                continue
-            done += 1
+            for n in range(11):
+                for _, lhs, rhs in REGISTRY["nishizawa"].evaluate(pt, n):
+                    assert lhs == rhs
+
+        until_clean(4, attempt)
 
     criterion(4, "factorial-moment determinants with D-sequence agreement to n=10", body)
 
@@ -186,34 +184,29 @@ def test_criterion_8_origin_factorizations_and_aw_paths():
         assert_clean(report)
         assert max(res.n for res in report.results if res.check == "andrews") == 8
         rng = random.Random(4096)
-        done = 0
-        while done < 5:
-            p = AWParams(
+
+        def draw():
+            return AWParams(
                 rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), rand_scalar(rng),
                 rand_q(rng), rand_scalar(rng),
             )
+
+        def paths_agree():
+            p = draw()
             n = rng.randint(1, 8)
-            try:
-                assert askey_wilson_values(n, p)[n] == askey_wilson(n, p)
-            except PoleError:
-                continue
-            done += 1
-        done = 0
-        while done < 2:
-            p = AWParams(
-                rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), rand_scalar(rng),
-                rand_q(rng), rand_scalar(rng),
-            )
+            assert askey_wilson_values(n, p)[n] == askey_wilson(n, p)
+
+        def permutations_agree():
+            p = draw()
             n = rng.randint(1, 4)
-            try:
-                values = {
-                    askey_wilson(n, AWParams(a, b, c, d, p.q, p.x))
-                    for a, b, c, d in itertools.permutations((p.a, p.b, p.c, p.d))
-                }
-            except PoleError:
-                continue
+            values = {
+                askey_wilson(n, AWParams(a, b, c, d, p.q, p.x))
+                for a, b, c, d in itertools.permutations((p.a, p.b, p.c, p.d))
+            }
             assert len(values) == 1
-            done += 1
+
+        until_clean(5, paths_agree)
+        until_clean(2, permutations_agree)
 
     criterion(8, "origin factorizations, Andrews product, and Askey-Wilson path agreement", body)
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -29,6 +30,14 @@ def sparse_entry(rng, complex_entries):
         return ZERO
     im = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if complex_entries else 0
     return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), im)
+
+
+def sparse_integer_entry(rng, complex_entries):
+    """A Gaussian integer, zero half the time, so that cofactor expansion
+    stays fast at orders 8 to 10 and planted row content stays visible."""
+    if rng.random() < 0.5:
+        return ZERO
+    return GaussianRational(rng.randint(-9, 9), rng.randint(-3, 3) if complex_entries else 0)
 
 
 def alternating_pivots():
@@ -129,12 +138,38 @@ class TestDeterminant:
                 zeros += not value
         assert swaps > 20 and zeros > 20
 
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_sparse_elimination_either_side_of_the_strip_order(self, complex_entries):
+        # orders 8 and 9 lie either side of linalg.STRIP_ORDER
+        rng = random.Random(36 + complex_entries)
+        for n in (8, 9):
+            for _ in range(6):
+                m = ExactMatrix(n, n, [sparse_entry(rng, complex_entries) for _ in range(n * n)])
+                assert determinant(m) == det_cofactor(m)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_planted_row_and_column_content(self, complex_entries):
+        # det(D_r M D_c) = det(D_r) det(M) det(D_c) for integer diagonals D_r, D_c
+        rng = random.Random(38 + complex_entries)
+        for n in (8, 9):
+            m = ExactMatrix(n, n, [sparse_integer_entry(rng, complex_entries) for _ in range(n * n)])
+            dr = [rng.choice([-12, -6, 2, 4, 9, 30]) for _ in range(n)]
+            dc = [rng.choice([-10, -3, 1, 6, 8, 15]) for _ in range(n)]
+            planted = ExactMatrix.build(n, n, lambda i, j: dr[i - 1] * dc[j - 1] * m.at(i, j))
+            assert determinant(planted) == frac(prod(dr) * prod(dc)) * det_cofactor(m)
+
     def test_zero_row_or_column(self):
         rng = random.Random(33)
         for k in range(1, 5):
             m = rand_matrix(rng, 4)
             rows = m.to_lists()
             rows[k - 1] = [ZERO] * 4
+            assert determinant(ExactMatrix.from_rows(rows)) == ZERO
+            assert determinant(ExactMatrix.from_rows(rows).transpose()) == ZERO
+        # at order 9 the zero row or column meets the content step
+        for k in (1, 5, 9):
+            rows = [[sparse_integer_entry(rng, False) or ONE for _ in range(9)] for _ in range(9)]
+            rows[k - 1] = [ZERO] * 9
             assert determinant(ExactMatrix.from_rows(rows)) == ZERO
             assert determinant(ExactMatrix.from_rows(rows).transpose()) == ZERO
 
@@ -153,30 +188,42 @@ class TestDeterminant:
             assert determinant(m) == det_cofactor(m)
 
     @pytest.mark.parametrize(
-        "rows, loop",
+        "rows, loop, pfaffian_loop",
         [
             # real, the first pivot in the third row
-            ([[0, 3, 1], [0, 2, 5], [4, 1, 1]], "real"),
+            ([[0, 3, 1], [0, 2, 5], [4, 1, 1]], "real", None),
             # real but for one entry below the diagonal
-            ([[2, 1, 3], [1, 4, 1], [GaussianRational(1, 2), 1, 5]], "gaussian"),
-            (alternating_pivots(), "gaussian"),
-            ([], "real"),
+            ([[2, 1, 3], [1, 4, 1], [GaussianRational(1, 2), 1, 5]], "gaussian", None),
+            (alternating_pivots(), "gaussian", None),
+            ([], "real", "real"),
+            # skew, real, the first partner in the third column
+            (skew_from(4, lambda i, j: 0 if (i, j) == (0, 1) else i + 2 * j + 1).to_lists(), "real", "real"),
+            # skew with a complex first pivot: the second step divides by it
+            (
+                skew_from(6, lambda i, j: GaussianRational(i + j, 1) if (i, j) == (0, 1) else i * j - 2).to_lists(),
+                "gaussian",
+                "gaussian",
+            ),
         ],
-        ids=["real-row-swap", "one-complex-entry-below-diagonal", "alternating-pivots", "empty"],
+        ids=["real-row-swap", "one-complex-entry-below-diagonal", "alternating-pivots", "empty",
+             "real-skew-partner-swap", "skew-complex-pivot"],
     )
-    def test_each_elimination_loop_matches_cofactor(self, monkeypatch, rows, loop):
+    def test_each_elimination_loop_matches_cofactor(self, monkeypatch, rows, loop, pfaffian_loop):
         taken = []
-        for name in ("real", "gaussian"):
-            kernel = getattr(linalg, f"_bareiss_{name}")
+        for name in ("bareiss_real", "bareiss_gaussian", "pfaffian_real", "pfaffian_gaussian"):
+            kernel = getattr(linalg, f"_{name}")
 
             def spy(*w, kernel=kernel, name=name):
                 taken.append(name)
                 return kernel(*w)
 
-            monkeypatch.setattr(linalg, f"_bareiss_{name}", spy)
+            monkeypatch.setattr(linalg, f"_{name}", spy)
         m = ExactMatrix.from_rows(rows)
         assert determinant(m) == det_cofactor(m)
-        assert taken == [loop]
+        assert taken == [f"bareiss_{loop}"]
+        if pfaffian_loop:
+            assert pfaffian(m) == pf_expansion(m)
+            assert taken[1:] == [f"pfaffian_{pfaffian_loop}"]
 
     def test_denominators_near_two_to_the_200(self):
         rng = random.Random(35)
@@ -330,7 +377,7 @@ class TestPfaffian:
     def test_sparse_elimination_matches_expansion(self, complex_entries):
         rng = random.Random(41 + complex_entries)
         swaps = zeros = 0
-        for n in (2, 4, 6):
+        for n in (2, 4, 6, 8, 10):
             for _ in range(60):
                 m = skew_from(n, lambda i, j: sparse_entry(rng, complex_entries))
                 value = pfaffian(m)
@@ -344,6 +391,28 @@ class TestPfaffian:
         for k in range(6):
             m = skew_from(6, lambda i, j: ZERO if k in (i, j) else rand_entry(rng))
             assert pfaffian(m) == ZERO
+
+    def test_real_loop_zero_row_and_partner_swap(self):
+        # order 10, above linalg.STRIP_ORDER: the rows also meet the content step
+        rng = random.Random(47)
+        for k in (0, 3, 9):
+            m = skew_from(10, lambda i, j: ZERO if k in (i, j) else real_entry(rng))
+            assert pfaffian(m) == ZERO
+        # a partner swap at the first step (w[0][1] = 0) and at the second
+        # (w[0][2] = w[0][3] = w[2][3] = 0, so the leading 4x4 Pfaffian vanishes)
+        for zeros in ({(0, 1)}, {(0, 2), (0, 3), (2, 3)}):
+            m = skew_from(10, lambda i, j: ZERO if (i, j) in zeros else real_entry(rng))
+            assert pfaffian(m) == pf_expansion(m)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_planted_content(self, complex_entries):
+        # Pf(D M D^T) = det(D) Pf(M) for an integer diagonal D
+        rng = random.Random(50 + complex_entries)
+        for n in (8, 10):
+            m = skew_from(n, lambda i, j: sparse_integer_entry(rng, complex_entries))
+            d = [rng.choice([-12, -6, 2, 4, 9, 30]) for _ in range(n)]
+            planted = ExactMatrix.build(n, n, lambda i, j: d[i - 1] * d[j - 1] * m.at(i, j))
+            assert pfaffian(planted) == frac(prod(d)) * pf_expansion(m)
 
     def test_one_complex_pair_in_a_real_matrix(self):
         rng = random.Random(44)

@@ -36,6 +36,7 @@ from helpers import (
     rand_gaussian_q,
     rand_q,
     rand_scalar,
+    until_clean,
 )
 
 
@@ -481,31 +482,29 @@ class TestVeryWellPoised:
     def test_watson_transformation(self):
         # terminating 8-W-7 equals the balanced 4-phi-3 with the printed prefactor
         rng = random.Random(99)
-        hits = 0
-        while hits < 12:
+
+        def attempt():
             s, q = rand_scalar(rng), rand_q(rng)
             b, c, d, e = (rand_scalar(rng) for _ in range(4))
             n = rng.randint(0, 6)
             a = s * s
-            try:
-                z = a * a * q ** (n + 2) / (b * c * d * e)
-                lhs = very_well_poised(s, [b, c, d, e, q**-n], q, z, order=n)
-                pre = (
-                    q_pochhammer(a * q, q, n)
-                    * q_pochhammer(a * q / (d * e), q, n)
-                    / (q_pochhammer(a * q / d, q, n) * q_pochhammer(a * q / e, q, n))
-                )
-                rhs = pre * terminating_phi(
-                    [q**-n, d, e, a * q / (b * c)],
-                    [a * q / b, a * q / c, d * e * q**-n / a],
-                    q,
-                    q,
-                    order=n,
-                )
-            except (PoleError, ZeroDivisionError):
-                continue
+            z = a * a * q ** (n + 2) / (b * c * d * e)
+            lhs = very_well_poised(s, [b, c, d, e, q**-n], q, z, order=n)
+            pre = (
+                q_pochhammer(a * q, q, n)
+                * q_pochhammer(a * q / (d * e), q, n)
+                / (q_pochhammer(a * q / d, q, n) * q_pochhammer(a * q / e, q, n))
+            )
+            rhs = pre * terminating_phi(
+                [q**-n, d, e, a * q / (b * c)],
+                [a * q / b, a * q / c, d * e * q**-n / a],
+                q,
+                q,
+                order=n,
+            )
             assert lhs == rhs
-            hits += 1
+
+        until_clean(12, attempt, (PoleError, ZeroDivisionError))
 
 
 class TestHyperF:
