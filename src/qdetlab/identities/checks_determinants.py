@@ -181,7 +181,6 @@ def nishizawa(pt, n: int) -> list[Comparison]:
 def thm_main_phi(pt, n: int) -> list[Comparison]:
     a, b, c, q, r = pt.a, pt.b, pt.c, pt.q, pt.r
     alpha, gamma, kappa = pt.alpha, pt.gamma, pt.kappa
-    lhs = determinant(build_theorem_matrix(n, r, a, b, c, q))
     u = alpha * gamma * kappa ** (r + 1)
     v = alpha * pt.beta * gamma * kappa ** (r + 1)
     series = terminating_phi(
@@ -203,6 +202,8 @@ def thm_main_phi(pt, n: int) -> list[Comparison]:
     fab = q_pochhammers(a * b * q * q, q, n + r - 1, 2 * n + r - 2)
     for k in range(1, n + 1):
         rhs = rhs * fq[k - 1] * fa[k + r] * fb[k - 2] / fab[k + n + r - 2]
+    # The closed form goes first, as in thm_main_aw.
+    lhs = determinant(build_theorem_matrix(n, r, a, b, c, q))
     return [("kernel determinant vs terminating series form", lhs, rhs * series)]
 
 

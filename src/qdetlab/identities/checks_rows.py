@@ -112,10 +112,12 @@ def _r_closed_form(n, k, a, b, c, q) -> GaussianRational:
 def thm_rows(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
-    lhs = determinant(theorem_matrix_rows(k, a, b, c, q))
     # The kernel determinant is the cleared one times the row scale (m_closed
     # checks that too), and sign(n) sign(nu) = sign(n - nu) gives its signs.
+    # The closed form goes first: where it has a pole the point is rejected
+    # before the determinant is paid for.
     rhs = _row_scale(k, n, a, b, q) * _r_closed_form(n, k, a, b, c, q)
+    lhs = determinant(theorem_matrix_rows(k, a, b, c, q))
     return [("arbitrary-row determinant vs R-sum closed form", lhs, rhs)]
 
 
@@ -401,9 +403,10 @@ def m_recurrence(pt, n: int) -> list[Comparison]:
 def m_closed(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
-    det_m = determinant(build_m(k, a, b, c, q))
+    # The closed form goes first, as in thm_rows.
     closed = _r_closed_form(n, k, a, b, c, q)
     scale = _row_scale(k, n, a, b, q)
+    det_m = determinant(build_m(k, a, b, c, q))
     return [
         ("cleared-kernel determinant vs R-sum closed form", det_m, closed),
         (

@@ -12,21 +12,29 @@ terms once, at the end.  Pivots are the first nonzero entries, so runs stay
 reproducible.  A matrix whose entries are all real is eliminated over the
 integers alone.
 
-From order STRIP_ORDER = 9 on, the cleared matrix is also stripped of its
-integer content before elimination: a determinant's rows and then its
-columns, a Pfaffian's rows each with the matching column (a congruence), are
-divided by the gcd of their entries, and the product of those gcds is
-multiplied back into the result.  The cleared entries of the large moment
-kernels keep common factors, and stripping them shortens every operand of
-the elimination.  On the moment kernels of orders 4-12 stripping took
-x0.78-0.93 of the elimination time for determinants of order 9-12 and
-x0.59-0.95 for Pfaffians of order 10 and 12, but x1.02-1.72 for
-determinants and x1.32-1.58 for Pfaffians of order 4-8, where the gcds
-cost more than they save.  The tests check each path against expansion oracles.
+From order STRIP_ORDER = 9 on, a real determinant is eliminated on the
+primitive parts of its trailing blocks: each step forms the new block
+without dividing by the previous pivot, divides it by its content (the gcd
+of all its entries), and carries the block's true scale g exactly as
+g' = g^2 c / q, an integer because the true Bareiss block g^2 X / q is
+integral and X / c is primitive.  A Pfaffian's cleared matrix is stripped
+of its integer content instead: row r and column r are divided by the gcd
+of row r (a congruence), and the product of those gcds is multiplied back
+into the result.  The minors of the large moment kernels share big integer
+factors, and dividing them out shortens every operand of the elimination.
+On the real determinants of the moment kernels of orders 4-12, the
+primitive loop took x0.54-0.77 of the time of the plain loop after a
+one-off content strip at orders 9-12, about as long at order 8, and
+x1.19-2.62 of the plain loop's time at orders 4-7.  Stripping took
+x0.59-0.95 of the elimination time for Pfaffians of order 10 and 12 and
+x1.32-1.58 at order 4-8.  Complex determinants, which only the small
+Desnanot-Jacobi checks produce, keep the plain Z[i] loop.  The tests check
+each path against expansion oracles.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Sequence
@@ -158,26 +166,26 @@ def _cleared(lines) -> tuple[list[int], list[list[int]], list[list[int]]]:
     return ls, re, im
 
 
-# The order from which the cleared matrix is stripped of its integer content
-# before elimination: the measured crossover (see the module docstring).
+# The order from which a real determinant is eliminated on primitive parts
+# and a Pfaffian's cleared matrix is stripped of its integer content: the
+# measured crossover (see the module docstring).
 STRIP_ORDER = 9
 
 
-def _strip_content(parts: list[list[list[int]]], skew: bool = False) -> int:
-    """Divide each row of one matrix over Z[i], given as its integer real
-    (and imaginary) part in ``parts``, by the gcd of that row's entries in
-    every part, in place and row by row; returns the product of those gcds.
-    A zero row is left as it is.  With ``skew`` the matrix is skew and the
-    matching column is divided too, by rewriting it as the negated row."""
+def _strip_content(parts: list[list[list[int]]]) -> int:
+    """Divide row r and column r of one skew matrix over Z[i], given as its
+    integer real (and imaginary) part in ``parts``, by the gcd of row r's
+    entries in every part, in place and row by row; returns the product of
+    those gcds.  A zero row is left as it is.  This is a congruence, so it
+    divides the Pfaffian by that product."""
     content = 1
     for r in range(len(parts[0])):
         g = gcd(*[x for w in parts for x in w[r]])
         if g > 1:
             for w in parts:
                 w[r] = [x // g for x in w[r]]
-                if skew:
-                    for row, x in zip(w, w[r]):
-                        row[r] = -x
+                for row, x in zip(w, w[r]):
+                    row[r] = -x
             content *= g
     return content
 
@@ -186,29 +194,30 @@ def determinant(m: ExactMatrix) -> GaussianRational:
     """Exact determinant by fraction-free Bareiss elimination over the
     Gaussian integers, with first-nonzero pivoting, after each row is scaled
     by the lcm of its denominators; the 0x0 determinant is 1.  A matrix
-    whose entries are all real is eliminated over the integers alone."""
+    whose entries are all real is eliminated over the integers alone, from
+    order STRIP_ORDER on by the primitive parts of its trailing blocks."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     ls, wr, wi = _cleared(m.to_lists())
-    parts = [wr, wi] if any(map(any, wi)) else [wr]
-    content = 1
-    if m.rows >= STRIP_ORDER:
-        # det W = (row gcds) (column gcds) det W', and det W'^T = det W'
-        content = _strip_content(parts)
-        parts = [[list(col) for col in zip(*w)] for w in parts]
-        content *= _strip_content(parts)
-    if len(parts) == 2:
-        re, im = _bareiss_gaussian(*parts)
+    if any(map(any, wi)):
+        re, im = _bareiss_gaussian(wr, wi)
+    elif m.rows >= STRIP_ORDER:
+        re, im = _bareiss_primitive(wr), 0
     else:
-        re, im = _bareiss_real(*parts), 0
-    return _reduced(re * content, im * content, prod(ls))
+        re, im = _bareiss_real(wr), 0
+    return _reduced(re, im, prod(ls))
 
 
 # Bareiss on the cleared matrix W: after step k, w[r][c] (r, c > k) is the
 # minor on rows 0..k, r and columns 0..k, c, so each division by the previous
-# pivot q is exact; the last pivot is det W = det(M) * prod(L).  Both loops
-# work in place, swap rows to the first nonzero pivot (flipping the sign) and
-# return 0 when a column has none.
+# pivot q is exact; the last pivot is det W = det(M) * prod(L).  The minors
+# of the moment kernels carry large integer factors common to a whole
+# trailing block, which the plain loop multiplies and divides again at every
+# step; from STRIP_ORDER on, a real W is eliminated on the primitive parts of
+# its trailing blocks instead (_bareiss_primitive), carrying each block's
+# scale exactly.  Every loop swaps rows to the first nonzero pivot (flipping
+# the sign) and returns 0 when a column has none; the two plain loops work
+# in place.
 
 
 def _bareiss_real(w: list[list[int]]) -> int:
@@ -232,6 +241,39 @@ def _bareiss_real(w: list[list[int]]) -> int:
             for c in range(k + 1, n):
                 row[c] = (row[c] * pivot - b * pivot_row[c]) // q
         q = pivot
+    return sign * q
+
+
+def _bareiss_primitive(w: list[list[int]]) -> int:
+    """det W for an integer matrix W, eliminated on the primitive parts of
+    its trailing blocks: 2 products per entry, then 1 division by the
+    block's content where that is above 1.
+
+    The block w kept is the true Bareiss block over its scale g.  A step
+    forms X = p w[r][c] - b w[k][c] without dividing, so the true block is
+    g^2 X / q, q the previous true pivot.  X is divided by its content c,
+    the gcd of all its entries; X / c is primitive and g^2 X / q is
+    integral, so g' = g^2 c / q is an integer.  The true pivot is g p, and
+    the last one is det W up to the sign of the row swaps.  A block that
+    vanishes has c = 0, so g' = 0 and the next step finds no pivot.  Each
+    step keeps only the trailing block, so w shrinks by a row and a column.
+    """
+    sign, g, q = 1, 1, 1
+    while w:
+        for p, row in enumerate(w):
+            if row[0]:
+                break
+        else:
+            return 0
+        if p:
+            w[0], w[p] = w[p], w[0]
+            sign = -sign
+        pivot, *tail = w[0]
+        w = [[x * pivot - b * y for x, y in zip(rest, tail)] for b, *rest in w[1:]]
+        c = gcd(*chain.from_iterable(w))
+        if c > 1:
+            w = [[x // c for x in row] for row in w]
+        g, q = g * g * c // q, g * pivot
     return sign * q
 
 
@@ -306,7 +348,7 @@ def pfaffian(m: ExactMatrix) -> GaussianRational:
             ri[c] *= l
     parts = [wr, wi] if any(map(any, wi)) else [wr]
     # Dividing row i and column i by g is a congruence that divides Pf by g.
-    content = _strip_content(parts, skew=True) if n >= STRIP_ORDER else 1
+    content = _strip_content(parts) if n >= STRIP_ORDER else 1
     if len(parts) == 2:
         re, im = _pfaffian_gaussian(*parts)
     else:

@@ -38,6 +38,19 @@ ROWS_ABOVE_DEFAULT_CHECKS = [
     "bottom_rows", "m_closed", "m_recurrence", "pq_lemma", "r_closed", "r_recurrence", "r_sum", "thm_rows",
 ]
 ROWS_ABOVE_DEFAULT_SHA256 = "6e59ee1c3a876142586d3f358bff43070c9764782cb4437f25ef4a1bf4faa6fd"
+# The moment kernels above their default sizes (4 trials, seed 2012): the
+# three suites of the kernel_large benchmark workload, where determinants
+# reach order 12 and take the primitive-part loop from order 9 on.
+KERNELS_ABOVE_DEFAULT = {
+    "hankel": (["hankel"], 10, 12, "31cab15f8b4aaaae6938fc94590293cacb6009d9ee32a78fbe2302fadc198787"),
+    "theorem": (
+        ["thm_main_aw", "thm_main_phi"], 9, 11, "ba247ee19abbde441b45d1adc7a2acfb87bbbe50c6ab8eabb067a3efd2ccb3c5",
+    ),
+    "pfaffian": (
+        ["c1_pfaffian_square", "pfaffian_moments"], 5, 6,
+        "3832d1d108c7557c8568a395b28bfdef96e6c70eef04d6302c81b399896d1cd5",
+    ),
+}
 
 
 def criterion(num, description, fn):
@@ -326,3 +339,12 @@ def test_rows_checks_above_default_sizes_are_pinned(monkeypatch):
     report = run_suite(ROWS_ABOVE_DEFAULT_CHECKS, n_min=7, n_max=9, trials=2, seed=2012)
     assert_clean(report)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == ROWS_ABOVE_DEFAULT_SHA256
+
+
+@pytest.mark.parametrize("suite", sorted(KERNELS_ABOVE_DEFAULT))
+def test_moment_kernels_above_default_sizes_are_pinned(monkeypatch, suite):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    checks, n_min, n_max, digest = KERNELS_ABOVE_DEFAULT[suite]
+    report = run_suite(checks, n_min=n_min, n_max=n_max, trials=4, seed=2012)
+    assert_clean(report)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

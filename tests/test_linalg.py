@@ -87,6 +87,12 @@ def big_entry(rng):
     return GaussianRational(Fraction(rng.randint(-(2**200), 2**200), den), Fraction(rng.randint(-9, 9), den))
 
 
+def banded(n, entry):
+    """Rows of the n x n matrix with entry(i, j) (0-based) where |i - j| <= 2
+    and zeros elsewhere."""
+    return [[entry(i, j) if abs(i - j) <= 2 else 0 for j in range(n)] for i in range(n)]
+
+
 def skew_from(n, entry):
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -173,6 +179,32 @@ class TestDeterminant:
             assert determinant(ExactMatrix.from_rows(rows)) == ZERO
             assert determinant(ExactMatrix.from_rows(rows).transpose()) == ZERO
 
+    def test_trailing_block_vanishes_before_the_last_step(self):
+        # W = A B has rank r < n: from order linalg.STRIP_ORDER on, the block
+        # left after step r is zero, its content is 0, and the next step has
+        # no pivot
+        rng = random.Random(39)
+        for n, r in ((9, 1), (9, 5), (10, 9), (12, 11)):
+            a = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(n)]
+            b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+            rows = [[frac(sum(x * y for x, y in zip(row, col)), 6) for col in zip(*b)] for row in a]
+            assert determinant(ExactMatrix.from_rows(rows)) == ZERO
+
+    def test_row_swap_after_a_content_step(self):
+        # Every entry is a multiple of 6, so the first block has content at
+        # least 36; the second row is twice the first in the first two
+        # columns, so the leading 2 x 2 minor is 0 and the second step swaps
+        # rows.
+        rng = random.Random(40)
+        for n in (9, 10):
+            for _ in range(2):
+                rows = [[6 * sparse_integer_entry(rng, False) for _ in range(n)] for _ in range(n)]
+                rows[0][0] = frac(6 * rng.choice([-2, -1, 1, 3]))
+                rows[1][:2] = [2 * rows[0][0], 2 * rows[0][1]]
+                rows[2][1] = frac(6)
+                m = ExactMatrix.from_rows(rows)
+                assert determinant(m) == det_cofactor(m)
+
     def test_first_pivot_below_the_diagonal(self):
         # zeros above the anti-diagonal: the first two pivots lie below the diagonal
         m = ExactMatrix.from_rows([[0, 0, 0, 2], [0, 0, 3, 1], [0, 5, 1, 1], [7, 1, 1, 1]])
@@ -204,13 +236,16 @@ class TestDeterminant:
                 "gaussian",
                 "gaussian",
             ),
+            # order 9 = linalg.STRIP_ORDER, pentadiagonal so that the expansion stays short
+            (banded(9, lambda i, j: (i + 2 * j) % 7 - 3 or 5), "primitive", None),
+            (banded(9, lambda i, j: GaussianRational((i + 2 * j) % 7 - 3, (i * j) % 3 - 1)), "gaussian", None),
         ],
         ids=["real-row-swap", "one-complex-entry-below-diagonal", "alternating-pivots", "empty",
-             "real-skew-partner-swap", "skew-complex-pivot"],
+             "real-skew-partner-swap", "skew-complex-pivot", "real-order-9", "complex-order-9"],
     )
     def test_each_elimination_loop_matches_cofactor(self, monkeypatch, rows, loop, pfaffian_loop):
         taken = []
-        for name in ("bareiss_real", "bareiss_gaussian", "pfaffian_real", "pfaffian_gaussian"):
+        for name in ("bareiss_real", "bareiss_primitive", "bareiss_gaussian", "pfaffian_real", "pfaffian_gaussian"):
             kernel = getattr(linalg, f"_{name}")
 
             def spy(*w, kernel=kernel, name=name):
