@@ -9,33 +9,41 @@ fraction-free, and every later division is exact (Bareiss 1968 for
 determinants, the Pfaffian form of Sylvester's identity for Pfaffians;
 Knuth, "Overlapping Pfaffians", 1996).  Each value is reduced to lowest
 terms once, at the end.  Pivots are the first nonzero entries, so runs stay
-reproducible.  A matrix whose entries are all real is eliminated over the
-integers alone.
+reproducible.  A determinant whose entries are all real is eliminated over
+the integers alone.  Pfaffians have one elimination loop, over the
+integers: the Pfaffian of a complex W = wr + i wi is the value at t = i of
+the integer polynomial Pf(wr + t wi) of degree at most n/2, which
+Lagrange's formula gives from its values at t = 0..n/2, each a real
+Pfaffian.
 
 From order STRIP_ORDER = 9 on, a real determinant is eliminated on the
 primitive parts of its trailing blocks: each step forms the new block
 without dividing by the previous pivot, divides it by its content (the gcd
 of all its entries), and carries the block's true scale g exactly as
 g' = g^2 c / q, an integer because the true Bareiss block g^2 X / q is
-integral and X / c is primitive.  A Pfaffian's cleared matrix is stripped
-of its integer content instead: row r and column r are divided by the gcd
-of row r (a congruence), and the product of those gcds is multiplied back
-into the result.  The minors of the large moment kernels share big integer
-factors, and dividing them out shortens every operand of the elimination.
+integral and X / c is primitive.  The integer matrix of a Pfaffian (the
+cleared matrix, or one interpolation node) is stripped of its integer
+content instead: row r and column r are divided by the gcd of row r (a
+congruence), and the product of those gcds is multiplied back into the
+result.  The minors of the large moment kernels share big integer factors,
+and dividing them out shortens every operand of the elimination.
 On the real determinants of the moment kernels of orders 4-12, the
 primitive loop took x0.54-0.77 of the time of the plain loop after a
 one-off content strip at orders 9-12, about as long at order 8, and
 x1.19-2.62 of the plain loop's time at orders 4-7.  Stripping took
 x0.59-0.95 of the elimination time for Pfaffians of order 10 and 12 and
 x1.32-1.58 at order 4-8.  Complex determinants, which only the small
-Desnanot-Jacobi checks produce, keep the plain Z[i] loop.  The tests check
-each path against expansion oracles.
+Desnanot-Jacobi checks produce, keep the plain Z[i] loop: interpolation
+took x1.6-3.0 of its time on random complex determinants of order 4-6.
+No check produces a complex Pfaffian; on random ones interpolation took
+x1.0-1.3 of the time of a Z[i] loop at orders 2-6 and x1.7-2.2 at orders
+8-12.  The tests check each path against expansion oracles.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -172,20 +180,18 @@ def _cleared(lines) -> tuple[list[int], list[list[int]], list[list[int]]]:
 STRIP_ORDER = 9
 
 
-def _strip_content(parts: list[list[list[int]]]) -> int:
-    """Divide row r and column r of one skew matrix over Z[i], given as its
-    integer real (and imaginary) part in ``parts``, by the gcd of row r's
-    entries in every part, in place and row by row; returns the product of
-    those gcds.  A zero row is left as it is.  This is a congruence, so it
-    divides the Pfaffian by that product."""
+def _strip_content(w: list[list[int]]) -> int:
+    """Divide row r and column r of the integer skew matrix W by the gcd of
+    row r's entries, in place and row by row; returns the product of those
+    gcds.  A zero row is left as it is.  This is a congruence, so it divides
+    the Pfaffian by that product."""
     content = 1
-    for r in range(len(parts[0])):
-        g = gcd(*[x for w in parts for x in w[r]])
+    for r, row in enumerate(w):
+        g = gcd(*row)
         if g > 1:
-            for w in parts:
-                w[r] = [x // g for x in w[r]]
-                for row, x in zip(w, w[r]):
-                    row[r] = -x
+            w[r] = [x // g for x in row]
+            for other, x in zip(w, w[r]):
+                other[r] = -x
             content *= g
     return content
 
@@ -325,10 +331,10 @@ def pfaffian(m: ExactMatrix) -> GaussianRational:
     """Exact Pfaffian of an even-dimensional skew-symmetric matrix; Pf of the
     0x0 matrix is 1.  Odd dimension or non-skew input is rejected outright.
 
-    Fraction-free pivot-pair elimination over the Gaussian integers, with the
-    first nonzero partner in the pivot row, after the congruence W = D M D,
-    D the diagonal of the rows' lcms of denominators.  A matrix whose
-    entries are all real is eliminated over the integers alone.
+    Fraction-free pivot-pair elimination over the integers, with the first
+    nonzero partner in the pivot row, after the congruence W = D M D, D the
+    diagonal of the rows' lcms of denominators.  A matrix with complex
+    entries is evaluated from real Pfaffians by interpolation.
     """
     if m.rows != m.cols:
         raise ValueError("Pfaffian requires a square matrix")
@@ -346,22 +352,37 @@ def pfaffian(m: ExactMatrix) -> GaussianRational:
         for c, l in enumerate(ls):
             rr[c] *= l
             ri[c] *= l
-    parts = [wr, wi] if any(map(any, wi)) else [wr]
-    # Dividing row i and column i by g is a congruence that divides Pf by g.
-    content = _strip_content(parts) if n >= STRIP_ORDER else 1
-    if len(parts) == 2:
-        re, im = _pfaffian_gaussian(*parts)
-    else:
-        re, im = _pfaffian_real(*parts), 0
-    return _reduced(re * content, im * content, prod(ls))
+
+    def real_pfaffian(w):
+        # Dividing row i and column i by g is a congruence that divides Pf by g.
+        content = _strip_content(w) if n >= STRIP_ORDER else 1
+        return content * _pfaffian_real(w)
+
+    if not any(map(any, wi)):
+        return _reduced(real_pfaffian(wr), 0, prod(ls))
+    # Pf(wr + t wi) is a polynomial P(t) of degree at most h = n/2 with
+    # integer coefficients, so its values at t = 0..h, each a real Pfaffian,
+    # fix it, and Lagrange's formula over those nodes gives P(i).  Term k of
+    # the formula, times h!, is P(k) (-1)^(h - k) C(h, k) prod_{j != k} (i - j).
+    h = n // 2
+    re = im = 0
+    for k in range(h + 1):
+        w = [[x + k * y for x, y in zip(rr, ri)] for rr, ri in zip(wr, wi)]
+        xr, xi = (-1) ** (h - k) * comb(h, k) * real_pfaffian(w), 0
+        for j in range(h + 1):
+            if j != k:
+                xr, xi = -j * xr - xi, xr - j * xi
+        re += xr
+        im += xi
+    return _reduced(re, im, factorial(h) * prod(ls))
 
 
 # Pivot-pair elimination on the skew matrix W: eliminating the pair (k, k+1)
 # replaces w[i][j] (k+1 < i < j) by the Pfaffian of W on rows 0..k+1, i, j,
 # so the division by the previous pivot q is exact, and the last pivot is
-# Pf W.  Both loops work in place, keep the lower triangle as the negated
-# upper one, bring the first nonzero partner of row k to k+1 by a congruence
-# swap (flipping the sign) and return 0 when row k has none.
+# Pf W.  The loop works in place, keeps the lower triangle as the negated
+# upper one, brings the first nonzero partner of row k to k+1 by a congruence
+# swap (flipping the sign) and returns 0 when row k has none.
 
 
 def _pfaffian_real(w: list[list[int]]) -> int:
@@ -394,49 +415,3 @@ def _pfaffian_real(w: list[list[int]]) -> int:
         q = pivot
     return sign * q
 
-
-def _pfaffian_gaussian(wr: list[list[int]], wi: list[list[int]]) -> tuple[int, int]:
-    """Pf W for W = wr + i*wi over Z[i], as (re, im).
-
-    The division rule is picked once per step, as in _bareiss_gaussian: by
-    a complex q, conj(q) is folded into the pivot and into row k, so every
-    entry is still one Z[i] expression divided by one integer.
-    """
-    n = len(wr)
-    sign = 1
-    qr, qi = 1, 0
-    for k in range(0, n, 2):
-        k1 = k + 1
-        for p in range(k1, n):
-            if wr[k][p] or wi[k][p]:
-                break
-        else:
-            return 0, 0
-        if p != k1:
-            for w in (wr, wi):
-                w[k1], w[p] = w[p], w[k1]
-                for row in w:
-                    row[k1], row[p] = row[p], row[k1]
-            sign = -sign
-        kr, ki, hr, hi = wr[k], wi[k], wr[k1], wi[k1]
-        pr, pi = kr[k1], ki[k1]
-        if qi:
-            # scale by conj(q) = qr - qi i and divide by the norm
-            d = qr * qr + qi * qi
-            sr, si = pr * qr + pi * qi, pi * qr - pr * qi
-            kr, ki = ([x * qr + y * qi for x, y in zip(kr, ki)],
-                      [y * qr - x * qi for x, y in zip(kr, ki)])
-        else:
-            d, sr, si = qr, pr, pi
-        for i in range(k + 2, n):
-            rr, ri = wr[i], wi[i]
-            ar, ai, br, bi = kr[i], ki[i], hr[i], hi[i]
-            for j in range(i + 1, n):
-                cr, ci, dr, di = kr[j], ki[j], hr[j], hi[j]
-                xr, xi = rr[j], ri[j]
-                yr = (sr * xr - si * xi - ar * dr + ai * di + cr * br - ci * bi) // d
-                yi = (sr * xi + si * xr - ar * di - ai * dr + cr * bi + ci * br) // d
-                rr[j], ri[j] = yr, yi
-                wr[j][i], wi[j][i] = -yr, -yi
-        qr, qi = pr, pi
-    return sign * qr, sign * qi

@@ -33,6 +33,9 @@ class TestList:
         assert code == 0
         assert "hankel" in out
         assert "inputs drawn:  a, b, q, r" in out
+        code, out, _ = run_cli(capsys, "explain", "thm_rows")
+        assert code == 0
+        assert "size bounds:   1..12\n" in out
 
     def test_explain_unknown(self, capsys):
         code, _, err = run_cli(capsys, "explain", "nope")
@@ -68,6 +71,17 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--check", "no_such_id")
         assert code == 2
         assert "unknown check id" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("run", "--trials", "x"), (), ("run", "--format", "xml")],
+        ids=["bad-int", "no-command", "bad-choice"],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: qdet-lab")
+        assert "qdet-lab: error: " in err
 
     def test_bad_size_window_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -117,6 +131,10 @@ class TestRun:
         expected = {cid for cid in check_ids()
                     if _min_size(cid) <= 1}
         assert ran == expected
+        # without --check every check runs, as with --check all
+        code, out_default, _ = run_cli(capsys, "run", "--n-max", "1", "--trials", "1", "--format", "json")
+        assert code == 0
+        assert out_default == out
 
     def test_text_and_json_agree_on_counts(self, capsys):
         code, text_out, _ = run_cli(

@@ -220,21 +220,22 @@ class TestDeterminant:
             assert determinant(m) == det_cofactor(m)
 
     @pytest.mark.parametrize(
-        "rows, loop, pfaffian_loop",
+        "rows, loop, pfaffian_calls",
         [
             # real, the first pivot in the third row
             ([[0, 3, 1], [0, 2, 5], [4, 1, 1]], "real", None),
             # real but for one entry below the diagonal
             ([[2, 1, 3], [1, 4, 1], [GaussianRational(1, 2), 1, 5]], "gaussian", None),
             (alternating_pivots(), "gaussian", None),
-            ([], "real", "real"),
+            ([], "real", 1),
             # skew, real, the first partner in the third column
-            (skew_from(4, lambda i, j: 0 if (i, j) == (0, 1) else i + 2 * j + 1).to_lists(), "real", "real"),
-            # skew with a complex first pivot: the second step divides by it
+            (skew_from(4, lambda i, j: 0 if (i, j) == (0, 1) else i + 2 * j + 1).to_lists(), "real", 1),
+            # skew with a complex first pivot: its Pfaffian is interpolated
+            # from n/2 + 1 = 4 real ones
             (
                 skew_from(6, lambda i, j: GaussianRational(i + j, 1) if (i, j) == (0, 1) else i * j - 2).to_lists(),
                 "gaussian",
-                "gaussian",
+                4,
             ),
             # order 9 = linalg.STRIP_ORDER, pentadiagonal so that the expansion stays short
             (banded(9, lambda i, j: (i + 2 * j) % 7 - 3 or 5), "primitive", None),
@@ -243,9 +244,9 @@ class TestDeterminant:
         ids=["real-row-swap", "one-complex-entry-below-diagonal", "alternating-pivots", "empty",
              "real-skew-partner-swap", "skew-complex-pivot", "real-order-9", "complex-order-9"],
     )
-    def test_each_elimination_loop_matches_cofactor(self, monkeypatch, rows, loop, pfaffian_loop):
+    def test_each_elimination_loop_matches_cofactor(self, monkeypatch, rows, loop, pfaffian_calls):
         taken = []
-        for name in ("bareiss_real", "bareiss_primitive", "bareiss_gaussian", "pfaffian_real", "pfaffian_gaussian"):
+        for name in ("bareiss_real", "bareiss_primitive", "bareiss_gaussian", "pfaffian_real"):
             kernel = getattr(linalg, f"_{name}")
 
             def spy(*w, kernel=kernel, name=name):
@@ -256,9 +257,9 @@ class TestDeterminant:
         m = ExactMatrix.from_rows(rows)
         assert determinant(m) == det_cofactor(m)
         assert taken == [f"bareiss_{loop}"]
-        if pfaffian_loop:
+        if pfaffian_calls:
             assert pfaffian(m) == pf_expansion(m)
-            assert taken[1:] == [f"pfaffian_{pfaffian_loop}"]
+            assert taken[1:] == ["pfaffian_real"] * pfaffian_calls
 
     def test_denominators_near_two_to_the_200(self):
         rng = random.Random(35)
@@ -388,6 +389,8 @@ class TestPfaffian:
         m = ExactMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
         with pytest.raises(ValueError):
             pfaffian(m)
+        with pytest.raises(ValueError, match="square"):
+            pfaffian(ExactMatrix(2, 4, [0] * 8))
 
     def test_non_skew_rejected(self):
         with pytest.raises(ValueError):
@@ -447,7 +450,10 @@ class TestPfaffian:
             m = skew_from(n, lambda i, j: sparse_integer_entry(rng, complex_entries))
             d = [rng.choice([-12, -6, 2, 4, 9, 30]) for _ in range(n)]
             planted = ExactMatrix.build(n, n, lambda i, j: d[i - 1] * d[j - 1] * m.at(i, j))
-            assert pfaffian(planted) == frac(prod(d)) * pf_expansion(m)
+            value = frac(prod(d)) * pf_expansion(m)
+            assert pfaffian(planted) == value
+            # Pf(i B) = i^(n/2) Pf(B); for a real B the interpolation node t = 0 is the zero matrix
+            assert pfaffian(ExactMatrix.build(n, n, lambda i, j: I * planted.at(i, j))) == I ** (n // 2) * value
 
     def test_one_complex_pair_in_a_real_matrix(self):
         rng = random.Random(44)
@@ -532,6 +538,12 @@ class TestSubmatrixAndAccess:
         assert [m.at(1, j) for j in (1, 2, 3)] == [frac(2), frac(1, 3), GaussianRational(0, 1)]
         with pytest.raises(TypeError):
             ExactMatrix(1, 1, [0.5])
+        with pytest.raises(ValueError, match="nonnegative"):
+            ExactMatrix(-1, 0, [])
+        with pytest.raises(ValueError, match="expected 4 entries, got 3"):
+            ExactMatrix(2, 2, [1, 2, 3])
+        with pytest.raises(ValueError, match="ragged"):
+            ExactMatrix.from_rows([[1, 2], [3]])
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):

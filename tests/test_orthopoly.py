@@ -281,6 +281,9 @@ class TestAskeyWilson:
 class TestAlSalamChihara:
     def test_degree_zero(self):
         assert al_salam_chihara(0, 1, 2, 3, frac(1, 2)) == ONE
+        assert al_salam_chihara(-1, 1, 2, 3, frac(1, 2)) == ZERO
+        with pytest.raises(ValueError, match="degree must be >= -1"):
+            al_salam_chihara(-2, 1, 2, 3, frac(1, 2))
 
     def test_degree_one_recurrence_step(self):
         x, a, b = frac(5, 7), frac(2, 3), frac(3)
@@ -409,6 +412,8 @@ class TestMehtaWangD:
         assert mehta_wang_d(0, a, b) == ONE
         assert mehta_wang_d(1, a, b) == a
         assert mehta_wang_d(2, a, b) == a * a + b
+        with pytest.raises(ValueError, match="index must be >= -1"):
+            mehta_wang_d(-2, a, b)
 
     def test_sum_path_low_orders(self):
         a, b = frac(3, 4), frac(7, 2)
@@ -424,6 +429,8 @@ class TestNishizawaD:
         assert nishizawa_d(0, s, t, q) == ONE
         s2 = s * s
         assert nishizawa_d(1, s, t, q) == (ONE - s2) / (s2 * (ONE - q))
+        with pytest.raises(ValueError, match="index must be >= -1"):
+            nishizawa_d(-2, s, t, q)
 
     def test_one_al_salam_chihara_value_per_evaluation(self, monkeypatch):
         calls = []

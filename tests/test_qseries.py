@@ -10,6 +10,7 @@ from qdetlab import I, NonTerminatingSeriesError, ONE, PoleError, ZERO, Gaussian
 from qdetlab.identities.builders import moments
 from qdetlab.orthopoly import AWParams, askey_wilson, askey_wilson_values
 from qdetlab.qseries import (
+    binomial,
     hyper_f,
     phi_terms,
     q_binomials,
@@ -282,6 +283,9 @@ class TestQNumbers:
         assert q_binomials(frac(4, 3), 5)(5, 0) == ONE
         assert q_binomials(frac(4, 3), 3)(3, 5) == ZERO
         assert q_binomials(frac(4, 3), 3)(3, -1) == ZERO
+        assert binomial(5, 0) == ONE
+        assert binomial(3, 5) == ZERO
+        assert binomial(3, -1) == ZERO
 
     def test_q_binomial_value(self):
         assert q_binomials(2, 4)(4, 2) == frac(35)
