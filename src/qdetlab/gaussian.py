@@ -50,13 +50,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self._r or self._i)
 
-    def is_real(self) -> bool:
-        return not self._i
-
-    def as_integer(self) -> int | None:
-        """The value as a Python int when it is one, else None."""
-        return None if self._i or self._d != 1 else self._r
-
     # -- field operations ---------------------------------------------------
 
     def __add__(self, other):

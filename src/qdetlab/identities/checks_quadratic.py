@@ -11,7 +11,7 @@ from .points import CAPACITY, Comparison, check
 
 
 @check(
-    summary="Determinant condensation identity on a random complex-rational matrix",
+    summary="Determinant condensation identity on a random rational matrix",
     size_role="matrix size n",
     draws=("matrix_entries",),
     default_sizes=(4, 5, 6),

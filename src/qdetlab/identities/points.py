@@ -82,27 +82,24 @@ class ParamPoint:
 _DESCRIBED = tuple(slot.name for slot in fields(ParamPoint)[2:])
 
 
-def _fraction_parts(getrandbits) -> tuple[int, int]:
-    """(numerator, denominator) as rng.choice(_NUMERATORS), then rng.randint(1, 9).
+def draw_rational(rng: random.Random) -> GaussianRational:
+    """One nonzero rational with numerator in [-9,9] and denominator in [1,9].
 
-    Both read ``getrandbits`` by the rule of ``Random._randbelow``: a value
-    below n takes n.bit_length() bits, drawn again while it is >= n (18
-    numerators: 5 bits; 9 denominators: 4 bits).  The stream, and so every
-    point, is the one choice and randint give, without their call chain.
+    The numerator is rng.choice(_NUMERATORS) and the denominator
+    rng.randint(1, 9), both read from ``getrandbits`` by the rule of
+    ``Random._randbelow``: a value below n takes n.bit_length() bits, drawn
+    again while it is >= n (18 numerators: 5 bits; 9 denominators: 4 bits).
+    The stream, and so every point, is the one choice and randint give,
+    without their call chain.
     """
+    getrandbits = rng.getrandbits
     k = getrandbits(5)
     while k >= 18:
         k = getrandbits(5)
     d = getrandbits(4)
     while d >= 9:
         d = getrandbits(4)
-    return _NUMERATORS[k], d + 1
-
-
-def draw_rational(rng: random.Random) -> GaussianRational:
-    """One nonzero rational with numerator in [-9,9] and denominator in [1,9]."""
-    num, den = _fraction_parts(rng.getrandbits)
-    return _reduced(num, 0, den)
+    return _reduced(_NUMERATORS[k], 0, d + 1)
 
 
 def draw_unit_free(rng: random.Random) -> GaussianRational:
@@ -111,14 +108,6 @@ def draw_unit_free(rng: random.Random) -> GaussianRational:
         v = draw_rational(rng)
         if v != ONE and v != -ONE:
             return v
-
-
-def draw_complex(rng: random.Random) -> GaussianRational:
-    """re + im i with each part drawn as :func:`draw_rational` draws it, real part first."""
-    getrandbits = rng.getrandbits
-    re_num, re_den = _fraction_parts(getrandbits)
-    im_num, im_den = _fraction_parts(getrandbits)
-    return _reduced(re_num * im_den, im_num * re_den, re_den * im_den)
 
 
 def draw_r(rng: random.Random) -> int:
@@ -141,9 +130,9 @@ def draw_x_list(rng: random.Random) -> tuple[GaussianRational, ...]:
 
 
 def draw_matrix(rng: random.Random) -> tuple[GaussianRational, ...]:
-    """The row-major entries of a square complex matrix of the capacity's order."""
+    """The row-major entries of a square rational matrix of the capacity's order."""
     size = CAPACITY["matrix_entries"]
-    return tuple(draw_complex(rng) for _ in range(size * size))
+    return tuple(draw_rational(rng) for _ in range(size * size))
 
 
 def draw_roots(rng: random.Random) -> dict:

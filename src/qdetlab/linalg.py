@@ -2,19 +2,18 @@
 
 The public index convention is 1-based, matching the displayed formulas the
 matrices come from; storage is a row-major list.  Products, determinants
-and Pfaffians work over the Gaussian integers: each row (and, for the right
-factor of a product, each column) is cleared of its denominators first.
-A product entry is then one integer dot product.  Elimination is
-fraction-free, and every later division is exact (Bareiss 1968 for
+and Pfaffians first clear each row (and, for the right factor of a
+product, each column) of its denominators.  A product entry is then one
+dot product over the Gaussian integers.  Elimination is fraction-free and
+over the integers, and every later division is exact (Bareiss 1968 for
 determinants, the Pfaffian form of Sylvester's identity for Pfaffians;
 Knuth, "Overlapping Pfaffians", 1996).  Each value is reduced to lowest
 terms once, at the end.  Pivots are the first nonzero entries, so runs stay
-reproducible.  A determinant whose entries are all real is eliminated over
-the integers alone.  Pfaffians have one elimination loop, over the
-integers: the Pfaffian of a complex W = wr + i wi is the value at t = i of
-the integer polynomial Pf(wr + t wi) of degree at most n/2, which
-Lagrange's formula gives from its values at t = 0..n/2, each a real
-Pfaffian.
+reproducible.  There is one elimination loop per kernel and order range;
+a complex W = wr + i wi is evaluated through it by interpolation.  det(wr +
+t wi) and Pf(wr + t wi) are integer polynomials in t of degree at most n
+and n/2, so their values at t = 0..n (or 0..n/2), each a real elimination,
+fix them, and Lagrange's formula gives their value at t = i.
 
 From order STRIP_ORDER = 9 on, a real determinant is eliminated on the
 primitive parts of its trailing blocks: each step forms the new block
@@ -32,12 +31,12 @@ primitive loop took x0.54-0.77 of the time of the plain loop after a
 one-off content strip at orders 9-12, about as long at order 8, and
 x1.19-2.62 of the plain loop's time at orders 4-7.  Stripping took
 x0.59-0.95 of the elimination time for Pfaffians of order 10 and 12 and
-x1.32-1.58 at order 4-8.  Complex determinants, which only the small
-Desnanot-Jacobi checks produce, keep the plain Z[i] loop: interpolation
-took x1.6-3.0 of its time on random complex determinants of order 4-6.
-No check produces a complex Pfaffian; on random ones interpolation took
-x1.0-1.3 of the time of a Z[i] loop at orders 2-6 and x1.7-2.2 at orders
-8-12.  The tests check each path against expansion oracles.
+x1.32-1.58 at order 4-8.  Interpolation costs n + 1 real eliminations
+(n/2 + 1 for a Pfaffian): on random complex determinants of order 4-6 it
+took x1.6-3.0 of the time of an elimination over Z[i], and on random
+complex Pfaffians x1.0-1.3 at orders 2-6 and x1.7-2.2 at orders 8-12.  No
+check produces a complex determinant or Pfaffian.  The tests check each
+path against expansion oracles.
 """
 
 from __future__ import annotations
@@ -198,20 +197,40 @@ def _strip_content(w: list[list[int]]) -> int:
 
 def determinant(m: ExactMatrix) -> GaussianRational:
     """Exact determinant by fraction-free Bareiss elimination over the
-    Gaussian integers, with first-nonzero pivoting, after each row is scaled
-    by the lcm of its denominators; the 0x0 determinant is 1.  A matrix
-    whose entries are all real is eliminated over the integers alone, from
-    order STRIP_ORDER on by the primitive parts of its trailing blocks."""
+    integers, with first-nonzero pivoting, after each row is scaled by the
+    lcm of its denominators; the 0x0 determinant is 1.  From order
+    STRIP_ORDER on, the elimination runs on the primitive parts of the
+    trailing blocks.  A matrix with complex entries is evaluated from real
+    determinants by interpolation."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     ls, wr, wi = _cleared(m.to_lists())
+    eliminate = _bareiss_primitive if m.rows >= STRIP_ORDER else _bareiss_real
     if any(map(any, wi)):
-        re, im = _bareiss_gaussian(wr, wi)
-    elif m.rows >= STRIP_ORDER:
-        re, im = _bareiss_primitive(wr), 0
-    else:
-        re, im = _bareiss_real(wr), 0
-    return _reduced(re, im, prod(ls))
+        return _at_i(wr, wi, m.rows, eliminate, prod(ls))
+    return _reduced(eliminate(wr), 0, prod(ls))
+
+
+def _at_i(
+    wr: list[list[int]], wi: list[list[int]], h: int, value: Callable[[list[list[int]]], int], den: int
+) -> GaussianRational:
+    """P(i) / den, where P(t) = value(wr + t wi), a determinant or a
+    Pfaffian, is an integer polynomial of degree at most h.
+
+    The values at t = 0..h, each one real elimination, fix P, and Lagrange's
+    formula over those nodes gives P(i).  Term k of the formula, times h!,
+    is P(k) (-1)^(h - k) C(h, k) prod_{j != k} (i - j).
+    """
+    re = im = 0
+    for k in range(h + 1):
+        w = [[x + k * y for x, y in zip(rr, ri)] for rr, ri in zip(wr, wi)]
+        xr, xi = (-1) ** (h - k) * comb(h, k) * value(w), 0
+        for j in range(h + 1):
+            if j != k:
+                xr, xi = -j * xr - xi, xr - j * xi
+        re += xr
+        im += xi
+    return _reduced(re, im, factorial(h) * den)
 
 
 # Bareiss on the cleared matrix W: after step k, w[r][c] (r, c > k) is the
@@ -221,9 +240,9 @@ def determinant(m: ExactMatrix) -> GaussianRational:
 # trailing block, which the plain loop multiplies and divides again at every
 # step; from STRIP_ORDER on, a real W is eliminated on the primitive parts of
 # its trailing blocks instead (_bareiss_primitive), carrying each block's
-# scale exactly.  Every loop swaps rows to the first nonzero pivot (flipping
-# the sign) and returns 0 when a column has none; the two plain loops work
-# in place.
+# scale exactly.  Both loops swap rows to the first nonzero pivot (flipping
+# the sign) and return 0 when a column has none; the plain loop works in
+# place.
 
 
 def _bareiss_real(w: list[list[int]]) -> int:
@@ -283,50 +302,6 @@ def _bareiss_primitive(w: list[list[int]]) -> int:
     return sign * q
 
 
-def _bareiss_gaussian(wr: list[list[int]], wi: list[list[int]]) -> tuple[int, int]:
-    """det W for W = wr + i*wi over Z[i], as (re, im).
-
-    The division rule is picked once per step: by a real q it is floor
-    division by q; by a complex q, x / q = x conj(q) / |q|^2, and conj(q)
-    is folded into the pivot and each row's multiplier, so every entry is
-    still one Z[i] expression divided by one integer.
-    """
-    n = len(wr)
-    sign = 1
-    qr, qi = 1, 0
-    for k in range(n):
-        for p in range(k, n):
-            if wr[p][k] or wi[p][k]:
-                break
-        else:
-            return 0, 0
-        if p != k:
-            wr[k], wr[p] = wr[p], wr[k]
-            wi[k], wi[p] = wi[p], wi[k]
-            sign = -sign
-        kr, ki = wr[k], wi[k]
-        pr, pi = kr[k], ki[k]
-        if qi:
-            # scale by conj(q) = qr - qi i and divide by the norm
-            d = qr * qr + qi * qi
-            sr, si = pr * qr + pi * qi, pi * qr - pr * qi
-        else:
-            d, sr, si = qr, pr, pi
-        for r in range(k + 1, n):
-            rr, ri = wr[r], wi[r]
-            br, bi = rr[k], ri[k]
-            if qi:
-                br, bi = br * qr + bi * qi, bi * qr - br * qi
-            for c in range(k + 1, n):
-                ar, ai, cr, ci = rr[c], ri[c], kr[c], ki[c]
-                rr[c], ri[c] = (
-                    (ar * sr - ai * si - br * cr + bi * ci) // d,
-                    (ar * si + ai * sr - br * ci - bi * cr) // d,
-                )
-        qr, qi = pr, pi
-    return sign * qr, sign * qi
-
-
 def pfaffian(m: ExactMatrix) -> GaussianRational:
     """Exact Pfaffian of an even-dimensional skew-symmetric matrix; Pf of the
     0x0 matrix is 1.  Odd dimension or non-skew input is rejected outright.
@@ -358,23 +333,9 @@ def pfaffian(m: ExactMatrix) -> GaussianRational:
         content = _strip_content(w) if n >= STRIP_ORDER else 1
         return content * _pfaffian_real(w)
 
-    if not any(map(any, wi)):
-        return _reduced(real_pfaffian(wr), 0, prod(ls))
-    # Pf(wr + t wi) is a polynomial P(t) of degree at most h = n/2 with
-    # integer coefficients, so its values at t = 0..h, each a real Pfaffian,
-    # fix it, and Lagrange's formula over those nodes gives P(i).  Term k of
-    # the formula, times h!, is P(k) (-1)^(h - k) C(h, k) prod_{j != k} (i - j).
-    h = n // 2
-    re = im = 0
-    for k in range(h + 1):
-        w = [[x + k * y for x, y in zip(rr, ri)] for rr, ri in zip(wr, wi)]
-        xr, xi = (-1) ** (h - k) * comb(h, k) * real_pfaffian(w), 0
-        for j in range(h + 1):
-            if j != k:
-                xr, xi = -j * xr - xi, xr - j * xi
-        re += xr
-        im += xi
-    return _reduced(re, im, factorial(h) * prod(ls))
+    if any(map(any, wi)):
+        return _at_i(wr, wi, n // 2, real_pfaffian, prod(ls))
+    return _reduced(real_pfaffian(wr), 0, prod(ls))
 
 
 # Pivot-pair elimination on the skew matrix W: eliminating the pair (k, k+1)

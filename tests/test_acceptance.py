@@ -24,13 +24,13 @@ from test_linalg import det_cofactor
 SEED = 42
 TRIALS = 5
 # sha256 of the default report (seed 42, 5 trials, every check, epoch-zero stamp)
-DEFAULT_REPORT_SHA256 = "26273c0a13cb01cf73c7ca04b3f283bceafccf04e56a9d2bc82dfa64843c4a81"
+DEFAULT_REPORT_SHA256 = "1807fd5b6a6890dadd570197cd00ab12e09c3e712d4be1d12e2cebfa8375ca52"
 # The same report at other seeds; seed 8 holds the point that once made
 # quadratic_phi fail falsely.
 REPORT_SHA256_AT_SEED = {
-    1: "30c783575e5d6e21707b39e0076fb42822873aa5d0e6f735f34f8f0de997a71b",
-    8: "9f4de97d21b789580094727270430bac65c0c69adf547f18731257a066582c70",
-    2012: "0e42d02ec2f3e432a5b9be1de5d9ffa6b297db01eb3493c035868be6a9aabb20",
+    1: "adc63d2f7d5b554b311b5adb7568bfddd25ef2ca61b8d6e9724a23101e5d23d8",
+    8: "5a36c7d3e9ea411080c1af6d44fe40c797b4abcea5467afbaf0543edbb1720ed",
+    2012: "b53d4b04fc78a5b9220d514f5cea42cc9c24c362dbea2ebf64e84ae940db9798",
 }
 # The R-sum and conjugation checks above their default sizes (n = 7..9, 2
 # trials, seed 2012), where the dynamic programs and running products run longest.

@@ -27,7 +27,6 @@ from qdetlab.identities import (
 from qdetlab.identities.points import (
     _NUMERATORS,
     CAPACITY,
-    draw_complex,
     draw_matrix,
     draw_r,
     draw_rational,
@@ -361,13 +360,6 @@ def fraction_draw_unit_free(rng):
             return v
 
 
-def fraction_draw_complex(rng):
-    return GaussianRational(
-        Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9)),
-        Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9)),
-    )
-
-
 def fraction_draw_r(rng):
     return rng.randint(-2, 3)
 
@@ -380,7 +372,7 @@ def fraction_draw_x_list(rng):
 
 
 def fraction_draw_matrix(rng):
-    return tuple(fraction_draw_complex(rng) for _ in range(CAPACITY["matrix_entries"] ** 2))
+    return tuple(fraction_draw_rational(rng) for _ in range(CAPACITY["matrix_entries"] ** 2))
 
 
 def fraction_draw_roots(rng):
@@ -406,7 +398,6 @@ def _exact(value):
     "draw, reference",
     [
         (draw_rational, fraction_draw_rational),
-        (draw_complex, fraction_draw_complex),
         (draw_unit_free, fraction_draw_unit_free),
         (draw_r, fraction_draw_r),
         (draw_x_list, fraction_draw_x_list),

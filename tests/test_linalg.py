@@ -42,8 +42,8 @@ def sparse_integer_entry(rng, complex_entries):
 
 def alternating_pivots():
     """Rows of L @ U, L lower triangular with diagonal (2, i, -i, i, -i), U unit
-    upper triangular: the Bareiss pivots (the leading minors) are 2, 2i, 2, 2i,
-    2, so consecutive steps divide by a real and by a complex pivot."""
+    upper triangular: the leading minors are 2, 2i, 2, 2i, 2, alternately
+    real and complex."""
     diagonal = [2, I, -I, I, -I]
     low = ExactMatrix.build(
         5, 5, lambda i, j: diagonal[i - 1] if i == j else (GaussianRational(i - j, i * j % 3) if i > j else 0)
@@ -219,47 +219,59 @@ class TestDeterminant:
             m = ExactMatrix.from_rows(rows)
             assert determinant(m) == det_cofactor(m)
 
+    def test_i_times_a_real_matrix(self):
+        # det(i B) = i^n det(B) either side of linalg.STRIP_ORDER; for a real
+        # B the interpolation node t = 0 is the zero matrix
+        rng = random.Random(48)
+        for n in (1, 2, 3, 4, 8, 9):
+            b = ExactMatrix(n, n, [real_entry(rng) for _ in range(n * n)])
+            value = determinant(b)
+            assert value
+            assert determinant(ExactMatrix.build(n, n, lambda i, j: I * b.at(i, j))) == I**n * value
+
     @pytest.mark.parametrize(
-        "rows, loop, pfaffian_calls",
+        "rows, loop, calls, pfaffian_calls",
         [
             # real, the first pivot in the third row
-            ([[0, 3, 1], [0, 2, 5], [4, 1, 1]], "real", None),
-            # real but for one entry below the diagonal
-            ([[2, 1, 3], [1, 4, 1], [GaussianRational(1, 2), 1, 5]], "gaussian", None),
-            (alternating_pivots(), "gaussian", None),
-            ([], "real", 1),
+            ([[0, 3, 1], [0, 2, 5], [4, 1, 1]], "real", 1, None),
+            # real but for one entry below the diagonal: a complex determinant
+            # is interpolated from n + 1 real ones
+            ([[2, 1, 3], [1, 4, 1], [GaussianRational(1, 2), 1, 5]], "real", 4, None),
+            (alternating_pivots(), "real", 6, None),
+            ([], "real", 1, 1),
             # skew, real, the first partner in the third column
-            (skew_from(4, lambda i, j: 0 if (i, j) == (0, 1) else i + 2 * j + 1).to_lists(), "real", 1),
+            (skew_from(4, lambda i, j: 0 if (i, j) == (0, 1) else i + 2 * j + 1).to_lists(), "real", 1, 1),
             # skew with a complex first pivot: its Pfaffian is interpolated
             # from n/2 + 1 = 4 real ones
             (
                 skew_from(6, lambda i, j: GaussianRational(i + j, 1) if (i, j) == (0, 1) else i * j - 2).to_lists(),
-                "gaussian",
+                "real",
+                7,
                 4,
             ),
             # order 9 = linalg.STRIP_ORDER, pentadiagonal so that the expansion stays short
-            (banded(9, lambda i, j: (i + 2 * j) % 7 - 3 or 5), "primitive", None),
-            (banded(9, lambda i, j: GaussianRational((i + 2 * j) % 7 - 3, (i * j) % 3 - 1)), "gaussian", None),
+            (banded(9, lambda i, j: (i + 2 * j) % 7 - 3 or 5), "primitive", 1, None),
+            (banded(9, lambda i, j: GaussianRational((i + 2 * j) % 7 - 3, (i * j) % 3 - 1)), "primitive", 10, None),
         ],
         ids=["real-row-swap", "one-complex-entry-below-diagonal", "alternating-pivots", "empty",
              "real-skew-partner-swap", "skew-complex-pivot", "real-order-9", "complex-order-9"],
     )
-    def test_each_elimination_loop_matches_cofactor(self, monkeypatch, rows, loop, pfaffian_calls):
+    def test_each_elimination_loop_matches_cofactor(self, monkeypatch, rows, loop, calls, pfaffian_calls):
         taken = []
-        for name in ("bareiss_real", "bareiss_primitive", "bareiss_gaussian", "pfaffian_real"):
+        for name in ("bareiss_real", "bareiss_primitive", "pfaffian_real"):
             kernel = getattr(linalg, f"_{name}")
 
-            def spy(*w, kernel=kernel, name=name):
+            def spy(w, kernel=kernel, name=name):
                 taken.append(name)
-                return kernel(*w)
+                return kernel(w)
 
             monkeypatch.setattr(linalg, f"_{name}", spy)
         m = ExactMatrix.from_rows(rows)
         assert determinant(m) == det_cofactor(m)
-        assert taken == [f"bareiss_{loop}"]
+        assert taken == [f"bareiss_{loop}"] * calls
         if pfaffian_calls:
             assert pfaffian(m) == pf_expansion(m)
-            assert taken[1:] == ["pfaffian_real"] * pfaffian_calls
+            assert taken[calls:] == ["pfaffian_real"] * pfaffian_calls
 
     def test_denominators_near_two_to_the_200(self):
         rng = random.Random(35)

@@ -119,9 +119,8 @@ def hyper_f_scalar(numerators, denominators, z):
     z = to_gq(z)
     n = None
     for a in numerators:
-        v = a.as_integer()
-        if v is not None and v <= 0 and (n is None or -v < n):
-            n = -v
+        if not a._i and a._d == 1 and a._r <= 0 and (n is None or -a._r < n):
+            n = -a._r
     if n is None:
         raise NonTerminatingSeriesError(
             "classical series has no nonpositive-integer numerator; refusing to sum"
