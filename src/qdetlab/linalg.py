@@ -1,48 +1,45 @@
-"""Exact dense matrices over QQ(i): determinants, Pfaffians, submatrices.
+"""Exact dense matrices over QQ: determinants, Pfaffians, submatrices.
+
+Entries are GaussianRational scalars with zero imaginary part; the
+constructor rejects any other.  Every kernel of the paper is real when its
+parameters are, and the imaginary unit enters only through the scalar
+parameters of the closed forms, so the matrices are real and each routine
+runs over the integers alone.
 
 The public index convention is 1-based, matching the displayed formulas the
 matrices come from; storage is a row-major list.  Products, determinants
 and Pfaffians first clear each row (and, for the right factor of a
 product, each column) of its denominators.  A product entry is then one
-dot product over the Gaussian integers.  Elimination is fraction-free and
-over the integers, and every later division is exact (Bareiss 1968 for
-determinants, the Pfaffian form of Sylvester's identity for Pfaffians;
-Knuth, "Overlapping Pfaffians", 1996).  Each value is reduced to lowest
-terms once, at the end.  Pivots are the first nonzero entries, so runs stay
-reproducible.  There is one elimination loop per kernel and order range;
-a complex W = wr + i wi is evaluated through it by interpolation.  det(wr +
-t wi) and Pf(wr + t wi) are integer polynomials in t of degree at most n
-and n/2, so their values at t = 0..n (or 0..n/2), each a real elimination,
-fix them, and Lagrange's formula gives their value at t = i.
+integer dot product.  Elimination is fraction-free, and every later
+division is exact (Bareiss 1968 for determinants, the Pfaffian form of
+Sylvester's identity for Pfaffians; Knuth, "Overlapping Pfaffians", 1996).
+Each value is reduced to lowest terms once, at the end.  Pivots are the
+first nonzero entries, so runs stay reproducible.  There is one
+elimination loop per kernel and order range.
 
-From order STRIP_ORDER = 9 on, a real determinant is eliminated on the
+From order STRIP_ORDER = 9 on, a determinant is eliminated on the
 primitive parts of its trailing blocks: each step forms the new block
 without dividing by the previous pivot, divides it by its content (the gcd
 of all its entries), and carries the block's true scale g exactly as
 g' = g^2 c / q, an integer because the true Bareiss block g^2 X / q is
-integral and X / c is primitive.  The integer matrix of a Pfaffian (the
-cleared matrix, or one interpolation node) is stripped of its integer
-content instead: row r and column r are divided by the gcd of row r (a
-congruence), and the product of those gcds is multiplied back into the
-result.  The minors of the large moment kernels share big integer factors,
-and dividing them out shortens every operand of the elimination.
-On the real determinants of the moment kernels of orders 4-12, the
-primitive loop took x0.54-0.77 of the time of the plain loop after a
-one-off content strip at orders 9-12, about as long at order 8, and
-x1.19-2.62 of the plain loop's time at orders 4-7.  Stripping took
+integral and X / c is primitive.  The integer matrix of a Pfaffian is
+stripped of its integer content instead: row r and column r are divided
+by the gcd of row r (a congruence), and the product of those gcds is
+multiplied back into the result.  The minors of the large moment kernels
+share big integer factors, and dividing them out shortens every operand
+of the elimination.  On the determinants of the moment kernels of orders
+4-12, the primitive loop took x0.54-0.77 of the time of the plain loop
+after a one-off content strip at orders 9-12, about as long at order 8,
+and x1.19-2.62 of the plain loop's time at orders 4-7.  Stripping took
 x0.59-0.95 of the elimination time for Pfaffians of order 10 and 12 and
-x1.32-1.58 at order 4-8.  Interpolation costs n + 1 real eliminations
-(n/2 + 1 for a Pfaffian): on random complex determinants of order 4-6 it
-took x1.6-3.0 of the time of an elimination over Z[i], and on random
-complex Pfaffians x1.0-1.3 at orders 2-6 and x1.7-2.2 at orders 8-12.  No
-check produces a complex determinant or Pfaffian.  The tests check each
-path against expansion oracles.
+x1.32-1.58 at order 4-8.  The tests check each path against expansion
+oracles.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import comb, factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -50,7 +47,7 @@ from .gaussian import ONE, ZERO, GaussianRational, _reduced, to_gq
 
 
 class ExactMatrix:
-    """Immutable dense matrix of GaussianRational entries (1-based access)."""
+    """Immutable dense matrix of real GaussianRational entries (1-based access)."""
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -60,6 +57,9 @@ class ExactMatrix:
         e = [x if type(x) is GaussianRational else to_gq(x) for x in entries]
         if len(e) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
+        for k, x in enumerate(e):
+            if x._i:
+                raise ValueError(f"entry ({k // cols + 1}, {k % cols + 1}) is not real: {x}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_e", tuple(e))
@@ -67,7 +67,7 @@ class ExactMatrix:
     @classmethod
     def _of(cls, rows: int, cols: int, entries: tuple) -> "ExactMatrix":
         """A rows x cols matrix over a tuple of entries that are already
-        GaussianRational, taken as they are."""
+        real GaussianRational scalars, taken as they are."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
@@ -111,23 +111,18 @@ class ExactMatrix:
         return ExactMatrix.build(self.cols, self.rows, lambda i, j: self.at(j, i))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product over the Gaussian integers.
+        """Matrix product over the integers.
 
         Row i of self is cleared by L_i, the lcm of its denominators, and
-        column j of other by M_j, so entry (i, j) is one dot product over
-        Z[i], reduced once over L_i M_j.
+        column j of other by M_j, so entry (i, j) is one integer dot
+        product, reduced once over L_i M_j.
         """
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        ls, ar, ai = _cleared(self.to_lists())
-        ms, br, bi = _cleared([other._e[j :: other.cols] for j in range(other.cols)])
-        out = []
-        for l, xr, xi in zip(ls, ar, ai):
-            for m, yr, yi in zip(ms, br, bi):
-                re = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
-                im = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
-                out.append(_reduced(re, im, l * m))
-        return ExactMatrix._of(self.rows, other.cols, tuple(out))
+        ls, a = _cleared(self.to_lists())
+        ms, b = _cleared([other._e[j :: other.cols] for j in range(other.cols)])
+        out = tuple([_reduced(sum(map(mul, x, y)), 0, l * m) for l, x in zip(ls, a) for m, y in zip(ms, b)])
+        return ExactMatrix._of(self.rows, other.cols, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -155,25 +150,18 @@ def submatrix(m: ExactMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) ->
     return ExactMatrix._of(len(row_idx), len(col_idx), picked)
 
 
-def _cleared(lines) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """(L, re, im): line r (a row or a column) times L[r], the lcm of its
-    denominators, as lists of the real and of the imaginary Gaussian-integer
-    parts."""
-    ls, re, im = [], [], []
+def _cleared(lines) -> tuple[list[int], list[list[int]]]:
+    """(L, rows): line r (a row or a column) times L[r], the lcm of its
+    denominators, as a list of integers."""
+    ls, out = [], []
     for line in lines:
         l = lcm(*[x._d for x in line])
         ls.append(l)
-        r, i = [], []
-        for x in line:
-            f = l // x._d
-            r.append(x._r * f)
-            i.append(x._i * f)
-        re.append(r)
-        im.append(i)
-    return ls, re, im
+        out.append([x._r * (l // x._d) for x in line])
+    return ls, out
 
 
-# The order from which a real determinant is eliminated on primitive parts
+# The order from which a determinant is eliminated on primitive parts
 # and a Pfaffian's cleared matrix is stripped of its integer content: the
 # measured crossover (see the module docstring).
 STRIP_ORDER = 9
@@ -200,37 +188,12 @@ def determinant(m: ExactMatrix) -> GaussianRational:
     integers, with first-nonzero pivoting, after each row is scaled by the
     lcm of its denominators; the 0x0 determinant is 1.  From order
     STRIP_ORDER on, the elimination runs on the primitive parts of the
-    trailing blocks.  A matrix with complex entries is evaluated from real
-    determinants by interpolation."""
+    trailing blocks."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    ls, wr, wi = _cleared(m.to_lists())
+    ls, w = _cleared(m.to_lists())
     eliminate = _bareiss_primitive if m.rows >= STRIP_ORDER else _bareiss_real
-    if any(map(any, wi)):
-        return _at_i(wr, wi, m.rows, eliminate, prod(ls))
-    return _reduced(eliminate(wr), 0, prod(ls))
-
-
-def _at_i(
-    wr: list[list[int]], wi: list[list[int]], h: int, value: Callable[[list[list[int]]], int], den: int
-) -> GaussianRational:
-    """P(i) / den, where P(t) = value(wr + t wi), a determinant or a
-    Pfaffian, is an integer polynomial of degree at most h.
-
-    The values at t = 0..h, each one real elimination, fix P, and Lagrange's
-    formula over those nodes gives P(i).  Term k of the formula, times h!,
-    is P(k) (-1)^(h - k) C(h, k) prod_{j != k} (i - j).
-    """
-    re = im = 0
-    for k in range(h + 1):
-        w = [[x + k * y for x, y in zip(rr, ri)] for rr, ri in zip(wr, wi)]
-        xr, xi = (-1) ** (h - k) * comb(h, k) * value(w), 0
-        for j in range(h + 1):
-            if j != k:
-                xr, xi = -j * xr - xi, xr - j * xi
-        re += xr
-        im += xi
-    return _reduced(re, im, factorial(h) * den)
+    return _reduced(eliminate(w), 0, prod(ls))
 
 
 # Bareiss on the cleared matrix W: after step k, w[r][c] (r, c > k) is the
@@ -238,7 +201,7 @@ def _at_i(
 # pivot q is exact; the last pivot is det W = det(M) * prod(L).  The minors
 # of the moment kernels carry large integer factors common to a whole
 # trailing block, which the plain loop multiplies and divides again at every
-# step; from STRIP_ORDER on, a real W is eliminated on the primitive parts of
+# step; from STRIP_ORDER on, W is eliminated on the primitive parts of
 # its trailing blocks instead (_bareiss_primitive), carrying each block's
 # scale exactly.  Both loops swap rows to the first nonzero pivot (flipping
 # the sign) and return 0 when a column has none; the plain loop works in
@@ -308,8 +271,8 @@ def pfaffian(m: ExactMatrix) -> GaussianRational:
 
     Fraction-free pivot-pair elimination over the integers, with the first
     nonzero partner in the pivot row, after the congruence W = D M D, D the
-    diagonal of the rows' lcms of denominators.  A matrix with complex
-    entries is evaluated from real Pfaffians by interpolation.
+    diagonal of the rows' lcms of denominators.  From order STRIP_ORDER on,
+    W is stripped of its integer content first.
     """
     if m.rows != m.cols:
         raise ValueError("Pfaffian requires a square matrix")
@@ -319,23 +282,16 @@ def pfaffian(m: ExactMatrix) -> GaussianRational:
     for i in range(n):
         for j in range(i, n):
             a, b = e[i * n + j], e[j * n + i]
-            if a._r != -b._r or a._i != -b._i or a._d != b._d:
+            if a._r != -b._r or a._d != b._d:
                 raise ValueError(f"matrix is not skew-symmetric at ({i + 1}, {j + 1})")
-    # W = D M D with D = diag(L) is skew over Z[i] and Pf W = Pf(M) * prod(L).
-    ls, wr, wi = _cleared(m.to_lists())
-    for rr, ri in zip(wr, wi):
+    # W = D M D with D = diag(L) is skew over the integers and Pf W = Pf(M) * prod(L).
+    ls, w = _cleared(m.to_lists())
+    for row in w:
         for c, l in enumerate(ls):
-            rr[c] *= l
-            ri[c] *= l
-
-    def real_pfaffian(w):
-        # Dividing row i and column i by g is a congruence that divides Pf by g.
-        content = _strip_content(w) if n >= STRIP_ORDER else 1
-        return content * _pfaffian_real(w)
-
-    if any(map(any, wi)):
-        return _at_i(wr, wi, n // 2, real_pfaffian, prod(ls))
-    return _reduced(real_pfaffian(wr), 0, prod(ls))
+            row[c] *= l
+    # Dividing row i and column i by g is a congruence that divides Pf by g.
+    content = _strip_content(w) if n >= STRIP_ORDER else 1
+    return _reduced(content * _pfaffian_real(w), 0, prod(ls))
 
 
 # Pivot-pair elimination on the skew matrix W: eliminating the pair (k, k+1)

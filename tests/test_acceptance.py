@@ -258,12 +258,7 @@ def test_criterion_11_infrastructure_properties():
         rng = random.Random(11)
 
         def rand_matrix(n):
-            return ExactMatrix(
-                n, n,
-                [GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-                 for _ in range(n * n)],
-            )
+            return ExactMatrix(n, n, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n * n)])
 
         for n in (2, 4, 6, 8):
             rows = [[ZERO] * n for _ in range(n)]
@@ -278,6 +273,9 @@ def test_criterion_11_infrastructure_properties():
         for n in range(1, 6):
             m = rand_matrix(n)
             assert determinant(m) == det_cofactor(m)
+        # matrices are real: a complex entry is rejected on construction
+        with pytest.raises(ValueError, match="not real"):
+            ExactMatrix(2, 2, [1, 0, GaussianRational(0, 1), 1])
         for _ in range(40):
             x, y, z = (
                 GaussianRational(Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
@@ -307,7 +305,7 @@ def test_criterion_11_infrastructure_properties():
                 total = total + sign * x**k * q ** (k * (k - 1) // 2) * binomial(n, k)
             assert total == q_pochhammer(x, q, n)
 
-    criterion(11, "infrastructure: Pfaffian squares, determinant oracle, field axioms", body)
+    criterion(11, "infrastructure: Pfaffian squares, determinant oracle, real matrices, field axioms", body)
 
 
 def test_default_suite_is_fast_and_byte_reproducible(monkeypatch):

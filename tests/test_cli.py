@@ -66,6 +66,10 @@ class TestRun:
         assert code == 0
         checks = {r["check"] for r in json.loads(out)["results"]}
         assert checks == {"andrews", "mehta_wang", "r_sum"}
+        # an empty name between commas is skipped
+        code, out, _ = run_cli(capsys, "run", "--check", "hankel,,mehta_wang", "--trials", "1", "--format", "json")
+        assert code == 0
+        assert {r["check"] for r in json.loads(out)["results"]} == {"hankel", "mehta_wang"}
 
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--check", "no_such_id")

@@ -1,5 +1,6 @@
 """Scalar field: arithmetic, powers, and the canonical string codec."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,21 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert 2 * gq((1, 2)) == ONE
     assert Fraction(1, 3) - gq((1, 3)) == ZERO
     assert 1 / (ONE + I) == (ONE - I) / 2
+
+
+@pytest.mark.parametrize("other", [0.5, 2.0, 1j, 1 + 0j, "1"])
+def test_floats_complex_and_strings_are_not_operands(other):
+    # the field is exact: an inexact or textual operand raises on either side
+    # of every operation and is never equal to a scalar
+    x = gq((1, 2), 1)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
+        binary = getattr(operator, op.strip("_"))
+        with pytest.raises(TypeError):
+            binary(x, other)
+        with pytest.raises(TypeError):
+            binary(other, x)
+    assert (x == other) is False and (other == x) is False
+    assert (ONE == 1.0) is False and (ONE != 1.0) is True
 
 
 def assert_built_as(z, re, im):
@@ -182,6 +198,8 @@ def test_parse_reduces_to_lowest_terms():
         ("1i2", 2),
         ("i3", 1),
         ("1+2j", 3),
+        ("1x", 1),
+        ("1+2ix", 4),
     ],
 )
 def test_parse_errors_carry_position(text, position):

@@ -9,14 +9,12 @@ import pytest
 
 from qdetlab import ExactMatrix, GaussianRational, ONE, ZERO, determinant, linalg, pfaffian, submatrix
 from qdetlab.gaussian import I
+from qdetlab.identities.builders import y_matrix
 from helpers import frac
 
 
 def rand_entry(rng):
-    return GaussianRational(
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-    )
+    return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
 def rand_matrix(rng, n, m=None):
@@ -24,32 +22,36 @@ def rand_matrix(rng, n, m=None):
     return ExactMatrix(n, m, [rand_entry(rng) for _ in range(n * m)])
 
 
-def sparse_entry(rng, complex_entries):
+def sparse_entry(rng):
     """Zero half the time, so pivots vanish and rows, columns or partners swap."""
     if rng.random() < 0.5:
         return ZERO
-    im = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if complex_entries else 0
-    return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), im)
+    return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
-def sparse_integer_entry(rng, complex_entries):
-    """A Gaussian integer, zero half the time, so that cofactor expansion
-    stays fast at orders 8 to 10 and planted row content stays visible."""
+def sparse_integer_entry(rng):
+    """An integer, zero half the time, so that cofactor expansion stays fast
+    at orders 8 to 10 and planted row content stays visible."""
     if rng.random() < 0.5:
         return ZERO
-    return GaussianRational(rng.randint(-9, 9), rng.randint(-3, 3) if complex_entries else 0)
+    return frac(rng.randint(-9, 9))
+
+
+def sparse_entries(integer_entries):
+    """The sparse entry draw: integers (rows need no clearing) or rationals."""
+    return sparse_integer_entry if integer_entries else sparse_entry
 
 
 def alternating_pivots():
-    """Rows of L @ U, L lower triangular with diagonal (2, i, -i, i, -i), U unit
-    upper triangular: the leading minors are 2, 2i, 2, 2i, 2, alternately
-    real and complex."""
-    diagonal = [2, I, -I, I, -I]
-    low = ExactMatrix.build(
-        5, 5, lambda i, j: diagonal[i - 1] if i == j else (GaussianRational(i - j, i * j % 3) if i > j else 0)
-    )
-    up = ExactMatrix.build(5, 5, lambda i, j: 1 if i == j else (i * j - 3 if i < j else 0))
-    return (low @ up).to_lists()
+    """Rows of a block upper triangular matrix with diagonal blocks
+    [[0, 2], [3, 1]], [[0, -1], [5, 2]] and [4]: the leading minors are 0,
+    -6, 0, -30, -120, alternately zero and not, so the first and the third
+    elimination steps swap rows."""
+    blocks = {(0, 1): 2, (1, 0): 3, (1, 1): 1, (2, 3): -1, (3, 2): 5, (3, 3): 2, (4, 4): 4}
+    return [
+        [blocks.get((i, j), frac(i * j - 3, i + j + 1) if j // 2 > i // 2 else ZERO) for j in range(5)]
+        for i in range(5)
+    ]
 
 
 def det_cofactor(m):
@@ -83,8 +85,7 @@ def pf_expansion(m):
 
 def big_entry(rng):
     """An entry over a denominator near 2**200, different from entry to entry."""
-    den = 2**200 + rng.randint(0, 2**20)
-    return GaussianRational(Fraction(rng.randint(-(2**200), 2**200), den), Fraction(rng.randint(-9, 9), den))
+    return GaussianRational(Fraction(rng.randint(-(2**200), 2**200), 2**200 + rng.randint(0, 2**20)))
 
 
 def banded(n, entry):
@@ -131,34 +132,34 @@ class TestDeterminant:
                 m = rand_matrix(rng, n)
                 assert determinant(m) == det_cofactor(m)
 
-    @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_sparse_elimination_matches_cofactor(self, complex_entries):
-        rng = random.Random(31 + complex_entries)
+    @pytest.mark.parametrize("integer_entries", [False, True])
+    def test_sparse_elimination_matches_cofactor(self, integer_entries):
+        rng, entry = random.Random(31 + integer_entries), sparse_entries(integer_entries)
         swaps = zeros = 0
         for n in range(1, 6):
             for _ in range(40):
-                m = ExactMatrix(n, n, [sparse_entry(rng, complex_entries) for _ in range(n * n)])
+                m = ExactMatrix(n, n, [entry(rng) for _ in range(n * n)])
                 value = determinant(m)
                 assert value == det_cofactor(m)
                 swaps += not m.at(1, 1)
                 zeros += not value
         assert swaps > 20 and zeros > 20
 
-    @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_sparse_elimination_either_side_of_the_strip_order(self, complex_entries):
+    @pytest.mark.parametrize("integer_entries", [False, True])
+    def test_sparse_elimination_either_side_of_the_strip_order(self, integer_entries):
         # orders 8 and 9 lie either side of linalg.STRIP_ORDER
-        rng = random.Random(36 + complex_entries)
+        rng, entry = random.Random(36 + integer_entries), sparse_entries(integer_entries)
         for n in (8, 9):
             for _ in range(6):
-                m = ExactMatrix(n, n, [sparse_entry(rng, complex_entries) for _ in range(n * n)])
+                m = ExactMatrix(n, n, [entry(rng) for _ in range(n * n)])
                 assert determinant(m) == det_cofactor(m)
 
-    @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_planted_row_and_column_content(self, complex_entries):
+    @pytest.mark.parametrize("integer_entries", [False, True])
+    def test_planted_row_and_column_content(self, integer_entries):
         # det(D_r M D_c) = det(D_r) det(M) det(D_c) for integer diagonals D_r, D_c
-        rng = random.Random(38 + complex_entries)
+        rng, entry = random.Random(38 + integer_entries), sparse_entries(integer_entries)
         for n in (8, 9):
-            m = ExactMatrix(n, n, [sparse_integer_entry(rng, complex_entries) for _ in range(n * n)])
+            m = ExactMatrix(n, n, [entry(rng) for _ in range(n * n)])
             dr = [rng.choice([-12, -6, 2, 4, 9, 30]) for _ in range(n)]
             dc = [rng.choice([-10, -3, 1, 6, 8, 15]) for _ in range(n)]
             planted = ExactMatrix.build(n, n, lambda i, j: dr[i - 1] * dc[j - 1] * m.at(i, j))
@@ -174,7 +175,7 @@ class TestDeterminant:
             assert determinant(ExactMatrix.from_rows(rows).transpose()) == ZERO
         # at order 9 the zero row or column meets the content step
         for k in (1, 5, 9):
-            rows = [[sparse_integer_entry(rng, False) or ONE for _ in range(9)] for _ in range(9)]
+            rows = [[sparse_integer_entry(rng) or ONE for _ in range(9)] for _ in range(9)]
             rows[k - 1] = [ZERO] * 9
             assert determinant(ExactMatrix.from_rows(rows)) == ZERO
             assert determinant(ExactMatrix.from_rows(rows).transpose()) == ZERO
@@ -198,7 +199,7 @@ class TestDeterminant:
         rng = random.Random(40)
         for n in (9, 10):
             for _ in range(2):
-                rows = [[6 * sparse_integer_entry(rng, False) for _ in range(n)] for _ in range(n)]
+                rows = [[6 * sparse_integer_entry(rng) for _ in range(n)] for _ in range(n)]
                 rows[0][0] = frac(6 * rng.choice([-2, -1, 1, 3]))
                 rows[1][:2] = [2 * rows[0][0], 2 * rows[0][1]]
                 rows[2][1] = frac(6)
@@ -210,51 +211,20 @@ class TestDeterminant:
         m = ExactMatrix.from_rows([[0, 0, 0, 2], [0, 0, 3, 1], [0, 5, 1, 1], [7, 1, 1, 1]])
         assert determinant(m) == det_cofactor(m) == frac(2 * 3 * 5 * 7)
 
-    def test_one_complex_entry_in_a_real_matrix(self):
-        rng = random.Random(34)
-        base = [[frac(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)] for _ in range(4)]
-        for r, c in itertools.product(range(4), repeat=2):
-            rows = [list(row) for row in base]
-            rows[r][c] = GaussianRational(Fraction(2, 3), Fraction(-5, 7))
-            m = ExactMatrix.from_rows(rows)
-            assert determinant(m) == det_cofactor(m)
-
-    def test_i_times_a_real_matrix(self):
-        # det(i B) = i^n det(B) either side of linalg.STRIP_ORDER; for a real
-        # B the interpolation node t = 0 is the zero matrix
-        rng = random.Random(48)
-        for n in (1, 2, 3, 4, 8, 9):
-            b = ExactMatrix(n, n, [real_entry(rng) for _ in range(n * n)])
-            value = determinant(b)
-            assert value
-            assert determinant(ExactMatrix.build(n, n, lambda i, j: I * b.at(i, j))) == I**n * value
-
     @pytest.mark.parametrize(
         "rows, loop, calls, pfaffian_calls",
         [
             # real, the first pivot in the third row
             ([[0, 3, 1], [0, 2, 5], [4, 1, 1]], "real", 1, None),
-            # real but for one entry below the diagonal: a complex determinant
-            # is interpolated from n + 1 real ones
-            ([[2, 1, 3], [1, 4, 1], [GaussianRational(1, 2), 1, 5]], "real", 4, None),
-            (alternating_pivots(), "real", 6, None),
+            # the first and the third pivot in a lower row
+            (alternating_pivots(), "real", 1, None),
             ([], "real", 1, 1),
             # skew, real, the first partner in the third column
             (skew_from(4, lambda i, j: 0 if (i, j) == (0, 1) else i + 2 * j + 1).to_lists(), "real", 1, 1),
-            # skew with a complex first pivot: its Pfaffian is interpolated
-            # from n/2 + 1 = 4 real ones
-            (
-                skew_from(6, lambda i, j: GaussianRational(i + j, 1) if (i, j) == (0, 1) else i * j - 2).to_lists(),
-                "real",
-                7,
-                4,
-            ),
             # order 9 = linalg.STRIP_ORDER, pentadiagonal so that the expansion stays short
             (banded(9, lambda i, j: (i + 2 * j) % 7 - 3 or 5), "primitive", 1, None),
-            (banded(9, lambda i, j: GaussianRational((i + 2 * j) % 7 - 3, (i * j) % 3 - 1)), "primitive", 10, None),
         ],
-        ids=["real-row-swap", "one-complex-entry-below-diagonal", "alternating-pivots", "empty",
-             "real-skew-partner-swap", "skew-complex-pivot", "real-order-9", "complex-order-9"],
+        ids=["real-row-swap", "alternating-pivots", "empty", "real-skew-partner-swap", "real-order-9"],
     )
     def test_each_elimination_loop_matches_cofactor(self, monkeypatch, rows, loop, calls, pfaffian_calls):
         taken = []
@@ -325,10 +295,6 @@ def matmul_reference(a, b):
     return ExactMatrix(a.rows, b.cols, out)
 
 
-def real_entry(rng):
-    return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-
-
 class TestProduct:
     SHAPES = [(1, 1, 1), (2, 3, 4), (4, 2, 3), (3, 3, 3), (5, 1, 5), (1, 5, 1), (6, 6, 6)]
 
@@ -339,25 +305,14 @@ class TestProduct:
             assert a @ b == matmul_reference(a, b)
 
     def test_real(self):
-        self.check(random.Random(41), real_entry)
-
-    def test_complex(self):
-        self.check(random.Random(42), rand_entry)
+        self.check(random.Random(41), rand_entry)
 
     def test_sparse(self):
-        for complex_entries in (False, True):
-            self.check(random.Random(43), lambda rng: sparse_entry(rng, complex_entries))
+        for entry in (sparse_entry, sparse_integer_entry):
+            self.check(random.Random(43), entry)
 
     def test_denominators_near_two_to_the_200(self):
         self.check(random.Random(44), big_entry, [(1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 4, 4)])
-
-    def test_mixed_real_and_complex_factors(self):
-        rng = random.Random(45)
-        for n in range(1, 5):
-            a = ExactMatrix(n, n, [real_entry(rng) for _ in range(n * n)])
-            b = rand_matrix(rng, n)
-            assert a @ b == matmul_reference(a, b)
-            assert b @ a == matmul_reference(b, a)
 
     def test_empty_shapes(self):
         rng = random.Random(46)
@@ -423,13 +378,13 @@ class TestPfaffian:
             m = rand_skew(rng, n)
             assert pfaffian(m) == pf_expansion(m)
 
-    @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_sparse_elimination_matches_expansion(self, complex_entries):
-        rng = random.Random(41 + complex_entries)
+    @pytest.mark.parametrize("integer_entries", [False, True])
+    def test_sparse_elimination_matches_expansion(self, integer_entries):
+        rng, entry = random.Random(41 + integer_entries), sparse_entries(integer_entries)
         swaps = zeros = 0
         for n in (2, 4, 6, 8, 10):
             for _ in range(60):
-                m = skew_from(n, lambda i, j: sparse_entry(rng, complex_entries))
+                m = skew_from(n, lambda i, j: entry(rng))
                 value = pfaffian(m)
                 assert value == pf_expansion(m)
                 swaps += not m.at(1, 2) and any(m.at(1, j) for j in range(3, n + 1))
@@ -446,36 +401,23 @@ class TestPfaffian:
         # order 10, above linalg.STRIP_ORDER: the rows also meet the content step
         rng = random.Random(47)
         for k in (0, 3, 9):
-            m = skew_from(10, lambda i, j: ZERO if k in (i, j) else real_entry(rng))
+            m = skew_from(10, lambda i, j: ZERO if k in (i, j) else rand_entry(rng))
             assert pfaffian(m) == ZERO
         # a partner swap at the first step (w[0][1] = 0) and at the second
         # (w[0][2] = w[0][3] = w[2][3] = 0, so the leading 4x4 Pfaffian vanishes)
         for zeros in ({(0, 1)}, {(0, 2), (0, 3), (2, 3)}):
-            m = skew_from(10, lambda i, j: ZERO if (i, j) in zeros else real_entry(rng))
+            m = skew_from(10, lambda i, j: ZERO if (i, j) in zeros else rand_entry(rng))
             assert pfaffian(m) == pf_expansion(m)
 
-    @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_planted_content(self, complex_entries):
+    @pytest.mark.parametrize("integer_entries", [False, True])
+    def test_planted_content(self, integer_entries):
         # Pf(D M D^T) = det(D) Pf(M) for an integer diagonal D
-        rng = random.Random(50 + complex_entries)
+        rng, entry = random.Random(50 + integer_entries), sparse_entries(integer_entries)
         for n in (8, 10):
-            m = skew_from(n, lambda i, j: sparse_integer_entry(rng, complex_entries))
+            m = skew_from(n, lambda i, j: entry(rng))
             d = [rng.choice([-12, -6, 2, 4, 9, 30]) for _ in range(n)]
             planted = ExactMatrix.build(n, n, lambda i, j: d[i - 1] * d[j - 1] * m.at(i, j))
-            value = frac(prod(d)) * pf_expansion(m)
-            assert pfaffian(planted) == value
-            # Pf(i B) = i^(n/2) Pf(B); for a real B the interpolation node t = 0 is the zero matrix
-            assert pfaffian(ExactMatrix.build(n, n, lambda i, j: I * planted.at(i, j))) == I ** (n // 2) * value
-
-    def test_one_complex_pair_in_a_real_matrix(self):
-        rng = random.Random(44)
-        base = skew_from(6, lambda i, j: frac(rng.randint(-9, 9), rng.randint(1, 9))).to_lists()
-        for r, c in itertools.combinations(range(6), 2):
-            rows = [list(row) for row in base]
-            rows[r][c] = GaussianRational(Fraction(2, 3), Fraction(-5, 7))
-            rows[c][r] = -rows[r][c]
-            m = ExactMatrix.from_rows(rows)
-            assert pfaffian(m) == pf_expansion(m)
+            assert pfaffian(planted) == frac(prod(d)) * pf_expansion(m)
 
     def test_denominators_near_two_to_the_200(self):
         rng = random.Random(45)
@@ -488,7 +430,7 @@ class TestPfaffian:
         rows[2][3] = rows[2][3] + frac(1, 5)
         with pytest.raises(ValueError, match=r"not skew-symmetric at \(3, 4\)"):
             pfaffian(ExactMatrix.from_rows(rows))
-        rows[1][1] = GaussianRational(0, 1)
+        rows[1][1] = frac(1, 2)
         with pytest.raises(ValueError, match=r"not skew-symmetric at \(2, 2\)"):
             pfaffian(ExactMatrix.from_rows(rows))
 
@@ -543,11 +485,13 @@ class TestSubmatrixAndAccess:
         for name in ("rows", "cols", "_e"):
             with pytest.raises(AttributeError):
                 delattr(m, name)
-        assert m == ExactMatrix.identity(2)
+        assert m == ExactMatrix.identity(2) and hash(m) == hash(ExactMatrix.identity(2))
 
     def test_entries_are_coerced_or_rejected(self):
-        m = ExactMatrix(1, 3, [2, Fraction(1, 3), GaussianRational(0, 1)])
-        assert [m.at(1, j) for j in (1, 2, 3)] == [frac(2), frac(1, 3), GaussianRational(0, 1)]
+        m = ExactMatrix(1, 3, [2, Fraction(1, 3), GaussianRational(Fraction(-5, 2))])
+        assert [m.at(1, j) for j in (1, 2, 3)] == [frac(2), frac(1, 3), frac(-5, 2)]
+        assert repr(m) == "ExactMatrix(1x3: 2 1/3 -5/2)"
+        assert m != m.to_lists() and m.__eq__(m.to_lists()) is NotImplemented
         with pytest.raises(TypeError):
             ExactMatrix(1, 1, [0.5])
         with pytest.raises(ValueError, match="nonnegative"):
@@ -556,6 +500,18 @@ class TestSubmatrixAndAccess:
             ExactMatrix(2, 2, [1, 2, 3])
         with pytest.raises(ValueError, match="ragged"):
             ExactMatrix.from_rows([[1, 2], [3]])
+
+    def test_complex_entries_rejected(self):
+        # the matrices are real: a complex entry is refused wherever a matrix is built
+        z = GaussianRational(Fraction(1, 2), -1)
+        with pytest.raises(ValueError, match=r"entry \(2, 1\) is not real: 1/2-i"):
+            ExactMatrix(2, 2, [1, 0, z, 1])
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) is not real"):
+            ExactMatrix.from_rows([[1, I], [0, 1]])
+        with pytest.raises(ValueError, match=r"entry \(3, 3\) is not real"):
+            ExactMatrix.build(3, 3, lambda i, j: z if i == j == 3 else i - j)
+        with pytest.raises(ValueError, match="is not real"):
+            y_matrix(3, I)
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
