@@ -8,8 +8,9 @@ sides live in QQ(i).
 
 from __future__ import annotations
 
-from ..errors import PoleError
-from ..gaussian import I, ONE, ZERO, GaussianRational, sign
+import math
+
+from ..gaussian import HALF, I, ONE, ZERO, GaussianRational, sign
 from ..linalg import determinant, pfaffian
 from ..orthopoly import (
     AWParams,
@@ -21,9 +22,6 @@ from ..orthopoly import (
     wilson,
 )
 from ..qseries import (
-    binomial,
-    factorial,
-    half,
     hyper_f,
     q_pochhammer as qp,
     q_pochhammers,
@@ -106,12 +104,12 @@ def mehta_wang(pt, n: int) -> list[Comparison]:
     prod = ONE
     fb = rising_factorials(b, 0, n - 1)
     for i in range(n):
-        prod = prod * factorial(i) * fb[i]
+        prod = prod * math.factorial(i) * fb[i]
     # D_n = sum_k (-1)^k C(n,k) ((b-a)/2)_k ((a+b)/2)_{n-k}
-    fu, fv = rising_factorials(half(b - a), 0, n), rising_factorials(half(a + b), 0, n)
+    fu, fv = rising_factorials((b - a) / 2, 0, n), rising_factorials((a + b) / 2, 0, n)
     d_sum = ZERO
     for k in range(n + 1):
-        d_sum = d_sum + sign(k) * binomial(n, k) * fu[k] * fv[n - k]
+        d_sum = d_sum + sign(k) * math.comb(n, k) * fu[k] * fv[n - k]
     return [
         ("normalized determinant vs D-sequence product", lhs, d_rec * prod),
         ("D-sequence recurrence vs signed binomial sum", d_rec, d_sum),
@@ -126,14 +124,14 @@ def mehta_wang(pt, n: int) -> list[Comparison]:
 )
 def nishizawa(pt, n: int) -> list[Comparison]:
     s, t, q = pt.s_half, pt.t_half, pt.q
-    s2, t2 = s * s, t * t
+    st, t2 = s * t, t * t
     det_f = determinant(nishizawa_matrix(n, s, t, q))
     pre = (-I) ** n * t ** (n * (n - 2)) * s**n * q ** (n * (n - 1) * (n - 2) // 3)
     fq = q_pochhammers(q, q, 0, n)
     ft = q_pochhammers(t2, q, 0, n)
     for k in range(1, n + 1):
         pre = pre * fq[k - 1] * ft[k - 1]
-    asc = al_salam_chihara(n, ZERO, s * t * I, -(t / s) * I, q)
+    asc = al_salam_chihara(n, ZERO, st * I, -(t / s) * I, q)
     comps = [("normalized determinant vs Al-Salam-Chihara closed form", det_f, pre * asc)]
 
     # The same determinant, renormalized by q-Gamma ratios, against the
@@ -152,22 +150,13 @@ def nishizawa(pt, n: int) -> list[Comparison]:
         rhs2 = rhs2 * fq[k] * ft[k] / one_minus_q ** (2 * k)
     comps.append(("q-Gamma-normalized determinant vs D-sequence product", det_e, rhs2))
 
-    # Nishizawa's explicit sum: D_n = (t^2;q)_n / ((st)^{2n} (q-1)^n) times
-    # sum_k q^k (q^{-n};q)_k / (q;q)_k * (s^2t^2;q^2)_k / (t^2;q)_k.  The last
-    # quotient is a running product, and none of its factors 1 - t^2 q^j, j <= n,
-    # may vanish.
-    fm = q_pochhammers(q ** (-n), q, 0, n)
-    total, inner = ZERO, ONE
-    for k in range(n + 1):
-        total = total + q**k * fm[k] / fq[k] * inner
-        f = ONE - t2 * q**k
-        if not f:
-            raise PoleError("vanishing denominator factor in explicit sum", f"j={k}")
-        inner = inner * (ONE - s2 * t2 * q ** (2 * k)) / f
-    explicit = ft[n] / ((s * t) ** (2 * n) * (q - ONE) ** n) * total
+    # Nishizawa's explicit sum, as (s^2t^2;q^2)_k = (st;q)_k (-st;q)_k:
+    # D_n = (t^2;q)_n / ((st)^{2n} (q-1)^n) 3phi2(q^{-n}, st, -st; t^2, 0; q, q).
+    total = terminating_phi([q**-n, st, -st], [t2, ZERO], q, q, order=n)
+    explicit = ft[n] / (st ** (2 * n) * (q - ONE) ** n) * total
     comps.append(("D recurrence vs explicit sum", d_val, explicit))
     # D_n = (-i)^n (st)^{-n} (1-q)^{-n} Q_n(0; st i, -(t/s) i; q)
-    specialized = (-I) ** n * asc / ((s * t) ** n * one_minus_q**n)
+    specialized = (-I) ** n * asc / (st**n * one_minus_q**n)
     comps.append(("D recurrence vs Al-Salam-Chihara specialization", d_val, specialized))
     return comps
 
@@ -395,22 +384,22 @@ def cor_odd_aw(pt, m: int) -> list[Comparison]:
 def classical_hahn(pt, n: int) -> list[Comparison]:
     al, be, ga, r = pt.alpha_c, pt.beta_c, pt.gamma_c, pt.r
     lhs = determinant(classical_matrix(n, r, al, be, ga))
-    pre1 = GaussianRational(-2) ** n * rf(half(al + be + ga + (r + 1)), n)
+    pre1 = GaussianRational(-2) ** n * rf((al + be + ga + (r + 1)) / 2, n)
     fa = rising_factorials(al + 1, r, n + r)
     fb = rising_factorials(be + 1, -1, n - 2)
     fab = rising_factorials(al + be + 2, n + r - 1, 2 * n + r - 2)
     for k in range(1, n + 1):
-        pre1 = pre1 * factorial(k - 1) * fa[k + r] * fb[k - 2] / fab[k + n + r - 2]
+        pre1 = pre1 * math.factorial(k - 1) * fa[k + r] * fb[k - 2] / fab[k + n + r - 2]
     rhs1 = pre1 * hyper_f(
-        [GaussianRational(-n), half(al + ga + (r + 1)), al + be + (n + r)],
-        [half(al + be + ga + (r + 1)), al + (r + 1)],
+        [GaussianRational(-n), (al + ga + (r + 1)) / 2, al + be + (n + r)],
+        [(al + be + ga + (r + 1)) / 2, al + (r + 1)],
         ONE,
     )
     pre2 = (2 * I) ** n
     for k in range(1, n + 1):
-        pre2 = pre2 * factorial(k) * fa[k + r - 1] * fb[k - 2] / fab[k + n + r - 2]
+        pre2 = pre2 * math.factorial(k) * fa[k + r - 1] * fb[k - 2] / fab[k + n + r - 2]
     rhs2 = pre2 * continuous_hahn(
-        n, ZERO, half(al + ga + (r + 1)), half(be), half(al - ga + (r + 1)), half(be)
+        n, ZERO, (al + ga + (r + 1)) / 2, be / 2, (al - ga + (r + 1)) / 2, be / 2
     )
     return [
         ("classical determinant vs terminating 3F2 form", lhs, rhs1),
@@ -427,28 +416,28 @@ def classical_hahn(pt, n: int) -> list[Comparison]:
 def classical_wilson_even(pt, m: int) -> list[Comparison]:
     al, be, ga, r = pt.alpha_c, pt.beta_c, pt.gamma_c, pt.r
     lhs = determinant(classical_matrix(2 * m, r, al, be, ga))
-    hg = half(ga)
-    slot3 = half(al + (r + 1))
-    slot4 = -2 * m - half(al + be + (r - 1))
+    hg = ga / 2
+    slot3 = (al + (r + 1)) / 2
+    slot4 = -2 * m - (al + be + (r - 1)) / 2
     pre1 = ONE
     fa = rising_factorials(al + 1, r, 2 * m + r - 1)
     fb = rising_factorials(be + 1, 0, 2 * m - 2)
     fab = rising_factorials(al + be + 2, 2 * m + r - 1, 4 * m + r - 2)
     for k in range(1, m + 1):
-        f = factorial(2 * k - 1) * fa[2 * k + r - 1] * fb[2 * k - 2] / fab[2 * (k + m) + r - 3]
+        f = math.factorial(2 * k - 1) * fa[2 * k + r - 1] * fb[2 * k - 2] / fab[2 * (k + m) + r - 3]
         pre1 = pre1 * f * f
     rhs1 = pre1 * hyper_f(
-        [GaussianRational(-m), -half(be - 1) - m, hg, -hg],
-        [half(1), slot3, slot4],
+        [GaussianRational(-m), -(be - 1) / 2 - m, hg, -hg],
+        [HALF, slot3, slot4],
         ONE,
     )
     pre2 = GaussianRational(-2) ** (3 * m)
     for k in range(1, 2 * m + 1):
-        pre2 = pre2 * factorial(k - 1) * fa[k + r - 1] / fab[k + 2 * m + r - 2]
+        pre2 = pre2 * math.factorial(k - 1) * fa[k + r - 1] / fab[k + 2 * m + r - 2]
     for k in range(1, m + 1):
         f = fb[2 * k - 2]
         pre2 = pre2 * f * f
-    rhs2 = pre2 * wilson(m, hg, ZERO, half(1), slot3, slot4)
+    rhs2 = pre2 * wilson(m, hg, ZERO, HALF, slot3, slot4)
     return [
         ("even classical determinant vs terminating 4F3 form", lhs, rhs1),
         ("even classical determinant vs Wilson form", lhs, rhs2),
@@ -469,23 +458,23 @@ def classical_wilson_odd(pt, m: int) -> list[Comparison]:
     fb = rising_factorials(be + 1, 0, 2 * m)
     fab = rising_factorials(al + be + 2, 2 * m + r, 4 * m + r)
     for k in range(1, m + 2):
-        pre1 = pre1 * factorial(2 * k - 1) * fa[2 * k + r - 2] * fb[2 * k - 2] / fab[2 * (k + m - 1) + r]
+        pre1 = pre1 * math.factorial(2 * k - 1) * fa[2 * k + r - 2] * fb[2 * k - 2] / fab[2 * (k + m - 1) + r]
     for k in range(1, m + 1):
-        pre1 = pre1 * factorial(2 * k - 1) * fa[2 * k + r] * fb[2 * k - 2] / fab[2 * (k + m - 1) + r]
+        pre1 = pre1 * math.factorial(2 * k - 1) * fa[2 * k + r] * fb[2 * k - 2] / fab[2 * (k + m - 1) + r]
     rhs1 = pre1 * hyper_f(
-        [GaussianRational(-m), -half(be - 1) - m, half(ga + 1), half(1 - ga)],
-        [half(3), half(al + r) + 1, -2 * m - half(al + be + r)],
+        [GaussianRational(-m), -(be - 1) / 2 - m, (ga + 1) / 2, (1 - ga) / 2],
+        [3 * HALF, (al + r) / 2 + 1, -2 * m - (al + be + r) / 2],
         ONE,
     )
     pre2 = GaussianRational(-2) ** (3 * m) * ga
     for k in range(1, 2 * m + 2):
-        pre2 = pre2 * factorial(k - 1) * fa[k + r - 1] / fab[k + 2 * m + r - 1]
+        pre2 = pre2 * math.factorial(k - 1) * fa[k + r - 1] / fab[k + 2 * m + r - 1]
     for k in range(1, m + 2):
         pre2 = pre2 * fb[2 * k - 2]
     for k in range(1, m + 1):
         pre2 = pre2 * fb[2 * k - 2]
     rhs2 = pre2 * wilson(
-        m, half(ga), half(1), ONE, half(al + (r + 1)), -2 * m - half(al + be + (r + 1))
+        m, ga / 2, HALF, ONE, (al + (r + 1)) / 2, -2 * m - (al + be + (r + 1)) / 2
     )
     return [
         ("odd classical determinant vs terminating 4F3 form", lhs, rhs1),

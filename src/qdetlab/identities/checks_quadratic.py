@@ -61,27 +61,12 @@ def dj_specialized(pt, n: int) -> list[Comparison]:
     default_sizes=(1, 2, 3, 4, 5, 6, 7, 8),
 )
 def quadratic_full(pt, n: int) -> list[Comparison]:
+    # With a = alpha^2, b = beta^2 and q = kappa^2, the relation's ab is aq and
+    # its cd is b at these four parameters.
     alpha, beta, gamma, kappa = pt.alpha, pt.beta, pt.gamma, pt.kappa
-    a, b, q = pt.a, pt.b, pt.q
-
-    def p(e1, e2, top):
-        return askey_wilson_values(
-            top,
-            AWParams(
-                alpha * gamma * kappa**e1 * I,
-                -(alpha / gamma) * kappa**e2 * I,
-                beta * I,
-                -(beta * I),
-                q,
-                ZERO,
-            ),
-        )
-
-    p11, p33, p31, p13 = p(1, 1, n), p(3, 3, n - 1), p(3, 1, n - 1), p(1, 3, n - 1)
-    lhs = a * q * (ONE - q ** (n - 1)) * (ONE - b * q ** (n - 2)) * p11[n] * p33[n - 2]
-    rhs = (ONE - a * q**n) * (ONE - a * b * q**n) * p11[n - 1] * p33[n - 1] - (
-        ONE - a * q
-    ) * (ONE - a * b * q ** (2 * n - 1)) * p31[n - 1] * p13[n - 1]
+    lhs, rhs = _quadratic_relation(
+        n, alpha * gamma * kappa * I, -(alpha / gamma) * kappa * I, beta * I, -(beta * I), pt.q, ZERO
+    )
     return [("quadratic relation in root parameters", lhs, rhs)]
 
 

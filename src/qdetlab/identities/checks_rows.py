@@ -272,17 +272,11 @@ def bottom_rows(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
     m = build_m(k, a, b, c, q)
-    # Only row n of each conjugation is read: -1/d_j in X (in L), d_j the residue denominator
-    # at x = q^{k_j} with shift a (ab q^{n-1}), which every entry's denominator in column j divides.
-    xs = [q**kv for kv in k]
-    abq = a * b * q ** (n - 1)
-    x_den, l_den = _residue_denominators(xs, a, abq)
-    x_row = ExactMatrix(1, n, [-d.reciprocal() for d in x_den])
-    p = x_row @ m @ y_matrix(n, q)
-    l_row = ExactMatrix(1, n, [-d.reciprocal() for d in l_den])
-    qq = l_row @ m @ u_matrix(n, q)
+    bottom, cols = [n], list(range(1, n + 1))
+    p = submatrix(x_matrix(k, a, q), bottom, cols) @ m @ y_matrix(n, q)
+    qq = submatrix(l_matrix(k, a, b, q), bottom, cols) @ m @ u_matrix(n, q)
     sum_k = sum(k)
-    _, first, second = _boundary_terms(xs, a, b, c, q)
+    _, first, second = _boundary_terms([q**kv for kv in k], a, b, c, q)
     comps = []
     for j in range(1, n + 1):
         if j == 1:

@@ -111,7 +111,7 @@ def _sizes_for(entry: CheckDef, n_min: int | None, n_max: int | None) -> list[in
     if n_min is None and n_max is None:
         return list(entry.default_sizes)
     lo = entry.min_size if n_min is None else max(n_min, entry.min_size)
-    hi = max(entry.default_sizes) if n_max is None else n_max
+    hi = max(max(entry.default_sizes), lo) if n_max is None else n_max
     if entry.max_size is not None:
         hi = min(hi, entry.max_size)
     return list(range(lo, hi + 1))

@@ -13,12 +13,13 @@ return: each recurrence value, and the 4-phi-3 sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import PoleError
 from .gaussian import _ONE, I, ONE, TWO, ZERO, GaussianRational, sign, to_gq
 from .gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus, _tsub
-from .qseries import _series_sum, factorial, hyper_f, q_number, q_pochhammer_multi, rising_factorial
+from .qseries import _series_sum, hyper_f, q_pochhammer_multi, rising_factorial
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def continuous_hahn(n: int, t, a, b, c, d) -> GaussianRational:
     root of -x^2 gives the same value.
     """
     t, a, b, c, d = to_gq(t), to_gq(a), to_gq(b), to_gq(c), to_gq(d)
-    pre = I**n * rising_factorial(a + c, n) * rising_factorial(a + d, n) / factorial(n)
+    pre = I**n * rising_factorial(a + c, n) * rising_factorial(a + d, n) / math.factorial(n)
     return pre * hyper_f(
         (GaussianRational(-n), a + b + c + d + (n - 1), a + t), (a + c, a + d), ONE
     )
@@ -209,7 +210,8 @@ def nishizawa_d(n: int, s, t, q) -> GaussianRational:
         term1 = s2.reciprocal() * q**k * (ONE - s2) / one_minus_q * cur
         term2 = (
             (s2 * t2).reciprocal()
-            * q_number(k, q)
+            * (ONE - q**k)
+            / one_minus_q
             * (ONE - t2 * q ** (k - 1))
             / one_minus_q
             * prev

@@ -20,11 +20,10 @@ Running into a vanishing denominator factor raises
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Sequence
 
 from .errors import NonTerminatingSeriesError, PoleError
-from .gaussian import _ONE, HALF, ONE, ZERO, GaussianRational, Triple, to_gq
+from .gaussian import _ONE, ONE, ZERO, GaussianRational, Triple, to_gq
 from .gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus
 
 
@@ -113,14 +112,6 @@ def q_pochhammer_multi(params: Sequence, q, n: int) -> GaussianRational:
     for a in params:
         result = result * q_pochhammer(a, q, n)
     return result
-
-
-def q_number(n: int, q) -> GaussianRational:
-    """The q-integer [n]_q = (1 - q^n)/(1 - q); q must not be 1."""
-    q = to_gq(q)
-    if q == ONE:
-        raise PoleError("q-integer undefined at q = 1", "[n]_q")
-    return (ONE - q**n) / (ONE - q)
 
 
 def q_binomials(q, top: int) -> Callable[[int, int], GaussianRational]:
@@ -282,19 +273,3 @@ def hyper_f(numerators, denominators, z) -> GaussianRational:
 
     return _reduced(*_series_sum(ratios()))
 
-
-def factorial(n: int) -> GaussianRational:
-    """n! as an exact scalar."""
-    return GaussianRational(math.factorial(n))
-
-
-def binomial(n: int, k: int) -> GaussianRational:
-    """Ordinary binomial coefficient as an exact scalar; 0 out of range."""
-    if k < 0 or k > n:
-        return ZERO
-    return GaussianRational(math.comb(n, k))
-
-
-def half(x) -> GaussianRational:
-    """x/2 as an exact scalar, accepting ints and Fractions."""
-    return to_gq(x) * HALF

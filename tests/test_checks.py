@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdetlab import GaussianRational, ONE, ZERO
+from qdetlab import GaussianRational, I, ONE, ZERO
 from qdetlab.errors import DegenerateSampleError, UsageError
 from qdetlab.identities import (
     REGISTRY,
@@ -35,6 +35,7 @@ from qdetlab.identities.points import (
     draw_x_list,
 )
 from qdetlab.identities.runner import EVIDENCE_PASS, FAIL, PASS, SKIPPED
+from qdetlab.orthopoly import AWParams, askey_wilson_values
 from qdetlab.qseries import q_pochhammer
 
 
@@ -236,6 +237,25 @@ class TestCrossValidation:
             assert run_check("quadratic_clean", 4, pt).status == PASS
             assert run_check("quadratic_phi", 4, pt).status == PASS
 
+    def test_quadratic_full_is_the_relation_in_a_b_q(self):
+        # The printed relation: kappa^e scales the first two Askey-Wilson
+        # parameters, and its prefactors are in a, b and q themselves.
+        for n in range(2, 6):
+            pt = sample_point("quadratic_full", seed=23, trial=0, n=n)
+            al, be, ga, ka, a, b, q = pt.alpha, pt.beta, pt.gamma, pt.kappa, pt.a, pt.b, pt.q
+
+            def p(e1, e2, top):
+                params = AWParams(al * ga * ka**e1 * I, -(al / ga) * ka**e2 * I, be * I, -(be * I), q, ZERO)
+                return askey_wilson_values(top, params)
+
+            p11, p33, p31, p13 = p(1, 1, n), p(3, 3, n - 1), p(3, 1, n - 1), p(1, 3, n - 1)
+            lhs = a * q * (ONE - q ** (n - 1)) * (ONE - b * q ** (n - 2)) * p11[n] * p33[n - 2]
+            rhs = (ONE - a * q**n) * (ONE - a * b * q**n) * p11[n - 1] * p33[n - 1]
+            rhs = rhs - (ONE - a * q) * (ONE - a * b * q ** (2 * n - 1)) * p31[n - 1] * p13[n - 1]
+            [(_, got_lhs, got_rhs)] = get_check("quadratic_full").evaluate(pt, n)
+            assert (got_lhs, got_rhs) == (lhs, rhs)
+            assert lhs != ZERO
+
     def test_specialized_condensation_follows_generic_shape(self):
         # the raw five-minor identity holds on the shifted q-moment kernel,
         # which is what the specialized check rearranges
@@ -336,6 +356,9 @@ class TestRunSuite:
         assert {res.n for res in r.results} == {4, 5, 6}
         r = run_suite(["bottom_rows"], n_max=3, trials=1, seed=2)
         assert {res.n for res in r.results} == {2, 3}
+        # hankel has no size cap: a floor above its default sizes runs alone
+        r = run_suite(["hankel"], n_min=7, trials=1, seed=2)
+        assert {res.n for res in r.results} == {7}
 
     def test_seed_changes_points_not_verdicts(self):
         r1 = run_suite(["q_kratt"], trials=1, seed=1)

@@ -1,6 +1,7 @@
 """Orthogonal-polynomial evaluators: cross-path agreement and closed forms."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -18,8 +19,9 @@ from qdetlab.orthopoly import (
     nishizawa_d,
     wilson,
 )
-from qdetlab.identities import REGISTRY, ParamPoint, checks_determinants
-from qdetlab.qseries import factorial, hyper_f, rising_factorial
+from qdetlab.identities import REGISTRY, ParamPoint, checks_determinants, run_check
+from qdetlab.identities.runner import PASS
+from qdetlab.qseries import hyper_f, rising_factorial
 from helpers import (
     QS,
     agree,
@@ -358,10 +360,10 @@ class TestContinuousHahn:
                 / (
                     rising_factorial(a + c, k)
                     * rising_factorial(a + d, k)
-                    * factorial(k)
+                    * math.factorial(k)
                 )
             )
-        pre = I**n * rising_factorial(a + c, n) * rising_factorial(a + d, n) / factorial(n)
+        pre = I**n * rising_factorial(a + c, n) * rising_factorial(a + d, n) / math.factorial(n)
         assert continuous_hahn(n, t, a, b, c, d) == pre * total
 
 
@@ -446,10 +448,13 @@ class TestNishizawaD:
         assert len(comparisons) == 4 and len(calls) == 1
 
     def test_explicit_sum_pole_is_kept(self):
-        # t^2 q^n = 1 at n = 2: only the last factor 1 - t^2 q^n of the
-        # explicit sum's running quotient vanishes, and the point is rejected.
-        with pytest.raises(PoleError, match="explicit sum.*j=2"):
-            evaluate("nishizawa", 2, s_half=frac(2, 3), t_half=frac(2), q=frac(1, 2))
+        # t^2 q^2 = 1.  At n = 2 the factor 1 - t^2 q^2 lies past the 3-phi-2's
+        # last term, and the point passes; at n = 3 it divides term 3, and the
+        # series rejects the point.
+        pt = ParamPoint(s_half=frac(2, 3), t_half=frac(2), q=frac(1, 2))
+        assert run_check("nishizawa", 2, pt).status == PASS
+        with pytest.raises(PoleError, match=r"vanishing denominator factor in series.*parameter 1 at k=3"):
+            evaluate("nishizawa", 3, s_half=frac(2, 3), t_half=frac(2), q=frac(1, 2))
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(PoleError):

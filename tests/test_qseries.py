@@ -10,11 +10,9 @@ from qdetlab import I, NonTerminatingSeriesError, ONE, PoleError, ZERO, Gaussian
 from qdetlab.identities.builders import moments
 from qdetlab.orthopoly import AWParams, askey_wilson, askey_wilson_values
 from qdetlab.qseries import (
-    binomial,
     hyper_f,
     phi_terms,
     q_binomials,
-    q_number,
     q_pochhammer,
     q_pochhammer_multi,
     q_pochhammer_tails,
@@ -263,28 +261,10 @@ class TestQPochhammer:
 
 
 class TestQNumbers:
-    def test_q_number_geometric_sum(self):
-        q = frac(2)
-        assert q_number(3, q) == ONE + q + q * q
-        assert q_number(3, 2) == frac(7)
-
-    def test_q_number_zero(self):
-        assert q_number(0, frac(5, 3)) == ZERO
-
-    def test_q_number_at_two(self):
-        assert q_number(4, 2) == frac(15)
-
-    def test_q_number_rejects_q_equal_one(self):
-        with pytest.raises(PoleError):
-            q_number(2, 1)
-
     def test_q_binomial_edges(self):
         assert q_binomials(frac(4, 3), 5)(5, 0) == ONE
         assert q_binomials(frac(4, 3), 3)(3, 5) == ZERO
         assert q_binomials(frac(4, 3), 3)(3, -1) == ZERO
-        assert binomial(5, 0) == ONE
-        assert binomial(3, 5) == ZERO
-        assert binomial(3, -1) == ZERO
 
     def test_q_binomial_value(self):
         assert q_binomials(2, 4)(4, 2) == frac(35)
