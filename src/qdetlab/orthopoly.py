@@ -3,12 +3,15 @@
 Each function has one evaluation path.  The D-sequences are their
 recurrences; their closed sums are the sides the checks compare them with.
 Askey-Wilson values come from the 4-phi-3 form or, degree by degree, from
-the recurrence.  The complex exponential never appears: the conjugate
-parameter pair of the basic hypergeometric form is evaluated through the
-paired product prod_j (1 - 2 a x q^j + a^2 q^{2j}), which is rational in
-x = cos(theta), keeping everything inside QQ(i).  Both Askey-Wilson loops
-run on unreduced Gaussian-integer triples and reduce once per value they
-return: each recurrence value, and the 4-phi-3 sum.
+the recurrence, whose step 0 has no C term (C_0 carries 1 - q^0 = 0).
+Al-Salam-Chihara values are Askey-Wilson values at c = d = 0 (Koekoek,
+Lesky and Swarttouw, 14.8), read from the same recurrence.  The complex
+exponential never appears: the conjugate parameter pair of the basic
+hypergeometric form is evaluated through the paired product
+prod_j (1 - 2 a x q^j + a^2 q^{2j}), which is rational in x = cos(theta),
+keeping everything inside QQ(i).  Both Askey-Wilson loops run on unreduced
+Gaussian-integer triples and reduce once per value they return: each
+recurrence value, and the 4-phi-3 sum.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ def askey_wilson_values(n: int, params: AWParams) -> dict[int, GaussianRational]
     """p_{-1}..p_n(x; a, b, c, d; q) keyed by degree, by the printed three-term recurrence.
 
     Step k checks the printed coefficients in order: the denominators of A
-    and C, then the division in B.  A itself never vanishes: its numerator
-    1 - abcd q^{k-1} is a factor of the A denominator at step ceil((k-1)/2),
-    which is checked first.  The values up to n raise PoleError exactly when
-    p_n does.  C a / pair in B is taken as rest a / den_c, with the
-    (ab, ac, ad) pair cancelled.
+    and C, then the division in B.  At k = 0, C carries the factor
+    1 - q^0 = 0 and multiplies p_{-1} = 0, so it drops out of both B and the
+    step, and only the A denominator is checked.  A itself never vanishes:
+    its numerator 1 - abcd q^{k-1} is a factor of the A denominator at step
+    ceil((k-1)/2), which is checked first.  The values up to n raise
+    PoleError exactly when p_n does.  C a / pair in B is taken as
+    rest a / den_c, with the (ab, ac, ad) pair cancelled.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -58,8 +63,6 @@ def askey_wilson_values(n: int, params: AWParams) -> dict[int, GaussianRational]
     ab, ac, ad, bc, bd, cd = _tmul(a, b), _tmul(a, c), _tmul(a, d), _tmul(b, c), _tmul(b, d), _tmul(c, d)
     abcd = _tmul(ab, cd)
     w = _tmul(_tmul(abcd, qk1), qk1)  # abcd q^{2k-2}
-    f_lo = _tone_minus(w)
-    pair = _tmul(_tmul(_tone_minus(ab, qk1), _tone_minus(ac, qk1)), _tone_minus(ad, qk1))
     prev, cur = (0, 0, 1), _ONE  # p_{k-1}, p_k
     for k in range(n):
         qk = _tmul(qk1, q)
@@ -71,18 +74,20 @@ def askey_wilson_values(n: int, params: AWParams) -> dict[int, GaussianRational]
         if not (den_a[0] or den_a[1]):
             raise PoleError("vanishing recurrence denominator", f"A at n={k}")
         coeff_a = _tdiv(_tone_minus(abcd, qk1), den_a)
-        den_c = _tmul(f_lo, f_mid)
-        if not (den_c[0] or den_c[1]):
-            raise PoleError("vanishing recurrence denominator", f"C at n={k}")
-        rest = _tmul(_tone_minus(qk), _tone_minus(bc, qk1))
-        rest = _tmul(_tmul(rest, _tone_minus(bd, qk1)), _tone_minus(cd, qk1))
-        coeff_c = _tdiv(_tmul(pair, rest), den_c)
-        if not (pair[0] or pair[1]):
-            raise PoleError("vanishing recurrence denominator", f"B division at n={k}")
         pair_next = _tmul(_tmul(_tone_minus(ab, qk), _tone_minus(ac, qk)), _tone_minus(ad, qk))
         coeff_b = _tsub(a_plus_inv, _tmul(_tmul(coeff_a, a_inv), pair_next))
-        coeff_b = _tsub(coeff_b, _tdiv(_tmul(rest, a), den_c))  # C a / pair, with pair cancelled
-        step = _tsub(_tmul(_tsub(two_x, coeff_b), cur), _tmul(coeff_c, prev))
+        c_prev = (0, 0, 1)  # C_k p_{k-1}
+        if k:  # C_0 = 0 times p_{-1} = 0: no C term, C guard or B division at k = 0
+            den_c = _tmul(f_lo, f_mid)
+            if not (den_c[0] or den_c[1]):
+                raise PoleError("vanishing recurrence denominator", f"C at n={k}")
+            rest = _tmul(_tone_minus(qk), _tone_minus(bc, qk1))
+            rest = _tmul(_tmul(rest, _tone_minus(bd, qk1)), _tone_minus(cd, qk1))
+            if not (pair[0] or pair[1]):
+                raise PoleError("vanishing recurrence denominator", f"B division at n={k}")
+            coeff_b = _tsub(coeff_b, _tdiv(_tmul(rest, a), den_c))  # C a / pair, with pair cancelled
+            c_prev = _tmul(_tdiv(_tmul(pair, rest), den_c), prev)
+        step = _tsub(_tmul(_tsub(two_x, coeff_b), cur), c_prev)
         value = values[k + 1] = _reduced(*_tdiv(step, coeff_a))
         prev, cur = cur, _parts(value)
         qk1, f_lo, pair = qk, f_hi, pair_next
@@ -126,25 +131,6 @@ def askey_wilson(n: int, p: AWParams) -> GaussianRational:
             qk, q2k = qk1, _tmul(q2k, q2)
 
     return _reduced(*_tmul(_parts(prefactor), _series_sum(ratios())))
-
-
-def al_salam_chihara(n: int, x, big_a, big_b, q) -> GaussianRational:
-    """Q_n(x; A, B; q) by its three-term recurrence.  It is the c = d = 0 case
-    of Askey-Wilson (Koekoek, Lesky and Swarttouw, 14.8)."""
-    x, big_a, big_b, q = to_gq(x), to_gq(big_a), to_gq(big_b), to_gq(q)
-    if n == -1:
-        return ZERO
-    if n < -1:
-        raise ValueError("degree must be >= -1")
-    prev, cur = ZERO, ONE
-    two_x = TWO * x
-    ab = big_a * big_b
-    for k in range(n):
-        prev, cur = cur, (
-            (two_x - (big_a + big_b) * q**k) * cur
-            - (ONE - q**k) * (ONE - ab * q ** (k - 1)) * prev
-        )
-    return cur
 
 
 def continuous_hahn(n: int, t, a, b, c, d) -> GaussianRational:

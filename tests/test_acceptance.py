@@ -24,12 +24,12 @@ from test_linalg import det_cofactor
 SEED = 42
 TRIALS = 5
 # sha256 of the default report (seed 42, 5 trials, every check, epoch-zero stamp)
-DEFAULT_REPORT_SHA256 = "1807fd5b6a6890dadd570197cd00ab12e09c3e712d4be1d12e2cebfa8375ca52"
+DEFAULT_REPORT_SHA256 = "1a3ae71987afd273aacb7736face74a775cb7a9cc85f260b908fdca65e48ce11"
 # The same report at other seeds; seed 8 holds the point that once made
 # quadratic_phi fail falsely.
 REPORT_SHA256_AT_SEED = {
-    1: "adc63d2f7d5b554b311b5adb7568bfddd25ef2ca61b8d6e9724a23101e5d23d8",
-    8: "5a36c7d3e9ea411080c1af6d44fe40c797b4abcea5467afbaf0543edbb1720ed",
+    1: "0fd2f6410b47d598f01850c6c0bd1548deb61c9b6a90d70d1ee0ece77951e88e",
+    8: "15871243e96fc2b0c9414af43c2dfdda0b2e5dc4c749ff540e88bfa5a78c14e1",
     2012: "b53d4b04fc78a5b9220d514f5cea42cc9c24c362dbea2ebf64e84ae940db9798",
 }
 # The R-sum and conjugation checks above their default sizes (n = 7..9, 2

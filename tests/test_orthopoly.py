@@ -6,11 +6,10 @@ import random
 
 import pytest
 
-from qdetlab import I, ONE, PoleError, ZERO, orthopoly, to_gq
+from qdetlab import I, ONE, PoleError, ZERO, to_gq
 from qdetlab.gaussian import TWO
 from qdetlab.orthopoly import (
     AWParams,
-    al_salam_chihara,
     andrews_rhs,
     askey_wilson,
     askey_wilson_values,
@@ -52,7 +51,8 @@ def rand_aw(rng):
 
 def aw_coeffs_reference(k, p):
     """The printed recurrence coefficients A_k, B_k, C_k, each power taken afresh,
-    with the pole guards in printed order."""
+    with the pole guards in printed order.  C_0 carries 1 - q^0 = 0, so at
+    k = 0 it is 0 and neither its denominator nor the division in B is checked."""
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     if not a:
         raise PoleError("recurrence requires a nonzero leading parameter", "a=0")
@@ -62,6 +62,9 @@ def aw_coeffs_reference(k, p):
     if not den_a:
         raise PoleError("vanishing recurrence denominator", f"A at n={k}")
     coeff_a = (ONE - abcd * qk1) / den_a
+    coeff_b = a + ONE / a - coeff_a / a * (ONE - a * b * qk) * (ONE - a * c * qk) * (ONE - a * d * qk)
+    if k == 0:
+        return coeff_a, coeff_b, ZERO
     den_c = (ONE - abcd * q ** (2 * k - 2)) * (ONE - abcd * q ** (2 * k - 1))
     if not den_c:
         raise PoleError("vanishing recurrence denominator", f"C at n={k}")
@@ -71,13 +74,7 @@ def aw_coeffs_reference(k, p):
     )
     if not pair:
         raise PoleError("vanishing recurrence denominator", f"B division at n={k}")
-    coeff_b = (
-        a
-        + ONE / a
-        - coeff_a / a * (ONE - a * b * qk) * (ONE - a * c * qk) * (ONE - a * d * qk)
-        - coeff_c * a / pair
-    )
-    return coeff_a, coeff_b, coeff_c
+    return coeff_a, coeff_b - coeff_c * a / pair, coeff_c
 
 
 def aw_values_reference(n, p):
@@ -89,6 +86,15 @@ def aw_values_reference(n, p):
             raise PoleError("vanishing leading recurrence coefficient", f"A at n={k}")
         values[k + 1] = ((2 * p.x - coeff_b) * values[k] - coeff_c * values[k - 1]) / coeff_a
     return values
+
+
+def al_salam_chihara_reference(n, x, a, b, q):
+    """Q_n(x; a, b | q) by the Al-Salam-Chihara recurrence (Koekoek, Lesky and
+    Swarttouw, 14.8.4): Q_{k+1} = (2x - (a + b) q^k) Q_k - (1 - q^k)(1 - ab q^{k-1}) Q_{k-1}."""
+    prev, cur = ZERO, ONE
+    for k in range(n):
+        prev, cur = cur, (2 * x - (a + b) * q**k) * cur - (ONE - q**k) * (ONE - a * b * q ** (k - 1)) * prev
+    return cur
 
 
 def askey_wilson_scalar(n, p):
@@ -195,9 +201,12 @@ class TestAskeyWilson:
                 assert outcome(askey_wilson_values, n, p) == expected, (p, n)
             if raised(top):
                 stops[top[2]] = stops.get(top[2], 0) + 1
-        # the k = 0 guards of C and of the division in B
-        assert stops["C at n=0"] == 29
-        assert stops["B division at n=0"] == 155
+        # C_0 drops out of step 0, so only the A denominator can stop it
+        assert [stop for stop in stops if stop.endswith("n=0")] == ["A at n=0"]
+        assert stops == {
+            "a=0": 165, "A at n=0": 75, "A at n=1": 40, "A at n=2": 6,
+            "B division at n=1": 211, "B division at n=2": 70, "B division at n=3": 24,
+        }
 
     def test_recurrence_with_complex_and_negative_parameters(self):
         rng = random.Random(1203)
@@ -279,18 +288,29 @@ class TestAskeyWilson:
         with pytest.raises(PoleError):
             askey_wilson_values(2, p)
 
+    def test_step_zero_has_no_c_term(self):
+        # conjecture_mw3's first candidate at seed 42, trial 0: ac = q zeroes
+        # the (ab, ac, ad) pair at k = 0, where only C_0 = 0 would divide by it.
+        p = AWParams(ONE, frac(5, 9), frac(-2, 3), frac(1, 2), frac(-2, 3), -ONE)
+        values = askey_wilson_values(6, p)
+        assert values[1] == frac(-118, 27)
+        for n in range(7):
+            assert values[n] == askey_wilson(n, p), n
+
 
 class TestAlSalamChihara:
+    """Al-Salam-Chihara is Askey-Wilson at c = d = 0, evaluated by its recurrence."""
+
     def test_degree_zero(self):
-        assert al_salam_chihara(0, 1, 2, 3, frac(1, 2)) == ONE
-        assert al_salam_chihara(-1, 1, 2, 3, frac(1, 2)) == ZERO
-        with pytest.raises(ValueError, match="degree must be >= -1"):
-            al_salam_chihara(-2, 1, 2, 3, frac(1, 2))
+        p = AWParams(frac(2), frac(3), ZERO, ZERO, frac(1, 2), ONE)
+        assert askey_wilson_values(0, p) == {-1: ZERO, 0: ONE}
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            askey_wilson_values(-1, p)
 
     def test_degree_one_recurrence_step(self):
         x, a, b = frac(5, 7), frac(2, 3), frac(3)
         q = frac(2)
-        assert al_salam_chihara(1, x, a, b, q) == 2 * x - (a + b)
+        assert askey_wilson_values(1, AWParams(a, b, ZERO, ZERO, q, x))[1] == 2 * x - (a + b)
 
     def test_recurrence_and_series_agree(self):
         rng = random.Random(5)
@@ -298,17 +318,21 @@ class TestAlSalamChihara:
         def attempt():
             x, a, b, q = rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), rand_q(rng)
             n = rng.randint(1, 4)
-            assert al_salam_chihara(n, x, a, b, q) == askey_wilson(n, AWParams(a, b, ZERO, ZERO, q, x))
+            p = AWParams(a, b, ZERO, ZERO, q, x)
+            assert askey_wilson_values(n, p)[n] == askey_wilson(n, p)
 
         until_clean(8, attempt)
 
     def test_equals_askey_wilson_with_trailing_zeros(self):
+        # Random real points, and nishizawa's (st i, -(t/s) i) at x = 0.
         rng = random.Random(6)
-        x, a, b, q = rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), rand_q(rng)
-        for n in range(6):
-            assert al_salam_chihara(n, x, a, b, q) == askey_wilson_values(
-                n, AWParams(a, b, ZERO, ZERO, q, x)
-            )[n]
+        s, t = frac(2, 3), frac(3, 5)
+        points = [(ZERO, s * t * I, -(t / s) * I, frac(2))]
+        points += [(rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), rand_q(rng)) for _ in range(8)]
+        for x, a, b, q in points:
+            values = askey_wilson_values(6, AWParams(a, b, ZERO, ZERO, q, x))
+            for n in range(7):
+                assert values[n] == al_salam_chihara_reference(n, x, a, b, q), (x, a, b, q, n)
 
 
 class TestAndrews:
@@ -439,22 +463,23 @@ class TestNishizawaD:
 
         def counted(*args):
             calls.append(args)
-            return al_salam_chihara(*args)
+            return askey_wilson_values(*args)
 
-        for module in (orthopoly, checks_determinants):
-            monkeypatch.setattr(module, "al_salam_chihara", counted)
+        monkeypatch.setattr(checks_determinants, "askey_wilson_values", counted)
         comparisons = evaluate("nishizawa", 4, s_half=frac(2, 3), t_half=frac(3, 5), q=frac(2))
         assert_agree(comparisons)
         assert len(comparisons) == 4 and len(calls) == 1
 
     def test_explicit_sum_pole_is_kept(self):
         # t^2 q^2 = 1.  At n = 2 the factor 1 - t^2 q^2 lies past the 3-phi-2's
-        # last term, and the point passes; at n = 3 it divides term 3, and the
-        # series rejects the point.
+        # last term, and the point passes; from n = 3 it divides term 3, and the
+        # series rejects the point.  From n = 4 the Askey-Wilson recurrence for
+        # Q_n would also divide by it, but the series reports the pole first.
         pt = ParamPoint(s_half=frac(2, 3), t_half=frac(2), q=frac(1, 2))
         assert run_check("nishizawa", 2, pt).status == PASS
-        with pytest.raises(PoleError, match=r"vanishing denominator factor in series.*parameter 1 at k=3"):
-            evaluate("nishizawa", 3, s_half=frac(2, 3), t_half=frac(2), q=frac(1, 2))
+        for n in (3, 4):
+            with pytest.raises(PoleError, match=r"vanishing denominator factor in series.*parameter 1 at k=3"):
+                evaluate("nishizawa", n, s_half=frac(2, 3), t_half=frac(2), q=frac(1, 2))
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(PoleError):
