@@ -194,14 +194,17 @@ def _reduced(r: int, i: int, d: int) -> GaussianRational:
 
 
 # -- unreduced triples --------------------------------------------------------
-# A running loop (a series, a recurrence, a moment sequence) carries each
-# quantity as a triple (re, im, den) of ints with den > 0, the value
-# (re + im*i)/den, unreduced, and reduces once per value it emits, with
-# _reduced(*triple).  A triple is zero exactly when both of its numerator
-# ints are.
+# A running loop (a series, a recurrence, a moment sequence, a dynamic
+# program) carries each quantity as a triple (re, im, den) of ints with
+# den > 0, the value (re + im*i)/den, unreduced, and reduces once per value
+# it emits, with _reduced(*triple).  The matrix builders reduce none of
+# theirs: they hand rows of triples to ExactMatrix.from_triples, which
+# clears each row to integers over one denominator, and an entry becomes a
+# scalar only when it is read.  A triple is zero exactly when both of its
+# numerator ints are.
 
 Triple = tuple[int, int, int]
-_ONE = (1, 0, 1)  # the triple of 1
+_ZERO, _ONE, _MINUS_ONE = (0, 0, 1), (1, 0, 1), (-1, 0, 1)  # the triples of 0, 1 and -1
 
 
 def _parts(z: GaussianRational) -> Triple:

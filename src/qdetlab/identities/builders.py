@@ -12,17 +12,27 @@ from one backward dynamic program over the row indices instead of from
 their C(n, nu) splittings.  The moments are the running products of their
 term ratios, taken by the factorial loop of :mod:`qdetlab.qseries`.  All
 matrix builders use the 1-based convention of the formulas.
+
+The moment kernels (Hankel, theorem and row-selected), the cleared row
+matrix and X and L compute each entry as an unreduced triple (see
+``gaussian._tmul``) and hand rows of triples to
+:meth:`ExactMatrix.from_triples`, which clears each row to integers over
+one denominator; no entry of theirs is reduced on the way.  The dynamic
+program of R_{n,nu} reduces once per cell.  The q-binomial triangulars and
+the classical kernels take their scalar entries through the public
+constructors.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Sequence
 
 from ..errors import PoleError
-from ..gaussian import ONE, ZERO, GaussianRational, _tdiv, sign, to_gq
+from ..gaussian import _MINUS_ONE, _ONE, _ZERO, ONE, ZERO, GaussianRational, Triple, sign, to_gq
+from ..gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus, _tsub
 from ..linalg import ExactMatrix
-from ..qseries import _one_minus_powers, _products, q_binomials
-from ..qseries import q_pochhammer_tails, q_pochhammers, rising_factorials
+from ..qseries import _one_minus_powers, _products, q_binomials, rising_factorials
 
 
 def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
@@ -85,8 +95,21 @@ def _row_moments(k_tuple: Sequence[int], a, b, q) -> dict[int, GaussianRational]
 def moment_hankel_rows(k_tuple: Sequence[int], a, b, q) -> ExactMatrix:
     """Row-selected moment matrix (mu_{k_i+j-2})."""
     n = len(k_tuple)
-    mu = _row_moments(k_tuple, a, b, q)
-    return ExactMatrix.build(n, n, lambda i, j: mu[k_tuple[i - 1] + j - 2])
+    mu = {m: _parts(v) for m, v in _row_moments(k_tuple, a, b, q).items()}
+    return ExactMatrix.from_triples(n, n, [[mu[k + j] for j in range(-1, n - 1)] for k in k_tuple])
+
+
+def _kernel(rows: Sequence[tuple[GaussianRational, int]], mu: dict[int, GaussianRational], c, qp) -> ExactMatrix:
+    """The kernel ((x_i - c q^{j-1}) mu_{o_i+j-1}) over rows (x_i, o_i), each
+    entry one unreduced triple; qp is the builder's table of q-powers."""
+    n = len(rows)
+    cq = [_parts(c * qp[j]) for j in range(n)]
+    mu = {m: _parts(v) for m, v in mu.items()}
+    lines = []
+    for x, o in rows:
+        x = _parts(x)
+        lines.append([_tmul(_tsub(x, y), mu[o + j]) for j, y in enumerate(cq)])
+    return ExactMatrix.from_triples(n, n, lines)
 
 
 def build_theorem_matrix(n: int, r: int, a, b, c, q) -> ExactMatrix:
@@ -97,67 +120,77 @@ def build_theorem_matrix(n: int, r: int, a, b, c, q) -> ExactMatrix:
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
     mu = moments(r, 2 * n + r - 2, a, b, q)
     qp = _Powers(q)
-    cq = [c * qp[j] for j in range(n)]
-    return ExactMatrix.build(n, n, lambda i, j: (qp[i - 1] - cq[j - 1]) * mu[i + j + r - 2])
+    return _kernel([(qp[i], i + r) for i in range(n)], mu, c, qp)
 
 
 def theorem_matrix_rows(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     """Arbitrary-rows kernel ((q^{k_i-1} - c q^{j-1}) mu_{k_i+j-2})."""
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
-    n = len(k_tuple)
     mu = _row_moments(k_tuple, a, b, q)
     qp = _Powers(q)
-    cq = [c * qp[j] for j in range(n)]
-    return ExactMatrix.build(
-        n,
-        n,
-        lambda i, j: (qp[k_tuple[i - 1] - 1] - cq[j - 1]) * mu[k_tuple[i - 1] + j - 2],
-    )
+    return _kernel([(qp[k - 1], k - 1) for k in k_tuple], mu, c, qp)
+
+
+def _row_factor_triples(x, a, ab, q, n: int) -> list[Triple]:
+    """(a x;q)_{j-1} (ab x q^j;q)_{n-j} for j = 1..n as unreduced triples, at
+    list index j - 1, for scalars x, a, ab and q: the prefixes of (a x;q)_n
+    run up, and the suffixes of (ab x;q)_n run down from its top factor."""
+    prefix = [_ONE]  # (a x;q)_j at list index j
+    for _, f in zip(range(n - 1), _one_minus_powers(a * x, q)):
+        prefix.append(_tmul(prefix[-1], f))
+    tops = list(islice(_one_minus_powers(ab * x, q), 1, n))  # 1 - ab x q^m for m = 1..n-1
+    out, suffix = [], _ONE  # suffix = (ab x q^{j+1};q)_{n-1-j}
+    for j in range(n - 1, -1, -1):
+        out.append(_tmul(prefix[j], suffix))
+        if j:
+            suffix = _tmul(tops[j - 1], suffix)
+    return out[::-1]
 
 
 def row_factors(x, a, ab, q, n: int) -> list[GaussianRational]:
     """(a x;q)_{j-1} (ab x q^j;q)_{n-j} for j = 1..n, at list index j - 1.
 
     The first factorial is a prefix of (a x;q)_n and the second a suffix of
-    (ab x;q)_n, so the n values take one table of each.
+    (ab x;q)_n, so the n values take one running product of each.
     """
-    prefix = q_pochhammers(to_gq(a) * x, q, 0, n - 1)
-    suffix = q_pochhammer_tails(to_gq(ab) * x, q, n)
-    return [prefix[j] * suffix[n - 1 - j] for j in range(n)]
+    return [_reduced(*t) for t in _row_factor_triples(to_gq(x), to_gq(a), to_gq(ab), to_gq(q), n)]
 
 
 def build_m(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     """Denominator-cleared row matrix with entries
     (q^{k_i-1} - c q^{j-1}) (a q^{k_i};q)_{j-1} (a b q^{k_i+j};q)_{n-j},
-    each row's factorials read from :func:`row_factors` at x = q^{k_i}.
+    each row's factorials the unreduced triples that :func:`row_factors`
+    reduces, at x = q^{k_i}; the entries are handed over unreduced.
     """
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
     n = len(k_tuple)
     ab = a * b
     qp = _Powers(q)
-    cq = [c * qp[j] for j in range(n)]
-    rows = []
+    cq = [_parts(c * qp[j]) for j in range(n)]
+    lines = []
     for k in k_tuple:
-        factors = row_factors(qp[k], a, ab, q, n)
-        rows.append([(qp[k - 1] - cq[j]) * factors[j] for j in range(n)])
-    return ExactMatrix.from_rows(rows)
+        factors = _row_factor_triples(qp[k], a, ab, q, n)
+        xk = _parts(qp[k - 1])
+        lines.append([_tmul(_tsub(xk, y), f) for y, f in zip(cq, factors)])
+    return ExactMatrix.from_triples(n, n, lines)
 
 
 def _column_products(xs: Sequence[GaussianRational], shift: GaussianRational) -> ExactMatrix:
     """Lower triangular with entry (i, j), i >= j, equal to -1/P_{ij}, where
     P_{ij} = x_j (1 - shift x_j) prod_{l <= i, l != j} (x_l - x_j),
-    carried down column j one factor per row."""
+    carried down column j one factor per row as a triple."""
     n = len(xs)
-    rows = [[ZERO] * n for _ in range(n)]
+    xs, shift = [_parts(x) for x in xs], _parts(shift)
+    lines = [[_ZERO] * n for _ in range(n)]
     for j, x in enumerate(xs):
-        prod = x * (ONE - shift * x)
+        prod = _tmul(x, _tone_minus(shift, x))
         for y in xs[:j]:
-            prod = prod * (y - x)
-        rows[j][j] = -prod.reciprocal()
+            prod = _tmul(prod, _tsub(y, x))
+        lines[j][j] = _tdiv(_MINUS_ONE, prod)
         for i in range(j + 1, n):
-            prod = prod * (xs[i] - x)
-            rows[i][j] = -prod.reciprocal()
-    return ExactMatrix.from_rows(rows)
+            prod = _tmul(prod, _tsub(xs[i], x))
+            lines[i][j] = _tdiv(_MINUS_ONE, prod)
+    return ExactMatrix.from_triples(n, n, lines)
 
 
 def x_matrix(k_tuple: Sequence[int], a, q) -> ExactMatrix:
@@ -232,16 +265,18 @@ def r_values(n: int, k_tuple: Sequence[int], a, b, q) -> list[GaussianRational]:
     a, b, q = to_gq(a), to_gq(b), to_gq(q)
     ab = a * b
     qp = _Powers(q)
+    at, abt = _parts(a), _parts(ab)
     h = [ZERO] * n + [ONE]  # H_v(s) at list index s
     for v in range(n, 0, -1):
-        k, qv = k_tuple[v - 1], qp[v - 1]
+        k, qv = k_tuple[v - 1], _parts(qp[v - 1])
         # In place, upward in s: H_{v-1}(s) reads H_v(s) and H_v(s + 1).
         # H_v(v - 1) was never written and is 0, so the j-step needs no v <= s test.
+        # Each cell is one triple, reduced once.
         for s in range(v - 1, n + 1):
-            total = h[s] * (ONE - ab * qp[k + s - 1]) if h[s] else ZERO
+            total = _tmul(_parts(h[s]), _tone_minus(abt, _parts(qp[k + s - 1]))) if h[s] else _ZERO
             if s < n and h[s + 1]:
-                total = total + h[s + 1] * (qv - a * qp[k + s])
-            h[s] = total
+                total = _tsub(total, _tmul(_parts(h[s + 1]), _tsub(_tmul(at, _parts(qp[k + s])), qv)))
+            h[s] = _reduced(*total)
     return h
 
 

@@ -19,8 +19,7 @@ from .points import CAPACITY, Comparison, check
 )
 def dj_generic(pt, n: int) -> list[Comparison]:
     size = CAPACITY["matrix_entries"]
-    lead = list(range(1, n + 1))
-    a = submatrix(ExactMatrix(size, size, pt.matrix_entries), lead, lead)
+    a = ExactMatrix.build(n, n, lambda i, j: pt.matrix_entries[(i - 1) * size + j - 1])
     inner = list(range(2, n))
     head = list(range(1, n))
     tail = list(range(2, n + 1))

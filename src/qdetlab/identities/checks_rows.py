@@ -301,7 +301,6 @@ def bottom_rows(pt, n: int) -> list[Comparison]:
 )
 def triangular_inverses(pt, n: int) -> list[Comparison]:
     q = pt.q
-    identity = ExactMatrix.identity(n)
     comps = []
     y = y_matrix(n, q)
     u = u_matrix(n, q)
@@ -310,7 +309,7 @@ def triangular_inverses(pt, n: int) -> list[Comparison]:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 comps.append(
-                    (f"{name} inverse product entry ({i},{j})", prod.at(i, j), identity.at(i, j))
+                    (f"{name} inverse product entry ({i},{j})", prod.at(i, j), ONE if i == j else ZERO)
                 )
     all_rows = list(range(1, n + 1))
     for i in range(1, n + 1):

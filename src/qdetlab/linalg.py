@@ -1,21 +1,34 @@
 """Exact dense matrices over QQ: determinants, Pfaffians, submatrices.
 
-Entries are GaussianRational scalars with zero imaginary part; the
-constructor rejects any other.  Every kernel of the paper is real when its
+A matrix is stored as its cleared integer rows: row r is kept once, as
+(L_r, w_r), where L_r is the lcm of the reduced denominators of the row's
+entries and w_r is the integer row L_r times it, so entry (r, c) is
+w_r[c] / L_r.  One routine, ``_row``, makes every stored row: given a line
+over any common denominator, it divides the denominator and the integer
+line by their one gcd, which leaves the least denominator, so equal
+matrices have equal rows.  A matrix is built from rows of triples
+(re, im, den) (see ``gaussian._tmul``), not necessarily in lowest terms:
+each row is scaled to the lcm of its denominators and handed to ``_row``,
+and a triple with a nonzero imaginary part is refused.  The public
+constructors turn scalars into triples; the builders of
+:mod:`qdetlab.identities.builders` hand over their unreduced triples as
+they are.  Submatrices, transposes and products already know a common
+denominator of each output row (L_r, the lcm of the L_r, L_i times the lcm
+of the right factor's L_k) and re-clear it with ``_row`` alone: one gcd per
+row.  An entry is reduced to a GaussianRational only when it is read
+(``at``, ``to_lists``).  Every kernel of the paper is real when its
 parameters are, and the imaginary unit enters only through the scalar
-parameters of the closed forms, so the matrices are real and each routine
-runs over the integers alone.
+parameters of the closed forms, so each routine runs over the integers
+alone.
 
 The public index convention is 1-based, matching the displayed formulas the
-matrices come from; storage is a row-major list.  Products, determinants
-and Pfaffians first clear each row (and, for the right factor of a
-product, each column) of its denominators.  A product entry is then one
-integer dot product.  Elimination is fraction-free, and every later
-division is exact (Bareiss 1968 for determinants, the Pfaffian form of
-Sylvester's identity for Pfaffians; Knuth, "Overlapping Pfaffians", 1996).
-Each value is reduced to lowest terms once, at the end.  Pivots are the
-first nonzero entries, so runs stay reproducible.  There is one
-elimination loop per kernel and order range.
+matrices come from.  Determinants and Pfaffians read the stored rows
+directly, and a product entry is one integer dot product.  Elimination is
+fraction-free, and every later division is exact (Bareiss 1968 for
+determinants, the Pfaffian form of Sylvester's identity for Pfaffians;
+Knuth, "Overlapping Pfaffians", 1996).  Each value is reduced to lowest
+terms once, at the end.  Pivots are the first nonzero entries, so runs stay
+reproducible.  There is one elimination loop per kernel and order range.
 
 From order STRIP_ORDER = 9 on, a determinant is eliminated on the
 primitive parts of its trailing blocks: each step forms the new block
@@ -40,39 +53,70 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
-from .gaussian import ONE, ZERO, GaussianRational, _reduced, to_gq
+from .gaussian import ONE, ZERO, GaussianRational, Triple, _reduced, to_gq
+
+# One stored row (L, w): the row is w / L, with L as small as it can be.
+Row = tuple[int, tuple[int, ...]]
+_im = itemgetter(1)
+
+
+def _row(l: int, w: list[int]) -> Row:
+    """The stored row of the line w / l, for any common denominator l > 0
+    of its entries: l and w divided by their gcd.
+
+    Every common denominator of a line is a multiple k L of the least one,
+    L, and no prime divides L and all of the integers L * line (else L / p
+    would clear the line), so the gcd of l and w is k.
+    """
+    g = gcd(l, *w)
+    if g != 1:
+        return l // g, tuple([x // g for x in w])
+    return l, tuple(w)
+
+
+def _stored(rows: int, cols: int, cleared: tuple[Row, ...]) -> "ExactMatrix":
+    """The rows x cols matrix with the given stored rows, each made by _row."""
+    m = object.__new__(ExactMatrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "_cleared_rows", cleared)
+    return m
 
 
 class ExactMatrix:
-    """Immutable dense matrix of real GaussianRational entries (1-based access)."""
+    """Immutable dense matrix over QQ (1-based access), stored as its
+    cleared integer rows; entries read back as real GaussianRational scalars."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_cleared_rows")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence):
+    def __new__(cls, rows: int, cols: int, entries: Sequence):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         e = [x if type(x) is GaussianRational else to_gq(x) for x in entries]
         if len(e) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
-        for k, x in enumerate(e):
-            if x._i:
-                raise ValueError(f"entry ({k // cols + 1}, {k % cols + 1}) is not real: {x}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_e", tuple(e))
+        lines = [[(x._r, x._i, x._d) for x in e[r * cols : (r + 1) * cols]] for r in range(rows)]
+        return cls.from_triples(rows, cols, lines)
 
-    @classmethod
-    def _of(cls, rows: int, cols: int, entries: tuple) -> "ExactMatrix":
-        """A rows x cols matrix over a tuple of entries that are already
-        real GaussianRational scalars, taken as they are."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_e", entries)
-        return m
+    @staticmethod
+    def from_triples(rows: int, cols: int, lines: Sequence[Sequence[Triple]]) -> "ExactMatrix":
+        """The rows x cols matrix whose entry (i, j) is the value of the
+        triple lines[i - 1][j - 1] (den > 0, not necessarily in lowest
+        terms); each row is cleared over the lcm of its denominators.  A
+        triple with a nonzero imaginary part is refused."""
+        if len(lines) != rows or any(map(cols.__ne__, map(len, lines))):
+            raise ValueError(f"expected {rows} rows of {cols} entries")
+        if any(map(_im, chain.from_iterable(lines))):
+            i, j, t = next((i, j, t) for i, line in enumerate(lines) for j, t in enumerate(line) if t[1])
+            raise ValueError(f"entry ({i + 1}, {j + 1}) is not real: {_reduced(*t)}")
+        cleared = []
+        for line in lines:
+            l = lcm(*[d for _, _, d in line])
+            cleared.append(_row(l, [r * (l // d) for r, _, d in line]))
+        return _stored(rows, cols, tuple(cleared))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -99,38 +143,50 @@ class ExactMatrix:
         return cls.build(n, n, lambda i, j: ONE if i == j else ZERO)
 
     def at(self, i: int, j: int) -> GaussianRational:
-        """Entry at row i, column j (both 1-based)."""
+        """Entry at row i, column j (both 1-based), reduced as it is read."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols} matrix")
-        return self._e[(i - 1) * self.cols + (j - 1)]
+        l, w = self._cleared_rows[i - 1]
+        return _reduced(w[j - 1], 0, l)
 
     def to_lists(self) -> list[list[GaussianRational]]:
-        return [list(self._e[r * self.cols : (r + 1) * self.cols]) for r in range(self.rows)]
+        return [[_reduced(x, 0, l) for x in w] for l, w in self._cleared_rows]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.build(self.cols, self.rows, lambda i, j: self.at(j, i))
+        # Column j is w_r[j] / L_r down the rows r: over the lcm of the L_r
+        # it is one integer line.
+        rows = self._cleared_rows
+        l = lcm(*[lr for lr, _ in rows])
+        scaled = [(l // lr, w) for lr, w in rows]
+        columns = [_row(l, [w[j] * t for t, w in scaled]) for j in range(self.cols)]
+        return _stored(self.cols, self.rows, tuple(columns))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Matrix product over the integers.
 
-        Row i of self is cleared by L_i, the lcm of its denominators, and
-        column j of other by M_j, so entry (i, j) is one integer dot
-        product, reduced once over L_i M_j.
+        With other = V / M row by row and M' the lcm of the M_k, row i of
+        the product is (w_i * (M' / M)) V over L_i M': one integer dot
+        product per entry, then one gcd per row.
         """
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        ls, a = _cleared(self.to_lists())
-        ms, b = _cleared([other._e[j :: other.cols] for j in range(other.cols)])
-        out = tuple([_reduced(sum(map(mul, x, y)), 0, l * m) for l, x in zip(ls, a) for m, y in zip(ms, b)])
-        return ExactMatrix._of(self.rows, other.cols, out)
+        b = other._cleared_rows
+        l = lcm(*[m for m, _ in b])
+        scale = [l // m for m, _ in b]
+        columns = [[v[j] for _, v in b] for j in range(other.cols)]
+        out = []
+        for li, w in self._cleared_rows:
+            x = list(map(mul, w, scale))
+            out.append(_row(li * l, [sum(map(mul, x, y)) for y in columns]))
+        return _stored(self.rows, other.cols, tuple(out))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._e == other._e
+        return self.rows == other.rows and self.cols == other.cols and self._cleared_rows == other._cleared_rows
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self._cleared_rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.to_lists())
@@ -145,20 +201,9 @@ def submatrix(m: ExactMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) ->
     for j in col_idx:
         if not 1 <= j <= m.cols:
             raise IndexError(f"column index {j} out of range")
-    e, n = m._e, m.cols
-    picked = tuple([e[(i - 1) * n + j - 1] for i in row_idx for j in col_idx])
-    return ExactMatrix._of(len(row_idx), len(col_idx), picked)
-
-
-def _cleared(lines) -> tuple[list[int], list[list[int]]]:
-    """(L, rows): line r (a row or a column) times L[r], the lcm of its
-    denominators, as a list of integers."""
-    ls, out = [], []
-    for line in lines:
-        l = lcm(*[x._d for x in line])
-        ls.append(l)
-        out.append([x._r * (l // x._d) for x in line])
-    return ls, out
+    rows = m._cleared_rows
+    picked = [_row(l, [w[j - 1] for j in col_idx]) for l, w in (rows[i - 1] for i in row_idx)]
+    return _stored(len(row_idx), len(col_idx), tuple(picked))
 
 
 # The order from which a determinant is eliminated on primitive parts
@@ -191,9 +236,9 @@ def determinant(m: ExactMatrix) -> GaussianRational:
     trailing blocks."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    ls, w = _cleared(m.to_lists())
     eliminate = _bareiss_primitive if m.rows >= STRIP_ORDER else _bareiss_real
-    return _reduced(eliminate(w), 0, prod(ls))
+    rows = m._cleared_rows
+    return _reduced(eliminate([list(w) for _, w in rows]), 0, prod([l for l, _ in rows]))
 
 
 # Bareiss on the cleared matrix W: after step k, w[r][c] (r, c > k) is the
@@ -278,17 +323,16 @@ def pfaffian(m: ExactMatrix) -> GaussianRational:
         raise ValueError("Pfaffian requires a square matrix")
     if m.rows % 2 == 1:
         raise ValueError("Pfaffian requires even dimension")
-    e, n = m._e, m.cols
-    for i in range(n):
+    rows, n = m._cleared_rows, m.cols
+    # Entry (i, j) is w_i[j] / L_i, so M is skew when w_i[j] L_j == -w_j[i] L_i.
+    for i, (li, wi) in enumerate(rows):
         for j in range(i, n):
-            a, b = e[i * n + j], e[j * n + i]
-            if a._r != -b._r or a._d != b._d:
+            lj, wj = rows[j]
+            if wi[j] * lj != -wj[i] * li:
                 raise ValueError(f"matrix is not skew-symmetric at ({i + 1}, {j + 1})")
     # W = D M D with D = diag(L) is skew over the integers and Pf W = Pf(M) * prod(L).
-    ls, w = _cleared(m.to_lists())
-    for row in w:
-        for c, l in enumerate(ls):
-            row[c] *= l
+    ls = [l for l, _ in rows]
+    w = [list(map(mul, wi, ls)) for _, wi in rows]
     # Dividing row i and column i by g is a congruence that divides Pf by g.
     content = _strip_content(w) if n >= STRIP_ORDER else 1
     return _reduced(content * _pfaffian_real(w), 0, prod(ls))

@@ -3,13 +3,15 @@
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdetlab import ExactMatrix, GaussianRational, ONE, ZERO, determinant, linalg, pfaffian, submatrix
 from qdetlab.gaussian import I
-from qdetlab.identities.builders import y_matrix
+from qdetlab.identities import build_m, build_theorem_matrix, moment_hankel_rows, theorem_matrix_rows
+from qdetlab.identities.builders import l_matrix, x_matrix, y_matrix
 from helpers import frac
 
 
@@ -482,7 +484,7 @@ class TestSubmatrixAndAccess:
         m = ExactMatrix.identity(2)
         with pytest.raises(AttributeError):
             m.rows = 5
-        for name in ("rows", "cols", "_e"):
+        for name in ("rows", "cols", "_cleared_rows"):
             with pytest.raises(AttributeError):
                 delattr(m, name)
         assert m == ExactMatrix.identity(2) and hash(m) == hash(ExactMatrix.identity(2))
@@ -500,6 +502,8 @@ class TestSubmatrixAndAccess:
             ExactMatrix(2, 2, [1, 2, 3])
         with pytest.raises(ValueError, match="ragged"):
             ExactMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(ValueError, match="expected 2 rows of 2 entries"):
+            ExactMatrix.from_triples(2, 2, [[(1, 0, 1), (2, 0, 3)], [(1, 0, 1)]])
 
     def test_complex_entries_rejected(self):
         # the matrices are real: a complex entry is refused wherever a matrix is built
@@ -512,7 +516,73 @@ class TestSubmatrixAndAccess:
             ExactMatrix.build(3, 3, lambda i, j: z if i == j == 3 else i - j)
         with pytest.raises(ValueError, match="is not real"):
             y_matrix(3, I)
+        # the kernel, cleared-matrix and X, L builders hand over rows of
+        # triples, not scalars, and meet the same check
+        a, b, c, q = frac(2, 3), frac(3, 5), frac(5, 7), frac(2)
+        refused = [
+            (lambda: build_m([2, 3], a, b, I, q), r"entry \(1, 1\) is not real: -22/5\+11/5i"),
+            (lambda: build_theorem_matrix(2, 0, I, b, c, q), r"entry \(1, 2\) is not real: -435/1183-30/1183i"),
+            (lambda: theorem_matrix_rows([2, 3], a, I, c, q), r"entry \(1, 1\) is not real: -27/511-72/511i"),
+            (lambda: moment_hankel_rows([1, 3], a, I, q), r"entry \(1, 2\) is not real: -3/73-8/73i"),
+            (lambda: x_matrix([1, 2], a, I), r"entry \(1, 1\) is not real: -6/13\+9/13i"),
+            (lambda: l_matrix([1, 2], a, I, q), r"entry \(1, 1\) is not real: -9/146-12/73i"),
+        ]
+        for build, message in refused:
+            with pytest.raises(ValueError, match=message):
+                build()
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
             ExactMatrix.identity(2) @ ExactMatrix.identity(3)
+
+
+# -- storage ---------------------------------------------------------------------
+
+
+@st.composite
+def unreduced_matrices(draw, rows=st.integers(0, 4), cols=st.integers(0, 4)):
+    """(values, triples) of a rows x cols matrix: values[i][j] is a Fraction
+    and triples[i][j] the triple of the same value with a random factor put
+    into numerator and denominator, times a factor common to the row."""
+    n, m = draw(rows), draw(cols)
+    values, triples = [], []
+    for _ in range(n):
+        common = draw(st.integers(1, 12))
+        row = [Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 30))) for _ in range(m)]
+        factors = [common * draw(st.integers(1, 40)) for _ in range(m)]
+        values.append(row)
+        triples.append([(v.numerator * k, 0, v.denominator * k) for v, k in zip(row, factors)])
+    return values, triples
+
+
+def rebuilt(m):
+    """m built again from its entries read back as scalars."""
+    return ExactMatrix(m.rows, m.cols, [x for row in m.to_lists() for x in row])
+
+
+class TestStorage:
+    @settings(max_examples=150, deadline=None)
+    @given(unreduced_matrices())
+    def test_unreduced_triples_store_as_the_reduced_scalars(self, case):
+        values, triples = case
+        n, m = len(values), len(values[0]) if values else 0
+        stored = ExactMatrix.from_triples(n, m, triples)
+        scalars = ExactMatrix(n, m, [frac(v.numerator, v.denominator) for row in values for v in row])
+        assert stored == scalars and hash(stored) == hash(scalars)
+        # each row is kept over the lcm of its reduced denominators, so the
+        # integers an elimination reads do not depend on how the row was built
+        for (l, w), row in zip(stored._cleared_rows, values):
+            assert l == lcm(*[v.denominator for v in row])
+            assert list(w) == [v * l for v in row]
+
+    @settings(max_examples=150, deadline=None)
+    @given(unreduced_matrices(rows=st.integers(1, 4)), st.data())
+    def test_submatrix_transpose_and_product_rows_are_canonical(self, case, data):
+        values, triples = case
+        a = ExactMatrix.from_triples(len(values), len(values[0]), triples)
+        row_idx = data.draw(st.lists(st.integers(1, a.rows), max_size=4))
+        col_idx = data.draw(st.lists(st.integers(1, a.cols), max_size=4)) if a.cols else []
+        _, right = data.draw(unreduced_matrices(rows=st.just(a.cols)))
+        b = ExactMatrix.from_triples(a.cols, len(right[0]) if right else 0, right)
+        for result in (submatrix(a, row_idx, col_idx), a.transpose(), a @ b):
+            assert result == rebuilt(result) and hash(result) == hash(rebuilt(result))
