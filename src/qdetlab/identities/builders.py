@@ -13,14 +13,15 @@ their C(n, nu) splittings.  The moments are the running products of their
 term ratios, taken by the factorial loop of :mod:`qdetlab.qseries`.  All
 matrix builders use the 1-based convention of the formulas.
 
-The moment kernels (Hankel, theorem and row-selected), the cleared row
-matrix and X and L compute each entry as an unreduced triple (see
-``gaussian._tmul``) and hand rows of triples to
+Every matrix builder computes each entry as an unreduced triple (see
+``gaussian._tmul``) and hands rows of triples to
 :meth:`ExactMatrix.from_triples`, which clears each row to integers over
-one denominator; no entry of theirs is reduced on the way.  The dynamic
-program of R_{n,nu} reduces once per cell.  The q-binomial triangulars and
-the classical kernels take their scalar entries through the public
-constructors.
+one denominator; no entry is reduced on the way.  That holds for the moment
+kernels (Hankel, theorem and row-selected), the cleared row matrix, X and
+L, the q-binomial triangulars Y and U and their inverses (one helper, which
+reads the q-powers and the q-binomials of one (q;q) table as triples), and
+the classical kernels.  The dynamic program of R_{n,nu} reduces once per
+cell.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from itertools import islice
 from typing import Sequence
 
 from ..errors import PoleError
-from ..gaussian import _MINUS_ONE, _ONE, _ZERO, ONE, ZERO, GaussianRational, Triple, sign, to_gq
+from ..gaussian import _MINUS_ONE, _ONE, _ZERO, ONE, ZERO, GaussianRational, Triple, to_gq
 from ..gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus, _tsub
 from ..linalg import ExactMatrix
-from ..qseries import _one_minus_powers, _products, q_binomials, rising_factorials
+from ..qseries import _one_minus_powers, _products, q_pochhammers, rising_factorials
 
 
 def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
@@ -206,40 +207,56 @@ def l_matrix(k_tuple: Sequence[int], a, b, q) -> ExactMatrix:
     return _column_products([qp[k] for k in k_tuple], to_gq(a) * to_gq(b) * qp[len(k_tuple) - 1])
 
 
+def _q_binomial_matrix(n: int, q, entry) -> ExactMatrix:
+    """The n x n matrix whose entry (i, j) is (-1)^s q^e [top, k]_q for
+    (s, e, top, k) = entry(i, j), or 0 where entry gives None; [top, k]_q is 0
+    for k outside 0..top, but q^e is read even then, so that q = 0 raises at
+    a negative exponent.  The q-powers and the q-binomials, from one
+    (q;q)_0..(q;q)_n table, are triples."""
+    q = to_gq(q)
+    qp = _Powers(q)
+    f = [_parts(v) for v in q_pochhammers(q, q, 0, n).values()]
+    lines = []
+    for i in range(1, n + 1):
+        line = []
+        for j in range(1, n + 1):
+            spec = entry(i, j)
+            if spec is None:
+                line.append(_ZERO)
+                continue
+            s, e, top, k = spec
+            power = _parts(qp[e])
+            if not 0 <= k <= top:
+                line.append(_ZERO)
+                continue
+            r, im, d = _tmul(power, _tdiv(f[top], _tmul(f[k], f[top - k])))
+            line.append((-r, -im, d) if s % 2 else (r, im, d))
+        lines.append(line)
+    return ExactMatrix.from_triples(n, n, lines)
+
+
 def y_matrix(n: int, q) -> ExactMatrix:
     """Lower unitriangular q-binomial Y: (-1)^{i+j} q^{-(i-j)(2n+1-i-j)/2} [n-j, i-j]_q for i >= j."""
-    qp, binomial = _Powers(to_gq(q)), q_binomials(q, n)
-
-    def entry(i, j):
-        if i < j:
-            return ZERO
-        return sign(i + j) * qp[-((i - j) * (2 * n + 1 - i - j)) // 2] * binomial(n - j, i - j)
-
-    return ExactMatrix.build(n, n, entry)
+    return _q_binomial_matrix(
+        n, q, lambda i, j: None if i < j else (i + j, -((i - j) * (2 * n + 1 - i - j)) // 2, n - j, i - j)
+    )
 
 
 def u_matrix(n: int, q) -> ExactMatrix:
     """Upper unitriangular q-binomial U: (-1)^{i+j} q^{(j-i)(j-i+1)/2} [j-1, j-i]_q for i <= j."""
-    qp, binomial = _Powers(to_gq(q)), q_binomials(q, n)
-
-    def entry(i, j):
-        if i > j:
-            return ZERO
-        return sign(i + j) * qp[((j - i) * (j - i + 1)) // 2] * binomial(j - 1, j - i)
-
-    return ExactMatrix.build(n, n, entry)
+    return _q_binomial_matrix(
+        n, q, lambda i, j: None if i > j else (i + j, ((j - i) * (j - i + 1)) // 2, j - 1, j - i)
+    )
 
 
 def y_inverse(n: int, q) -> ExactMatrix:
     """Closed-form inverse of Y: q^{(j-i)(n+1-i)} [n-j, i-j]_q."""
-    qp, binomial = _Powers(to_gq(q)), q_binomials(q, n)
-    return ExactMatrix.build(n, n, lambda i, j: qp[(j - i) * (n + 1 - i)] * binomial(n - j, i - j))
+    return _q_binomial_matrix(n, q, lambda i, j: (0, (j - i) * (n + 1 - i), n - j, i - j))
 
 
 def u_inverse(n: int, q) -> ExactMatrix:
     """Closed-form inverse of U: q^{j-i} [j-1, i-1]_q."""
-    qp, binomial = _Powers(to_gq(q)), q_binomials(q, n)
-    return ExactMatrix.build(n, n, lambda i, j: qp[j - i] * binomial(j - 1, i - 1))
+    return _q_binomial_matrix(n, q, lambda i, j: (0, j - i, j - 1, i - 1))
 
 
 def r_values(n: int, k_tuple: Sequence[int], a, b, q) -> list[GaussianRational]:
@@ -282,9 +299,10 @@ def r_values(n: int, k_tuple: Sequence[int], a, b, q) -> list[GaussianRational]:
 
 def mehta_wang_matrix(n: int, a, b) -> ExactMatrix:
     """Gamma-normalized classical kernel ((a + j - i) (b)_{i+j-2})_{1<=i,j<=n}."""
-    a, b = to_gq(a), to_gq(b)
-    rf = rising_factorials(b, 0, 2 * n - 2)
-    return ExactMatrix.build(n, n, lambda i, j: (a + (j - i)) * rf[i + j - 2])
+    ar, ai, ad = _parts(to_gq(a))
+    rf = [_parts(v) for v in rising_factorials(b, 0, 2 * n - 2).values()]
+    lines = [[_tmul((ar + (j - i) * ad, ai, ad), rf[i + j]) for j in range(n)] for i in range(n)]
+    return ExactMatrix.from_triples(n, n, lines)
 
 
 def nishizawa_matrix(n: int, s, t, q) -> ExactMatrix:
@@ -300,14 +318,17 @@ def nishizawa_matrix(n: int, s, t, q) -> ExactMatrix:
 
 def classical_matrix(n: int, r: int, alpha, beta, gamma) -> ExactMatrix:
     """Classical-limit kernel ((gamma + j - i) (alpha+1)_{i+j+r-2} / (alpha+beta+2)_{i+j+r-2})."""
-    alpha, beta, gamma = to_gq(alpha), to_gq(beta), to_gq(gamma)
-    den = rising_factorials(alpha + beta + 2, r, 2 * n + r - 2)
-    num = rising_factorials(alpha + 1, r, 2 * n + r - 2)
-
-    def entry(i, j):
-        m = i + j + r - 2
-        if not den[m]:
-            raise PoleError("vanishing classical moment denominator", f"(alpha+beta+2)_{m}")
-        return (gamma + (j - i)) * num[m] / den[m]
-
-    return ExactMatrix.build(n, n, entry)
+    alpha, beta = to_gq(alpha), to_gq(beta)
+    gr, gi, gd = _parts(to_gq(gamma))
+    den = {m: _parts(v) for m, v in rising_factorials(alpha + beta + 2, r, 2 * n + r - 2).items()}
+    num = {m: _parts(v) for m, v in rising_factorials(alpha + 1, r, 2 * n + r - 2).items()}
+    lines = []
+    for i in range(n):
+        line = []
+        for j in range(n):
+            m = i + j + r
+            if not den[m][0] and not den[m][1]:
+                raise PoleError("vanishing classical moment denominator", f"(alpha+beta+2)_{m}")
+            line.append(_tdiv(_tmul((gr + (j - i) * gd, gi, gd), num[m]), den[m]))
+        lines.append(line)
+    return ExactMatrix.from_triples(n, n, lines)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..gaussian import I, ONE, ZERO, GaussianRational
+from ..gaussian import I, ONE, ZERO, GaussianRational, _parts
 from ..linalg import ExactMatrix, determinant, submatrix
 from ..orthopoly import AWParams, askey_wilson_values
 from ..qseries import q_pochhammer as qp, terminating_phi
@@ -18,8 +18,10 @@ from .points import CAPACITY, Comparison, check
     min_size=2,
 )
 def dj_generic(pt, n: int) -> list[Comparison]:
-    size = CAPACITY["matrix_entries"]
-    a = ExactMatrix.build(n, n, lambda i, j: pt.matrix_entries[(i - 1) * size + j - 1])
+    # The leading n x n block of the row-major entries, as rows of triples.
+    size, entries = CAPACITY["matrix_entries"], pt.matrix_entries
+    rows = [[_parts(v) for v in entries[i : i + n]] for i in range(0, n * size, size)]
+    a = ExactMatrix.from_triples(n, n, rows)
     inner = list(range(2, n))
     head = list(range(1, n))
     tail = list(range(2, n + 1))

@@ -8,7 +8,9 @@ plain rational parameters, square roots (kappa^2 = q and friends, so both
 sides of a root-bearing identity use the same root), integer shifts, row
 index tuples, variable lists, and raw matrix entries.  A check names its
 draws once, in RNG order; :func:`draw` turns the names into values with
-numerators in [-9, 9] \\ {0} and denominators in [1, 9].  The sized draws
+numerators in [-9, 9] \\ {0} and denominators in [1, 9], each one of the
+162 canonical scalars of a table built once at import, so a draw reads
+random bits and an index and reduces nothing.  The sized draws
 hold :data:`CAPACITY` values (a square matrix of that order), which is also
 every reading check's ``max_size``.  The rejection loop that keeps only
 non-degenerate points lives in :mod:`.runner`.
@@ -24,6 +26,10 @@ from typing import Callable
 from ..gaussian import ONE, GaussianRational, _reduced
 
 _NUMERATORS = [k for k in range(-9, 10) if k != 0]
+
+# The 18 x 9 canonical scalars _NUMERATORS[k] / (d + 1) that draw_rational
+# returns, at [k][d]; scalars are immutable, so every draw shares them.
+_RATIONALS = tuple(tuple(_reduced(num, 0, den) for den in range(1, 10)) for num in _NUMERATORS)
 
 # The sized draws and their capacity, the largest n a check reading one can run
 # at: checks take the first n of a tuple, or the leading n x n block of the matrix.
@@ -90,7 +96,8 @@ def draw_rational(rng: random.Random) -> GaussianRational:
     ``Random._randbelow``: a value below n takes n.bit_length() bits, drawn
     again while it is >= n (18 numerators: 5 bits; 9 denominators: 4 bits).
     The stream, and so every point, is the one choice and randint give,
-    without their call chain.
+    without their call chain, and the value is read from a table of the 162
+    scalars instead of being reduced on every draw.
     """
     getrandbits = rng.getrandbits
     k = getrandbits(5)
@@ -99,7 +106,7 @@ def draw_rational(rng: random.Random) -> GaussianRational:
     d = getrandbits(4)
     while d >= 9:
         d = getrandbits(4)
-    return _reduced(_NUMERATORS[k], 0, d + 1)
+    return _RATIONALS[k][d]
 
 
 def draw_unit_free(rng: random.Random) -> GaussianRational:

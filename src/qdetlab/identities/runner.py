@@ -4,6 +4,11 @@ A run is a pure function of (check ids, sizes, trials, seed): results are
 ordered by (check id, size, trial), scalars are serialized in canonical
 string form, and the report timestamp is taken from SOURCE_DATE_EPOCH
 (default epoch zero), so identical inputs produce byte-identical reports.
+
+The JSON report is the text of ``json.dumps(report.to_dict(), indent=2)``
+plus a newline, rendered in one pass by :func:`_render`: with an indent,
+json runs its generator-based pure-Python encoder, while the renderer
+appends each line to one list and quotes strings with json's C function.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import os
 import random
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 
 from .. import __version__
 from ..errors import DegenerateSampleError, PoleError, UsageError
@@ -43,11 +49,49 @@ class CheckResult:
     def to_dict(self) -> dict:
         """JSON-ready view in field order; unset witnesses are left out."""
         out: dict = {}
-        for slot in fields(self):
-            value = getattr(self, slot.name)
+        for name in _RESULT_FIELDS:
+            value = getattr(self, name)
             if value is not None:
-                out[slot.name] = value
+                out[name] = value
         return out
+
+
+_RESULT_FIELDS = tuple(slot.name for slot in fields(CheckResult))
+
+
+def _render(value, indent: str, out: list[str]) -> None:
+    """Append the text of json.dumps(value, indent=2), nested at ``indent``,
+    for a value built of dicts with str keys, lists, strs and ints; any other
+    type raises TypeError.  Strings are quoted by the C function json.dumps
+    uses; a str or int member goes out in one piece with its line head."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is not dict and kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if kind is dict else "[]")
+    else:
+        inner = indent + "  "
+        head = ("{\n" if kind is dict else "[\n") + inner
+        for item in value:
+            if kind is dict:
+                if type(item) is not str:
+                    raise TypeError(f"keys must be str, not {type(item).__name__}")
+                head += _quote(item) + ": "
+                item = value[item]
+            member = type(item)
+            if member is str:
+                out.append(head + _quote(item))
+            elif member is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _render(item, inner, out)
+            head = ",\n" + inner
+        out.append("\n" + indent + ("}" if kind is dict else "]"))
 
 
 _MAX_ATTEMPTS = 1000
@@ -154,7 +198,11 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The text of json.dumps(self.to_dict(), indent=2) + "\\n"."""
+        out: list[str] = []
+        _render(self.to_dict(), "", out)
+        out.append("\n")
+        return "".join(out)
 
     def to_text(self) -> str:
         lines = [f"qdet-lab report (seed={self.seed}, version={self.version})"]

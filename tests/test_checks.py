@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import json
 import random
 from fractions import Fraction
 
@@ -34,7 +35,8 @@ from qdetlab.identities.points import (
     draw_unit_free,
     draw_x_list,
 )
-from qdetlab.identities.runner import EVIDENCE_PASS, FAIL, PASS, SKIPPED
+from qdetlab.gaussian import _reduced
+from qdetlab.identities.runner import EVIDENCE_PASS, FAIL, PASS, SKIPPED, _render
 from qdetlab.orthopoly import AWParams, askey_wilson_values
 from qdetlab.qseries import q_pochhammer
 
@@ -437,3 +439,56 @@ def test_draws_match_fraction_construction_and_rng_state(draw, reference, seed):
         value, expected = draw(rng), reference(ref_rng)
         assert _exact(value) == _exact(expected)
         assert rng.getstate() == ref_rng.getstate()
+
+
+def test_draw_rational_reads_the_documented_rule():
+    # The draw table holds what the rule gives: 5-bit numerator index and
+    # 4-bit denominator draws, each redrawn while out of range, then reduced.
+    for seed in range(5):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            k = twin.getrandbits(5)
+            while k >= 18:
+                k = twin.getrandbits(5)
+            d = twin.getrandbits(4)
+            while d >= 9:
+                d = twin.getrandbits(4)
+            assert _exact(draw_rational(rng)) == _exact(_reduced(_NUMERATORS[k], 0, d + 1))
+        assert rng.getstate() == twin.getstate()
+
+
+def rendered(value):
+    out = []
+    _render(value, "", out)
+    return "".join(out) + "\n"
+
+
+# Report-shaped values: results with point dicts (empty for a skipped result),
+# str and list slots, and witness strings of any characters.
+_text = st.text()
+_point = st.dictionaries(_text, _text | st.integers() | st.lists(_text | st.integers()))
+_result = st.fixed_dictionaries(
+    {"check": _text, "n": st.integers(), "trial": st.integers(), "status": _text, "point": _point},
+    optional={"lhs": _text, "rhs": _text, "detail": _text},
+)
+_report = st.fixed_dictionaries(
+    {"version": _text, "seed": st.integers(), "summary": st.dictionaries(_text, st.integers()),
+     "results": st.lists(_result, max_size=4)}
+)
+_nested = st.recursive(
+    _text | st.integers(), lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_report | _nested)
+@example(value={"results": [{"point": {}, "detail": '"q\\\x00\x1f\x7f\u00e9\u2028\U0001d11e\ud800', "x": []}]})
+@example(value=[{}, [], "", 0, -(2**70)])
+def test_render_is_json_dumps_with_indent_2(value):
+    assert rendered(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, None, {"point": {"slot": None}}, ["0", [False]], {"n": 0.0}])
+def test_render_refuses_what_a_report_never_holds(bad):
+    with pytest.raises(TypeError):
+        rendered(bad)
