@@ -2,8 +2,9 @@
 
 The library evaluates both sides of a catalogue of determinant, Pfaffian,
 basic-hypergeometric, and orthogonal-polynomial identities at randomized
-non-degenerate rational points, entirely in exact QQ(i) arithmetic, and
-reports bit-exact agreement.  See :mod:`qdetlab.identities` for the check
+non-degenerate rational points, entirely in exact rational arithmetic, and
+reports bit-exact agreement.  Where an identity meets the imaginary unit, it
+is carried as a known power i^k of a rational value, never as a scalar.  See :mod:`qdetlab.identities` for the check
 registry and :mod:`qdetlab.cli` for the command-line front end.
 """
 
@@ -15,7 +16,7 @@ from .errors import (
     QdetLabError,
     UsageError,
 )
-from .gaussian import I, ONE, ZERO, GaussianRational, parse, to_gq
+from .gaussian import ONE, ZERO, GaussianRational, parse, to_gq
 from .linalg import ExactMatrix, determinant, pfaffian, submatrix
 
 __version__ = "0.1.0"
@@ -24,7 +25,6 @@ __all__ = [
     "DegenerateSampleError",
     "ExactMatrix",
     "GaussianRational",
-    "I",
     "NonTerminatingSeriesError",
     "ONE",
     "ParseError",

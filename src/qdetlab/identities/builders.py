@@ -13,15 +13,15 @@ their C(n, nu) splittings.  The moments are the running products of their
 term ratios, taken by the factorial loop of :mod:`qdetlab.qseries`.  All
 matrix builders use the 1-based convention of the formulas.
 
-Every matrix builder computes each entry as an unreduced triple (see
-``gaussian._tmul``) and hands rows of triples to
-:meth:`ExactMatrix.from_triples`, which clears each row to integers over
+Every matrix builder computes each entry as an unreduced (num, den) pair
+(see ``gaussian._pmul``) and hands rows of pairs to
+:meth:`ExactMatrix.from_pairs`, which clears each row to integers over
 one denominator; no entry is reduced on the way.  That holds for the moment
 kernels (Hankel, theorem and row-selected), the cleared row matrix, X and
 L, the q-binomial triangulars Y and U and their inverses (one helper, which
-reads the q-powers and the q-binomials of one (q;q) table as triples), and
-the classical kernels.  The dynamic program of R_{n,nu} reduces once per
-cell.
+reads the q-powers as pairs and the q-binomials as the pairs that
+:func:`~qdetlab.qseries.q_binomials` reduces), and the classical kernels.
+The dynamic program of R_{n,nu} reduces once per cell.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from itertools import islice
 from typing import Sequence
 
 from ..errors import PoleError
-from ..gaussian import _MINUS_ONE, _ONE, _ZERO, ONE, ZERO, GaussianRational, Triple, to_gq
-from ..gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus, _tsub
+from ..gaussian import _MINUS_ONE, _ONE, _ZERO, ONE, ZERO, GaussianRational, Pair, to_gq
+from ..gaussian import _one_minus, _parts, _pdiv, _pmul, _psub, _reduced
 from ..linalg import ExactMatrix
-from ..qseries import _one_minus_powers, _products, q_pochhammers, rising_factorials
+from ..qseries import _one_minus_powers, _products, _q_binomial_pairs, rising_factorials
 
 
 def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
@@ -52,19 +52,19 @@ def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
 
     def up():
         for m, fx, fy in zip(range(1, hi + 1), _one_minus_powers(aq, q), _one_minus_powers(abq2, q)):
-            if not (fy[0] or fy[1]):
+            if not fy[0]:
                 raise PoleError("vanishing moment denominator", f"(abq^2;q)_{m}")
-            yield _tdiv(fx, fy)
+            yield _pdiv(fx, fy)
 
     def down():
         steps = zip(range(-1, lo - 1, -1), _one_minus_powers(aq, q, True), _one_minus_powers(abq2, q, True))
         for m, fx, fy in steps:
-            if not (fy[0] or fy[1]) or not (fx[0] or fx[1]):
+            if not fy[0] or not fx[0]:
                 raise PoleError(
                     "vanishing factor in negative-index q-shifted factorial",
-                    f"(abq^2;q)_{m}" if not (fy[0] or fy[1]) else f"(aq;q)_{m}",
+                    f"(abq^2;q)_{m}" if not fy[0] else f"(aq;q)_{m}",
                 )
-            yield _tdiv(fx, fy)
+            yield _pdiv(fx, fy)
 
     return dict(zip(range(lo, hi + 1), _products(lo, hi, up(), down())))
 
@@ -97,20 +97,20 @@ def moment_hankel_rows(k_tuple: Sequence[int], a, b, q) -> ExactMatrix:
     """Row-selected moment matrix (mu_{k_i+j-2})."""
     n = len(k_tuple)
     mu = {m: _parts(v) for m, v in _row_moments(k_tuple, a, b, q).items()}
-    return ExactMatrix.from_triples(n, n, [[mu[k + j] for j in range(-1, n - 1)] for k in k_tuple])
+    return ExactMatrix.from_pairs(n, n, [[mu[k + j] for j in range(-1, n - 1)] for k in k_tuple])
 
 
 def _kernel(rows: Sequence[tuple[GaussianRational, int]], mu: dict[int, GaussianRational], c, qp) -> ExactMatrix:
     """The kernel ((x_i - c q^{j-1}) mu_{o_i+j-1}) over rows (x_i, o_i), each
-    entry one unreduced triple; qp is the builder's table of q-powers."""
+    entry one unreduced pair; qp is the builder's table of q-powers."""
     n = len(rows)
     cq = [_parts(c * qp[j]) for j in range(n)]
     mu = {m: _parts(v) for m, v in mu.items()}
     lines = []
     for x, o in rows:
         x = _parts(x)
-        lines.append([_tmul(_tsub(x, y), mu[o + j]) for j, y in enumerate(cq)])
-    return ExactMatrix.from_triples(n, n, lines)
+        lines.append([_pmul(_psub(x, y), mu[o + j]) for j, y in enumerate(cq)])
+    return ExactMatrix.from_pairs(n, n, lines)
 
 
 def build_theorem_matrix(n: int, r: int, a, b, c, q) -> ExactMatrix:
@@ -132,19 +132,19 @@ def theorem_matrix_rows(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     return _kernel([(qp[k - 1], k - 1) for k in k_tuple], mu, c, qp)
 
 
-def _row_factor_triples(x, a, ab, q, n: int) -> list[Triple]:
-    """(a x;q)_{j-1} (ab x q^j;q)_{n-j} for j = 1..n as unreduced triples, at
+def _row_factor_pairs(x, a, ab, q, n: int) -> list[Pair]:
+    """(a x;q)_{j-1} (ab x q^j;q)_{n-j} for j = 1..n as unreduced pairs, at
     list index j - 1, for scalars x, a, ab and q: the prefixes of (a x;q)_n
     run up, and the suffixes of (ab x;q)_n run down from its top factor."""
     prefix = [_ONE]  # (a x;q)_j at list index j
     for _, f in zip(range(n - 1), _one_minus_powers(a * x, q)):
-        prefix.append(_tmul(prefix[-1], f))
+        prefix.append(_pmul(prefix[-1], f))
     tops = list(islice(_one_minus_powers(ab * x, q), 1, n))  # 1 - ab x q^m for m = 1..n-1
     out, suffix = [], _ONE  # suffix = (ab x q^{j+1};q)_{n-1-j}
     for j in range(n - 1, -1, -1):
-        out.append(_tmul(prefix[j], suffix))
+        out.append(_pmul(prefix[j], suffix))
         if j:
-            suffix = _tmul(tops[j - 1], suffix)
+            suffix = _pmul(tops[j - 1], suffix)
     return out[::-1]
 
 
@@ -154,13 +154,13 @@ def row_factors(x, a, ab, q, n: int) -> list[GaussianRational]:
     The first factorial is a prefix of (a x;q)_n and the second a suffix of
     (ab x;q)_n, so the n values take one running product of each.
     """
-    return [_reduced(*t) for t in _row_factor_triples(to_gq(x), to_gq(a), to_gq(ab), to_gq(q), n)]
+    return [_reduced(*t) for t in _row_factor_pairs(to_gq(x), to_gq(a), to_gq(ab), to_gq(q), n)]
 
 
 def build_m(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     """Denominator-cleared row matrix with entries
     (q^{k_i-1} - c q^{j-1}) (a q^{k_i};q)_{j-1} (a b q^{k_i+j};q)_{n-j},
-    each row's factorials the unreduced triples that :func:`row_factors`
+    each row's factorials the unreduced pairs that :func:`row_factors`
     reduces, at x = q^{k_i}; the entries are handed over unreduced.
     """
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
@@ -170,28 +170,28 @@ def build_m(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     cq = [_parts(c * qp[j]) for j in range(n)]
     lines = []
     for k in k_tuple:
-        factors = _row_factor_triples(qp[k], a, ab, q, n)
+        factors = _row_factor_pairs(qp[k], a, ab, q, n)
         xk = _parts(qp[k - 1])
-        lines.append([_tmul(_tsub(xk, y), f) for y, f in zip(cq, factors)])
-    return ExactMatrix.from_triples(n, n, lines)
+        lines.append([_pmul(_psub(xk, y), f) for y, f in zip(cq, factors)])
+    return ExactMatrix.from_pairs(n, n, lines)
 
 
 def _column_products(xs: Sequence[GaussianRational], shift: GaussianRational) -> ExactMatrix:
     """Lower triangular with entry (i, j), i >= j, equal to -1/P_{ij}, where
     P_{ij} = x_j (1 - shift x_j) prod_{l <= i, l != j} (x_l - x_j),
-    carried down column j one factor per row as a triple."""
+    carried down column j one factor per row as a pair."""
     n = len(xs)
     xs, shift = [_parts(x) for x in xs], _parts(shift)
     lines = [[_ZERO] * n for _ in range(n)]
     for j, x in enumerate(xs):
-        prod = _tmul(x, _tone_minus(shift, x))
+        prod = _pmul(x, _one_minus(shift, x))
         for y in xs[:j]:
-            prod = _tmul(prod, _tsub(y, x))
-        lines[j][j] = _tdiv(_MINUS_ONE, prod)
+            prod = _pmul(prod, _psub(y, x))
+        lines[j][j] = _pdiv(_MINUS_ONE, prod)
         for i in range(j + 1, n):
-            prod = _tmul(prod, _tsub(xs[i], x))
-            lines[i][j] = _tdiv(_MINUS_ONE, prod)
-    return ExactMatrix.from_triples(n, n, lines)
+            prod = _pmul(prod, _psub(xs[i], x))
+            lines[i][j] = _pdiv(_MINUS_ONE, prod)
+    return ExactMatrix.from_pairs(n, n, lines)
 
 
 def x_matrix(k_tuple: Sequence[int], a, q) -> ExactMatrix:
@@ -212,10 +212,10 @@ def _q_binomial_matrix(n: int, q, entry) -> ExactMatrix:
     (s, e, top, k) = entry(i, j), or 0 where entry gives None; [top, k]_q is 0
     for k outside 0..top, but q^e is read even then, so that q = 0 raises at
     a negative exponent.  The q-powers and the q-binomials, from one
-    (q;q)_0..(q;q)_n table, are triples."""
+    (q;q)_0..(q;q)_n table, are pairs."""
     q = to_gq(q)
     qp = _Powers(q)
-    f = [_parts(v) for v in q_pochhammers(q, q, 0, n).values()]
+    binomial = _q_binomial_pairs(q, n)
     lines = []
     for i in range(1, n + 1):
         line = []
@@ -225,14 +225,10 @@ def _q_binomial_matrix(n: int, q, entry) -> ExactMatrix:
                 line.append(_ZERO)
                 continue
             s, e, top, k = spec
-            power = _parts(qp[e])
-            if not 0 <= k <= top:
-                line.append(_ZERO)
-                continue
-            r, im, d = _tmul(power, _tdiv(f[top], _tmul(f[k], f[top - k])))
-            line.append((-r, -im, d) if s % 2 else (r, im, d))
+            r, d = _pmul(_parts(qp[e]), binomial(top, k))
+            line.append((-r, d) if s % 2 else (r, d))
         lines.append(line)
-    return ExactMatrix.from_triples(n, n, lines)
+    return ExactMatrix.from_pairs(n, n, lines)
 
 
 def y_matrix(n: int, q) -> ExactMatrix:
@@ -288,21 +284,21 @@ def r_values(n: int, k_tuple: Sequence[int], a, b, q) -> list[GaussianRational]:
         k, qv = k_tuple[v - 1], _parts(qp[v - 1])
         # In place, upward in s: H_{v-1}(s) reads H_v(s) and H_v(s + 1).
         # H_v(v - 1) was never written and is 0, so the j-step needs no v <= s test.
-        # Each cell is one triple, reduced once.
+        # Each cell is one pair, reduced once.
         for s in range(v - 1, n + 1):
-            total = _tmul(_parts(h[s]), _tone_minus(abt, _parts(qp[k + s - 1]))) if h[s] else _ZERO
+            total = _pmul(_parts(h[s]), _one_minus(abt, _parts(qp[k + s - 1]))) if h[s] else _ZERO
             if s < n and h[s + 1]:
-                total = _tsub(total, _tmul(_parts(h[s + 1]), _tsub(_tmul(at, _parts(qp[k + s])), qv)))
+                total = _psub(total, _pmul(_parts(h[s + 1]), _psub(_pmul(at, _parts(qp[k + s])), qv)))
             h[s] = _reduced(*total)
     return h
 
 
 def mehta_wang_matrix(n: int, a, b) -> ExactMatrix:
     """Gamma-normalized classical kernel ((a + j - i) (b)_{i+j-2})_{1<=i,j<=n}."""
-    ar, ai, ad = _parts(to_gq(a))
+    ar, ad = _parts(to_gq(a))
     rf = [_parts(v) for v in rising_factorials(b, 0, 2 * n - 2).values()]
-    lines = [[_tmul((ar + (j - i) * ad, ai, ad), rf[i + j]) for j in range(n)] for i in range(n)]
-    return ExactMatrix.from_triples(n, n, lines)
+    lines = [[_pmul((ar + (j - i) * ad, ad), rf[i + j]) for j in range(n)] for i in range(n)]
+    return ExactMatrix.from_pairs(n, n, lines)
 
 
 def nishizawa_matrix(n: int, s, t, q) -> ExactMatrix:
@@ -319,7 +315,7 @@ def nishizawa_matrix(n: int, s, t, q) -> ExactMatrix:
 def classical_matrix(n: int, r: int, alpha, beta, gamma) -> ExactMatrix:
     """Classical-limit kernel ((gamma + j - i) (alpha+1)_{i+j+r-2} / (alpha+beta+2)_{i+j+r-2})."""
     alpha, beta = to_gq(alpha), to_gq(beta)
-    gr, gi, gd = _parts(to_gq(gamma))
+    gr, gd = _parts(to_gq(gamma))
     den = {m: _parts(v) for m, v in rising_factorials(alpha + beta + 2, r, 2 * n + r - 2).items()}
     num = {m: _parts(v) for m, v in rising_factorials(alpha + 1, r, 2 * n + r - 2).items()}
     lines = []
@@ -327,8 +323,8 @@ def classical_matrix(n: int, r: int, alpha, beta, gamma) -> ExactMatrix:
         line = []
         for j in range(n):
             m = i + j + r
-            if not den[m][0] and not den[m][1]:
+            if not den[m][0]:
                 raise PoleError("vanishing classical moment denominator", f"(alpha+beta+2)_{m}")
-            line.append(_tdiv(_tmul((gr + (j - i) * gd, gi, gd), num[m]), den[m]))
+            line.append(_pdiv(_pmul((gr + (j - i) * gd, gd), num[m]), den[m]))
         lines.append(line)
-    return ExactMatrix.from_triples(n, n, lines)
+    return ExactMatrix.from_pairs(n, n, lines)

@@ -3,14 +3,16 @@
 Each evaluator returns labeled (lhs, rhs) pairs that must agree exactly.
 Exponents that are half-integers in the displayed formulas are carried as
 integer powers of the sampled roots (kappa^2 = q, alpha^2 = a, ...), so both
-sides live in QQ(i).
+sides are rational.  Where a closed form evaluates a polynomial at imaginary
+parameters, it reads the rational r_n of p_n = i^n r_n (see
+:mod:`qdetlab.orthopoly`), and the prefactor's power of i cancels the i^n.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..gaussian import HALF, I, ONE, ZERO, GaussianRational, sign
+from ..gaussian import HALF, ONE, ZERO, GaussianRational, sign
 from ..linalg import determinant, pfaffian
 from ..orthopoly import (
     AWParams,
@@ -126,7 +128,7 @@ def nishizawa(pt, n: int) -> list[Comparison]:
     s, t, q = pt.s_half, pt.t_half, pt.q
     st, t2 = s * t, t * t
     det_f = determinant(nishizawa_matrix(n, s, t, q))
-    pre = (-I) ** n * t ** (n * (n - 2)) * s**n * q ** (n * (n - 1) * (n - 2) // 3)
+    pre = t ** (n * (n - 2)) * s**n * q ** (n * (n - 1) * (n - 2) // 3)
     fq = q_pochhammers(q, q, 0, n)
     ft = q_pochhammers(t2, q, 0, n)
     for k in range(1, n + 1):
@@ -152,12 +154,14 @@ def nishizawa(pt, n: int) -> list[Comparison]:
     total = terminating_phi([q**-n, st, -st], [t2, ZERO], q, q, order=n)
     explicit = ft[n] / (st ** (2 * n) * (q - ONE) ** n) * total
 
-    # Q_n(0; st i, -(t/s) i | q), Al-Salam-Chihara as Askey-Wilson at c = d = 0.
-    # Its recurrence divides only by 1 - t^2 q^j, j < n - 1, each a denominator
-    # factor of the 3phi2 above, so such a pole is reported by the series.
-    asc = askey_wilson_values(n, AWParams(st * I, -(t / s) * I, ZERO, ZERO, q, ZERO))[n]
+    # Q_n(0; st i, -(t/s) i | q) = i^n asc, Al-Salam-Chihara as Askey-Wilson at
+    # c = d = 0, read at the unit u = i (s = -1); the prefactor (-i)^n of the
+    # closed forms cancels the i^n.  Its recurrence divides only by
+    # 1 - t^2 q^j, j < n - 1, each a denominator factor of the 3phi2 above, so
+    # such a pole is reported by the series.
+    asc = askey_wilson_values(n, AWParams(st, -(t / s), ZERO, ZERO, q, ZERO), s=-1)[n]
     # D_n = (-i)^n (st)^{-n} (1-q)^{-n} Q_n(0; st i, -(t/s) i; q)
-    specialized = (-I) ** n * asc / (st**n * one_minus_q**n)
+    specialized = asc / (st**n * one_minus_q**n)
     return [
         ("normalized determinant vs Al-Salam-Chihara closed form", det_f, pre * asc),
         ("q-Gamma-normalized determinant vs D-sequence product", det_e, rhs2),
@@ -211,13 +215,11 @@ def thm_main_aw(pt, n: int) -> list[Comparison]:
     a, b, c, q, r = pt.a, pt.b, pt.c, pt.q, pt.r
     alpha, beta, gamma, kappa = pt.alpha, pt.beta, pt.gamma, pt.kappa
     krp = kappa ** (r + 1)
-    value = askey_wilson(
-        n,
-        AWParams(alpha * gamma * krp * I, -(alpha / gamma) * krp * I, beta * I, -(beta * I), q, ZERO),
-    )
+    # The closed form is (-i)^n p_n(0; i alpha gamma krp, -i (alpha/gamma) krp,
+    # i beta, -i beta | q), and p_n = i^n value at the unit u = i (s = -1).
+    value = askey_wilson(n, AWParams(alpha * gamma * krp, -(alpha / gamma) * krp, beta, -beta, q, ZERO), s=-1)
     rhs = (
-        (-I) ** n
-        * alpha ** (n * (n - 2))
+        alpha ** (n * (n - 2))
         * gamma**n
         * kappa ** (n * (n - 2) * (2 * n + 1) // 3 + n * (n - 2) * r)
     )
@@ -400,7 +402,7 @@ def classical_hahn(pt, n: int) -> list[Comparison]:
         [(al + be + ga + (r + 1)) / 2, al + (r + 1)],
         ONE,
     )
-    pre2 = (2 * I) ** n
+    pre2 = GaussianRational(-2) ** n  # (2i)^n times the i^n that continuous_hahn leaves out
     for k in range(1, n + 1):
         pre2 = pre2 * math.factorial(k) * fa[k + r - 1] * fb[k - 2] / fab[k + n + r - 2]
     rhs2 = pre2 * continuous_hahn(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..gaussian import ONE, ZERO, GaussianRational, _parts, _tdiv, sign
+from ..gaussian import ONE, ZERO, GaussianRational, _parts, _pdiv, sign
 from ..linalg import ExactMatrix, determinant, submatrix
 from ..qseries import q_binomials, q_pochhammer as qp, q_pochhammer_tails, q_pochhammers
 from .builders import (
@@ -250,12 +250,12 @@ def vandermonde_vw(pt, n: int) -> list[Comparison]:
     for k in range(1, n + 1):
         cq = c * q**k
         nums = [_parts(-((x - cq) * f[k - 1])) for x, f in zip(xs, factors)]
-        v = ExactMatrix.from_triples(n, n, [row + [_tdiv(num, d)] for row, num, d in zip(powers, nums, div_v)])
+        v = ExactMatrix.from_pairs(n, n, [row + [_pdiv(num, d)] for row, num, d in zip(powers, nums, div_v)])
         lhs_v = sign(n - 1) * determinant(v) / vandermonde
         rhs = cq / prod_x
         comps.append((f"structured-column Vandermonde (first kind), k={k}", lhs_v, rhs + q * first if k == 1 else rhs))
 
-        w = ExactMatrix.from_triples(n, n, [row + [_tdiv(num, d)] for row, num, d in zip(powers, nums, div_w)])
+        w = ExactMatrix.from_pairs(n, n, [row + [_pdiv(num, d)] for row, num, d in zip(powers, nums, div_w)])
         lhs_w = sign(n - 1) * determinant(w) / vandermonde
         comps.append((f"structured-column Vandermonde (second kind), k={k}", lhs_w, rhs - q * second if k == n else rhs))
     return comps

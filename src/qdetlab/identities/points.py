@@ -29,7 +29,7 @@ _NUMERATORS = [k for k in range(-9, 10) if k != 0]
 
 # The 18 x 9 canonical scalars _NUMERATORS[k] / (d + 1) that draw_rational
 # returns, at [k][d]; scalars are immutable, so every draw shares them.
-_RATIONALS = tuple(tuple(_reduced(num, 0, den) for den in range(1, 10)) for num in _NUMERATORS)
+_RATIONALS = tuple(tuple(_reduced(num, den) for den in range(1, 10)) for num in _NUMERATORS)
 
 # The sized draws and their capacity, the largest n a check reading one can run
 # at: checks take the first n of a tuple, or the leading n x n block of the matrix.

@@ -6,20 +6,16 @@ entries and w_r is the integer row L_r times it, so entry (r, c) is
 w_r[c] / L_r.  One routine, ``_row``, makes every stored row: given a line
 over any common denominator, it divides the denominator and the integer
 line by their one gcd, which leaves the least denominator, so equal
-matrices have equal rows.  A matrix is built from rows of triples
-(re, im, den) (see ``gaussian._tmul``), not necessarily in lowest terms:
-each row is scaled to the lcm of its denominators and handed to ``_row``,
-and a triple with a nonzero imaginary part is refused.  The public
-constructors turn scalars into triples; the builders of
-:mod:`qdetlab.identities.builders` hand over their unreduced triples as
+matrices have equal rows.  A matrix is built from rows of pairs
+(num, den) (see ``gaussian._pmul``), not necessarily in lowest terms:
+each row is scaled to the lcm of its denominators and handed to ``_row``.
+The public constructors turn scalars into pairs; the builders of
+:mod:`qdetlab.identities.builders` hand over their unreduced pairs as
 they are.  Submatrices, transposes and products already know a common
 denominator of each output row (L_r, the lcm of the L_r, L_i times the lcm
 of the right factor's L_k) and re-clear it with ``_row`` alone: one gcd per
-row.  An entry is reduced to a GaussianRational only when it is read
-(``at``, ``to_lists``).  Every kernel of the paper is real when its
-parameters are, and the imaginary unit enters only through the scalar
-parameters of the closed forms, so each routine runs over the integers
-alone.
+row.  An entry is reduced to a scalar only when it is read (``at``,
+``to_lists``).  Each routine runs over the integers alone.
 
 The public index convention is 1-based, matching the displayed formulas the
 matrices come from.  Determinants and Pfaffians read the stored rows
@@ -53,14 +49,13 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import mul
 from typing import Callable, Sequence
 
-from .gaussian import ONE, ZERO, GaussianRational, Triple, _reduced, to_gq
+from .gaussian import ONE, ZERO, GaussianRational, Pair, _reduced, to_gq
 
 # One stored row (L, w): the row is w / L, with L as small as it can be.
 Row = tuple[int, tuple[int, ...]]
-_im = itemgetter(1)
 
 
 def _row(l: int, w: list[int]) -> Row:
@@ -88,7 +83,7 @@ def _stored(rows: int, cols: int, cleared: tuple[Row, ...]) -> "ExactMatrix":
 
 class ExactMatrix:
     """Immutable dense matrix over QQ (1-based access), stored as its
-    cleared integer rows; entries read back as real GaussianRational scalars."""
+    cleared integer rows; entries read back as GaussianRational scalars."""
 
     __slots__ = ("rows", "cols", "_cleared_rows")
 
@@ -98,24 +93,20 @@ class ExactMatrix:
         e = [x if type(x) is GaussianRational else to_gq(x) for x in entries]
         if len(e) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
-        lines = [[(x._r, x._i, x._d) for x in e[r * cols : (r + 1) * cols]] for r in range(rows)]
-        return cls.from_triples(rows, cols, lines)
+        lines = [[(x._r, x._d) for x in e[r * cols : (r + 1) * cols]] for r in range(rows)]
+        return cls.from_pairs(rows, cols, lines)
 
     @staticmethod
-    def from_triples(rows: int, cols: int, lines: Sequence[Sequence[Triple]]) -> "ExactMatrix":
+    def from_pairs(rows: int, cols: int, lines: Sequence[Sequence[Pair]]) -> "ExactMatrix":
         """The rows x cols matrix whose entry (i, j) is the value of the
-        triple lines[i - 1][j - 1] (den > 0, not necessarily in lowest
-        terms); each row is cleared over the lcm of its denominators.  A
-        triple with a nonzero imaginary part is refused."""
+        pair lines[i - 1][j - 1] (den > 0, not necessarily in lowest
+        terms); each row is cleared over the lcm of its denominators."""
         if len(lines) != rows or any(map(cols.__ne__, map(len, lines))):
             raise ValueError(f"expected {rows} rows of {cols} entries")
-        if any(map(_im, chain.from_iterable(lines))):
-            i, j, t = next((i, j, t) for i, line in enumerate(lines) for j, t in enumerate(line) if t[1])
-            raise ValueError(f"entry ({i + 1}, {j + 1}) is not real: {_reduced(*t)}")
         cleared = []
         for line in lines:
-            l = lcm(*[d for _, _, d in line])
-            cleared.append(_row(l, [r * (l // d) for r, _, d in line]))
+            l = lcm(*[d for _, d in line])
+            cleared.append(_row(l, [r * (l // d) for r, d in line]))
         return _stored(rows, cols, tuple(cleared))
 
     def __setattr__(self, name, value):
@@ -147,10 +138,10 @@ class ExactMatrix:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols} matrix")
         l, w = self._cleared_rows[i - 1]
-        return _reduced(w[j - 1], 0, l)
+        return _reduced(w[j - 1], l)
 
     def to_lists(self) -> list[list[GaussianRational]]:
-        return [[_reduced(x, 0, l) for x in w] for l, w in self._cleared_rows]
+        return [[_reduced(x, l) for x in w] for l, w in self._cleared_rows]
 
     def transpose(self) -> "ExactMatrix":
         # Column j is w_r[j] / L_r down the rows r: over the lcm of the L_r
@@ -238,7 +229,7 @@ def determinant(m: ExactMatrix) -> GaussianRational:
         raise ValueError("determinant requires a square matrix")
     eliminate = _bareiss_primitive if m.rows >= STRIP_ORDER else _bareiss_real
     rows = m._cleared_rows
-    return _reduced(eliminate([list(w) for _, w in rows]), 0, prod([l for l, _ in rows]))
+    return _reduced(eliminate([list(w) for _, w in rows]), prod([l for l, _ in rows]))
 
 
 # Bareiss on the cleared matrix W: after step k, w[r][c] (r, c > k) is the
@@ -335,7 +326,7 @@ def pfaffian(m: ExactMatrix) -> GaussianRational:
     w = [list(map(mul, wi, ls)) for _, wi in rows]
     # Dividing row i and column i by g is a congruence that divides Pf by g.
     content = _strip_content(w) if n >= STRIP_ORDER else 1
-    return _reduced(content * _pfaffian_real(w), 0, prod(ls))
+    return _reduced(content * _pfaffian_real(w), prod(ls))
 
 
 # Pivot-pair elimination on the skew matrix W: eliminating the pair (k, k+1)

@@ -1,14 +1,14 @@
 """q-shifted factorials, q-binomials, and terminating hypergeometric sums.
 
-All evaluation is exact over QQ(i).  Each factorial sequence has one loop:
+All evaluation is exact over QQ.  Each factorial sequence has one loop:
 :func:`q_pochhammers` and :func:`rising_factorials` build a whole index
 range by the running recurrence, the single-index :func:`q_pochhammer` and
 :func:`rising_factorial` return that loop's value at their index, and
 :func:`q_binomials` reads every coefficient up to its top row from one (q;q)
 table, so a caller that needs many indices builds one table instead of one
-product per index.  The loops, and the term ratios and sums of the series,
-run on unreduced Gaussian-integer triples (see ``gaussian._tmul``) and reduce
-once per value they return.
+product per index.  The loops, the q-binomials, and the term ratios and sums
+of the series run on unreduced (num, den) pairs (see ``gaussian._pmul``) and
+reduce once per value they return.
 Series are only ever summed when they terminate.  A basic series is summed to
 the order n its caller declares, and some numerator must equal ``q**(-n)``;
 the order is never searched for.
@@ -23,23 +23,23 @@ import itertools
 from typing import Callable, Sequence
 
 from .errors import NonTerminatingSeriesError, PoleError
-from .gaussian import _ONE, ONE, ZERO, GaussianRational, Triple, to_gq
-from .gaussian import _parts, _reduced, _tdiv, _tmul, _tone_minus
+from .gaussian import _ONE, _ZERO, ONE, GaussianRational, Pair, to_gq
+from .gaussian import _one_minus, _parts, _pdiv, _pmul, _reduced
 
 
 def _one_minus_powers(x, q, downward: bool = False):
-    """1 - x q^j as triples for j = 0, 1, 2, ... or, downward, for j = -1, -2, ..."""
+    """1 - x q^j as pairs for j = 0, 1, 2, ... or, downward, for j = -1, -2, ..."""
     q = _parts(q.reciprocal() if downward else q)
-    x = _tmul(_parts(x), q) if downward else _parts(x)
+    x = _pmul(_parts(x), q) if downward else _parts(x)
     while True:
-        yield _tone_minus(x)
-        x = _tmul(x, q)
+        yield _one_minus(x)
+        x = _pmul(x, q)
 
 
 def _products(lo: int, hi: int, up, down=(), pole: str = "", name: str = "") -> list[GaussianRational]:
     """Values lo..hi of a factorial sequence in index order, each reduced once.
 
-    Value m >= 0 is the product of the first m factor triples of ``up``
+    Value m >= 0 is the product of the first m factor pairs of ``up``
     (indices 0, 1, ...), and value m < 0 is one over the product of the first
     -m of ``down`` (indices -1, -2, ...).  A vanishing factor on the way down
     raises PoleError(pole), located as factor k of ``name`` at lo.  The
@@ -51,18 +51,18 @@ def _products(lo: int, hi: int, up, down=(), pole: str = "", name: str = "") -> 
     out = [ONE] if lo <= 0 <= hi else []
     value = _ONE
     for m, factor in zip(range(1, hi + 1), up):
-        value = _tmul(value, factor)
+        value = _pmul(value, factor)
         if m >= lo:
             out.append(_reduced(*value))
     if lo < 0:
         below = []
         den = _ONE
         for m, factor in zip(range(-1, lo - 1, -1), down):
-            if not (factor[0] or factor[1]):
+            if not factor[0]:
                 raise PoleError(pole, f"{name}_{lo} at k={-m}")
-            den = _tmul(den, factor)
+            den = _pmul(den, factor)
             if m <= hi:
-                below.append(_reduced(*_tdiv(_ONE, den)))
+                below.append(_reduced(*_pdiv(_ONE, den)))
         out = below[::-1] + out
     return out
 
@@ -114,17 +114,25 @@ def q_pochhammer_multi(params: Sequence, q, n: int) -> GaussianRational:
     return result
 
 
-def q_binomials(q, top: int) -> Callable[[int, int], GaussianRational]:
-    """The Gaussian binomial coefficient as a function of (n, k) for n <= top,
-    read from one (q;q)_0..(q;q)_top table; 0 when k is out of range."""
-    f = q_pochhammers(q, q, 0, top)
+def _q_binomial_pairs(q, top: int) -> Callable[[int, int], Pair]:
+    """The Gaussian binomial coefficient (q;q)_n / ((q;q)_k (q;q)_{n-k}) as an
+    unreduced pair, as a function of (n, k) for n <= top, read from one
+    (q;q)_0..(q;q)_top table; 0 when k is out of range."""
+    f = [_parts(v) for v in q_pochhammers(q, q, 0, top).values()]
 
-    def binomial(n: int, k: int) -> GaussianRational:
+    def binomial(n: int, k: int) -> Pair:
         if k < 0 or k > n:
-            return ZERO
-        return f[n] / (f[k] * f[n - k])
+            return _ZERO
+        return _pdiv(f[n], _pmul(f[k], f[n - k]))
 
     return binomial
+
+
+def q_binomials(q, top: int) -> Callable[[int, int], GaussianRational]:
+    """The Gaussian binomial coefficient as a function of (n, k) for n <= top:
+    the pairs of :func:`_q_binomial_pairs`, each reduced as it is read."""
+    binomial = _q_binomial_pairs(q, top)
+    return lambda n, k: _reduced(*binomial(n, k))
 
 
 def rising_factorials(a, lo: int, hi: int) -> dict[int, GaussianRational]:
@@ -137,11 +145,11 @@ def rising_factorials(a, lo: int, hi: int) -> dict[int, GaussianRational]:
     down is a pole; as for q_pochhammers, the range raises exactly when
     (a)_lo does.
     """
-    ar, ai, ad = _parts(to_gq(a))
+    ar, ad = _parts(to_gq(a))
     values = _products(
         lo, hi,
-        ((ar + j * ad, ai, ad) for j in itertools.count()),
-        ((ar + j * ad, ai, ad) for j in itertools.count(-1, -1)),
+        ((ar + j * ad, ad) for j in itertools.count()),
+        ((ar + j * ad, ad) for j in itertools.count(-1, -1)),
         "vanishing factor in negative-index rising factorial", "(a)",
     )
     return dict(zip(range(lo, hi + 1), values))
@@ -153,21 +161,20 @@ def rising_factorial(a, n: int) -> GaussianRational:
     return rising_factorials(a, n, n)[n]
 
 
-def _series_sum(ratios) -> Triple:
-    """1 + t_1 + t_2 + ... as a triple, where t_0 = 1 and t_{k+1} = t_k r_k
-    for the ratio triples r_k.  Term and total share one denominator: each
+def _series_sum(ratios) -> Pair:
+    """1 + t_1 + t_2 + ... as a pair, where t_0 = 1 and t_{k+1} = t_k r_k
+    for the ratio pairs r_k.  Term and total share one denominator: each
     step multiplies both by the denominator of r_k."""
     term = total = _ONE
     for ratio in ratios:
-        tr, ti, d = term = _tmul(term, ratio)
-        m = ratio[2]
-        total = (total[0] * m + tr, total[1] * m + ti, d)
+        tr, d = term = _pmul(term, ratio)
+        total = (total[0] * ratio[1] + tr, d)
     return total
 
 
 def _phi_ratios(numerators, denominators, q, z, order: int):
     """Term k + 1 over term k of r+1_phi_r(numerators; denominators; q, z) as
-    a triple, for k = 0..order-1.  The arguments are converted when it is
+    a pair, for k = 0..order-1.  The arguments are converted when it is
     called, so a non-scalar raises TypeError even at order 0; a vanishing
     denominator factor raises PoleError as the ratios are drawn."""
     numerators = [_parts(to_gq(a)) for a in numerators]
@@ -179,20 +186,20 @@ def _phi_ratios(numerators, denominators, q, z, order: int):
         for k in range(order):
             factor = z
             for a in numerators:
-                factor = _tmul(factor, _tone_minus(a, qk))
-            next_qk = _tmul(qk, q)
-            den = _tone_minus(next_qk)
-            if not (den[0] or den[1]):
+                factor = _pmul(factor, _one_minus(a, qk))
+            next_qk = _pmul(qk, q)
+            den = _one_minus(next_qk)
+            if not den[0]:
                 raise PoleError("vanishing (q;q) factor in series", f"k={k + 1}")
             for j, b in enumerate(denominators):
-                f = _tone_minus(b, qk)
-                if not (f[0] or f[1]):
+                f = _one_minus(b, qk)
+                if not f[0]:
                     raise PoleError(
                         "vanishing denominator factor in series",
                         f"denominator parameter {j + 1} at k={k + 1}",
                     )
-                den = _tmul(den, f)
-            yield _tdiv(factor, den)
+                den = _pmul(den, f)
+            yield _pdiv(factor, den)
             qk = next_qk
 
     return ratios()
@@ -247,8 +254,8 @@ def hyper_f(numerators, denominators, z) -> GaussianRational:
     denominators = [_parts(to_gq(b)) for b in denominators]
     z = _parts(to_gq(z))
     n = None
-    for r, i, d in numerators:
-        if not i and d == 1 and r <= 0 and (n is None or -r < n):
+    for r, d in numerators:
+        if d == 1 and r <= 0 and (n is None or -r < n):
             n = -r
     if n is None:
         raise NonTerminatingSeriesError(
@@ -258,18 +265,18 @@ def hyper_f(numerators, denominators, z) -> GaussianRational:
     def ratios():
         for k in range(n):
             factor = z
-            for ar, ai, ad in numerators:
-                factor = _tmul(factor, (ar + k * ad, ai, ad))
-            den = (k + 1, 0, 1)
-            for j, (br, bi, bd) in enumerate(denominators):
-                f = (br + k * bd, bi, bd)
-                if not (f[0] or bi):
+            for ar, ad in numerators:
+                factor = _pmul(factor, (ar + k * ad, ad))
+            den = (k + 1, 1)
+            for j, (br, bd) in enumerate(denominators):
+                f = (br + k * bd, bd)
+                if not f[0]:
                     raise PoleError(
                         "nonpositive integer denominator parameter in classical series",
                         f"denominator parameter {j + 1} at k={k}",
                     )
-                den = _tmul(den, f)
-            yield _tdiv(factor, den)
+                den = _pmul(den, f)
+            yield _pdiv(factor, den)
 
     return _reduced(*_series_sum(ratios()))
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdetlab import GaussianRational, I, ONE, ZERO
+from qdetlab import GaussianRational, ONE, PoleError, ZERO
 from qdetlab.errors import DegenerateSampleError, UsageError
 from qdetlab.identities import (
     REGISTRY,
@@ -37,8 +37,10 @@ from qdetlab.identities.points import (
 )
 from qdetlab.gaussian import _reduced
 from qdetlab.identities.runner import EVIDENCE_PASS, FAIL, PASS, SKIPPED, _render
-from qdetlab.orthopoly import AWParams, askey_wilson_values
+from qdetlab.gaussian import sign
+from qdetlab.orthopoly import AWParams, askey_wilson, askey_wilson_phi, askey_wilson_values, continuous_hahn
 from qdetlab.qseries import q_pochhammer
+from helpers import I_REF, QQi, at_unit, aw_values_reference, outcome, raised, rand_q, rand_rational, rand_scalar
 
 
 def sampled_result(check_id, n, seed, trial):
@@ -247,8 +249,10 @@ class TestCrossValidation:
             al, be, ga, ka, a, b, q = pt.alpha, pt.beta, pt.gamma, pt.kappa, pt.a, pt.b, pt.q
 
             def p(e1, e2, top):
-                params = AWParams(al * ga * ka**e1 * I, -(al / ga) * ka**e2 * I, be * I, -(be * I), q, ZERO)
-                return askey_wilson_values(top, params)
+                # the values r_k at the imaginary parameters (s = -1); each
+                # product below is i^{2n-2} times the product of the p_k
+                params = AWParams(al * ga * ka**e1, -(al / ga) * ka**e2, be, -be, q, ZERO)
+                return askey_wilson_values(top, params, -1)
 
             p11, p33, p31, p13 = p(1, 1, n), p(3, 3, n - 1), p(3, 1, n - 1), p(1, 3, n - 1)
             lhs = a * q * (ONE - q ** (n - 1)) * (ONE - b * q ** (n - 2)) * p11[n] * p33[n - 2]
@@ -290,6 +294,121 @@ class TestCrossValidation:
             assert not report.failed
         finally:
             REGISTRY["andrews"] = entry
+
+
+def quadratic_relation_qqi(n, a, b, c, d, q, x):
+    """Both sides of the quadratic relation over QQ(i) at QQi parameters, the
+    values by the printed recurrence."""
+
+    def p(aa, bb, top):
+        return aw_values_reference(top, AWParams(aa, bb, c, d, q, x))
+
+    p00, p11 = p(a, b, n), p(a * q, b * q, n - 1)
+    p10, p01 = p(a * q, b, n - 1), p(a, b * q, n - 1)
+    lhs = a * b * (ONE - q ** (n - 1)) * (ONE - c * d * q ** (n - 2)) * p00[n] * p11[n - 2]
+    rhs = (ONE - a * b * q ** (n - 1)) * (ONE - a * b * c * d * q ** (n - 1)) * p00[n - 1] * p11[n - 1]
+    rhs = rhs - (ONE - a * b) * (ONE - a * b * c * d * q ** (2 * n - 2)) * p10[n - 1] * p01[n - 1]
+    return lhs, rhs
+
+
+def phi_qqi(numerators, denominators, q, order):
+    """r+1_phi_r(numerators; denominators; q, q) up to q^order over QQ(i),
+    term by term; a vanishing denominator factor is a PoleError."""
+    total = term = QQi(1)
+    qk = ONE
+    for _ in range(order):
+        num, den = q, ONE - q * qk
+        for a in numerators:
+            num = num * (ONE - a * qk)
+        for b in denominators:
+            den = den * (ONE - b * qk)
+        if not den:
+            raise PoleError("vanishing denominator factor", "reference")
+        term = term * num / den
+        total = total + term
+        qk = qk * q
+    return total
+
+
+class TestUnitPowerForms:
+    """The forms that carry i as a known power, against their QQ(i) forms."""
+
+    def test_quadratic_relation_at_imaginary_parameters_matches_the_qqi_form(self):
+        # At s = -1 the relation's sides are those over QQ(i) at i a, i b,
+        # i c, i d and i x divided by i^{2n-2}, or both raise the same pole.
+        # Half the sets are quadratic_full's, from roots, at x = 0.
+        rng = random.Random(31)
+        poles = compared = 0
+        for trial in range(80):
+            q = rand_q(rng)
+            if trial % 2:
+                al, be, ga, ka = rand_scalar(rng), rand_rational(rng), rand_scalar(rng), rand_q(rng)
+                a, b, c, d, q, x = al * ga * ka, -(al / ga) * ka, be, -be, ka * ka, ZERO
+            else:
+                a, b, c, x = (rand_rational(rng) for _ in range(4))
+                d = rng.choice([rand_rational(rng), -(q ** rng.randint(-3, 1)) / (a or ONE)])
+            n = rng.randint(1, 6)
+            got = outcome(lambda: tuple(I_REF ** (2 * n - 2) * v for v in checks_quadratic._quadratic_relation(n, a, b, c, d, q, x, -1)))
+            qa, qb, qc, qd, qx = at_unit(-1, a, b, c, d, x)
+            assert got == outcome(quadratic_relation_qqi, n, qa, qb, qc, qd, q, qx), (a, b, c, d, q, x, n)
+            poles += raised(got)
+            compared += not raised(got)
+        assert poles > 5 and compared > 50
+
+    def test_quadratic_phi_series_matches_the_qqi_series(self):
+        # quadratic_phi's series, the 4-phi-3 with the pair a i, -a i as the
+        # factor 1 + a^2 q^{2k}, against the series over QQ(i) with that pair
+        # as two numerators: both raise PoleError or give the same value.
+        rng = random.Random(32)
+        poles = compared = 0
+        for _ in range(80):
+            a, b, c, q = rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), rand_q(rng)
+            pick = rng.random()
+            if pick < 0.2:
+                b = q ** -rng.randint(0, 3) / a  # ab q^k = 1
+            elif pick < 0.4:
+                c = rng.choice([1, -1]) * q ** -rng.randint(0, 3) / a  # ac q^k = +-1
+            for aa, bb in ((a, b), (a * q, b * q), (a * q, b), (a, b * q)):
+                m = rng.randint(0, 5)
+                got = outcome(askey_wilson_phi, m, AWParams(aa, bb, c, -c, q, ZERO))
+                ai = I_REF * aa
+                expected = outcome(
+                    phi_qqi, (q**-m, -(aa * bb * c * c) * q ** (m - 1), ai, -ai), (aa * bb, aa * c, -(aa * c)), q, m
+                )
+                if raised(got) or raised(expected):
+                    assert got[0] is expected[0] is PoleError, (aa, bb, c, q, m)
+                    poles += 1
+                else:
+                    assert got == expected, (aa, bb, c, q, m)
+                    compared += 1
+        assert poles > 20 and compared > 200
+
+
+# One non-equivalent perturbation of each form that carries i as a known power,
+# patched into the module that calls it.
+PERTURBED = {
+    # the 4-phi-3 without its s^n
+    "thm_main_aw": (checks_determinants, "askey_wilson", lambda n, p, s=1: askey_wilson(n, p, s) * s**n),
+    # s -> -s in the recurrence
+    "quadratic_full": (checks_quadratic, "askey_wilson_values", lambda n, p, s=1: askey_wilson_values(n, p, -s)),
+    # u^k read as (-u)^k: the (-i)^n of the closed forms no longer cancels it
+    "nishizawa": (
+        checks_determinants, "askey_wilson_values",
+        lambda n, p, s=1: {k: sign(k) * v for k, v in askey_wilson_values(n, p, s).items()},
+    ),
+    # the paired factor 1 + a^2 q^{2k} as 1 - a^2 q^{2k}
+    "quadratic_phi": (checks_quadratic, "askey_wilson_phi", lambda n, p, s=1: askey_wilson_phi(n, p, -s)),
+    # (-2)^n -> 2^n
+    "classical_hahn": (checks_determinants, "continuous_hahn", lambda n, *args: sign(n) * continuous_hahn(n, *args)),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(PERTURBED))
+def test_perturbed_unit_power_form_fails(check_id, monkeypatch):
+    assert run_suite([check_id], trials=2).summary["fail"] == 0
+    module, name, perturbed = PERTURBED[check_id]
+    monkeypatch.setattr(module, name, perturbed)
+    assert run_suite([check_id], trials=2).summary["fail"] > 0
 
 
 class TestRootFlipInvariance:
@@ -409,9 +528,9 @@ def fraction_draw_roots(rng):
 
 
 def _exact(value):
-    """Every scalar in a drawn value as its (re, im, den) ints."""
+    """Every scalar in a drawn value as its (num, den) ints."""
     if isinstance(value, GaussianRational):
-        return value._r, value._i, value._d
+        return value._r, value._d
     if isinstance(value, dict):
         return {name: _exact(v) for name, v in value.items()}
     if isinstance(value, tuple):
@@ -453,7 +572,7 @@ def test_draw_rational_reads_the_documented_rule():
             d = twin.getrandbits(4)
             while d >= 9:
                 d = twin.getrandbits(4)
-            assert _exact(draw_rational(rng)) == _exact(_reduced(_NUMERATORS[k], 0, d + 1))
+            assert _exact(draw_rational(rng)) == _exact(_reduced(_NUMERATORS[k], d + 1))
         assert rng.getstate() == twin.getstate()
 
 

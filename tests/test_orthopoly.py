@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qdetlab import I, ONE, PoleError, ZERO, to_gq
+from qdetlab import ONE, PoleError, ZERO, to_gq
 from qdetlab.gaussian import TWO
 from qdetlab.orthopoly import (
     AWParams,
@@ -22,14 +22,19 @@ from qdetlab.identities import REGISTRY, ParamPoint, checks_determinants, run_ch
 from qdetlab.identities.runner import PASS
 from qdetlab.qseries import hyper_f, rising_factorial
 from helpers import (
+    I_REF,
     QS,
+    QQi,
     agree,
+    agree_at_unit,
+    at_unit,
     aw_grid,
+    aw_values_reference,
     frac,
     outcome,
     raised,
-    rand_gaussian,
-    rand_gaussian_q,
+    rand_rational,
+    rand_rational_q,
     rand_q,
     rand_scalar,
     until_clean,
@@ -49,45 +54,6 @@ def rand_aw(rng):
     return AWParams(*(rand_scalar(rng) for _ in range(4)), rand_q(rng), rand_scalar(rng))
 
 
-def aw_coeffs_reference(k, p):
-    """The printed recurrence coefficients A_k, B_k, C_k, each power taken afresh,
-    with the pole guards in printed order.  C_0 carries 1 - q^0 = 0, so at
-    k = 0 it is 0 and neither its denominator nor the division in B is checked."""
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    if not a:
-        raise PoleError("recurrence requires a nonzero leading parameter", "a=0")
-    abcd = a * b * c * d
-    qk1, qk = q ** (k - 1), q**k
-    den_a = (ONE - abcd * q ** (2 * k - 1)) * (ONE - abcd * q ** (2 * k))
-    if not den_a:
-        raise PoleError("vanishing recurrence denominator", f"A at n={k}")
-    coeff_a = (ONE - abcd * qk1) / den_a
-    coeff_b = a + ONE / a - coeff_a / a * (ONE - a * b * qk) * (ONE - a * c * qk) * (ONE - a * d * qk)
-    if k == 0:
-        return coeff_a, coeff_b, ZERO
-    den_c = (ONE - abcd * q ** (2 * k - 2)) * (ONE - abcd * q ** (2 * k - 1))
-    if not den_c:
-        raise PoleError("vanishing recurrence denominator", f"C at n={k}")
-    pair = (ONE - a * b * qk1) * (ONE - a * c * qk1) * (ONE - a * d * qk1)
-    coeff_c = (
-        (ONE - qk) * pair * (ONE - b * c * qk1) * (ONE - b * d * qk1) * (ONE - c * d * qk1) / den_c
-    )
-    if not pair:
-        raise PoleError("vanishing recurrence denominator", f"B division at n={k}")
-    return coeff_a, coeff_b - coeff_c * a / pair, coeff_c
-
-
-def aw_values_reference(n, p):
-    """P_{-1}..P_n from the printed coefficients; a vanishing A_k is a pole."""
-    values = {-1: ZERO, 0: ONE}
-    for k in range(n):
-        coeff_a, coeff_b, coeff_c = aw_coeffs_reference(k, p)
-        if not coeff_a:
-            raise PoleError("vanishing leading recurrence coefficient", f"A at n={k}")
-        values[k + 1] = ((2 * p.x - coeff_b) * values[k] - coeff_c * values[k - 1]) / coeff_a
-    return values
-
-
 def al_salam_chihara_reference(n, x, a, b, q):
     """Q_n(x; a, b | q) by the Al-Salam-Chihara recurrence (Koekoek, Lesky and
     Swarttouw, 14.8.4): Q_{k+1} = (2x - (a + b) q^k) Q_k - (1 - q^k)(1 - ab q^{k-1}) Q_{k-1}."""
@@ -99,7 +65,8 @@ def al_salam_chihara_reference(n, x, a, b, q):
 
 def askey_wilson_scalar(n, p):
     """p_n by the 4-phi-3 form with one scalar per operation: the second path
-    of askey_wilson, which runs on unreduced triples."""
+    of askey_wilson, which runs on unreduced pairs.  Written with scalar
+    operators only, so that it also runs over QQ(i) on QQi parameters."""
     if n == -1:
         return ZERO
     if n < -1:
@@ -172,10 +139,16 @@ class TestAskeyWilson:
         until_clean(3, attempt)
 
     def test_complex_parameters(self):
+        # At s = -1 both evaluators stand for the imaginary parameters i a,
+        # -i a, i c, i d at i x, and give the same r_3.
         rng = random.Random(4)
-        a = rand_scalar(rng) * I
-        p = AWParams(a, -a, rand_scalar(rng), rand_q(rng), rand_q(rng), rand_scalar(rng))
-        assert askey_wilson_values(3, p)[3] == askey_wilson(3, p)
+
+        def attempt():
+            a = rand_scalar(rng)
+            p = AWParams(a, -a, rand_scalar(rng), rand_q(rng), rand_q(rng), rand_scalar(rng))
+            assert askey_wilson_values(3, p, -1)[3] == askey_wilson(3, p, -1)
+
+        until_clean(5, attempt)
 
     def test_values_match_printed_coefficients_on_grid(self):
         # Values, exception types and messages agree with the printed
@@ -209,13 +182,20 @@ class TestAskeyWilson:
         }
 
     def test_recurrence_with_complex_and_negative_parameters(self):
+        # At s = -1 the recurrence gives r_k, where i^k r_k is the value at
+        # the imaginary parameters i a, i b, i c, i d and i x: the printed
+        # coefficients over QQ(i) raise the same poles, with the same
+        # messages, or give i^k r_k at every degree.  At s = 1 the parameters
+        # are the real ones.  d = q^j / abc makes abcd a power of q, and
+        # d = -q^j / a makes the complex ad = -ad one.
         rng = random.Random(1203)
         poles = 0
-        for _ in range(300):
-            q = rng.choice(QS) if rng.random() < 0.3 else rand_gaussian_q(rng)
-            a, b, c, x = (rand_gaussian(rng) for _ in range(4))
-            d = rng.choice([rand_gaussian(rng), q ** rng.randint(-3, 3) / (a * b * c or ONE), q ** rng.randint(-3, 1) / (a or ONE)])
-            poles += raised(agree(askey_wilson_values, aw_values_reference, 6, AWParams(a, b, c, d, q, x)))
+        for trial in range(300):
+            q = rng.choice(QS) if rng.random() < 0.3 else rand_rational_q(rng)
+            a, b, c, x = (rand_rational(rng) for _ in range(4))
+            d = rng.choice([rand_rational(rng), q ** rng.randint(-3, 3) / (a * b * c or ONE), -(q ** rng.randint(-3, 1)) / (a or ONE)])
+            s = -1 if trial % 4 else 1
+            poles += raised(agree_at_unit(askey_wilson_values, aw_values_reference, 6, AWParams(a, b, c, d, q, x), s))
         assert poles > 20
 
     def test_vanishing_a_numerator_is_caught_by_an_earlier_denominator(self):
@@ -253,18 +233,35 @@ class TestAskeyWilson:
         rng = random.Random(1204)
         grid = list(itertools.islice(aw_grid(), 0, None, 7))
         samples = [
-            AWParams(*(rand_gaussian(rng) for _ in range(4)), rand_gaussian_q(rng), rand_gaussian(rng))
+            AWParams(*(rand_rational(rng) for _ in range(4)), rand_rational_q(rng), rand_rational(rng))
             for _ in range(150)
         ]
         poles = 0
-        for p in grid + samples + [AWParams(ONE, frac(2), frac(3), frac(5), q, I) for q in QS]:
+        for p in grid + samples + [AWParams(ONE, frac(2), frac(3), frac(5), q, frac(-3, 2)) for q in QS]:
             for n in range(-2, 6):
                 poles += raised(agree(askey_wilson, askey_wilson_scalar, n, p))
         assert poles > 100
 
+    def test_hypergeometric_form_at_imaginary_parameters_matches_the_qqi_form(self):
+        # At s = -1 the 4-phi-3 gives r_n, where i^n r_n is the 4-phi-3 over
+        # QQ(i) at i a, i b, i c, i d and i x: the same poles or the same value.
+        # d = q^j / abc and d = -q^j / a put poles in the (q;q), (ad;q) and
+        # abcd factors.
+        rng = random.Random(1205)
+        poles = compared = 0
+        for _ in range(150):
+            q = rng.choice(QS) if rng.random() < 0.3 else rand_rational_q(rng)
+            a, b, c, x = (rand_rational(rng) for _ in range(4))
+            d = rng.choice([rand_rational(rng), q ** rng.randint(-3, 3) / (a * b * c or ONE), -(q ** rng.randint(-3, 1)) / (a or ONE)])
+            for n in range(-1, 6):
+                got = agree_at_unit(askey_wilson, askey_wilson_scalar, n, AWParams(a, b, c, d, q, x))
+                poles += raised(got)
+                compared += not raised(got)
+        assert poles > 50 and compared > 500
+
     def test_hypergeometric_form_guards_the_q_factor(self):
-        # 1 - q^k vanishes first at k = 2 for q = -1 and at k = 4 for q = +-i.
-        for q, k in ((-ONE, 2), (I, 4), (-I, 4)):
+        # 1 - q^k vanishes first at k = 2 for q = -1.
+        for q, k in ((-ONE, 2),):
             p = AWParams(ONE, frac(2), frac(3), frac(5), q, frac(1, 2))
             for n in range(k + 2):
                 got = agree(askey_wilson, askey_wilson_scalar, n, p)
@@ -324,15 +321,17 @@ class TestAlSalamChihara:
         until_clean(8, attempt)
 
     def test_equals_askey_wilson_with_trailing_zeros(self):
-        # Random real points, and nishizawa's (st i, -(t/s) i) at x = 0.
+        # Random real points, and nishizawa's (st i, -(t/s) i) at x = 0, read
+        # at s = -1 as i^n times the value and checked over QQ(i).
         rng = random.Random(6)
         s, t = frac(2, 3), frac(3, 5)
-        points = [(ZERO, s * t * I, -(t / s) * I, frac(2))]
-        points += [(rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), rand_q(rng)) for _ in range(8)]
-        for x, a, b, q in points:
-            values = askey_wilson_values(6, AWParams(a, b, ZERO, ZERO, q, x))
+        points = [(ZERO, s * t, -(t / s), frac(2), -1)]
+        points += [(rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), rand_q(rng), 1) for _ in range(8)]
+        for x, a, b, q, unit_sq in points:
+            values = askey_wilson_values(6, AWParams(a, b, ZERO, ZERO, q, x), unit_sq)
+            xu, au, bu, u = at_unit(unit_sq, x, a, b, 1)
             for n in range(7):
-                assert values[n] == al_salam_chihara_reference(n, x, a, b, q), (x, a, b, q, n)
+                assert u**n * values[n] == al_salam_chihara_reference(n, xu, au, bu, q), (x, a, b, q, n)
 
 
 class TestAndrews:
@@ -361,13 +360,33 @@ class TestAndrews:
         until_clean(6, attempt)
 
 
+def continuous_hahn_qqi(n, a, b, c, d):
+    """p_n(0; a, b, c, d) over QQ(i): i^n (a+c)_n (a+d)_n / n! times the 3F2
+    (-n, n+a+b+c+d-1, a; a+c, a+d; 1), summed term by term up to its last
+    nonzero term; a vanishing denominator factor on the way is a pole."""
+    total = term = QQi(1)
+    for k in range(n):
+        num = (k - n) * (n + a + b + c + d - 1 + k) * (a + k)
+        if not num:
+            break
+        den = (a + c + k) * (a + d + k) * (k + 1)
+        if not den:
+            raise PoleError(
+                "nonpositive integer denominator parameter in classical series",
+                f"denominator parameter {1 if not a + c + k else 2} at k={k}",
+            )
+        term = term * num / den
+        total = total + term
+    return I_REF**n * rising_factorial(a + c, n) * rising_factorial(a + d, n) / math.factorial(n) * total
+
+
 class TestContinuousHahn:
     def test_degree_zero(self):
         assert continuous_hahn(0, frac(1, 3), frac(1), frac(2), frac(3), frac(4)) == ONE
 
     def test_degree_one_two_term(self):
         t, a, b, c, d = frac(1, 3), frac(1, 2), frac(2), frac(3), frac(5, 2)
-        expected = I * (a + c) * (a + d) * (
+        expected = (a + c) * (a + d) * (
             ONE - (a + b + c + d) * (a + t) / ((a + c) * (a + d))
         )
         assert continuous_hahn(1, t, a, b, c, d) == expected
@@ -387,8 +406,25 @@ class TestContinuousHahn:
                     * math.factorial(k)
                 )
             )
-        pre = I**n * rising_factorial(a + c, n) * rising_factorial(a + d, n) / math.factorial(n)
+        pre = rising_factorial(a + c, n) * rising_factorial(a + d, n) / math.factorial(n)
         assert continuous_hahn(n, t, a, b, c, d) == pre * total
+
+    def test_matches_the_qqi_form_at_argument_zero(self):
+        # i^n continuous_hahn(n, 0, ...) is p_n(0; a, b, c, d) over QQ(i), from
+        # the 3F2 term by term, which stops where a numerator factor vanishes
+        # as the terminating sum does: the same poles or the same value.
+        rng = random.Random(9)
+        poles = compared = 0
+        for _ in range(60):
+            a, b, c, d = (rand_rational(rng) for _ in range(4))
+            if rng.random() < 0.3:
+                c = frac(-rng.randint(0, 3)) - a  # a + c a nonpositive integer
+            for n in range(6):
+                got = outcome(lambda: I_REF**n * continuous_hahn(n, ZERO, a, b, c, d))
+                assert got == outcome(continuous_hahn_qqi, n, a, b, c, d), (a, b, c, d, n)
+                poles += raised(got)
+                compared += not raised(got)
+        assert poles > 10 and compared > 250
 
 
 class TestWilson:
@@ -461,9 +497,9 @@ class TestNishizawaD:
     def test_one_al_salam_chihara_value_per_evaluation(self, monkeypatch):
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return askey_wilson_values(*args)
+            return askey_wilson_values(*args, **kwargs)
 
         monkeypatch.setattr(checks_determinants, "askey_wilson_values", counted)
         comparisons = evaluate("nishizawa", 4, s_half=frac(2, 3), t_half=frac(3, 5), q=frac(2))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdetlab import I, NonTerminatingSeriesError, ONE, PoleError, ZERO, GaussianRational, to_gq
+from qdetlab import NonTerminatingSeriesError, ONE, PoleError, ZERO, GaussianRational, to_gq
 from qdetlab.identities.builders import moments
 from qdetlab.orthopoly import AWParams, askey_wilson, askey_wilson_values
 from qdetlab.qseries import (
@@ -28,11 +28,10 @@ from helpers import (
     agree,
     canonical,
     frac,
-    gq,
     outcome,
     raised,
-    rand_gaussian,
-    rand_gaussian_q,
+    rand_rational,
+    rand_rational_q,
     rand_q,
     rand_scalar,
     until_clean,
@@ -117,7 +116,7 @@ def hyper_f_scalar(numerators, denominators, z):
     z = to_gq(z)
     n = None
     for a in numerators:
-        if not a._i and a._d == 1 and a._r <= 0 and (n is None or -a._r < n):
+        if a._d == 1 and a._r <= 0 and (n is None or -a._r < n):
             n = -a._r
     if n is None:
         raise NonTerminatingSeriesError(
@@ -166,29 +165,30 @@ def assert_table_matches_per_index(table, reference, args, lo_min, hi_max):
 class TestTables:
     def test_q_pochhammers_match_per_index_products_and_poles(self):
         pole_indices = set()
-        for q in (frac(2), frac(-2), frac(1, 3), frac(-3, 4), gq(1, 1)):
-            for a in (ZERO, ONE, -ONE, frac(3, 5), gq((1, 2), 2), q, q * q, q**3):
+        for q in (frac(2), frac(-2), frac(1, 3), frac(-3, 4), frac(3, 2)):
+            for a in (ZERO, ONE, -ONE, frac(3, 5), frac(-5, 2), q, q * q, q**3):
                 pole_indices |= assert_table_matches_per_index(q_pochhammers, q_pochhammer_reference, (a, q), -3, 4)[1]
         # a = q^k puts a pole at every index up to -k
         assert pole_indices == {-3, -2, -1}
 
-    def test_q_pochhammers_match_per_index_products_at_complex_and_unit_bases(self):
+    def test_q_pochhammers_match_per_index_products_at_negative_and_unit_bases(self):
         # a = q^j puts a pole at every index up to -j
         ranges_raised = 0
         for q in QS:
             for a in SCALARS + [q**j for j in range(-3, 4)]:
                 ranges_raised += assert_table_matches_per_index(q_pochhammers, q_pochhammer_reference, (a, q), -4, 5)[0]
-        assert ranges_raised > 1000
+        # -1 is the only root of unity among rational bases (it alone gives 278)
+        assert ranges_raised > 900
 
     def test_rising_factorials_match_per_index_products_and_poles(self):
         pole_indices = set()
-        for a in (ZERO, ONE, frac(2), frac(3), -ONE, frac(1, 2), frac(-5, 2), gq(1, 1)):
+        for a in (ZERO, ONE, frac(2), frac(3), -ONE, frac(1, 2), frac(-5, 2), frac(7, 3)):
             pole_indices |= assert_table_matches_per_index(rising_factorials, rising_factorial_reference, (a,), -3, 4)[1]
         assert pole_indices == {-3, -2, -1}
 
-    def test_rising_factorials_match_per_index_products_at_complex_and_integer_parameters(self):
+    def test_rising_factorials_match_per_index_products_at_negative_and_integer_parameters(self):
         ranges_raised = 0
-        for a in SCALARS + [frac(k) for k in (3, -3, -4)] + [frac(5, 2), frac(-7, 2), gq(-2, 1)]:
+        for a in SCALARS + [frac(k) for k in (3, -3, -4)] + [frac(5, 2), frac(-7, 2), frac(-9, 4)]:
             ranges_raised += assert_table_matches_per_index(rising_factorials, rising_factorial_reference, (a,), -5, 6)[0]
         assert ranges_raised > 50
 
@@ -197,24 +197,24 @@ class TestTables:
             agree(q_pochhammer, q_pochhammer_reference, frac(3, 5), frac(2), m)
             agree(rising_factorial, rising_factorial_reference, frac(2), m)
 
-    def test_single_index_reads_match_per_index_products_at_complex_and_unit_bases(self):
+    def test_single_index_reads_match_per_index_products_at_negative_and_unit_bases(self):
         for q in QS:
             for a in SCALARS + [q**j for j in range(-3, 4)]:
                 for n in range(-4, 6):
                     agree(q_pochhammer, q_pochhammer_reference, a, q, n)
                     agree(rising_factorial, rising_factorial_reference, a, n)
-                assert q_pochhammer_multi((a, q, I), q, 3) == (
-                    q_pochhammer_reference(a, q, 3) * q_pochhammer_reference(q, q, 3) * q_pochhammer_reference(I, q, 3)
+                assert q_pochhammer_multi((a, q, -ONE), q, 3) == (
+                    q_pochhammer_reference(a, q, 3) * q_pochhammer_reference(q, q, 3) * q_pochhammer_reference(-ONE, q, 3)
                 )
 
     def test_q_pochhammer_tails_are_the_last_factors(self):
-        for q in (frac(2), frac(-1, 3), gq(1, 1)):
-            for a in (ZERO, ONE, frac(3, 5), q**-2, gq((1, 2), 2)):
+        for q in (frac(2), frac(-1, 3), frac(3, 2)):
+            for a in (ZERO, ONE, frac(3, 5), q**-2, frac(-5, 2)):
                 for n in range(0, 6):
                     expected = [q_pochhammer_reference(a * q ** (n - t), q, t) for t in range(n + 1)]
                     assert q_pochhammer_tails(a, q, n) == expected
 
-    def test_q_pochhammer_tails_match_per_index_products_at_complex_and_unit_bases(self):
+    def test_q_pochhammer_tails_match_per_index_products_at_negative_and_unit_bases(self):
         for q in QS:
             for a in SCALARS + [q**j for j in range(-3, 4)]:
                 for n in range(7):
@@ -401,13 +401,13 @@ class TestPhiTerms:
         rng = random.Random(1201)
         poles = 0
         for _ in range(400):
-            q = rng.choice(QS) if rng.random() < 0.3 else rand_gaussian_q(rng)
+            q = rng.choice(QS) if rng.random() < 0.3 else rand_rational_q(rng)
             order = rng.randint(0, 6)
-            numerators = [rand_gaussian(rng) for _ in range(rng.randint(0, 3))]
+            numerators = [rand_rational(rng) for _ in range(rng.randint(0, 3))]
             numerators.insert(rng.randint(0, len(numerators)), q**-order)
             # q^{-j} as a denominator parameter vanishes at k = j + 1
-            denominators = [rng.choice([rand_gaussian(rng), q ** -rng.randint(0, 5)]) for _ in range(rng.randint(0, 3))]
-            z = rand_gaussian(rng)
+            denominators = [rng.choice([rand_rational(rng), q ** -rng.randint(0, 5)]) for _ in range(rng.randint(0, 3))]
+            z = rand_rational(rng)
             got = agree(phi_terms, phi_terms_scalar, numerators, denominators, q, z, order)
             agree(phi_terms, phi_terms_scalar, numerators[1:], denominators, q, z, order)
             agree(terminating_phi, terminating_phi_scalar, numerators, denominators, q, z, order)
@@ -525,11 +525,11 @@ class TestHyperF:
         poles = 0
         for _ in range(400):
             n = rng.randint(0, 7)
-            numerators = [rand_gaussian(rng) for _ in range(rng.randint(0, 3))]
+            numerators = [rand_rational(rng) for _ in range(rng.randint(0, 3))]
             numerators.insert(rng.randint(0, len(numerators)), frac(-n))
             # -j as a denominator parameter vanishes at k = j
-            denominators = [rng.choice([rand_gaussian(rng), frac(-rng.randint(0, 6))]) for _ in range(rng.randint(0, 3))]
-            z = rand_gaussian(rng)
+            denominators = [rng.choice([rand_rational(rng), frac(-rng.randint(0, 6))]) for _ in range(rng.randint(0, 3))]
+            z = rand_rational(rng)
             poles += raised(agree(hyper_f, hyper_f_scalar, numerators, denominators, z))
             agree(hyper_f, hyper_f_scalar, [frac(1, 2)] + numerators[1:2], denominators, z)
         assert poles > 40
@@ -539,8 +539,7 @@ class TestHyperF:
 # reduce once per value they emit; every emitted value must be in lowest terms.
 
 small = st.builds(
-    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
-    st.integers(-12, 12), st.one_of(st.just(0), st.integers(-12, 12)), st.integers(1, 12),
+    lambda num, den: GaussianRational(Fraction(num, den)), st.integers(-12, 12), st.integers(1, 12)
 )
 
 
