@@ -172,9 +172,11 @@ def _reduced(r: int, d: int) -> GaussianRational:
 # A running loop (a series, a recurrence, a moment sequence, a dynamic
 # program) carries each quantity as a pair (num, den) of ints with den > 0,
 # the value num/den, unreduced, and reduces once per value it emits, with
-# _reduced(*pair).  The matrix builders reduce none of theirs: they hand rows
-# of pairs to ExactMatrix.from_pairs, which clears each row to integers over
-# one denominator, and an entry becomes a scalar only when it is read.  A
+# _reduced(*pair); the loops of qseries and orthopoly keep the two ints in
+# locals.  The matrix builders reduce none of theirs: they hand rows of
+# pairs to ExactMatrix.from_pairs, which clears each row to integers over one
+# denominator, and an entry becomes a scalar only when it is read.  A closed
+# form multiplies factorial-table pairs and reduces once, with _ratio.  A
 # pair is zero exactly when its numerator is.
 
 Pair = tuple[int, int]
@@ -191,10 +193,10 @@ def _pmul(x: Pair, y: Pair) -> Pair:
     return x[0] * y[0], x[1] * y[1]
 
 
-def _one_minus(x: Pair, y: Pair | None = None) -> Pair:
-    """1 - x, or 1 - x * y."""
-    r, d = x if y is None else _pmul(x, y)
-    return d - r, d
+def _one_minus(x: Pair, y: Pair) -> Pair:
+    """1 - x * y."""
+    d = x[1] * y[1]
+    return d - x[0] * y[0], d
 
 
 def _psub(x: Pair, y: Pair) -> Pair:
@@ -213,6 +215,19 @@ def _pdiv(x: Pair, y: Pair) -> Pair:
     if not c:
         raise ZeroDivisionError("division by zero in QQ")
     return -a * s, -p * c
+
+
+def _ratio(numerators, denominators=()) -> GaussianRational:
+    """The product of the numerator pairs over the product of the denominator
+    pairs, reduced once: a closed form's factors need one gcd in all."""
+    r = d = 1
+    for a, p in numerators:
+        r, d = r * a, d * p
+    for c, s in denominators:
+        if not c:
+            raise ZeroDivisionError("division by zero in QQ")
+        r, d = r * s, d * c
+    return _reduced(r, d) if d > 0 else _reduced(-r, -d)
 
 
 def _add(a: int, p: int, c: int, s: int) -> GaussianRational:

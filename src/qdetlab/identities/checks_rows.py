@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..gaussian import ONE, ZERO, GaussianRational, _parts, _pdiv, sign
+from ..gaussian import ONE, ZERO, GaussianRational, Pair, _parts, _pdiv, _ratio, sign
 from ..linalg import ExactMatrix, determinant, submatrix
-from ..qseries import q_binomials, q_pochhammer as qp, q_pochhammer_tails, q_pochhammers
+from ..qseries import q_binomials, q_pochhammer as qp, q_pochhammer_pairs, q_pochhammer_tails, q_pochhammers
 from .builders import (
     build_m,
     l_matrix,
@@ -75,14 +75,12 @@ def _residue_denominators(xs, *shifts) -> list[list[GaussianRational]]:
     return [[d * (ONE - shift * x) for d, x in zip(cores, xs)] for shift in shifts]
 
 
-def _row_scale(k, n, a, b, q) -> GaussianRational:
-    """prod_i (aq;q)_{k_i-1} / (abq^2;q)_{k_i+n-2}: the kernel over the cleared matrix."""
-    fa = q_pochhammers(a * q, q, min(k) - 1, max(k) - 1)
-    fb = q_pochhammers(a * b * q * q, q, min(k) + n - 2, max(k) + n - 2)
-    scale = ONE
-    for kv in k:
-        scale = scale * fa[kv - 1] / fb[kv + n - 2]
-    return scale
+def _row_scale(k, n, a, b, q) -> tuple[list[Pair], list[Pair]]:
+    """The numerator and denominator pairs of prod_i (aq;q)_{k_i-1} / (abq^2;q)_{k_i+n-2}:
+    the kernel over the cleared matrix."""
+    fa = q_pochhammer_pairs(a * q, q, min(k) - 1, max(k) - 1)
+    fb = q_pochhammer_pairs(a * b * q * q, q, min(k) + n - 2, max(k) + n - 2)
+    return [fa[kv - 1] for kv in k], [fb[kv + n - 2] for kv in k]
 
 
 def _r_closed_form(n, k, a, b, c, q) -> GaussianRational:
@@ -90,17 +88,14 @@ def _r_closed_form(n, k, a, b, c, q) -> GaussianRational:
     (-1)^n a^{n(n-3)/2} q^{n(n+1)(n-4)/6} prod_i (bq;q)_{i-2} prod_{i<j} (q^{k_i-1} - q^{k_j-1})
     sum_nu (-1)^nu (abc q^{2nu+1}; q^2)_{n-nu} (acq; q^2)_nu R_{n,nu}."""
     pre = sign(n) * a ** (n * (n - 3) // 2) * q ** (n * (n + 1) * (n - 4) // 6)
-    fb = q_pochhammers(b * q, q, -1, n - 2)
-    for i in range(1, n + 1):
-        pre = pre * fb[i - 2]
-    pre = pre * _q_vandermonde(k, q)
+    fb = q_pochhammer_pairs(b * q, q, -1, n - 2)  # (bq;q)_{i-2} for i = 1..n
     q2 = q * q
     tail = q_pochhammer_tails(a * b * c * q, q2, n)  # (abc q^{2nu+1}; q^2)_{n-nu} at n - nu
     fac = q_pochhammers(a * c * q, q2, 0, n)
     total = ZERO
     for nu, r in enumerate(r_values(n, k, a, b, q)):
         total = total + sign(nu) * tail[n - nu] * fac[nu] * r
-    return pre * total
+    return _ratio([_parts(pre), *fb.values(), _parts(_q_vandermonde(k, q)), _parts(total)])
 
 
 @check(
@@ -116,7 +111,7 @@ def thm_rows(pt, n: int) -> list[Comparison]:
     # checks that too), and sign(n) sign(nu) = sign(n - nu) gives its signs.
     # The closed form goes first: where it has a pole the point is rejected
     # before the determinant is paid for.
-    rhs = _row_scale(k, n, a, b, q) * _r_closed_form(n, k, a, b, c, q)
+    rhs = _ratio(*_row_scale(k, n, a, b, q)) * _r_closed_form(n, k, a, b, c, q)
     lhs = determinant(theorem_matrix_rows(k, a, b, c, q))
     return [("arbitrary-row determinant vs R-sum closed form", lhs, rhs)]
 
@@ -131,10 +126,10 @@ def q_kratt(pt, n: int) -> list[Comparison]:
     a, b, q = pt.a, pt.b, pt.q
     k = pt.k_tuple[:n]
     lhs = determinant(moment_hankel_rows(k, a, b, q))
-    rhs = a ** (n * (n - 1) // 2) * q ** ((n + 1) * n * (n - 1) // 6) * _row_scale(k, n, a, b, q)
-    for f in q_pochhammers(b * q, q, 0, n - 1).values():
-        rhs = rhs * f
-    rhs = rhs * _q_vandermonde(k, q)
+    pre = a ** (n * (n - 1) // 2) * q ** ((n + 1) * n * (n - 1) // 6)
+    num, den = _row_scale(k, n, a, b, q)
+    fb = q_pochhammer_pairs(b * q, q, 0, n - 1)
+    rhs = _ratio([_parts(pre), *num, *fb.values(), _parts(_q_vandermonde(k, q))], den)
     return [("arbitrary-row moment determinant vs product form", lhs, rhs)]
 
 
@@ -398,7 +393,7 @@ def m_closed(pt, n: int) -> list[Comparison]:
     k = pt.k_tuple[:n]
     # The closed form goes first, as in thm_rows.
     closed = _r_closed_form(n, k, a, b, c, q)
-    scale = _row_scale(k, n, a, b, q)
+    scale = _ratio(*_row_scale(k, n, a, b, q))
     det_m = determinant(build_m(k, a, b, c, q))
     return [
         ("cleared-kernel determinant vs R-sum closed form", det_m, closed),

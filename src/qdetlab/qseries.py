@@ -6,9 +6,12 @@ range by the running recurrence, the single-index :func:`q_pochhammer` and
 :func:`rising_factorial` return that loop's value at their index, and
 :func:`q_binomials` reads every coefficient up to its top row from one (q;q)
 table, so a caller that needs many indices builds one table instead of one
-product per index.  The loops, the q-binomials, and the term ratios and sums
-of the series run on unreduced (num, den) pairs (see ``gaussian._pmul``) and
-reduce once per value they return.
+product per index.  Every loop here (the factorial tables and the term
+ratios and sums of the series) carries each quantity as two int locals, num
+and den, unreduced, and reduces once per value it returns.  The tables of
+:func:`q_pochhammer_pairs` and :func:`rising_factorial_pairs` stay unreduced,
+for closed forms that multiply them and reduce once (``gaussian._ratio``);
+:func:`q_pochhammers` and :func:`rising_factorials` are their reduced views.
 Series are only ever summed when they terminate.  A basic series is summed to
 the order n its caller declares, and some numerator must equal ``q**(-n)``;
 the order is never searched for.
@@ -23,21 +26,23 @@ import itertools
 from typing import Callable, Sequence
 
 from .errors import NonTerminatingSeriesError, PoleError
-from .gaussian import _ONE, _ZERO, ONE, GaussianRational, Pair, to_gq
-from .gaussian import _one_minus, _parts, _pdiv, _pmul, _reduced
+from .gaussian import _ONE, _ZERO, GaussianRational, Pair, to_gq
+from .gaussian import _parts, _pdiv, _pmul, _ratio, _reduced
 
 
 def _one_minus_powers(x, q, downward: bool = False):
     """1 - x q^j as pairs for j = 0, 1, 2, ... or, downward, for j = -1, -2, ..."""
-    q = _parts(q.reciprocal() if downward else q)
-    x = _pmul(_parts(x), q) if downward else _parts(x)
+    qr, qd = _parts(q.reciprocal() if downward else q)
+    r, d = _parts(x)
+    if downward:
+        r, d = r * qr, d * qd
     while True:
-        yield _one_minus(x)
-        x = _pmul(x, q)
+        yield d - r, d
+        r, d = r * qr, d * qd
 
 
-def _products(lo: int, hi: int, up, down=(), pole: str = "", name: str = "") -> list[GaussianRational]:
-    """Values lo..hi of a factorial sequence in index order, each reduced once.
+def _product_pairs(lo: int, hi: int, up, down=(), pole: str = "", name: str = "") -> list[Pair]:
+    """Values lo..hi of a factorial sequence in index order, as unreduced pairs.
 
     Value m >= 0 is the product of the first m factor pairs of ``up``
     (indices 0, 1, ...), and value m < 0 is one over the product of the first
@@ -48,23 +53,39 @@ def _products(lo: int, hi: int, up, down=(), pole: str = "", name: str = "") -> 
     """
     if lo > hi:
         return []
-    out = [ONE] if lo <= 0 <= hi else []
-    value = _ONE
-    for m, factor in zip(range(1, hi + 1), up):
-        value = _pmul(value, factor)
+    out = [_ONE] if lo <= 0 <= hi else []
+    r = d = 1
+    for m, (fr, fd) in zip(range(1, hi + 1), up):
+        r, d = r * fr, d * fd
         if m >= lo:
-            out.append(_reduced(*value))
+            out.append((r, d))
     if lo < 0:
         below = []
-        den = _ONE
-        for m, factor in zip(range(-1, lo - 1, -1), down):
-            if not factor[0]:
+        r = d = 1
+        for m, (fr, fd) in zip(range(-1, lo - 1, -1), down):
+            if not fr:
                 raise PoleError(pole, f"{name}_{lo} at k={-m}")
-            den = _pmul(den, factor)
+            r, d = r * fr, d * fd
             if m <= hi:
-                below.append(_reduced(*_pdiv(_ONE, den)))
+                below.append((d, r) if r > 0 else (-d, -r))
         out = below[::-1] + out
     return out
+
+
+def _products(lo: int, hi: int, up, down=(), pole: str = "", name: str = "") -> list[GaussianRational]:
+    """The values of :func:`_product_pairs`, each reduced once."""
+    return [_reduced(r, d) for r, d in _product_pairs(lo, hi, up, down, pole, name)]
+
+
+def q_pochhammer_pairs(a, q, lo: int, hi: int) -> dict[int, Pair]:
+    """The values of :func:`q_pochhammers` as unreduced pairs, for a caller
+    that multiplies them into a product and reduces once."""
+    a, q = to_gq(a), to_gq(q)
+    pairs = _product_pairs(
+        lo, hi, _one_minus_powers(a, q), _one_minus_powers(a, q, downward=True),
+        "vanishing factor in negative-index q-shifted factorial", "(a;q)",
+    )
+    return dict(zip(range(lo, hi + 1), pairs))
 
 
 def q_pochhammers(a, q, lo: int, hi: int) -> dict[int, GaussianRational]:
@@ -77,12 +98,7 @@ def q_pochhammers(a, q, lo: int, hi: int) -> dict[int, GaussianRational]:
     range raises PoleError exactly when (a;q)_lo has one, naming the same
     factor.
     """
-    a, q = to_gq(a), to_gq(q)
-    values = _products(
-        lo, hi, _one_minus_powers(a, q), _one_minus_powers(a, q, downward=True),
-        "vanishing factor in negative-index q-shifted factorial", "(a;q)",
-    )
-    return dict(zip(range(lo, hi + 1), values))
+    return {m: _reduced(r, d) for m, (r, d) in q_pochhammer_pairs(a, q, lo, hi).items()}
 
 
 def q_pochhammer_tails(a, q, n: int) -> list[GaussianRational]:
@@ -108,17 +124,14 @@ def q_pochhammer(a, q, n: int) -> GaussianRational:
 
 def q_pochhammer_multi(params: Sequence, q, n: int) -> GaussianRational:
     """Factor-wise product (a1,...,ar;q)_n."""
-    result = ONE
-    for a in params:
-        result = result * q_pochhammer(a, q, n)
-    return result
+    return _ratio([q_pochhammer_pairs(a, q, n, n)[n] for a in params])
 
 
 def _q_binomial_pairs(q, top: int) -> Callable[[int, int], Pair]:
     """The Gaussian binomial coefficient (q;q)_n / ((q;q)_k (q;q)_{n-k}) as an
     unreduced pair, as a function of (n, k) for n <= top, read from one
     (q;q)_0..(q;q)_top table; 0 when k is out of range."""
-    f = [_parts(v) for v in q_pochhammers(q, q, 0, top).values()]
+    f = list(q_pochhammer_pairs(q, q, 0, top).values())
 
     def binomial(n: int, k: int) -> Pair:
         if k < 0 or k > n:
@@ -135,6 +148,19 @@ def q_binomials(q, top: int) -> Callable[[int, int], GaussianRational]:
     return lambda n, k: _reduced(*binomial(n, k))
 
 
+def rising_factorial_pairs(a, lo: int, hi: int) -> dict[int, Pair]:
+    """The values of :func:`rising_factorials` as unreduced pairs, for a
+    caller that multiplies them into a product and reduces once."""
+    ar, ad = _parts(to_gq(a))
+    pairs = _product_pairs(
+        lo, hi,
+        ((ar + j * ad, ad) for j in itertools.count()),
+        ((ar + j * ad, ad) for j in itertools.count(-1, -1)),
+        "vanishing factor in negative-index rising factorial", "(a)",
+    )
+    return dict(zip(range(lo, hi + 1), pairs))
+
+
 def rising_factorials(a, lo: int, hi: int) -> dict[int, GaussianRational]:
     """Rising factorials (a)_lo..(a)_hi keyed by index, for any integers.
 
@@ -145,14 +171,7 @@ def rising_factorials(a, lo: int, hi: int) -> dict[int, GaussianRational]:
     down is a pole; as for q_pochhammers, the range raises exactly when
     (a)_lo does.
     """
-    ar, ad = _parts(to_gq(a))
-    values = _products(
-        lo, hi,
-        ((ar + j * ad, ad) for j in itertools.count()),
-        ((ar + j * ad, ad) for j in itertools.count(-1, -1)),
-        "vanishing factor in negative-index rising factorial", "(a)",
-    )
-    return dict(zip(range(lo, hi + 1), values))
+    return {m: _reduced(r, d) for m, (r, d) in rising_factorial_pairs(a, lo, hi).items()}
 
 
 def rising_factorial(a, n: int) -> GaussianRational:
@@ -165,11 +184,12 @@ def _series_sum(ratios) -> Pair:
     """1 + t_1 + t_2 + ... as a pair, where t_0 = 1 and t_{k+1} = t_k r_k
     for the ratio pairs r_k.  Term and total share one denominator: each
     step multiplies both by the denominator of r_k."""
-    term = total = _ONE
-    for ratio in ratios:
-        tr, d = term = _pmul(term, ratio)
-        total = (total[0] * ratio[1] + tr, d)
-    return total
+    term = total = den = 1
+    for r, d in ratios:
+        term *= r
+        total = total * d + term
+        den *= d
+    return total, den
 
 
 def _phi_ratios(numerators, denominators, q, z, order: int):
@@ -179,28 +199,32 @@ def _phi_ratios(numerators, denominators, q, z, order: int):
     denominator factor raises PoleError as the ratios are drawn."""
     numerators = [_parts(to_gq(a)) for a in numerators]
     denominators = [_parts(to_gq(b)) for b in denominators]
-    q, z = _parts(to_gq(q)), _parts(to_gq(z))
+    (qr, qd), (zr, zd) = _parts(to_gq(q)), _parts(to_gq(z))
 
     def ratios():
-        qk = _ONE  # q**k
+        kr = kd = 1  # q**k
         for k in range(order):
-            factor = z
-            for a in numerators:
-                factor = _pmul(factor, _one_minus(a, qk))
-            next_qk = _pmul(qk, q)
-            den = _one_minus(next_qk)
-            if not den[0]:
+            nr, nd = zr, zd
+            for ar, ad in numerators:
+                ad *= kd
+                nr *= ad - ar * kr
+                nd *= ad
+            next_r, next_d = kr * qr, kd * qd
+            dr, dd = next_d - next_r, next_d
+            if not dr:
                 raise PoleError("vanishing (q;q) factor in series", f"k={k + 1}")
-            for j, b in enumerate(denominators):
-                f = _one_minus(b, qk)
-                if not f[0]:
+            for j, (br, bd) in enumerate(denominators):
+                bd *= kd
+                br = bd - br * kr
+                if not br:
                     raise PoleError(
                         "vanishing denominator factor in series",
                         f"denominator parameter {j + 1} at k={k + 1}",
                     )
-                den = _pmul(den, f)
-            yield _pdiv(factor, den)
-            qk = next_qk
+                dr *= br
+                dd *= bd
+            yield (nr * dd, nd * dr) if dr > 0 else (-nr * dd, -nd * dr)
+            kr, kd = next_r, next_d
 
     return ratios()
 
@@ -221,8 +245,8 @@ def terminating_phi(numerators, denominators, q, z, order: int) -> GaussianRatio
     Some numerator must equal q**(-order), else NonTerminatingSeriesError.
     """
     numerators = [to_gq(a) for a in numerators]
-    q_order = to_gq(q) ** order
-    if not any(a * q_order == ONE for a in numerators):
+    qr, qd = _parts(to_gq(q) ** order)
+    if not any(ar * qr == ad * qd for ar, ad in map(_parts, numerators)):
         raise NonTerminatingSeriesError(
             f"declared order {order} has no matching q**(-n) numerator; refusing to sum"
         )
@@ -252,7 +276,7 @@ def hyper_f(numerators, denominators, z) -> GaussianRational:
     """
     numerators = [_parts(to_gq(a)) for a in numerators]
     denominators = [_parts(to_gq(b)) for b in denominators]
-    z = _parts(to_gq(z))
+    zr, zd = _parts(to_gq(z))
     n = None
     for r, d in numerators:
         if d == 1 and r <= 0 and (n is None or -r < n):
@@ -264,19 +288,21 @@ def hyper_f(numerators, denominators, z) -> GaussianRational:
 
     def ratios():
         for k in range(n):
-            factor = z
+            nr, nd = zr, zd
             for ar, ad in numerators:
-                factor = _pmul(factor, (ar + k * ad, ad))
-            den = (k + 1, 1)
+                nr *= ar + k * ad
+                nd *= ad
+            dr, dd = k + 1, 1
             for j, (br, bd) in enumerate(denominators):
-                f = (br + k * bd, bd)
-                if not f[0]:
+                br += k * bd
+                if not br:
                     raise PoleError(
                         "nonpositive integer denominator parameter in classical series",
                         f"denominator parameter {j + 1} at k={k}",
                     )
-                den = _pmul(den, f)
-            yield _pdiv(factor, den)
+                dr *= br
+                dd *= bd
+            yield (nr * dd, nd * dr) if dr > 0 else (-nr * dd, -nd * dr)
 
     return _reduced(*_series_sum(ratios()))
 

@@ -411,6 +411,33 @@ def test_perturbed_unit_power_form_fails(check_id, monkeypatch):
     assert run_suite([check_id], trials=2).summary["fail"] > 0
 
 
+# The checks whose closed products are gaussian._ratio calls, by the module that
+# makes them.
+RATIO_CHECKS = [
+    *((checks_determinants, check_id) for check_id in (
+        "hankel", "pfaffian_moments", "mehta_wang", "nishizawa", "thm_main_phi", "thm_main_aw",
+        "cor_even_phi", "cor_even_aw", "cor_odd_phi", "cor_odd_aw",
+        "classical_hahn", "classical_wilson_even", "classical_wilson_odd",
+    )),
+    *((checks_rows, check_id) for check_id in ("thm_rows", "q_kratt", "m_closed")),
+]
+
+
+@pytest.mark.parametrize("module, check_id", RATIO_CHECKS, ids=[check_id for _, check_id in RATIO_CHECKS])
+def test_closed_product_without_its_last_factor_fails(module, check_id, monkeypatch):
+    """Every factor of a closed product reaches the comparison: without its
+    last denominator (or, if it has none, its last numerator) the check fails."""
+    assert run_suite([check_id], n_min=3, n_max=3, trials=2).summary["fail"] == 0
+    ratio = module._ratio
+
+    def dropped(numerators, denominators=()):
+        numerators, denominators = list(numerators), list(denominators)
+        return ratio(numerators, denominators[:-1]) if denominators else ratio(numerators[:-1])
+
+    monkeypatch.setattr(module, "_ratio", dropped)
+    assert run_suite([check_id], n_min=3, n_max=3, trials=2).summary["fail"] > 0
+
+
 class TestRootFlipInvariance:
     @pytest.mark.parametrize(
         "check_id, n",

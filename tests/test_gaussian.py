@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qdetlab import GaussianRational, ONE, ZERO, ParseError, parse
-from qdetlab.gaussian import HALF, _one_minus, _parts, _pdiv, _pmul, _psub, _reduced
+from qdetlab.gaussian import HALF, _one_minus, _parts, _pdiv, _pmul, _psub, _ratio, _reduced
 from helpers import canonical, gq
 
 
@@ -114,7 +114,7 @@ def test_pair_helpers_match_the_scalar_operations(x, y, s, t):
     for pair, expected in (
         (_pmul(x2, y2), x * y),
         (_psub(x2, y2), x - y),
-        (_one_minus(x2), 1 - x),
+        (_one_minus(x2, y2), 1 - x * y),
     ):
         assert pair[1] > 0
         z = _reduced(*pair)
@@ -126,6 +126,30 @@ def test_pair_helpers_match_the_scalar_operations(x, y, s, t):
     else:
         with pytest.raises(ZeroDivisionError, match="division by zero in QQ"):
             _pdiv(x2, y2)
+
+
+@given(
+    st.lists(st.tuples(operands, st.integers(1, 10**6)), max_size=6),
+    st.lists(st.tuples(operands.filter(bool), st.integers(1, 10**6)), max_size=4),
+)
+def test_ratio_is_the_scalar_product_and_quotient(numerators, denominators):
+    """One product of unreduced pairs, reduced once, equals the scalar product
+    of the numerators over that of the denominators, in canonical fields."""
+    expected = ONE
+    for x, _ in numerators:
+        expected = expected * x
+    for y, _ in denominators:
+        expected = expected / y
+    got = _ratio([unreduced(x, s) for x, s in numerators], [unreduced(y, s) for y, s in denominators])
+    assert canonical(got) and _parts(got) == _parts(expected)
+
+
+@given(st.lists(operands, max_size=3), st.lists(operands.filter(bool), max_size=3), st.integers(1, 10**6))
+def test_ratio_raises_at_a_zero_denominator_pair(numerators, denominators, scale):
+    pairs = [_parts(y) for y in denominators]
+    for at in range(len(pairs) + 1):
+        with pytest.raises(ZeroDivisionError, match="^division by zero in QQ$"):
+            _ratio(map(_parts, numerators), pairs[:at] + [(0, scale)] + pairs[at:])
 
 
 @given(operands.filter(bool))

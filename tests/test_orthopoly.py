@@ -467,7 +467,50 @@ class TestWilson:
         assert direct == oracle
 
 
+def mehta_wang_d_reference(n, a, b):
+    """D_n by the printed recurrence D_{k+1} = a D_k + k (b + k - 1) D_{k-1},
+    one scalar operation at a time."""
+    if n < -1:
+        raise ValueError("index must be >= -1")
+    prev, cur = ZERO, ONE
+    for k in range(n):
+        prev, cur = cur, a * cur + k * (b + (k - 1)) * prev
+    return ZERO if n == -1 else cur
+
+
+def nishizawa_d_reference(n, s, t, q):
+    """D_n by the printed recurrence
+    D_{k+1} = s^{-2} q^k (1 - s^2) / (1 - q) D_k
+    + (s^2 t^2)^{-1} (1 - q^k) (1 - t^2 q^{k-1}) / (1 - q)^2 D_{k-1},
+    each coefficient formed afresh from scalars, with the guards in order."""
+    if not s or not t or not q:
+        raise PoleError("parameters must be nonzero", "s, t, q")
+    if q == ONE:
+        raise PoleError("q-deformation undefined at q = 1", "q=1")
+    if n < -1:
+        raise ValueError("index must be >= -1")
+    s2, t2 = s * s, t * t
+    prev, cur = ZERO, ONE
+    for k in range(n):
+        alpha = ONE / s2 * q**k * (ONE - s2) / (ONE - q)
+        beta = ONE / (s2 * t2) * (ONE - q**k) * (ONE - t2 * q ** (k - 1)) / ((ONE - q) * (ONE - q))
+        prev, cur = cur, alpha * cur + beta * prev
+    return ZERO if n == -1 else cur
+
+
+# Degenerate values included: 0, 1 and -1, and roots of the q-powers below.
+D_GRID = [ZERO, ONE, -ONE, frac(2), frac(-1, 2), frac(3, 5), frac(-7, 3), frac(1, 3)]
+D_QS = [ZERO, ONE, -ONE, frac(2), frac(1, 2), frac(-3, 4), frac(9), frac(1, 9)]
+
+
 class TestMehtaWangD:
+    def test_matches_the_printed_recurrence_on_a_grid(self):
+        # b = 1 - k zeroes a coefficient, a = 0 drops the first term
+        for a in D_GRID + [frac(-2)]:
+            for b in D_GRID + [frac(-1), frac(-2), frac(-3)]:
+                for n in range(-2, 8):
+                    agree(mehta_wang_d, mehta_wang_d_reference, n, a, b)
+
     def test_first_values(self):
         a, b = frac(2, 3), frac(5, 7)
         assert mehta_wang_d(-1, a, b) == ZERO
@@ -485,6 +528,17 @@ class TestMehtaWangD:
 
 
 class TestNishizawaD:
+    def test_matches_the_printed_recurrence_on_a_grid(self):
+        # s, t or q zero and q = 1 raise; s^2 = 1 zeroes the first coefficient,
+        # and t^2 q^{k-1} = 1 (t = 1/3 at q = 9, t = 2 at q = 1/2, t = -1) the second
+        guarded = 0
+        for s in D_GRID:
+            for t in D_GRID:
+                for q in D_QS:
+                    for n in range(-2, 7):
+                        guarded += raised(agree(nishizawa_d, nishizawa_d_reference, n, s, t, q))
+        assert guarded > 1000
+
     def test_first_values(self):
         s, t, q = frac(2, 3), frac(3, 5), frac(2)
         assert nishizawa_d(-1, s, t, q) == ZERO

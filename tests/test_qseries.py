@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdetlab import NonTerminatingSeriesError, ONE, PoleError, ZERO, GaussianRational, to_gq
+from qdetlab.gaussian import _reduced
 from qdetlab.identities.builders import moments
 from qdetlab.orthopoly import AWParams, askey_wilson, askey_wilson_values
 from qdetlab.qseries import (
@@ -15,9 +16,11 @@ from qdetlab.qseries import (
     q_binomials,
     q_pochhammer,
     q_pochhammer_multi,
+    q_pochhammer_pairs,
     q_pochhammer_tails,
     q_pochhammers,
     rising_factorial,
+    rising_factorial_pairs,
     rising_factorials,
     terminating_phi,
     very_well_poised,
@@ -162,6 +165,24 @@ def assert_table_matches_per_index(table, reference, args, lo_min, hi_max):
     return ranges_raised, pole_indices
 
 
+def assert_pairs_reduce_to_table(pairs, table, args, lo_min, hi_max):
+    """Every range lo_min <= lo <= hi + 1 <= hi_max + 1 of pairs(*args, lo, hi)
+    gives pairs with positive denominators that reduce to table(*args, lo, hi),
+    or raises what the table raises: class, message and location.  Returns
+    the number of ranges that raised."""
+    ranges_raised = 0
+    for lo in range(lo_min, hi_max + 1):
+        for hi in range(lo - 1, hi_max + 1):
+            got, expected = outcome(pairs, *args, lo, hi), outcome(table, *args, lo, hi)
+            if raised(expected):
+                assert got == expected, (args, lo, hi)
+                ranges_raised += 1
+            else:
+                assert all(den > 0 for _, (_, den) in got), (args, lo, hi)
+                assert [(m, _reduced(*pair)) for m, pair in got] == expected, (args, lo, hi)
+    return ranges_raised
+
+
 class TestTables:
     def test_q_pochhammers_match_per_index_products_and_poles(self):
         pole_indices = set()
@@ -224,6 +245,21 @@ class TestTables:
     def test_empty_range(self):
         assert q_pochhammers(frac(2), frac(3), 2, 1) == {}
         assert rising_factorials(frac(2), 0, -1) == {}
+        assert q_pochhammer_pairs(frac(2), frac(3), 2, 1) == {}
+        assert rising_factorial_pairs(frac(2), 0, -1) == {}
+
+    def test_q_pochhammer_pairs_reduce_to_the_table_at_negative_and_unit_bases(self):
+        ranges_raised = 0
+        for q in QS:
+            for a in SCALARS + [q**j for j in range(-3, 4)]:
+                ranges_raised += assert_pairs_reduce_to_table(q_pochhammer_pairs, q_pochhammers, (a, q), -4, 5)
+        assert ranges_raised > 900
+
+    def test_rising_factorial_pairs_reduce_to_the_table_at_negative_and_integer_parameters(self):
+        ranges_raised = 0
+        for a in SCALARS + [frac(k) for k in (3, -3, -4)] + [frac(5, 2), frac(-7, 2), frac(-9, 4)]:
+            ranges_raised += assert_pairs_reduce_to_table(rising_factorial_pairs, rising_factorials, (a,), -5, 6)
+        assert ranges_raised > 50
 
 
 class TestQPochhammer:
