@@ -4,14 +4,17 @@ Each builder evaluates a displayed formula in exact arithmetic: moment
 sequences of the little q-Jacobi polynomials, the determinant kernels built
 from them, the denominator-cleared row matrix, its four triangular
 companions X, L, Y and U (one builder each, plus the closed-form inverses
-of Y and U; X and L share one running product down each column), and the
-ordered-partition sum R_{n,nu}.  Every sequence a builder reads (moments,
+of Y and U), and the ordered-partition sum R_{n,nu}.  X and L share one
+running product down each column, :func:`column_products`, which gives any
+trailing range of rows: its last row holds the products P_{n,nu} that the
+residue identities divide by.  Every sequence a builder reads (moments,
 q-powers, q-shifted and rising factorials) is built once per call by one
 running loop and read by index, and the n + 1 sums R_{n,0}..R_{n,n} come
 from one backward dynamic program over the row indices instead of from
-their C(n, nu) splittings.  The moments are the running products of their
-term ratios, taken by the factorial loop of :mod:`qdetlab.qseries`.  All
-matrix builders use the 1-based convention of the formulas.
+their C(n, nu) splittings.  The moments, and the prefix and suffix
+factorials along a row of the cleared matrix, are running products taken
+by the factorial loop of :mod:`qdetlab.qseries`.  All matrix builders use
+the 1-based convention of the formulas.
 
 Every matrix builder computes each entry as an unreduced (num, den) pair
 (see ``gaussian._pmul``) and hands rows of pairs to
@@ -30,10 +33,10 @@ from itertools import islice
 from typing import Sequence
 
 from ..errors import PoleError
-from ..gaussian import _MINUS_ONE, _ONE, _ZERO, ONE, ZERO, GaussianRational, Pair, to_gq
+from ..gaussian import _MINUS_ONE, _ZERO, ONE, ZERO, GaussianRational, Pair, to_gq
 from ..gaussian import _one_minus, _parts, _pdiv, _pmul, _psub, _reduced
 from ..linalg import ExactMatrix
-from ..qseries import _one_minus_powers, _products, _q_binomial_pairs, rising_factorials
+from ..qseries import _one_minus_powers, _product_pairs, _products, _q_binomial_pairs, rising_factorials
 
 
 def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
@@ -135,17 +138,12 @@ def theorem_matrix_rows(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
 def _row_factor_pairs(x, a, ab, q, n: int) -> list[Pair]:
     """(a x;q)_{j-1} (ab x q^j;q)_{n-j} for j = 1..n as unreduced pairs, at
     list index j - 1, for scalars x, a, ab and q: the prefixes of (a x;q)_n
-    run up, and the suffixes of (ab x;q)_n run down from its top factor."""
-    prefix = [_ONE]  # (a x;q)_j at list index j
-    for _, f in zip(range(n - 1), _one_minus_powers(a * x, q)):
-        prefix.append(_pmul(prefix[-1], f))
+    and, as in :func:`~qdetlab.qseries.q_pochhammer_tails`, the suffixes of
+    (ab x;q)_n from its top factor down, each one run of the factorial loop."""
+    prefix = _product_pairs(0, n - 1, _one_minus_powers(a * x, q))  # (a x;q)_t at t
     tops = list(islice(_one_minus_powers(ab * x, q), 1, n))  # 1 - ab x q^m for m = 1..n-1
-    out, suffix = [], _ONE  # suffix = (ab x q^{j+1};q)_{n-1-j}
-    for j in range(n - 1, -1, -1):
-        out.append(_pmul(prefix[j], suffix))
-        if j:
-            suffix = _pmul(tops[j - 1], suffix)
-    return out[::-1]
+    suffix = _product_pairs(0, n - 1, reversed(tops))  # (ab x q^{n-t};q)_t at t
+    return list(map(_pmul, prefix, reversed(suffix)))
 
 
 def row_factors(x, a, ab, q, n: int) -> list[GaussianRational]:
@@ -176,35 +174,39 @@ def build_m(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     return ExactMatrix.from_pairs(n, n, lines)
 
 
-def _column_products(xs: Sequence[GaussianRational], shift: GaussianRational) -> ExactMatrix:
-    """Lower triangular with entry (i, j), i >= j, equal to -1/P_{ij}, where
-    P_{ij} = x_j (1 - shift x_j) prod_{l <= i, l != j} (x_l - x_j),
-    carried down column j one factor per row as a pair."""
-    n = len(xs)
+def column_products(xs: Sequence[GaussianRational], shift: GaussianRational, first: int = 1) -> list[list[Pair]]:
+    """Rows first..n of the lower triangular matrix with entry (i, j), i >= j,
+    -1/P_{ij} for P_{ij} = x_j (1 - shift x_j) prod_{l <= i, l != j} (x_l - x_j), as unreduced pairs.
+
+    P_{ij} is carried down column j in one pass, one factor per row, and
+    divided into -1 only on the rows asked for.  P_{ij} divides P_{nj}, so row
+    n alone raises ZeroDivisionError at exactly the points where all rows do.
+    """
+    n, start = len(xs), first - 1
     xs, shift = [_parts(x) for x in xs], _parts(shift)
-    lines = [[_ZERO] * n for _ in range(n)]
+    lines = [[_ZERO] * n for _ in range(start, n)]
     for j, x in enumerate(xs):
         prod = _pmul(x, _one_minus(shift, x))
-        for y in xs[:j]:
-            prod = _pmul(prod, _psub(y, x))
-        lines[j][j] = _pdiv(_MINUS_ONE, prod)
-        for i in range(j + 1, n):
-            prod = _pmul(prod, _psub(xs[i], x))
-            lines[i][j] = _pdiv(_MINUS_ONE, prod)
-    return ExactMatrix.from_pairs(n, n, lines)
+        for i, y in enumerate(xs):
+            if i != j:
+                prod = _pmul(prod, _psub(y, x))
+            if i >= j and i >= start:
+                lines[i - start][j] = _pdiv(_MINUS_ONE, prod)
+    return lines
 
 
-def x_matrix(k_tuple: Sequence[int], a, q) -> ExactMatrix:
-    """Lower triangular X over the k-tuple: entry (i, j), i >= j, is
-    -1 / (q^{k_j} (1 - a q^{k_j}) prod_{l <= i, l != j} (q^{k_l} - q^{k_j}))."""
-    qp = _Powers(to_gq(q))
-    return _column_products([qp[k] for k in k_tuple], to_gq(a))
+def x_matrix(k_tuple: Sequence[int], a, q, first: int = 1) -> ExactMatrix:
+    """Rows first..n of the lower triangular X over the k-tuple: entry (i, j),
+    i >= j, is -1 / (q^{k_j} (1 - a q^{k_j}) prod_{l <= i, l != j} (q^{k_l} - q^{k_j}))."""
+    q = to_gq(q)
+    lines = column_products([q**k for k in k_tuple], to_gq(a), first)
+    return ExactMatrix.from_pairs(len(lines), len(k_tuple), lines)
 
 
-def l_matrix(k_tuple: Sequence[int], a, b, q) -> ExactMatrix:
-    """Lower triangular L: X with a replaced by ab q^{n-1}, n = len(k_tuple)."""
-    qp = _Powers(to_gq(q))
-    return _column_products([qp[k] for k in k_tuple], to_gq(a) * to_gq(b) * qp[len(k_tuple) - 1])
+def l_matrix(k_tuple: Sequence[int], a, b, q, first: int = 1) -> ExactMatrix:
+    """Rows first..n of the lower triangular L: X with a replaced by ab q^{n-1}, n = len(k_tuple)."""
+    q = to_gq(q)
+    return x_matrix(k_tuple, to_gq(a) * to_gq(b) * q ** (len(k_tuple) - 1), q, first)
 
 
 def _q_binomial_matrix(n: int, q, entry) -> ExactMatrix:

@@ -3,18 +3,21 @@
 These exercise the internal scaffolding behind the headline identities: the
 ordered-partition sum R, the denominator-cleared row matrix, its triangular
 conjugations, the partial-fraction residue identities, and the closed-form
-inverses of the q-binomial triangular matrices.
+inverses of the q-binomial triangular matrices.  Each product over a list of
+points has one home: P_{i,nu} in :func:`~.builders.column_products`, the row
+factorials in :func:`~.builders.row_factors`, the Vandermonde in :func:`_vandermonde`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from ..gaussian import ONE, ZERO, GaussianRational, Pair, _parts, _pdiv, _ratio, sign
+from ..gaussian import ONE, ZERO, GaussianRational, Pair, _one_minus, _parts, _pdiv, _psub, _ratio, _reduced, sign
 from ..linalg import ExactMatrix, determinant, submatrix
 from ..qseries import q_binomials, q_pochhammer as qp, q_pochhammer_pairs, q_pochhammer_tails, q_pochhammers
 from .builders import (
     build_m,
+    column_products,
     l_matrix,
     moment_hankel_rows,
     r_values,
@@ -29,24 +32,15 @@ from .builders import (
 from .points import Comparison, check
 
 
-def _q_vandermonde(k, q) -> GaussianRational:
-    """prod_{i<j} (q^{k_i - 1} - q^{k_j - 1})."""
-    out = ONE
-    for x, y in combinations([q ** (kv - 1) for kv in k], 2):
-        out = out * (x - y)
-    return out
+def _vandermonde(xs) -> GaussianRational:
+    """prod_{i<j} (x_i - x_j), reduced once."""
+    return _ratio(_psub(x, y) for x, y in combinations([_parts(x) for x in xs], 2))
 
 
 def _x_products(xs, a, abq) -> tuple[GaussianRational, GaussianRational, GaussianRational]:
-    """prod x, prod (1 - a x) and prod (1 - abq x) over ``xs``."""
-    prod_x = ONE
-    inv_ax = ONE
-    inv_abx = ONE
-    for x in xs:
-        prod_x = prod_x * x
-        inv_ax = inv_ax * (ONE - a * x)
-        inv_abx = inv_abx * (ONE - abq * x)
-    return prod_x, inv_ax, inv_abx
+    """prod x, prod (1 - a x) and prod (1 - abq x) over ``xs``, each reduced once."""
+    xs, a, abq = [_parts(x) for x in xs], _parts(a), _parts(abq)
+    return _ratio(xs), _ratio(_one_minus(a, x) for x in xs), _ratio(_one_minus(abq, x) for x in xs)
 
 
 def _boundary_terms(xs, a, b, c, q) -> tuple[GaussianRational, GaussianRational, GaussianRational]:
@@ -59,20 +53,6 @@ def _boundary_terms(xs, a, b, c, q) -> tuple[GaussianRational, GaussianRational,
     first = sign(n) * common * (ONE - a * c * q) / (q * inv_ax)
     second = common * q ** (n * (n - 3) // 2) * (ONE - a * b * c * q ** (2 * n - 1)) / inv_abx
     return prod_x, first, second
-
-
-def _residue_denominators(xs, *shifts) -> list[list[GaussianRational]]:
-    """For each shift, x_nu (1 - shift x_nu) prod_{l != nu} (x_l - x_nu) for each
-    x_nu in ``xs``; the shared core x_nu prod_{l != nu} (x_l - x_nu) is formed
-    once per nu."""
-    cores = []
-    for nu, x in enumerate(xs):
-        d = x
-        for l, y in enumerate(xs):
-            if l != nu:
-                d = d * (y - x)
-        cores.append(d)
-    return [[d * (ONE - shift * x) for d, x in zip(cores, xs)] for shift in shifts]
 
 
 def _row_scale(k, n, a, b, q) -> tuple[list[Pair], list[Pair]]:
@@ -95,7 +75,7 @@ def _r_closed_form(n, k, a, b, c, q) -> GaussianRational:
     total = ZERO
     for nu, r in enumerate(r_values(n, k, a, b, q)):
         total = total + sign(nu) * tail[n - nu] * fac[nu] * r
-    return _ratio([_parts(pre), *fb.values(), _parts(_q_vandermonde(k, q)), _parts(total)])
+    return _ratio([_parts(pre), *fb.values(), _parts(_vandermonde([q ** (kv - 1) for kv in k])), _parts(total)])
 
 
 @check(
@@ -129,7 +109,7 @@ def q_kratt(pt, n: int) -> list[Comparison]:
     pre = a ** (n * (n - 1) // 2) * q ** ((n + 1) * n * (n - 1) // 6)
     num, den = _row_scale(k, n, a, b, q)
     fb = q_pochhammer_pairs(b * q, q, 0, n - 1)
-    rhs = _ratio([_parts(pre), *num, *fb.values(), _parts(_q_vandermonde(k, q))], den)
+    rhs = _ratio([_parts(pre), *num, *fb.values(), _parts(_vandermonde([q ** (kv - 1) for kv in k]))], den)
     return [("arbitrary-row moment determinant vs product form", lhs, rhs)]
 
 
@@ -200,21 +180,20 @@ def residue_ids(pt, n: int) -> list[Comparison]:
     xs = pt.x_list[:n]
     prod_x, first, second = _boundary_terms(xs, a, b, c, q)
     factors = [row_factors(x, a, a * b, q, n) for x in xs]
-    # x_nu / q and both kinds' denominators do not depend on j.
+    # x_nu / q and -1/P_{n,nu}, the last rows of X and L, do not depend on j.
     xq = [x / q for x in xs]
-    den1, den2 = _residue_denominators(xs, a, a * b * q ** (n - 1))
+    inv1, inv2 = ([_reduced(*e) for e in column_products(xs, shift, n)[0]] for shift in (a, a * b * q ** (n - 1)))
     comps = []
     for j in range(1, n + 1):
         cq = c * q ** (j - 1)
-        s1 = ZERO
-        s2 = ZERO
-        for x, f, d1, d2 in zip(xq, factors, den1, den2):
+        s1 = s2 = ZERO
+        for x, f, e1, e2 in zip(xq, factors, inv1, inv2):
             num = (x - cq) * f[j - 1]
-            s1 = s1 + num / d1
-            s2 = s2 + num / d2
+            s1 = s1 + num * e1
+            s2 = s2 + num * e2
         rhs = cq / prod_x
-        comps.append((f"residue identity (first kind), j={j}", -s1, rhs + first if j == 1 else rhs))
-        comps.append((f"residue identity (second kind), j={j}", -s2, rhs - second if j == n else rhs))
+        comps.append((f"residue identity (first kind), j={j}", s1, rhs + first if j == 1 else rhs))
+        comps.append((f"residue identity (second kind), j={j}", s2, rhs - second if j == n else rhs))
     return comps
 
 
@@ -227,10 +206,7 @@ def residue_ids(pt, n: int) -> list[Comparison]:
 def vandermonde_vw(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     xs = pt.x_list[:n]
-    vandermonde = ONE
-    for i in range(n):
-        for j in range(i + 1, n):
-            vandermonde = vandermonde * (xs[j] - xs[i])
+    vandermonde = _vandermonde(xs[::-1])  # prod_{i<j} (x_j - x_i)
     abq = a * b * q ** (n - 1)
     # The column uses c q^k where the residue identities use c q^{k-1}, so
     # each boundary term enters times q.
@@ -267,9 +243,8 @@ def bottom_rows(pt, n: int) -> list[Comparison]:
     a, b, c, q = pt.a, pt.b, pt.c, pt.q
     k = pt.k_tuple[:n]
     m = build_m(k, a, b, c, q)
-    bottom, cols = [n], list(range(1, n + 1))
-    p = submatrix(x_matrix(k, a, q), bottom, cols) @ m @ y_matrix(n, q)
-    qq = submatrix(l_matrix(k, a, b, q), bottom, cols) @ m @ u_matrix(n, q)
+    p = x_matrix(k, a, q, n) @ m @ y_matrix(n, q)
+    qq = l_matrix(k, a, b, q, n) @ m @ u_matrix(n, q)
     sum_k = sum(k)
     _, first, second = _boundary_terms([q**kv for kv in k], a, b, c, q)
     comps = []
@@ -330,7 +305,7 @@ def pq_lemma(pt, n: int) -> list[Comparison]:
     p = x_matrix(k, a, q) @ m @ y_matrix(n, q)
     qq = l_matrix(k, a, b, q) @ m @ u_matrix(n, q)
     head = list(k[:-1])
-    denom = q ** sum(head) * _q_vandermonde([h + 1 for h in head], q)
+    denom = q ** sum(head) * _vandermonde([q**h for h in head])
     rows = list(range(1, n))
     shifted_cols = list(range(2, n + 1))
     lead_cols = list(range(1, n))
@@ -370,10 +345,10 @@ def m_recurrence(pt, n: int) -> list[Comparison]:
     head = k[:-1]
     kn = k[-1]
     det_full = determinant(build_m(k, a, b, c, q))
-    denom = a ** (n - 2) * qp(b * q, q, n - 2)
-    for kv in head:
-        denom = denom * (q**kv - q**kn)
-    lhs = det_full / denom
+    # a^{n-2} (bq;q)_{n-2} prod_{v<n} (q^{k_v} - q^{k_n})
+    qk = [_parts(q**kv) for kv in k]
+    fb = q_pochhammer_pairs(b * q, q, n - 2, n - 2)[n - 2]
+    lhs = det_full / _ratio([_parts(a ** (n - 2)), fb, *(_psub(x, qk[-1]) for x in qk[:-1])])
     rhs = (ONE - a * c * q) * (ONE - a * b * q ** (kn + n - 1)) * determinant(
         build_m(head, a * q, b, c * q, q)
     ) / q - q ** (n * (n - 3) // 2) * (ONE - a * b * c * q ** (2 * n - 1)) * (

@@ -19,9 +19,11 @@ from qdetlab.identities import (
     row_factors,
     theorem_matrix_rows,
 )
-from qdetlab.identities.builders import l_matrix, u_inverse, u_matrix, x_matrix, y_inverse, y_matrix
+from qdetlab.gaussian import _reduced
+from qdetlab.identities.builders import column_products, l_matrix, u_inverse, u_matrix, x_matrix, y_inverse, y_matrix
+from qdetlab.linalg import submatrix
 from qdetlab.qseries import q_binomials, q_pochhammer, rising_factorial
-from helpers import QS, SCALARS, SPECIAL, SPECIAL_Q, agree, frac, raised
+from helpers import QS, SCALARS, SPECIAL, SPECIAL_Q, agree, frac, outcome, raised
 
 
 A, B, C, Q = frac(2, 3), frac(3, 5), frac(5, 7), frac(2)
@@ -220,6 +222,54 @@ class TestTriangulars:
             for build in (lambda *args: reference(kind, *args), builders[kind]):
                 with pytest.raises(ZeroDivisionError, match="division by zero in QQ"):
                     build(k, a, B, Q)
+
+    def test_rows_from_first_are_rows_of_the_full_matrix(self):
+        builders = {"X": lambda k, a, b, q, *first: x_matrix(k, a, q, *first), "L": l_matrix}
+        rng = random.Random(65)
+        for n in range(1, 7):
+            k = rng.sample(range(1, 13), n)
+            cols = list(range(1, n + 1))
+            for build in builders.values():
+                full = build(k, A, B, Q)
+                assert build(k, A, B, Q, 1) == full
+                for first in range(1, n + 1):
+                    assert build(k, A, B, Q, first) == submatrix(full, list(range(first, n + 1)), cols)
+        # The last row alone raises exactly where the whole matrix does: at a
+        # repeated row index, at 1 - shift q^{k_j} = 0, and at q = 0.
+        poles = 0
+        for k in ([2, 3, 2], [3, 2, 2], [1, 3, 4], [4, 1, 3]):
+            for a, q in itertools.product((A, frac(1, 2), frac(1, 4), frac(-1, 8)), (Q, ZERO)):
+                for build in builders.values():
+                    full = outcome(build, k, a, B, q)
+                    last = outcome(build, k, a, B, q, len(k))
+                    if raised(full):
+                        assert last == full == (ZeroDivisionError, "division by zero in QQ", None)
+                        poles += 1
+                    else:
+                        assert last == submatrix(full, [len(k)], [1, 2, 3])
+        assert poles > 20
+
+    def test_last_row_is_minus_one_over_the_residue_denominators(self):
+        def residue_denominators(xs, shift):
+            # x_nu (1 - shift x_nu) prod_{l != nu} (x_l - x_nu), one scalar at a time
+            out = []
+            for nu, x in enumerate(xs):
+                d = x * (ONE - shift * x)
+                for l, y in enumerate(xs):
+                    if l != nu:
+                        d = d * (y - x)
+                out.append(d)
+            return out
+
+        rng = random.Random(66)
+        for n in range(1, 7):
+            for _ in range(3):
+                xs = [frac(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+                shift = frac(rng.randint(-9, 9), rng.randint(1, 9))
+                if len(set(xs)) < n or any(ONE == shift * x for x in xs):
+                    continue
+                (row,) = column_products(xs, shift, n)
+                assert [_reduced(*e) for e in row] == [-d.reciprocal() for d in residue_denominators(xs, shift)]
 
     def test_closed_inverses(self):
         from qdetlab import ExactMatrix

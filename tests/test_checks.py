@@ -15,6 +15,7 @@ from qdetlab.identities import (
     REGISTRY,
     CheckDef,
     ParamPoint,
+    builders,
     check_ids,
     checks_determinants,
     checks_quadratic,
@@ -435,6 +436,57 @@ def test_closed_product_without_its_last_factor_fails(module, check_id, monkeypa
         return ratio(numerators, denominators[:-1]) if denominators else ratio(numerators[:-1])
 
     monkeypatch.setattr(module, "_ratio", dropped)
+    assert run_suite([check_id], n_min=3, n_max=3, trials=2).summary["fail"] > 0
+
+
+def test_vandermonde_is_the_product_over_pairs():
+    rng = random.Random(67)
+    for n in range(7):
+        for _ in range(4):
+            xs = [rand_rational(rng) for _ in range(n)]
+            expected = ONE
+            for i in range(n):
+                for j in range(i + 1, n):
+                    expected = expected * (xs[i] - xs[j])
+            assert checks_rows._vandermonde(xs) == expected
+    assert checks_rows._vandermonde([ONE, GaussianRational(2), ONE]) == ZERO
+
+
+def _without_last_factor(xs,_vandermonde=checks_rows._vandermonde):
+    vandermonde = _vandermonde(xs)
+    return vandermonde / (xs[-2] - xs[-1]) if len(xs) > 1 else vandermonde
+
+
+def _shift_doubled(xs, shift, first=1, _column_products=builders.column_products):
+    return _column_products(xs, 2 * shift, first)
+
+
+def _columns_scaled(*args, _row_factor_pairs=builders._row_factor_pairs):
+    return [(r * (j + 1), d) for j, (r, d) in enumerate(_row_factor_pairs(*args), 1)]
+
+
+# One non-equivalent mutant of a shared helper of the rows family, as the
+# patches that put it in place, and the checks it must make fail.  Scaling
+# one column alike in every row is an equivalent mutant for m_recurrence,
+# whose determinants all scale alike.
+HELPER_MUTANTS = {
+    "vandermonde": ([(checks_rows, "_vandermonde", _without_last_factor)], ["vandermonde_vw", "pq_lemma"]),
+    "column_products": (
+        [(builders, "column_products", _shift_doubled), (checks_rows, "column_products", _shift_doubled)],
+        ["bottom_rows", "residue_ids", "pq_lemma"],
+    ),
+    "row_factor_pairs": ([(builders, "_row_factor_pairs", _columns_scaled)], ["m_recurrence"]),
+}
+HELPER_KILLS = [(mutant, check_id) for mutant, (_, killed) in HELPER_MUTANTS.items() for check_id in killed]
+
+
+@pytest.mark.parametrize("mutant, check_id", HELPER_KILLS, ids=[f"{m}-{c}" for m, c in HELPER_KILLS])
+def test_helper_mutant_fails(mutant, check_id, monkeypatch):
+    """Every product of the rows family reaches the comparison of each check
+    that reads it: perturbed, the check fails."""
+    assert run_suite([check_id], n_min=3, n_max=3, trials=2).summary["fail"] == 0
+    for module, name, perturbed in HELPER_MUTANTS[mutant][0]:
+        monkeypatch.setattr(module, name, perturbed)
     assert run_suite([check_id], n_min=3, n_max=3, trials=2).summary["fail"] > 0
 
 
