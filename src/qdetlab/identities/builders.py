@@ -183,6 +183,8 @@ def column_products(xs: Sequence[GaussianRational], shift: GaussianRational, fir
     n alone raises ZeroDivisionError at exactly the points where all rows do.
     """
     n, start = len(xs), first - 1
+    if not 0 <= start < max(n, 1):
+        raise ValueError(f"first row {first} is outside 1..{n}")
     xs, shift = [_parts(x) for x in xs], _parts(shift)
     lines = [[_ZERO] * n for _ in range(start, n)]
     for j, x in enumerate(xs):

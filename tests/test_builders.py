@@ -234,6 +234,9 @@ class TestTriangulars:
                 assert build(k, A, B, Q, 1) == full
                 for first in range(1, n + 1):
                     assert build(k, A, B, Q, first) == submatrix(full, list(range(first, n + 1)), cols)
+                for first in (0, n + 1):
+                    with pytest.raises(ValueError, match="outside"):
+                        build(k, A, B, Q, first)
         # The last row alone raises exactly where the whole matrix does: at a
         # repeated row index, at 1 - shift q^{k_j} = 0, and at q = 0.
         poles = 0

@@ -452,7 +452,7 @@ def test_vandermonde_is_the_product_over_pairs():
     assert checks_rows._vandermonde([ONE, GaussianRational(2), ONE]) == ZERO
 
 
-def _without_last_factor(xs,_vandermonde=checks_rows._vandermonde):
+def _without_last_factor(xs, _vandermonde=checks_rows._vandermonde):
     vandermonde = _vandermonde(xs)
     return vandermonde / (xs[-2] - xs[-1]) if len(xs) > 1 else vandermonde
 
