@@ -17,7 +17,7 @@ from .errors import (
     UsageError,
 )
 from .gaussian import ONE, ZERO, GaussianRational, parse, to_gq
-from .linalg import ExactMatrix, determinant, pfaffian, submatrix
+from .linalg import ExactMatrix, determinant, minor, pfaffian, submatrix
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,7 @@ __all__ = [
     "UsageError",
     "ZERO",
     "determinant",
+    "minor",
     "parse",
     "pfaffian",
     "submatrix",

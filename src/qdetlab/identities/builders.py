@@ -51,7 +51,7 @@ def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
     upward pole when both directions have one.
     """
     a, b, q = to_gq(a), to_gq(b), to_gq(q)
-    aq, abq2 = a * q, a * b * q * q
+    aq, abq2 = _parts(a * q), _parts(a * b * q * q)
 
     def up():
         for m, fx, fy in zip(range(1, hi + 1), _one_minus_powers(aq, q), _one_minus_powers(abq2, q)):
@@ -139,9 +139,11 @@ def _row_factor_pairs(x, a, ab, q, n: int) -> list[Pair]:
     """(a x;q)_{j-1} (ab x q^j;q)_{n-j} for j = 1..n as unreduced pairs, at
     list index j - 1, for scalars x, a, ab and q: the prefixes of (a x;q)_n
     and, as in :func:`~qdetlab.qseries.q_pochhammer_tails`, the suffixes of
-    (ab x;q)_n from its top factor down, each one run of the factorial loop."""
-    prefix = _product_pairs(0, n - 1, _one_minus_powers(a * x, q))  # (a x;q)_t at t
-    tops = list(islice(_one_minus_powers(ab * x, q), 1, n))  # 1 - ab x q^m for m = 1..n-1
+    (ab x;q)_n from its top factor down, each one run of the factorial loop.
+    a x and ab x enter as unreduced pair products, with no gcd."""
+    x = _parts(x)
+    prefix = _product_pairs(0, n - 1, _one_minus_powers(_pmul(_parts(a), x), q))  # (a x;q)_t at t
+    tops = list(islice(_one_minus_powers(_pmul(_parts(ab), x), q), 1, n))  # 1 - ab x q^m for m = 1..n-1
     suffix = _product_pairs(0, n - 1, reversed(tops))  # (ab x q^{n-t};q)_t at t
     return list(map(_pmul, prefix, reversed(suffix)))
 

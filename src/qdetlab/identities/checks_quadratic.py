@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..gaussian import ONE, ZERO, GaussianRational, _parts
-from ..linalg import ExactMatrix, determinant, submatrix
+from ..linalg import ExactMatrix, determinant, minor
 from ..orthopoly import AWParams, askey_wilson_phi, askey_wilson_values
 from ..qseries import q_pochhammer as qp
 from .builders import build_theorem_matrix
@@ -25,10 +25,8 @@ def dj_generic(pt, n: int) -> list[Comparison]:
     inner = list(range(2, n))
     head = list(range(1, n))
     tail = list(range(2, n + 1))
-    lhs = determinant(submatrix(a, inner, inner)) * determinant(a)
-    rhs = determinant(submatrix(a, head, head)) * determinant(
-        submatrix(a, tail, tail)
-    ) - determinant(submatrix(a, head, tail)) * determinant(submatrix(a, tail, head))
+    lhs = minor(a, inner, inner) * determinant(a)
+    rhs = minor(a, head, head) * minor(a, tail, tail) - minor(a, head, tail) * minor(a, tail, head)
     return [("inner-minor product vs corner-minor products", lhs, rhs)]
 
 

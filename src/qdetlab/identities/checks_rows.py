@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..gaussian import ONE, ZERO, GaussianRational, Pair, _one_minus, _parts, _pdiv, _psub, _ratio, _reduced, sign
-from ..linalg import ExactMatrix, determinant, submatrix
+from ..linalg import ExactMatrix, bordered_determinants, determinant, minor
 from ..qseries import q_binomials, q_pochhammer as qp, q_pochhammer_pairs, q_pochhammer_tails, q_pochhammers
 from .builders import (
     build_m,
@@ -212,23 +212,23 @@ def vandermonde_vw(pt, n: int) -> list[Comparison]:
     # each boundary term enters times q.
     prod_x, first, second = _boundary_terms(xs, a, b, c, q)
     factors = [row_factors(x, a, a * b, q, n) for x in xs]
-    # The first n - 1 columns x^0..x^{n-2} and the last column's divisors
-    # x (1 - a x) and x (1 - abq x) are the same for every k.
-    powers = [[_parts(x**e) for e in range(n - 1)] for x in xs]
-    div_v = [_parts(x * (ONE - a * x)) for x in xs]
-    div_w = [_parts(x * (ONE - abq * x)) for x in xs]
+    # One n x (3n - 1) matrix: the powers x^0..x^{n-2}, then the first-kind
+    # last columns for k = 1..n, then the second-kind ones; each last column
+    # is -(x - c q^k) f_k over x (1 - a x) or x (1 - abq x).
+    cqs = [c * q**k for k in range(1, n + 1)]
+    lines = []
+    for x, f in zip(xs, factors):
+        nums = [_parts(-((x - cq) * fk)) for cq, fk in zip(cqs, f)]
+        div_v, div_w = _parts(x * (ONE - a * x)), _parts(x * (ONE - abq * x))
+        powers = [_parts(x**e) for e in range(n - 1)]
+        lines.append(powers + [_pdiv(num, div_v) for num in nums] + [_pdiv(num, div_w) for num in nums])
+    dets = bordered_determinants(ExactMatrix.from_pairs(n, 3 * n - 1, lines))
+    scale = sign(n - 1) / vandermonde
     comps = []
-    for k in range(1, n + 1):
-        cq = c * q**k
-        nums = [_parts(-((x - cq) * f[k - 1])) for x, f in zip(xs, factors)]
-        v = ExactMatrix.from_pairs(n, n, [row + [_pdiv(num, d)] for row, num, d in zip(powers, nums, div_v)])
-        lhs_v = sign(n - 1) * determinant(v) / vandermonde
+    for k, cq, det_v, det_w in zip(range(1, n + 1), cqs, dets, dets[n:]):
         rhs = cq / prod_x
-        comps.append((f"structured-column Vandermonde (first kind), k={k}", lhs_v, rhs + q * first if k == 1 else rhs))
-
-        w = ExactMatrix.from_pairs(n, n, [row + [_pdiv(num, d)] for row, num, d in zip(powers, nums, div_w)])
-        lhs_w = sign(n - 1) * determinant(w) / vandermonde
-        comps.append((f"structured-column Vandermonde (second kind), k={k}", lhs_w, rhs - q * second if k == n else rhs))
+        comps.append((f"structured-column Vandermonde (first kind), k={k}", det_v * scale, rhs + q * first if k == 1 else rhs))
+        comps.append((f"structured-column Vandermonde (second kind), k={k}", det_w * scale, rhs - q * second if k == n else rhs))
     return comps
 
 
@@ -284,10 +284,8 @@ def triangular_inverses(pt, n: int) -> list[Comparison]:
     all_rows = list(range(1, n + 1))
     for i in range(1, n + 1):
         rows = [r for r in all_rows if r != i]
-        dy = determinant(submatrix(y, rows, list(range(1, n))))
-        comps.append((f"Y minor dropping row {i}", dy, (-q) ** (i - n)))
-        du = determinant(submatrix(u, rows, list(range(2, n + 1))))
-        comps.append((f"U minor dropping row {i}", du, (-q) ** (i - 1)))
+        comps.append((f"Y minor dropping row {i}", minor(y, rows, list(range(1, n))), (-q) ** (i - n)))
+        comps.append((f"U minor dropping row {i}", minor(u, rows, list(range(2, n + 1))), (-q) ** (i - 1)))
     return comps
 
 
@@ -312,12 +310,12 @@ def pq_lemma(pt, n: int) -> list[Comparison]:
     comps = [
         (
             "shifted principal minor of first conjugation",
-            determinant(submatrix(p, rows, shifted_cols)),
+            minor(p, rows, shifted_cols),
             sign(n - 1) * determinant(build_m(head, a * q, b, c * q, q)) / denom,
         ),
         (
             "leading principal minor of second conjugation",
-            determinant(submatrix(qq, rows, lead_cols)),
+            minor(qq, rows, lead_cols),
             sign(n - 1) * determinant(build_m(head, a, b, c, q)) / denom,
         ),
     ]
@@ -325,8 +323,8 @@ def pq_lemma(pt, n: int) -> list[Comparison]:
     comps.append(
         (
             "cross relation between the two off-principal minors",
-            determinant(submatrix(p, rows, lead_cols)) / ratio_p,
-            (-q) ** (1 - n) * determinant(submatrix(qq, rows, shifted_cols)) / ratio_q,
+            minor(p, rows, lead_cols) / ratio_p,
+            (-q) ** (1 - n) * minor(qq, rows, shifted_cols) / ratio_q,
         )
     )
     return comps

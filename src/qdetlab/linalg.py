@@ -1,4 +1,4 @@
-"""Exact dense matrices over QQ: determinants, Pfaffians, submatrices.
+"""Exact dense matrices over QQ: determinants, minors, Pfaffians, submatrices.
 
 A matrix is stored as its cleared integer rows: row r is kept once, as
 (L_r, w_r), where L_r is the lcm of the reduced denominators of the row's
@@ -18,9 +18,16 @@ row.  An entry is reduced to a scalar only when it is read (``at``,
 ``to_lists``).  Each routine runs over the integers alone.
 
 The public index convention is 1-based, matching the displayed formulas the
-matrices come from.  Determinants and Pfaffians read the stored rows
-directly, and a product entry is one integer dot product.  Elimination is
-fraction-free, and every later division is exact (Bareiss 1968 for
+matrices come from.  Determinants, minors and Pfaffians read the stored
+rows directly, and a product entry is one integer dot product.  ``minor``
+(the minors of ``dj_generic``, ``pq_lemma`` and ``triangular_inverses``)
+eliminates the selected stored entries as they are and divides by the
+selected L_r: a determinant does not care which common denominator a row
+is kept over, so no row is re-cleared.  ``submatrix`` keeps the re-clear,
+because its matrices are compared with ``==``, which needs canonical rows.
+``bordered_determinants`` (``vandermonde_vw``) eliminates n - 1 shared
+columns once, and the last row holds each bordered determinant.
+Elimination is fraction-free, and every later division is exact (Bareiss 1968 for
 determinants, the Pfaffian form of Sylvester's identity for Pfaffians;
 Knuth, "Overlapping Pfaffians", 1996).  Each value is reduced to lowest
 terms once, at the end.  Pivots are the first nonzero entries, so runs stay
@@ -184,14 +191,18 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
-def submatrix(m: ExactMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> ExactMatrix:
-    """Rows and columns selected by 1-based index lists, in the given order."""
+def _check_indices(m: ExactMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> None:
     for i in row_idx:
         if not 1 <= i <= m.rows:
             raise IndexError(f"row index {i} out of range")
     for j in col_idx:
         if not 1 <= j <= m.cols:
             raise IndexError(f"column index {j} out of range")
+
+
+def submatrix(m: ExactMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> ExactMatrix:
+    """Rows and columns selected by 1-based index lists, in the given order."""
+    _check_indices(m, row_idx, col_idx)
     rows = m._cleared_rows
     picked = [_row(l, [w[j - 1] for j in col_idx]) for l, w in (rows[i - 1] for i in row_idx)]
     return _stored(len(row_idx), len(col_idx), tuple(picked))
@@ -219,6 +230,13 @@ def _strip_content(w: list[list[int]]) -> int:
     return content
 
 
+def _determinant(w: list[list[int]], l: int) -> GaussianRational:
+    """det(W) / l for a square integer matrix W, by the loop for its order."""
+    if len(w) >= STRIP_ORDER:
+        return _reduced(_bareiss_primitive(w), l)
+    return _reduced(_bareiss_real(w, len(w) - 1)[0], l)
+
+
 def determinant(m: ExactMatrix) -> GaussianRational:
     """Exact determinant by fraction-free Bareiss elimination over the
     integers, with first-nonzero pivoting, after each row is scaled by the
@@ -227,33 +245,56 @@ def determinant(m: ExactMatrix) -> GaussianRational:
     trailing blocks."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    eliminate = _bareiss_primitive if m.rows >= STRIP_ORDER else _bareiss_real
     rows = m._cleared_rows
-    return _reduced(eliminate([list(w) for _, w in rows]), prod([l for l, _ in rows]))
+    return _determinant([list(w) for _, w in rows], prod([l for l, _ in rows]))
+
+
+def minor(m: ExactMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> GaussianRational:
+    """det(submatrix(m, row_idx, col_idx)), read from the stored rows with
+    no matrix built in between."""
+    _check_indices(m, row_idx, col_idx)
+    if len(row_idx) != len(col_idx):
+        raise ValueError("minor requires as many rows as columns")
+    picked = [m._cleared_rows[i - 1] for i in row_idx]
+    return _determinant([[w[j - 1] for j in col_idx] for _, w in picked], prod([l for l, _ in picked]))
+
+
+def bordered_determinants(m: ExactMatrix) -> list[GaussianRational]:
+    """The k determinants of the first n - 1 columns of an n x (n - 1 + k)
+    matrix (n >= 1) bordered by each later column, from one elimination.
+    The bordered families stay below STRIP_ORDER: the plain loop only."""
+    if not 0 < m.rows <= m.cols:
+        raise ValueError("bordered determinants require 1 <= rows <= columns")
+    rows = m._cleared_rows
+    l = prod([l for l, _ in rows])
+    return [_reduced(x, l) for x in _bareiss_real([list(w) for _, w in rows], m.rows - 1)]
 
 
 # Bareiss on the cleared matrix W: after step k, w[r][c] (r, c > k) is the
 # minor on rows 0..k, r and columns 0..k, c, so each division by the previous
-# pivot q is exact; the last pivot is det W = det(M) * prod(L).  The minors
-# of the moment kernels carry large integer factors common to a whole
-# trailing block, which the plain loop multiplies and divides again at every
-# step; from STRIP_ORDER on, W is eliminated on the primitive parts of
+# pivot q is exact; after n - 1 steps the last row holds the minors on the
+# n - 1 lead columns and one later column (for square W, det(M) * prod(L)).
+# The minors of the moment kernels carry large integer factors common to a
+# whole trailing block, which the plain loop multiplies and divides again at
+# every step; from STRIP_ORDER on, W is eliminated on the primitive parts of
 # its trailing blocks instead (_bareiss_primitive), carrying each block's
 # scale exactly.  Both loops swap rows to the first nonzero pivot (flipping
-# the sign) and return 0 when a column has none; the plain loop works in
+# the sign) and give 0 when a column has none; the plain loop works in
 # place.
 
 
-def _bareiss_real(w: list[list[int]]) -> int:
-    """det W for an integer matrix W: 2 products and 1 division per entry."""
-    n = len(w)
+def _bareiss_real(w: list[list[int]], lead: int) -> list[int]:
+    """The last row of the integer matrix W after eliminating its first
+    ``lead`` columns, signed by the row swaps: 2 products and 1 division
+    per entry.  [1] for the 0 x 0 matrix, whose determinant is 1."""
+    n, cols = len(w), len(w[0]) if w else 0
     sign, q = 1, 1
-    for k in range(n):
+    for k in range(lead):
         for p in range(k, n):
             if w[p][k]:
                 break
         else:
-            return 0
+            return [0] * (cols - lead)
         if p != k:
             w[k], w[p] = w[p], w[k]
             sign = -sign
@@ -262,10 +303,10 @@ def _bareiss_real(w: list[list[int]]) -> int:
         for r in range(k + 1, n):
             row = w[r]
             b = row[k]
-            for c in range(k + 1, n):
+            for c in range(k + 1, cols):
                 row[c] = (row[c] * pivot - b * pivot_row[c]) // q
         q = pivot
-    return sign * q
+    return [sign * x for x in w[-1][lead:]] if w else [1]
 
 
 def _bareiss_primitive(w: list[list[int]]) -> int:

@@ -30,10 +30,11 @@ from .gaussian import _ONE, _ZERO, GaussianRational, Pair, to_gq
 from .gaussian import _parts, _pdiv, _pmul, _ratio, _reduced
 
 
-def _one_minus_powers(x, q, downward: bool = False):
-    """1 - x q^j as pairs for j = 0, 1, 2, ... or, downward, for j = -1, -2, ..."""
+def _one_minus_powers(x: Pair, q, downward: bool = False):
+    """1 - x q^j as pairs for j = 0, 1, 2, ... or, downward, for j = -1, -2, ...,
+    for the pair x and the scalar q."""
     qr, qd = _parts(q.reciprocal() if downward else q)
-    r, d = _parts(x)
+    r, d = x
     if downward:
         r, d = r * qr, d * qd
     while True:
@@ -82,7 +83,7 @@ def q_pochhammer_pairs(a, q, lo: int, hi: int) -> dict[int, Pair]:
     that multiplies them into a product and reduces once."""
     a, q = to_gq(a), to_gq(q)
     pairs = _product_pairs(
-        lo, hi, _one_minus_powers(a, q), _one_minus_powers(a, q, downward=True),
+        lo, hi, _one_minus_powers(_parts(a), q), _one_minus_powers(_parts(a), q, downward=True),
         "vanishing factor in negative-index q-shifted factorial", "(a;q)",
     )
     return dict(zip(range(lo, hi + 1), pairs))
@@ -108,7 +109,7 @@ def q_pochhammer_tails(a, q, n: int) -> list[GaussianRational]:
     These are the suffix products that a quotient of q_pochhammers tables
     would give, without its 0/0 when a factor below them vanishes.
     """
-    factors = list(itertools.islice(_one_minus_powers(to_gq(a), to_gq(q)), n))
+    factors = list(itertools.islice(_one_minus_powers(_parts(to_gq(a)), to_gq(q)), n))
     return _products(0, n, reversed(factors))
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdetlab import GaussianRational, ONE, PoleError, ZERO
+from qdetlab import ExactMatrix, GaussianRational, ONE, PoleError, ZERO, linalg
 from qdetlab.errors import DegenerateSampleError, UsageError
 from qdetlab.identities import (
     REGISTRY,
@@ -465,11 +465,29 @@ def _columns_scaled(*args, _row_factor_pairs=builders._row_factor_pairs):
     return [(r * (j + 1), d) for j, (r, d) in enumerate(_row_factor_pairs(*args), 1)]
 
 
-# One non-equivalent mutant of a shared helper of the rows family, as the
-# patches that put it in place, and the checks it must make fail.  Scaling
-# one column alike in every row is an equivalent mutant for m_recurrence,
-# whose determinants all scale alike.
+def _minor_without_row_denominators(m, row_idx, col_idx, _minor=linalg.minor):
+    integer_rows = ExactMatrix.from_pairs(m.rows, m.cols, [[(x, 1) for x in w] for _, w in m._cleared_rows])
+    return _minor(integer_rows, row_idx, col_idx)
+
+
+def _borders_read_one_late(m, _bordered_determinants=linalg.bordered_determinants):
+    dets = _bordered_determinants(m)
+    return dets[1:] + dets[:1]
+
+
+# One non-equivalent mutant of a shared helper of the rows family or of a
+# linalg routine, as the patches that put it in place, and the checks it
+# must make fail.  Scaling one column alike in every row is an equivalent
+# mutant for m_recurrence, whose determinants all scale alike.  Leaving the
+# row denominators out of the elimination that determinant and minor share
+# is an equivalent mutant for dj_generic, whose two sides lose the same
+# product of them; the minor mutant leaves determinant as it is.
 HELPER_MUTANTS = {
+    "minor": (
+        [(checks_quadratic, "minor", _minor_without_row_denominators), (checks_rows, "minor", _minor_without_row_denominators)],
+        ["dj_generic", "triangular_inverses", "pq_lemma"],
+    ),
+    "bordered_determinants": ([(checks_rows, "bordered_determinants", _borders_read_one_late)], ["vandermonde_vw"]),
     "vandermonde": ([(checks_rows, "_vandermonde", _without_last_factor)], ["vandermonde_vw", "pq_lemma"]),
     "column_products": (
         [(builders, "column_products", _shift_doubled), (checks_rows, "column_products", _shift_doubled)],
@@ -482,8 +500,9 @@ HELPER_KILLS = [(mutant, check_id) for mutant, (_, killed) in HELPER_MUTANTS.ite
 
 @pytest.mark.parametrize("mutant, check_id", HELPER_KILLS, ids=[f"{m}-{c}" for m, c in HELPER_KILLS])
 def test_helper_mutant_fails(mutant, check_id, monkeypatch):
-    """Every product of the rows family reaches the comparison of each check
-    that reads it: perturbed, the check fails."""
+    """Every product of the rows family, and every minor and bordered
+    determinant, reaches the comparison of each check that reads it:
+    perturbed, the check fails."""
     assert run_suite([check_id], n_min=3, n_max=3, trials=2).summary["fail"] == 0
     for module, name, perturbed in HELPER_MUTANTS[mutant][0]:
         monkeypatch.setattr(module, name, perturbed)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdetlab import ExactMatrix, GaussianRational, ONE, ZERO, determinant, linalg, pfaffian, submatrix
+from qdetlab.linalg import bordered_determinants, minor
 from helpers import frac
 
 
@@ -230,9 +231,9 @@ class TestDeterminant:
         for name in ("bareiss_real", "bareiss_primitive", "pfaffian_real"):
             kernel = getattr(linalg, f"_{name}")
 
-            def spy(w, kernel=kernel, name=name):
+            def spy(w, *lead, kernel=kernel, name=name):
                 taken.append(name)
-                return kernel(w)
+                return kernel(w, *lead)
 
             monkeypatch.setattr(linalg, f"_{name}", spy)
         m = ExactMatrix.from_rows(rows)
@@ -557,3 +558,92 @@ class TestStorage:
         b = ExactMatrix.from_pairs(a.cols, len(right[0]) if right else 0, right)
         for result in (submatrix(a, row_idx, col_idx), a.transpose(), a @ b):
             assert result == rebuilt(result) and hash(result) == hash(rebuilt(result))
+
+
+# -- minors and bordered determinants ------------------------------------------
+
+
+def pair_rows(values):
+    return [[(v.numerator, v.denominator) for v in row] for row in values]
+
+
+class TestMinor:
+    @settings(max_examples=150, deadline=None)
+    @given(unreduced_matrices(rows=st.integers(1, 5), cols=st.integers(1, 5)), st.data())
+    def test_matches_the_determinant_of_the_submatrix(self, case, data):
+        # unordered and repeated indices, and the 0 x 0 selection
+        values, pairs = case
+        a = ExactMatrix.from_pairs(len(values), len(values[0]), pairs)
+        k = data.draw(st.integers(0, 5))
+        row_idx = data.draw(st.lists(st.integers(1, a.rows), min_size=k, max_size=k))
+        col_idx = data.draw(st.lists(st.integers(1, a.cols), min_size=k, max_size=k))
+        assert minor(a, row_idx, col_idx) == determinant(submatrix(a, row_idx, col_idx))
+        if k == 0:
+            assert minor(a, [], []) == ONE
+
+    def test_primitive_path_from_the_strip_order(self, monkeypatch):
+        rng = random.Random(71)
+        a = rand_matrix(rng, 11)
+        row_idx = rng.sample(range(1, 12), linalg.STRIP_ORDER)
+        col_idx = rng.sample(range(1, 12), linalg.STRIP_ORDER)
+        expected = determinant(submatrix(a, row_idx, col_idx))
+        taken = []
+        primitive = linalg._bareiss_primitive
+        monkeypatch.setattr(linalg, "_bareiss_primitive", lambda w: taken.append(len(w)) or primitive(w))
+        assert minor(a, row_idx, col_idx) == expected
+        assert taken == [linalg.STRIP_ORDER]
+
+    def test_rejected_selections(self):
+        m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError, match="as many rows as columns"):
+            minor(m, [1, 2], [1])
+        with pytest.raises(IndexError, match="row index 3"):
+            minor(m, [1, 3], [1, 2])
+        with pytest.raises(IndexError, match="column index 0"):
+            minor(m, [1], [0])
+
+
+@st.composite
+def bordered_cases(draw):
+    """(n, k, values) of an n x (n - 1 + k) rational matrix, n in 1..7 and
+    k in 1..4, whose lead block may start with a zero pivot (a row swap) or
+    have a zero lead column (rank below n - 1)."""
+    n, k = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    values = [[draw(entry) for _ in range(n - 1 + k)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        values[0][0] = Fraction(0)
+    if n > 1 and draw(st.booleans()):
+        column = draw(st.integers(0, n - 2))
+        for row in values:
+            row[column] = Fraction(0)
+    return n, k, values
+
+
+class TestBorderedDeterminants:
+    @settings(max_examples=150, deadline=None)
+    @given(bordered_cases())
+    def test_each_bordered_matrix_by_itself(self, case):
+        n, k, values = case
+        rows = pair_rows(values)
+        expected = [
+            determinant(ExactMatrix.from_pairs(n, n, [row[: n - 1] + [row[n - 1 + j]] for row in rows]))
+            for j in range(k)
+        ]
+        assert bordered_determinants(ExactMatrix.from_pairs(n, n - 1 + k, rows)) == expected
+
+    def test_row_swap_and_rank_deficient_lead_block(self):
+        # the lead column (0, 2, 1) needs a swap; the second lead block has
+        # its second column twice its first, so every bordered minor is 0
+        swap = ExactMatrix.from_rows([[0, 1, 4, 1], [2, 3, 7, 0], [1, 1, 1, 0]])
+        for j, value in enumerate(bordered_determinants(swap), 3):
+            assert value == det_cofactor(submatrix(swap, [1, 2, 3], [1, 2, j]))
+        assert bordered_determinants(swap) == [ONE, -ONE]
+        deficient = ExactMatrix.from_rows([[1, 2, 5, 1], [3, 6, 7, 0], [1, 2, 1, 4]])
+        assert bordered_determinants(deficient) == [ZERO, ZERO]
+
+    def test_too_few_columns_rejected(self):
+        with pytest.raises(ValueError, match="1 <= rows <= columns"):
+            bordered_determinants(ExactMatrix.from_rows([[1], [2]]))
+        with pytest.raises(ValueError, match="1 <= rows <= columns"):
+            bordered_determinants(ExactMatrix(0, 2, []))
