@@ -281,6 +281,8 @@ def _coerce(x) -> "GaussianRational":
 
 def to_gq(x) -> GaussianRational:
     """Coerce an int, Fraction, or GaussianRational to a GaussianRational."""
+    if type(x) is GaussianRational:
+        return x
     v = _coerce(x)
     if v is NotImplemented:
         raise TypeError(f"cannot interpret {x!r} as a rational scalar")

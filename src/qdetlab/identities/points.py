@@ -10,10 +10,13 @@ index tuples, variable lists, and raw matrix entries.  A check names its
 draws once, in RNG order; :func:`draw` turns the names into values with
 numerators in [-9, 9] \\ {0} and denominators in [1, 9], each one of the
 162 canonical scalars of a table built once at import, so a draw reads
-random bits and an index and reduces nothing.  The sized draws
+random bits and an index and reduces nothing.  Every rational draw, single
+or sized, runs the one loop of :func:`draw_rationals`.  The sized draws
 hold :data:`CAPACITY` values (a square matrix of that order), which is also
-every reading check's ``max_size``.  The rejection loop that keeps only
-non-degenerate points lives in :mod:`.runner`.
+every reading check's ``max_size``.  :meth:`ParamPoint.describe` reads a
+table scalar's text from a second table built beside the first, so a drawn
+entry is not rendered again for every result.  The rejection loop that keeps
+only non-degenerate points lives in :mod:`.runner`.
 """
 
 from __future__ import annotations
@@ -27,9 +30,13 @@ from ..gaussian import ONE, GaussianRational, _reduced
 
 _NUMERATORS = [k for k in range(-9, 10) if k != 0]
 
-# The 18 x 9 canonical scalars _NUMERATORS[k] / (d + 1) that draw_rational
+# The 18 x 9 canonical scalars _NUMERATORS[k] / (d + 1) that draw_rationals
 # returns, at [k][d]; scalars are immutable, so every draw shares them.
 _RATIONALS = tuple(tuple(_reduced(num, den) for den in range(1, 10)) for num in _NUMERATORS)
+
+# The canonical text of each table scalar, keyed by identity: the table lives
+# as long as the module, so no other object can carry one of these ids.
+_TEXTS = {id(z): str(z) for row in _RATIONALS for z in row}
 
 # The sized draws and their capacity, the largest n a check reading one can run
 # at: checks take the first n of a tuple, or the leading n x n block of the matrix.
@@ -71,16 +78,26 @@ class ParamPoint:
     matrix_entries: tuple[GaussianRational, ...] | None = None
 
     def describe(self) -> dict:
-        """JSON-ready view of the set slots, scalars in canonical form."""
+        """JSON-ready view of the set slots, scalars in canonical form.
+
+        A tuple holds ints only or scalars only.  A table scalar's text is
+        read from the table; any other scalar (a square, a hand-built value)
+        is rendered with ``str``.
+        """
         out: dict = {}
         for name in _DESCRIBED:
             value = getattr(self, name)
             if value is None:
                 continue
-            if isinstance(value, tuple):
-                out[name] = [v if isinstance(v, int) else str(v) for v in value]
+            if type(value) is not tuple:
+                out[name] = value if isinstance(value, int) else _TEXTS.get(id(value)) or str(value)
+            elif value and isinstance(value[0], int):
+                out[name] = list(value)
             else:
-                out[name] = value if isinstance(value, int) else str(value)
+                try:
+                    out[name] = list(map(_TEXTS.__getitem__, map(id, value)))
+                except KeyError:
+                    out[name] = list(map(str, value))
         return out
 
 
@@ -88,25 +105,34 @@ class ParamPoint:
 _DESCRIBED = tuple(slot.name for slot in fields(ParamPoint)[2:])
 
 
-def draw_rational(rng: random.Random) -> GaussianRational:
-    """One nonzero rational with numerator in [-9,9] and denominator in [1,9].
+def draw_rationals(rng: random.Random, count: int) -> tuple[GaussianRational, ...]:
+    """``count`` nonzero rationals with numerator in [-9,9] and denominator in [1,9].
 
-    The numerator is rng.choice(_NUMERATORS) and the denominator
+    Each numerator is rng.choice(_NUMERATORS) and each denominator
     rng.randint(1, 9), both read from ``getrandbits`` by the rule of
     ``Random._randbelow``: a value below n takes n.bit_length() bits, drawn
     again while it is >= n (18 numerators: 5 bits; 9 denominators: 4 bits).
     The stream, and so every point, is the one choice and randint give,
-    without their call chain, and the value is read from a table of the 162
+    without their call chain, and each value is read from a table of the 162
     scalars instead of being reduced on every draw.
     """
     getrandbits = rng.getrandbits
-    k = getrandbits(5)
-    while k >= 18:
+    values = []
+    append = values.append
+    for _ in range(count):
         k = getrandbits(5)
-    d = getrandbits(4)
-    while d >= 9:
+        while k >= 18:
+            k = getrandbits(5)
         d = getrandbits(4)
-    return _RATIONALS[k][d]
+        while d >= 9:
+            d = getrandbits(4)
+        append(_RATIONALS[k][d])
+    return tuple(values)
+
+
+def draw_rational(rng: random.Random) -> GaussianRational:
+    """One nonzero rational, drawn as :func:`draw_rationals` draws each."""
+    return draw_rationals(rng, 1)[0]
 
 
 def draw_unit_free(rng: random.Random) -> GaussianRational:
@@ -131,7 +157,7 @@ def draw_x_list(rng: random.Random) -> tuple[GaussianRational, ...]:
     """Distinct rationals, as many as the capacity."""
     size = CAPACITY["x_list"]
     while True:
-        values = tuple(draw_rational(rng) for _ in range(size))
+        values = draw_rationals(rng, size)
         if len(set(values)) == size:
             return values
 
@@ -139,13 +165,13 @@ def draw_x_list(rng: random.Random) -> tuple[GaussianRational, ...]:
 def draw_matrix(rng: random.Random) -> tuple[GaussianRational, ...]:
     """The row-major entries of a square rational matrix of the capacity's order."""
     size = CAPACITY["matrix_entries"]
-    return tuple(draw_rational(rng) for _ in range(size * size))
+    return draw_rationals(rng, size * size)
 
 
 def draw_roots(rng: random.Random) -> dict:
     """Roots kappa, alpha, beta, gamma, with q, a, b, c set to their squares."""
     kappa = draw_unit_free(rng)
-    alpha, beta, gamma = (draw_rational(rng) for _ in range(3))
+    alpha, beta, gamma = draw_rationals(rng, 3)
     return {
         "kappa": kappa,
         "alpha": alpha,
@@ -182,7 +208,7 @@ def draw(names: tuple[str, ...], rng: random.Random) -> dict:
             out.update(draw_roots(rng))
         elif name.startswith("extras:"):
             count = int(name.partition(":")[2])
-            out["extras"] = tuple(draw_rational(rng) for _ in range(count))
+            out["extras"] = draw_rationals(rng, count)
         else:
             out[name] = _DRAWS.get(name, draw_rational)(rng)
     return out

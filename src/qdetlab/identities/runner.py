@@ -9,6 +9,8 @@ The JSON report is the text of ``json.dumps(report.to_dict(), indent=2)``
 plus a newline, rendered in one pass by :func:`_render`: with an indent,
 json runs its generator-based pure-Python encoder, while the renderer
 appends each line to one list and quotes strings with json's C function.
+A flat list (all strs, or all ints, such as a point's matrix entries) goes
+out in one join.
 """
 
 from __future__ import annotations
@@ -59,11 +61,17 @@ class CheckResult:
 _RESULT_FIELDS = tuple(slot.name for slot in fields(CheckResult))
 
 
+# How a member of a flat list is written: a list whose members are all of one
+# of these types goes out in one join.
+_FLAT = {str: _quote, int: int.__repr__}
+
+
 def _render(value, indent: str, out: list[str]) -> None:
     """Append the text of json.dumps(value, indent=2), nested at ``indent``,
     for a value built of dicts with str keys, lists, strs and ints; any other
     type raises TypeError.  Strings are quoted by the C function json.dumps
-    uses; a str or int member goes out in one piece with its line head."""
+    uses; a str or int member goes out in one piece with its line head, and a
+    list of strs only or ints only in one join."""
     kind = type(value)
     if kind is str:
         out.append(_quote(value))
@@ -75,6 +83,10 @@ def _render(value, indent: str, out: list[str]) -> None:
         out.append("{}" if kind is dict else "[]")
     else:
         inner = indent + "  "
+        members = set(map(type, value)) if kind is list else ()
+        if len(members) == 1 and (write := _FLAT.get(members.pop())):
+            out.append("[\n" + inner + (",\n" + inner).join(map(write, value)) + "\n" + indent + "]")
+            return
         head = ("{\n" if kind is dict else "[\n") + inner
         for item in value:
             if kind is dict:

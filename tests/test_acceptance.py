@@ -51,6 +51,10 @@ KERNELS_ABOVE_DEFAULT = {
         "3832d1d108c7557c8568a395b28bfdef96e6c70eef04d6302c81b399896d1cd5",
     ),
 }
+# The Desnanot-Jacobi minors of the complex_minors benchmark workload (n = 4..6,
+# 100 trials, seed 2012): 300 points of 36 drawn entries each, all rendered
+# as flat lists of strings.
+COMPLEX_MINORS_SHA256 = "d5527ed8d881f46f9bd7f0e95fefda03fbc0d8154d415c785997503088cb4377"
 
 
 def criterion(num, description, fn):
@@ -342,3 +346,10 @@ def test_moment_kernels_above_default_sizes_are_pinned(monkeypatch, suite):
     report = run_suite(checks, n_min=n_min, n_max=n_max, trials=4, seed=2012)
     assert_clean(report)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_complex_minors_suite_is_pinned(monkeypatch):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    report = run_suite(["dj_generic"], n_min=4, n_max=6, trials=100, seed=2012)
+    assert_clean(report)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == COMPLEX_MINORS_SHA256

@@ -1,6 +1,7 @@
 """Registry behavior: sampling, execution, witnesses, and determinism."""
 
 import dataclasses
+import functools
 import inspect
 import json
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdetlab import ExactMatrix, GaussianRational, ONE, PoleError, ZERO, linalg
+from qdetlab import ExactMatrix, GaussianRational, ONE, PoleError, ZERO, linalg, parse
 from qdetlab.errors import DegenerateSampleError, UsageError
 from qdetlab.identities import (
     REGISTRY,
@@ -29,6 +30,7 @@ from qdetlab.identities import (
 from qdetlab.identities.points import (
     _NUMERATORS,
     CAPACITY,
+    draw,
     draw_matrix,
     draw_r,
     draw_rational,
@@ -625,6 +627,10 @@ def fraction_draw_roots(rng):
     return roots | {name: root * root for name, root in squares.items()}
 
 
+def fraction_draw_extras(rng):
+    return {"extras": tuple(fraction_draw_rational(rng) for _ in range(3))}
+
+
 def _exact(value):
     """Every scalar in a drawn value as its (num, den) ints."""
     if isinstance(value, GaussianRational):
@@ -645,6 +651,7 @@ def _exact(value):
         (draw_x_list, fraction_draw_x_list),
         (draw_matrix, fraction_draw_matrix),
         (draw_roots, fraction_draw_roots),
+        (functools.partial(draw, ("extras:3",)), fraction_draw_extras),
     ],
 )
 @settings(max_examples=25, deadline=None)
@@ -672,6 +679,49 @@ def test_draw_rational_reads_the_documented_rule():
                 d = twin.getrandbits(4)
             assert _exact(draw_rational(rng)) == _exact(_reduced(_NUMERATORS[k], d + 1))
         assert rng.getstate() == twin.getstate()
+
+
+def described_by_str(point):
+    """ParamPoint.describe as first written: every set slot after seed and
+    trial in declaration order, each scalar rendered with str."""
+    out = {}
+    for slot in dataclasses.fields(ParamPoint)[2:]:
+        value = getattr(point, slot.name)
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            out[slot.name] = [v if isinstance(v, int) else str(v) for v in value]
+        else:
+            out[slot.name] = value if isinstance(value, int) else str(value)
+    return out
+
+
+def test_describe_of_a_sampled_point_of_every_check():
+    # between them the checks draw every kind: plain rationals, roots and their
+    # squares, unit-free q and kappa, r, index tuples, x lists, extras, matrices
+    slots = set()
+    for cid in check_ids():
+        point = sample_point(cid, 2012, 1, get_check(cid).default_sizes[0])
+        assert json.dumps(point.describe()) == json.dumps(described_by_str(point))
+        slots.update(point.describe())
+    assert slots == {slot.name for slot in dataclasses.fields(ParamPoint)[2:]}
+
+
+@pytest.mark.parametrize(
+    "point, expected",
+    [
+        # scalars outside the draw table: a fraction, a negated square, a table value's equal
+        (
+            ParamPoint(seed=1, a=parse("22/7"), b=-parse("81/16"), x_list=(parse("22/7"), ONE, parse("-2/6"))),
+            {"a": "22/7", "b": "-81/16", "x_list": ["22/7", "1", "-1/3"]},
+        ),
+        (ParamPoint(k_tuple=(3, 1, 2), r=-2, extras=()), {"r": -2, "k_tuple": [3, 1, 2], "extras": []}),
+        (ParamPoint(seed=5, trial=3), {}),
+    ],
+)
+def test_describe_of_hand_built_points(point, expected):
+    assert point.describe() == described_by_str(point) == expected
+    assert json.dumps(point.describe()) == json.dumps(expected)
 
 
 def rendered(value):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qdetlab import GaussianRational, ONE, ZERO, ParseError, parse
+from qdetlab import GaussianRational, ONE, ZERO, ParseError, parse, to_gq
 from qdetlab.gaussian import HALF, _one_minus, _parts, _pdiv, _pmul, _psub, _ratio, _reduced
 from helpers import canonical, gq
 
@@ -54,6 +54,14 @@ def test_pow():
 def test_value_must_be_an_int_or_a_fraction(value):
     with pytest.raises(TypeError):
         GaussianRational(value)
+
+
+def test_to_gq_returns_a_scalar_as_it_is_and_coerces_ints_and_fractions():
+    x = gq((-3, 4))
+    assert to_gq(x) is x
+    assert to_gq(-3) == gq((-3, 1)) and to_gq(Fraction(6, -8)) == x
+    with pytest.raises(TypeError):
+        to_gq(0.5)
 
 
 def test_mixed_arithmetic_with_ints_and_fractions():
