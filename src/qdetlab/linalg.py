@@ -35,21 +35,23 @@ reproducible.  There is one elimination loop per kernel and order range.
 
 From order STRIP_ORDER = 9 on, a determinant is eliminated on the
 primitive parts of its trailing blocks: each step forms the new block
-without dividing by the previous pivot, divides it by its content (the gcd
-of all its entries), and carries the block's true scale g exactly as
-g' = g^2 c / q, an integer because the true Bareiss block g^2 X / q is
-integral and X / c is primitive.  The integer matrix of a Pfaffian is
-stripped of its integer content instead: row r and column r are divided
-by the gcd of row r (a congruence), and the product of those gcds is
-multiplied back into the result.  The minors of the large moment kernels
-share big integer factors, and dividing them out shortens every operand
-of the elimination.  On the determinants of the moment kernels of orders
-4-12, the primitive loop took x0.54-0.77 of the time of the plain loop
-after a one-off content strip at orders 9-12, about as long at order 8,
-and x1.19-2.62 of the plain loop's time at orders 4-7.  Stripping took
-x0.59-0.95 of the elimination time for Pfaffians of order 10 and 12 and
-x1.32-1.58 at order 4-8.  The tests check each path against expansion
-oracles.
+without dividing by the previous pivot and divides it by its content c in
+the pass that finds c.  c starts as the gcd of the block's first and last
+diagonal entries (of all of it if both are 0); an entry that leaves a
+remainder r lowers c to gcd(c, r), which the content still divides, and
+rescales the quotients stored so far.  The last c divides every entry and
+is a multiple of the content, so it is the content.  The integer matrix
+of a Pfaffian is stripped of its integer content instead: row r and
+column r are divided by the gcd of row r (a congruence), and the product
+of those gcds is multiplied back into the result.  The minors of the
+large moment kernels share big integer factors, and dividing them out
+shortens every operand of the elimination.  On their determinants the
+primitive loop takes x1.11, x0.88 and x0.53-0.61 of the plain loop's time
+at orders 7, 8 and 9-10 (BENCH_34.json).  Order 9 is the crossover
+measured for an earlier loop that found c in a gcd pass before dividing
+(BENCH_18.json) and for the Pfaffian strip (x0.59-0.95 of the elimination
+time at orders 10 and 12, x1.32-1.58 at orders 4-8).  The tests check
+each path against oracles.
 """
 
 from __future__ import annotations
@@ -311,17 +313,21 @@ def _bareiss_real(w: list[list[int]], lead: int) -> list[int]:
 
 def _bareiss_primitive(w: list[list[int]]) -> int:
     """det W for an integer matrix W, eliminated on the primitive parts of
-    its trailing blocks: 2 products per entry, then 1 division by the
-    block's content where that is above 1.
+    its trailing blocks: 2 products and 1 divmod by the block's content c
+    per entry, in the pass that finds c.
 
     The block w kept is the true Bareiss block over its scale g.  A step
     forms X = p w[r][c] - b w[k][c] without dividing, so the true block is
-    g^2 X / q, q the previous true pivot.  X is divided by its content c,
-    the gcd of all its entries; X / c is primitive and g^2 X / q is
-    integral, so g' = g^2 c / q is an integer.  The true pivot is g p, and
-    the last one is det W up to the sign of the row swaps.  A block that
-    vanishes has c = 0, so g' = 0 and the next step finds no pivot.  Each
-    step keeps only the trailing block, so w shrinks by a row and a column.
+    g^2 X / q, q the previous true pivot.  c starts as the gcd of X's first
+    and last diagonal entries, or of all X if both are 0.  An entry
+    x = y c + r with r != 0 lowers c to gcd(c, r), and the stored quotients
+    are multiplied by the old c over the new.  The content divides x and c,
+    so r: it divides every c, and the last c divides every entry, so c is
+    the content.  X / c is primitive and g^2 X / q is integral, so
+    g' = g^2 c / q is an integer.  The true pivot is g p, and the last one
+    is det W up to the sign of the row swaps.  A block that vanishes has
+    c = 0, so g' = 0 and the next step finds no pivot.  Each step keeps
+    only the trailing block.
     """
     sign, g, q = 1, 1, 1
     while w:
@@ -335,9 +341,22 @@ def _bareiss_primitive(w: list[list[int]]) -> int:
             sign = -sign
         pivot, *tail = w[0]
         w = [[x * pivot - b * y for x, y in zip(rest, tail)] for b, *rest in w[1:]]
-        c = gcd(*chain.from_iterable(w))
+        c = (gcd(w[0][0], w[-1][-1]) if w else 0) or gcd(*chain.from_iterable(w))
         if c > 1:
-            w = [[x // c for x in row] for row in w]
+            out = []
+            for row in w:
+                new = []
+                for x in row:
+                    y, r = divmod(x, c)
+                    if r:
+                        f = c // gcd(c, r)
+                        c //= f
+                        out = [[v * f for v in o] for o in out]
+                        new = [v * f for v in new]
+                        y = x // c
+                    new.append(y)
+                out.append(new)
+            w = out
         g, q = g * g * c // q, g * pivot
     return sign * q
 

@@ -477,13 +477,18 @@ def _borders_read_one_late(m, _bordered_determinants=linalg.bordered_determinant
     return dets[1:] + dets[:1]
 
 
+def _pfaffian_times_last_row_lcm(m, _pfaffian=linalg.pfaffian):
+    return _pfaffian(m) * GaussianRational(m._cleared_rows[-1][0])
+
+
 # One non-equivalent mutant of a shared helper of the rows family or of a
 # linalg routine, as the patches that put it in place, and the checks it
 # must make fail.  Scaling one column alike in every row is an equivalent
 # mutant for m_recurrence, whose determinants all scale alike.  Leaving the
 # row denominators out of the elimination that determinant and minor share
 # is an equivalent mutant for dj_generic, whose two sides lose the same
-# product of them; the minor mutant leaves determinant as it is.
+# product of them; the minor mutant leaves determinant as it is.  The
+# Pfaffian times its last row's lcm models one row denominator left in.
 HELPER_MUTANTS = {
     "minor": (
         [(checks_quadratic, "minor", _minor_without_row_denominators), (checks_rows, "minor", _minor_without_row_denominators)],
@@ -496,15 +501,19 @@ HELPER_MUTANTS = {
         ["bottom_rows", "residue_ids", "pq_lemma"],
     ),
     "row_factor_pairs": ([(builders, "_row_factor_pairs", _columns_scaled)], ["m_recurrence"]),
+    "pfaffian": (
+        [(checks_determinants, "pfaffian", _pfaffian_times_last_row_lcm)],
+        ["c1_pfaffian_square", "pfaffian_moments"],
+    ),
 }
 HELPER_KILLS = [(mutant, check_id) for mutant, (_, killed) in HELPER_MUTANTS.items() for check_id in killed]
 
 
 @pytest.mark.parametrize("mutant, check_id", HELPER_KILLS, ids=[f"{m}-{c}" for m, c in HELPER_KILLS])
 def test_helper_mutant_fails(mutant, check_id, monkeypatch):
-    """Every product of the rows family, and every minor and bordered
-    determinant, reaches the comparison of each check that reads it:
-    perturbed, the check fails."""
+    """Every product of the rows family, and every minor, bordered
+    determinant and Pfaffian, reaches the comparison of each check that
+    reads it: perturbed, the check fails."""
     assert run_suite([check_id], n_min=3, n_max=3, trials=2).summary["fail"] == 0
     for module, name, perturbed in HELPER_MUTANTS[mutant][0]:
         monkeypatch.setattr(module, name, perturbed)

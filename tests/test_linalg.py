@@ -3,12 +3,13 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdetlab import ExactMatrix, GaussianRational, ONE, ZERO, determinant, linalg, pfaffian, submatrix
+from qdetlab import ExactMatrix, GaussianRational, ONE, PoleError, ZERO, determinant, linalg, pfaffian, submatrix
+from qdetlab.identities import builders, get_check
 from qdetlab.linalg import bordered_determinants, minor
 from helpers import frac
 
@@ -293,6 +294,140 @@ def matmul_reference(a, b):
                 acc = acc + rows[i][k] * cols[k][j]
             out.append(acc)
     return ExactMatrix(a.rows, b.cols, out)
+
+
+def trailing_block(w, k):
+    """The block Bareiss leaves after k steps on the integer rows w when no
+    step swaps rows: entry (i, j) is the minor on rows 0..k-1, k+i and
+    columns 0..k-1, k+j."""
+    n = len(w)
+    return [
+        [linalg._bareiss_real([r[:k] + [r[k + j]] for r in w[:k] + [w[k + i]]], k)[0] for j in range(n - k)]
+        for i in range(n - k)
+    ]
+
+
+def content_trail(block):
+    """The start of the one-pass content rule on a block, the gcd of its
+    first and last diagonal entries, and each (row, column, c) at which c
+    shrinks as the entries are read in row order; ``(0, [])`` for a zero
+    start."""
+    c = start = gcd(block[0][0], block[-1][-1])
+    trail = []
+    for i, row in enumerate(block if c else []):
+        for j, x in enumerate(row):
+            if x % c:
+                c = gcd(c, x)
+                trail.append((i, j, c))
+    return start, trail
+
+
+def uneven_factors(rng, n, lo):
+    """An n x n integer matrix of entries in lo..9 times row and column
+    factors from {1, 2, 3, 6}, so that its blocks share factors unevenly.
+    Rows 2 and n - 1 are the sum of rows 0 and 1 on columns 0, 1, 2 and
+    0, 1, n - 1, so the first and last diagonal entries of the block left
+    after two steps are 0."""
+    dr = [rng.choice([1, 2, 3, 6]) for _ in range(n)]
+    dc = [rng.choice([1, 2, 3, 6]) for _ in range(n)]
+    w = [[dr[i] * dc[j] * rng.randint(lo, 9) for j in range(n)] for i in range(n)]
+    for r, cols in ((2, (0, 1, 2)), (n - 1, (0, 1, n - 1))):
+        for j in cols:
+            w[r][j] = w[0][j] + w[1][j]
+    return w
+
+
+def both_loops(w):
+    """det W by the primitive loop and by the plain loop, each on a copy."""
+    return linalg._bareiss_primitive([list(r) for r in w]), linalg._bareiss_real([list(r) for r in w], len(w) - 1)[0]
+
+
+# A hand-worked uneven_factors matrix of order 9: the first and last
+# diagonal entries of its first block are -16 and 0, and its row 0 reads
+# -16, -24, ...
+W9 = [
+    [8, 8, 4, 2, 4, 2, 3, 2, 4],
+    [8, 6, 1, 8, 2, 3, 12, 8, 4],
+    [16, 14, 5, 6, 1, 1, 3, 2, 3],
+    [16, 8, 2, 4, 6, 6, 18, 16, 2],
+    [6, 12, 9, 24, 6, 3, 9, 24, 9],
+    [4, 8, 8, 12, 4, 4, 6, 8, 6],
+    [4, 12, 8, 12, 8, 6, 24, 12, 4],
+    [6, 8, 1, 4, 2, 3, 3, 6, 1],
+    [16, 14, 6, 8, 2, 8, 6, 8, 8],
+]
+
+
+class TestPrimitiveContentPass:
+    """_bareiss_primitive divides each block by its content in the pass that
+    finds it: c starts as the gcd of the block's first and last diagonal
+    entries and, at an entry that leaves a remainder r, falls to gcd(c, r),
+    and the quotients already stored are rescaled.  Each test also meets a
+    later block whose first and last diagonal entries are both 0, where the
+    content is the gcd of the whole block."""
+
+    def test_start_shrinks_after_quotients_are_stored(self):
+        # W9's first block starts at c = 16; -24 in row 0 brings c to 8
+        # after one quotient is stored, and row 3 to 4 and then to 2, the
+        # block's content.
+        block = trailing_block(W9, 1)
+        assert content_trail(block) == (16, [(0, 1, 8), (3, 2, 4), (3, 5, 2)])
+        assert gcd(*itertools.chain.from_iterable(block)) == 2
+        assert both_loops(W9) == (80213760, 80213760)
+        rng = random.Random(81)
+        later_rows = 0
+        for n in range(9, 13):
+            for _ in range(3):
+                w = uneven_factors(rng, n, 1)
+                _, trail = content_trail(trailing_block(w, 1))
+                later_rows += any(i > 0 for i, _, _ in trail)
+                primitive, real = both_loops(w)
+                assert primitive == real != 0
+        assert later_rows >= 6
+
+    def test_both_corners_zero_in_a_block_that_is_not(self):
+        rng = random.Random(82)
+        for w in [W9] + [uneven_factors(rng, n, 1) for n in range(9, 13) for _ in range(3)]:
+            # no swap in the first two steps, so the third block is this one
+            assert w[0][0] and trailing_block(w, 1)[0][0]
+            block = trailing_block(w, 2)
+            assert block[0][0] == block[-1][-1] == 0 and any(map(any, block))
+            primitive, real = both_loops(w)
+            assert primitive == real != 0
+
+    def test_negative_entries(self):
+        # flipping the signs of alternate rows and columns is D W D with
+        # D = diag(+-1): the determinant stays
+        signed = [[-x if (i + j) % 2 else x for j, x in enumerate(row)] for i, row in enumerate(W9)]
+        assert both_loops(signed) == (80213760, 80213760)
+        rng = random.Random(83)
+        for n in range(9, 13):
+            for _ in range(3):
+                primitive, real = both_loops(uneven_factors(rng, n, -9))
+                assert primitive == real
+        for _ in range(4):
+            # sparse, so that the cofactor expansion stays short
+            m = ExactMatrix.from_rows([[x if rng.random() < 0.4 else 0 for x in row] for row in uneven_factors(rng, 9, -9)])
+            assert determinant(m) == det_cofactor(m)
+
+    def test_cleared_rows_of_the_theorem_kernels(self):
+        # points drawn as the sampler draws them, skipping poles of the
+        # moments, but not evaluated: the sampler's rejection loop runs the
+        # determinants, and would steer round a loop that raises
+        rng = random.Random("thm_main_aw|7|0")
+        for n in range(9, 13):
+            for _ in range(3):
+                while True:
+                    pt = get_check("thm_main_aw").sample(rng)
+                    try:
+                        m = builders.build_theorem_matrix(n, pt["r"], pt["a"], pt["b"], pt["c"], pt["q"])
+                        break
+                    except PoleError:
+                        pass
+                primitive, real = both_loops([list(w) for _, w in m._cleared_rows])
+                assert primitive == real
+                # at c = 1 the kernel is skew, so singular at odd orders
+                assert (real == 0) == (pt["c"] == ONE and n % 2 == 1)
 
 
 class TestProduct:
