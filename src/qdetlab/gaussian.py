@@ -173,11 +173,9 @@ def _reduced(r: int, d: int) -> GaussianRational:
 # program) carries each quantity as a pair (num, den) of ints with den > 0,
 # the value num/den, unreduced, and reduces once per value it emits, with
 # _reduced(*pair); the loops of qseries and orthopoly keep the two ints in
-# locals.  The matrix builders reduce none of theirs: they hand rows of
-# pairs to ExactMatrix.from_pairs, which clears each row to integers over one
-# denominator, and an entry becomes a scalar only when it is read.  A closed
-# form multiplies factorial-table pairs and reduces once, with _ratio.  A
-# pair is zero exactly when its numerator is.
+# locals.  A closed form multiplies pairs (_pprod) and reduces once, with
+# _ratio; the matrix builders reduce nothing, and an entry becomes a scalar
+# only when it is read.  A pair is zero exactly when its numerator is.
 
 Pair = tuple[int, int]
 _ZERO, _ONE, _MINUS_ONE = (0, 1), (1, 1), (-1, 1)  # the pairs of 0, 1 and -1
@@ -217,12 +215,18 @@ def _pdiv(x: Pair, y: Pair) -> Pair:
     return -a * s, -p * c
 
 
+def _pprod(pairs) -> Pair:
+    """The product of the pairs, unreduced."""
+    r = d = 1
+    for a, p in pairs:
+        r, d = r * a, d * p
+    return r, d
+
+
 def _ratio(numerators, denominators=()) -> GaussianRational:
     """The product of the numerator pairs over the product of the denominator
     pairs, reduced once: a closed form's factors need one gcd in all."""
-    r = d = 1
-    for a, p in numerators:
-        r, d = r * a, d * p
+    r, d = _pprod(numerators)
     for c, s in denominators:
         if not c:
             raise ZeroDivisionError("division by zero in QQ")

@@ -16,27 +16,28 @@ factorials along a row of the cleared matrix, are running products taken
 by the factorial loop of :mod:`qdetlab.qseries`.  All matrix builders use
 the 1-based convention of the formulas.
 
-Every matrix builder computes each entry as an unreduced (num, den) pair
-(see ``gaussian._pmul``) and hands rows of pairs to
-:meth:`ExactMatrix.from_pairs`, which clears each row to integers over
-one denominator; no entry is reduced on the way.  That holds for the moment
-kernels (Hankel, theorem and row-selected), the cleared row matrix, X and
-L, the q-binomial triangulars Y and U and their inverses (one helper, which
-reads the q-powers as pairs and the q-binomials as the pairs that
-:func:`~qdetlab.qseries.q_binomials` reduces), and the classical kernels.
-The dynamic program of R_{n,nu} reduces once per cell.
+The moment kernels, the cleared row matrix, Y, U, their inverses and the
+classical kernels hand :meth:`ExactMatrix.from_integer_rows` integer rows
+formed from int tables, with no scalar and no pair per entry.  For q = u/v
+and c = g/h in lowest terms, the prefactor rows (q^e - c q^j)_j are integers
+over h u^{-lo} v^{hi}, times a row's window of reduced moments or its
+factorial pairs, cleared over their lcm.  Y, U and their inverses read
+v^{k(t-k)} [t, k]_q from the homogenised q-Pascal rule, and R_{n,nu} runs on
+integers over one denominator per step.  X and L keep a pair -1/P_ij per entry.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, chain, islice, repeat
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from ..errors import PoleError
-from ..gaussian import _MINUS_ONE, _ZERO, ONE, ZERO, GaussianRational, Pair, to_gq
+from ..gaussian import _MINUS_ONE, _ZERO, ZERO, GaussianRational, Pair, to_gq
 from ..gaussian import _one_minus, _parts, _pdiv, _pmul, _psub, _reduced
 from ..linalg import ExactMatrix
-from ..qseries import _one_minus_powers, _product_pairs, _products, _q_binomial_pairs, rising_factorials
+from ..qseries import _one_minus_powers, _product_pairs, _products, rising_factorials
 
 
 def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
@@ -51,7 +52,8 @@ def moments(lo: int, hi: int, a, b, q) -> dict[int, GaussianRational]:
     upward pole when both directions have one.
     """
     a, b, q = to_gq(a), to_gq(b), to_gq(q)
-    aq, abq2 = _parts(a * q), _parts(a * b * q * q)
+    aq = _pmul(_parts(a), _parts(q))
+    abq2 = _pmul(_pmul(aq, _parts(b)), _parts(q))
 
     def up():
         for m, fx, fy in zip(range(1, hi + 1), _one_minus_powers(aq, q), _one_minus_powers(abq2, q)):
@@ -77,43 +79,53 @@ def moment(m: int, a, b, q) -> GaussianRational:
     return moments(m, m, a, b, q)[m]
 
 
-class _Powers(dict):
-    """q**e keyed by exponent e, each computed on first use; one table per builder call."""
+def _q_powers(q: GaussianRational, lo: int, hi: int) -> tuple[list[int], int]:
+    """([p_lo, .., p_hi], w) with q^t = p_t / w, w > 0: for q = u/v in lowest
+    terms, p_t = u^{t-lo} v^{hi-t} and w = u^{-lo} v^{hi}, both negated when
+    u^{-lo} < 0, from running products.  At q = 0, lo < 0 raises ZeroDivisionError."""
+    u, v = _parts(q)
+    if lo < 0 and not u:
+        raise ZeroDivisionError("division by zero in QQ")
+    us, vs = (list(accumulate(repeat(x, hi - lo), mul, initial=1)) for x in (u, v))
+    s = 1 if us[-lo] > 0 else -1
+    return [s * us[t] * vs[hi - lo - t] for t in range(hi - lo + 1)], s * us[-lo] * vs[hi]
 
-    def __init__(self, q: GaussianRational):
-        super().__init__()
-        self.q = q
 
-    def __missing__(self, e: int) -> GaussianRational:
-        power = self[e] = self.q**e
-        return power
+def _power_pairs(q: GaussianRational, exponents: Sequence[int]) -> list[Pair]:
+    """q^e for each e in ``exponents``: the pair (u^e, v^e) for q = u/v, or (1/q)^-e."""
+    (u, v), (iu, iv) = _parts(q), _parts(q.reciprocal()) if min(exponents, default=0) < 0 else (0, 1)
+    return [(u**e, v**e) if e >= 0 else (iu**-e, iv**-e) for e in exponents]
 
 
-def _row_moments(k_tuple: Sequence[int], a, b, q) -> dict[int, GaussianRational]:
-    """The moments mu_{k_i+j-2} (1 <= j <= n) that a row-selected kernel reads."""
-    if not k_tuple:
-        return {}
-    return moments(min(k_tuple) - 1, max(k_tuple) + len(k_tuple) - 2, a, b, q)
+def _prefactor(exponents: Sequence[int], n: int, c, q) -> tuple[int, list[int], list[int]]:
+    """(d, x, y) with (q^e - c q^j)_{0<=j<n} = (x_e - y_j) / d for each e in
+    ``exponents``: x_e = h p_e, y_j = g p_j and d = h w for c = g/h in lowest
+    terms and q^t = p_t / w from :func:`_q_powers`."""
+    (g, h), lo = _parts(c), min([0, *exponents])
+    qp, w = _q_powers(q, lo, max([n - 1, *exponents]))
+    return h * w, [h * qp[e - lo] for e in exponents], [g * qp[j - lo] for j in range(n)]
+
+
+def _times_prefactor(n: int, prefactor: tuple[int, list[int], list[int]], windows) -> ExactMatrix:
+    """The matrix ((x_i - y_j) / d times the pair windows[i][j]) for the prefactor
+    (d, x, y): row i is integers over d times the lcm of its window's denominators."""
+    d, xs, ys = prefactor
+    ls = [lcm(*[t for _, t in window]) for window in windows]
+    rows = [(d * l, [(x - y) * r * (l // t) for y, (r, t) in zip(ys, w)]) for x, l, w in zip(xs, ls, windows)]
+    return ExactMatrix.from_integer_rows(n, n, rows)
+
+
+def _row_moments(k_tuple: Sequence[int], a, b, q) -> list[Pair]:
+    """The pairs of the reduced moments mu_{k_i-1}..mu_{k_i+n-2}, one window per row."""
+    n, lo = len(k_tuple), min(k_tuple, default=1) - 1
+    mu = list(map(_parts, moments(lo, max(k_tuple, default=0) + n - 2, a, b, q).values()))
+    return [mu[k - 1 - lo : k - 1 - lo + n] for k in k_tuple]
 
 
 def moment_hankel_rows(k_tuple: Sequence[int], a, b, q) -> ExactMatrix:
     """Row-selected moment matrix (mu_{k_i+j-2})."""
     n = len(k_tuple)
-    mu = {m: _parts(v) for m, v in _row_moments(k_tuple, a, b, q).items()}
-    return ExactMatrix.from_pairs(n, n, [[mu[k + j] for j in range(-1, n - 1)] for k in k_tuple])
-
-
-def _kernel(rows: Sequence[tuple[GaussianRational, int]], mu: dict[int, GaussianRational], c, qp) -> ExactMatrix:
-    """The kernel ((x_i - c q^{j-1}) mu_{o_i+j-1}) over rows (x_i, o_i), each
-    entry one unreduced pair; qp is the builder's table of q-powers."""
-    n = len(rows)
-    cq = [_parts(c * qp[j]) for j in range(n)]
-    mu = {m: _parts(v) for m, v in mu.items()}
-    lines = []
-    for x, o in rows:
-        x = _parts(x)
-        lines.append([_pmul(_psub(x, y), mu[o + j]) for j, y in enumerate(cq)])
-    return ExactMatrix.from_pairs(n, n, lines)
+    return ExactMatrix.from_pairs(n, n, _row_moments(k_tuple, a, b, q))
 
 
 def build_theorem_matrix(n: int, r: int, a, b, c, q) -> ExactMatrix:
@@ -122,26 +134,23 @@ def build_theorem_matrix(n: int, r: int, a, b, c, q) -> ExactMatrix:
     At c = 1 the prefactor is antisymmetric and the matrix is exactly skew.
     """
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
-    mu = moments(r, 2 * n + r - 2, a, b, q)
-    qp = _Powers(q)
-    return _kernel([(qp[i], i + r) for i in range(n)], mu, c, qp)
+    mu = list(map(_parts, moments(r, 2 * n + r - 2, a, b, q).values()))
+    return _times_prefactor(n, _prefactor(range(n), n, c, q), [mu[i : i + n] for i in range(n)])
 
 
 def theorem_matrix_rows(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     """Arbitrary-rows kernel ((q^{k_i-1} - c q^{j-1}) mu_{k_i+j-2})."""
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
-    mu = _row_moments(k_tuple, a, b, q)
-    qp = _Powers(q)
-    return _kernel([(qp[k - 1], k - 1) for k in k_tuple], mu, c, qp)
+    windows = _row_moments(k_tuple, a, b, q)
+    return _times_prefactor(len(k_tuple), _prefactor([k - 1 for k in k_tuple], len(k_tuple), c, q), windows)
 
 
-def _row_factor_pairs(x, a, ab, q, n: int) -> list[Pair]:
+def _row_factor_pairs(x: Pair, a, ab, q, n: int) -> list[Pair]:
     """(a x;q)_{j-1} (ab x q^j;q)_{n-j} for j = 1..n as unreduced pairs, at
-    list index j - 1, for scalars x, a, ab and q: the prefixes of (a x;q)_n
-    and, as in :func:`~qdetlab.qseries.q_pochhammer_tails`, the suffixes of
-    (ab x;q)_n from its top factor down, each one run of the factorial loop.
-    a x and ab x enter as unreduced pair products, with no gcd."""
-    x = _parts(x)
+    list index j - 1, for the pair x and scalars a, ab and q: the prefixes
+    of (a x;q)_n and, as in :func:`~qdetlab.qseries.q_pochhammer_tails`, the
+    suffixes of (ab x;q)_n from its top factor down, each one run of the
+    factorial loop.  a x and ab x enter as unreduced pair products."""
     prefix = _product_pairs(0, n - 1, _one_minus_powers(_pmul(_parts(a), x), q))  # (a x;q)_t at t
     tops = list(islice(_one_minus_powers(_pmul(_parts(ab), x), q), 1, n))  # 1 - ab x q^m for m = 1..n-1
     suffix = _product_pairs(0, n - 1, reversed(tops))  # (ab x q^{n-t};q)_t at t
@@ -154,31 +163,24 @@ def row_factors(x, a, ab, q, n: int) -> list[GaussianRational]:
     The first factorial is a prefix of (a x;q)_n and the second a suffix of
     (ab x;q)_n, so the n values take one running product of each.
     """
-    return [_reduced(*t) for t in _row_factor_pairs(to_gq(x), to_gq(a), to_gq(ab), to_gq(q), n)]
+    return [_reduced(*t) for t in _row_factor_pairs(_parts(to_gq(x)), to_gq(a), to_gq(ab), to_gq(q), n)]
 
 
 def build_m(k_tuple: Sequence[int], a, b, c, q) -> ExactMatrix:
     """Denominator-cleared row matrix with entries
-    (q^{k_i-1} - c q^{j-1}) (a q^{k_i};q)_{j-1} (a b q^{k_i+j};q)_{n-j},
-    each row's factorials the unreduced pairs that :func:`row_factors`
-    reduces, at x = q^{k_i}; the entries are handed over unreduced.
-    """
+    (q^{k_i-1} - c q^{j-1}) (a q^{k_i};q)_{j-1} (a b q^{k_i+j};q)_{n-j}:
+    each row the integer prefactor line times the factorial pairs of
+    :func:`row_factors` at x = q^{k_i}."""
     a, b, c, q = to_gq(a), to_gq(b), to_gq(c), to_gq(q)
-    n = len(k_tuple)
-    ab = a * b
-    qp = _Powers(q)
-    cq = [_parts(c * qp[j]) for j in range(n)]
-    lines = []
-    for k in k_tuple:
-        factors = _row_factor_pairs(qp[k], a, ab, q, n)
-        xk = _parts(qp[k - 1])
-        lines.append([_pmul(_psub(xk, y), f) for y, f in zip(cq, factors)])
-    return ExactMatrix.from_pairs(n, n, lines)
+    n, ab = len(k_tuple), a * b
+    prefactor = _prefactor([k - 1 for k in k_tuple], n, c, q)
+    return _times_prefactor(n, prefactor, [_row_factor_pairs(x, a, ab, q, n) for x in _power_pairs(q, k_tuple)])
 
 
-def column_products(xs: Sequence[GaussianRational], shift: GaussianRational, first: int = 1) -> list[list[Pair]]:
+def column_products(xs: Sequence[Pair], shift: Pair, first: int = 1) -> list[list[Pair]]:
     """Rows first..n of the lower triangular matrix with entry (i, j), i >= j,
-    -1/P_{ij} for P_{ij} = x_j (1 - shift x_j) prod_{l <= i, l != j} (x_l - x_j), as unreduced pairs.
+    -1/P_{ij} for P_{ij} = x_j (1 - shift x_j) prod_{l <= i, l != j} (x_l - x_j),
+    for the pairs xs and shift, as unreduced pairs.
 
     P_{ij} is carried down column j in one pass, one factor per row, and
     divided into -1 only on the rows asked for.  P_{ij} divides P_{nj}, so row
@@ -187,7 +189,6 @@ def column_products(xs: Sequence[GaussianRational], shift: GaussianRational, fir
     n, start = len(xs), first - 1
     if not 0 <= start < max(n, 1):
         raise ValueError(f"first row {first} is outside 1..{n}")
-    xs, shift = [_parts(x) for x in xs], _parts(shift)
     lines = [[_ZERO] * n for _ in range(start, n)]
     for j, x in enumerate(xs):
         prod = _pmul(x, _one_minus(shift, x))
@@ -202,8 +203,7 @@ def column_products(xs: Sequence[GaussianRational], shift: GaussianRational, fir
 def x_matrix(k_tuple: Sequence[int], a, q, first: int = 1) -> ExactMatrix:
     """Rows first..n of the lower triangular X over the k-tuple: entry (i, j),
     i >= j, is -1 / (q^{k_j} (1 - a q^{k_j}) prod_{l <= i, l != j} (q^{k_l} - q^{k_j}))."""
-    q = to_gq(q)
-    lines = column_products([q**k for k in k_tuple], to_gq(a), first)
+    lines = column_products(_power_pairs(to_gq(q), k_tuple), _parts(to_gq(a)), first)
     return ExactMatrix.from_pairs(len(lines), len(k_tuple), lines)
 
 
@@ -215,26 +215,34 @@ def l_matrix(k_tuple: Sequence[int], a, b, q, first: int = 1) -> ExactMatrix:
 
 def _q_binomial_matrix(n: int, q, entry) -> ExactMatrix:
     """The n x n matrix whose entry (i, j) is (-1)^s q^e [top, k]_q for
-    (s, e, top, k) = entry(i, j), or 0 where entry gives None; [top, k]_q is 0
-    for k outside 0..top, but q^e is read even then, so that q = 0 raises at
-    a negative exponent.  The q-powers and the q-binomials, from one
-    (q;q)_0..(q;q)_n table, are pairs."""
-    q = to_gq(q)
-    qp = _Powers(q)
-    binomial = _q_binomial_pairs(q, n)
-    lines = []
-    for i in range(1, n + 1):
-        line = []
-        for j in range(1, n + 1):
-            spec = entry(i, j)
-            if spec is None:
-                line.append(_ZERO)
-                continue
-            s, e, top, k = spec
-            r, d = _pmul(_parts(qp[e]), binomial(top, k))
-            line.append((-r, d) if s % 2 else (r, d))
-        lines.append(line)
-    return ExactMatrix.from_pairs(n, n, lines)
+    (s, e, top, k) = entry(i, j), or 0 where entry gives None.
+
+    For q = u/v in lowest terms, B(t, k) = v^{k(t-k)} [t, k]_q is an integer by
+    the homogenised q-Pascal rule B(t, k) = v^{t-k} B(t-1, k-1) + u^k B(t-1, k)
+    (Andrews, The Theory of Partitions, Thm. 3.2), so with q^e = p_e / w and K
+    the largest k(top-k), entry (i, j) is (-1)^s p_e B(top, k) v^{K-k(top-k)}
+    over w v^K.  As the formula does, this reads q^e even where [top, k]_q is 0,
+    and raises ZeroDivisionError where (q;q)_k (q;q)_{top-k} vanishes: at q = 1,
+    and at q = -1 from index 2."""
+    u, v = _parts(q := to_gq(q))
+    specs = [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    cells = [spec for spec in chain.from_iterable(specs) if spec]
+    unit = abs(u) == v and 1 + (u < 0)  # (q;q)_m = 0 from m = unit on, at q = 1 or -1
+    if unit and any(0 <= k <= t and max(k, t - k) >= unit for _, _, t, k in cells):
+        raise ZeroDivisionError("division by zero in QQ")
+    es = [e for _, e, _, _ in cells]
+    lo, top = min([0, *es]), max([0, *[k * (t - k) for _, _, t, k in cells]])
+    qp, w = _q_powers(q, lo, max([0, *es]))  # q^e = qp[e - lo] / w
+    binomial = [[1]]
+    for t in range(1, n):
+        prev = binomial[-1]
+        binomial.append([1, *[v ** (t - k) * prev[k - 1] + u**k * prev[k] for k in range(1, t)], 1])
+
+    def cell(s, e, t, k):
+        x = qp[e - lo] * binomial[t][k] * v ** (top - k * (t - k)) if 0 <= k <= t else 0
+        return -x if s % 2 else x
+
+    return ExactMatrix.from_integer_rows(n, n, [(w * v**top, [cell(*s) if s else 0 for s in line]) for line in specs])
 
 
 def y_matrix(n: int, q) -> ExactMatrix:
@@ -276,35 +284,38 @@ def r_values(n: int, k_tuple: Sequence[int], a, b, q) -> list[GaussianRational]:
     backward pass serves every nu: H_n(s) = [s = n], H_{v-1}(s) sums the two
     steps into H_v, and R_{n,nu} = H_0(nu).  Only the cells s >= v - 1 can
     reach s = n, and only they are computed, so every q-exponent is
-    nonnegative and R is defined at q = 0.  All n + 1 values cost O(n^2)
-    factors.
+    nonnegative for positive k_v, and R is defined at q = 0.  All n + 1
+    values cost O(n^2) factors.  Each q^t read is an integer over one w
+    (:func:`_q_powers`), so the cells are integers over one denominator per
+    step, and each R_{n,nu} is reduced once.
     """
     if len(k_tuple) < n:
         raise ValueError("k-tuple shorter than n")
     a, b, q = to_gq(a), to_gq(b), to_gq(q)
-    ab = a * b
-    qp = _Powers(q)
-    at, abt = _parts(a), _parts(ab)
-    h = [ZERO] * n + [ONE]  # H_v(s) at list index s
+    (ar, ad), (br, bd) = _parts(a), _parts(a * b)
+    lo = min([0, *[k + v - 2 for v, k in enumerate(k_tuple[:n], 1)]])
+    qp, w = _q_powers(q, lo, max([n - 1, *[k + n for k in k_tuple[:n]]]))  # q^t = qp[t - lo] / w
+    h = [0] * n + [1]  # H_v(s) at list index s, over (ad bd w)^(n - v)
     for v in range(n, 0, -1):
-        k, qv = k_tuple[v - 1], _parts(qp[v - 1])
-        # In place, upward in s: H_{v-1}(s) reads H_v(s) and H_v(s + 1).
-        # H_v(v - 1) was never written and is 0, so the j-step needs no v <= s test.
-        # Each cell is one pair, reduced once.
+        k, qv = k_tuple[v - 1], ad * qp[v - 1 - lo]
+        # In place, upward in s: H_{v-1}(s) reads H_v(s) and H_v(s + 1), and
+        # both steps go over ad bd w.  H_v(v - 1) was never written and is 0,
+        # so the j-step needs no v <= s test.
         for s in range(v - 1, n + 1):
-            total = _pmul(_parts(h[s]), _one_minus(abt, _parts(qp[k + s - 1]))) if h[s] else _ZERO
+            total = h[s] * (bd * w - br * qp[k + s - 1 - lo]) * ad if h[s] else 0
             if s < n and h[s + 1]:
-                total = _psub(total, _pmul(_parts(h[s + 1]), _psub(_pmul(at, _parts(qp[k + s])), qv)))
-            h[s] = _reduced(*total)
-    return h
+                total += h[s + 1] * (qv - ar * qp[k + s - lo]) * bd
+            h[s] = total
+    d = (ad * bd * w) ** n
+    return [_reduced(x, d) for x in h]
 
 
 def mehta_wang_matrix(n: int, a, b) -> ExactMatrix:
     """Gamma-normalized classical kernel ((a + j - i) (b)_{i+j-2})_{1<=i,j<=n}."""
     ar, ad = _parts(to_gq(a))
     rf = [_parts(v) for v in rising_factorials(b, 0, 2 * n - 2).values()]
-    lines = [[_pmul((ar + (j - i) * ad, ad), rf[i + j]) for j in range(n)] for i in range(n)]
-    return ExactMatrix.from_pairs(n, n, lines)
+    prefactor = ad, [ar - i * ad for i in range(n)], [-j * ad for j in range(n)]  # (a + j - i) ad
+    return _times_prefactor(n, prefactor, [rf[i : i + n] for i in range(n)])
 
 
 def nishizawa_matrix(n: int, s, t, q) -> ExactMatrix:
@@ -324,13 +335,10 @@ def classical_matrix(n: int, r: int, alpha, beta, gamma) -> ExactMatrix:
     gr, gd = _parts(to_gq(gamma))
     den = {m: _parts(v) for m, v in rising_factorials(alpha + beta + 2, r, 2 * n + r - 2).items()}
     num = {m: _parts(v) for m, v in rising_factorials(alpha + 1, r, 2 * n + r - 2).items()}
-    lines = []
-    for i in range(n):
-        line = []
-        for j in range(n):
-            m = i + j + r
-            if not den[m][0]:
-                raise PoleError("vanishing classical moment denominator", f"(alpha+beta+2)_{m}")
-            line.append(_pdiv(_pmul((gr + (j - i) * gd, gd), num[m]), den[m]))
-        lines.append(line)
-    return ExactMatrix.from_pairs(n, n, lines)
+    ratios = []
+    for m in range(r, 2 * n + r - 1):
+        if not den[m][0]:
+            raise PoleError("vanishing classical moment denominator", f"(alpha+beta+2)_{m}")
+        ratios.append(_pdiv(num[m], den[m]))
+    prefactor = gd, [gr - i * gd for i in range(n)], [-j * gd for j in range(n)]  # gamma + j - i
+    return _times_prefactor(n, prefactor, [ratios[i : i + n] for i in range(n)])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..gaussian import ONE, ZERO, GaussianRational, _parts
+from ..gaussian import _ONE, ONE, ZERO, GaussianRational, _one_minus, _parts, _pmul, _pprod, _psub, _ratio, _reduced
 from ..linalg import ExactMatrix, determinant, minor
 from ..orthopoly import AWParams, askey_wilson_phi, askey_wilson_values
 from ..qseries import q_pochhammer as qp
@@ -86,11 +86,12 @@ def _quadratic_relation(n: int, a, b, c, d, q, x, s: int) -> tuple[GaussianRatio
     # p_ij: the values with a shifted by q^i and b by q^j
     p00, p11 = p(a, b, n), p(a * q, b * q, n - 1)
     p10, p01 = p(a * q, b, n - 1), p(a, b * q, n - 1)
-    ab, cd = s * a * b, s * c * d
-    lhs = ab * (ONE - q ** (n - 1)) * (ONE - cd * q ** (n - 2)) * p00[n] * p11[n - 2]
-    rhs = (ONE - ab * q ** (n - 1)) * (ONE - ab * cd * q ** (n - 1)) * p00[n - 1] * p11[n - 1]
-    rhs = rhs - (ONE - ab) * (ONE - ab * cd * q ** (2 * n - 2)) * p10[n - 1] * p01[n - 1]
-    return lhs, rhs
+    ab, cd = (_pmul((s, 1), _pmul(_parts(x), _parts(y))) for x, y in ((a, b), (c, d)))
+    abcd, qn = _pmul(ab, cd), _parts(q ** (n - 1))
+    lhs = _ratio([ab, _one_minus(_ONE, qn), _one_minus(cd, _parts(q ** (n - 2))), _parts(p00[n]), _parts(p11[n - 2])])
+    first = _pprod([_one_minus(ab, qn), _one_minus(abcd, qn), _parts(p00[n - 1]), _parts(p11[n - 1])])
+    second = _pprod([_one_minus(_ONE, ab), _one_minus(abcd, _parts(q ** (2 * n - 2))), _parts(p10[n - 1]), _parts(p01[n - 1])])
+    return lhs, _reduced(*_psub(first, second))
 
 
 @check(

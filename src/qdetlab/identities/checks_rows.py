@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..gaussian import ONE, ZERO, GaussianRational, Pair, _one_minus, _parts, _pdiv, _psub, _ratio, _reduced, sign
+from ..gaussian import _ZERO, ONE, ZERO, GaussianRational, Pair, sign
+from ..gaussian import _one_minus, _parts, _pdiv, _pmul, _pprod, _psub, _ratio, _reduced
 from ..linalg import ExactMatrix, bordered_determinants, determinant, minor
 from ..qseries import q_binomials, q_pochhammer as qp, q_pochhammer_pairs, q_pochhammer_tails, q_pochhammers
 from .builders import (
@@ -46,13 +47,15 @@ def _x_products(xs, a, abq) -> tuple[GaussianRational, GaussianRational, Gaussia
 def _boundary_terms(xs, a, b, c, q) -> tuple[GaussianRational, GaussianRational, GaussianRational]:
     """prod x over ``xs`` (n of them) and the two residue boundary terms
     sign(n) a^{n-1} (1 - acq) (bq;q)_{n-1} / (q prod (1 - a x)) and
-    a^{n-1} q^{n(n-3)/2} (1 - abc q^{2n-1}) (bq;q)_{n-1} / prod (1 - ab q^{n-1} x)."""
-    n = len(xs)
-    prod_x, inv_ax, inv_abx = _x_products(xs, a, a * b * q ** (n - 1))
-    common = a ** (n - 1) * qp(b * q, q, n - 1)
-    first = sign(n) * common * (ONE - a * c * q) / (q * inv_ax)
-    second = common * q ** (n * (n - 3) // 2) * (ONE - a * b * c * q ** (2 * n - 1)) / inv_abx
-    return prod_x, first, second
+    a^{n-1} q^{n(n-3)/2} (1 - abc q^{2n-1}) (bq;q)_{n-1} / prod (1 - ab q^{n-1} x),
+    each a product of pairs reduced once."""
+    n, xs, at, qt = len(xs), [_parts(x) for x in xs], _parts(a), _parts(q)
+    ac = _pmul(at, _parts(c))
+    abq = _pmul(_pmul(at, _parts(b)), _parts(q ** (n - 1)))
+    common = [_parts(a ** (n - 1)), q_pochhammer_pairs(b * q, q, n - 1, n - 1)[n - 1]]
+    first = _ratio([((-1) ** n, 1), *common, _one_minus(ac, qt)], [qt, *(_one_minus(at, x) for x in xs)])
+    second = [*common, _parts(q ** (n * (n - 3) // 2)), _one_minus(_pmul(ac, _parts(b)), _parts(q ** (2 * n - 1)))]
+    return _ratio(xs), first, _ratio(second, [_one_minus(abq, x) for x in xs])
 
 
 def _row_scale(k, n, a, b, q) -> tuple[list[Pair], list[Pair]]:
@@ -71,11 +74,11 @@ def _r_closed_form(n, k, a, b, c, q) -> GaussianRational:
     fb = q_pochhammer_pairs(b * q, q, -1, n - 2)  # (bq;q)_{i-2} for i = 1..n
     q2 = q * q
     tail = q_pochhammer_tails(a * b * c * q, q2, n)  # (abc q^{2nu+1}; q^2)_{n-nu} at n - nu
-    fac = q_pochhammers(a * c * q, q2, 0, n)
-    total = ZERO
+    fac = q_pochhammer_pairs(a * c * q, q2, 0, n)
+    total = _ZERO  # the R-sum, one pair
     for nu, r in enumerate(r_values(n, k, a, b, q)):
-        total = total + sign(nu) * tail[n - nu] * fac[nu] * r
-    return _ratio([_parts(pre), *fb.values(), _parts(_vandermonde([q ** (kv - 1) for kv in k])), _parts(total)])
+        total = _psub(total, _pprod([((-1) ** (nu + 1), 1), _parts(tail[n - nu]), fac[nu], _parts(r)]))
+    return _ratio([_parts(pre), *fb.values(), _parts(_vandermonde([q ** (kv - 1) for kv in k])), total])
 
 
 @check(
@@ -182,7 +185,8 @@ def residue_ids(pt, n: int) -> list[Comparison]:
     factors = [row_factors(x, a, a * b, q, n) for x in xs]
     # x_nu / q and -1/P_{n,nu}, the last rows of X and L, do not depend on j.
     xq = [x / q for x in xs]
-    inv1, inv2 = ([_reduced(*e) for e in column_products(xs, shift, n)[0]] for shift in (a, a * b * q ** (n - 1)))
+    pairs = [_parts(x) for x in xs]
+    inv1, inv2 = ([_reduced(*e) for e in column_products(pairs, _parts(s), n)[0]] for s in (a, a * b * q ** (n - 1)))
     comps = []
     for j in range(1, n + 1):
         cq = c * q ** (j - 1)

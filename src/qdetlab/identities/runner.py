@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
@@ -137,12 +138,26 @@ def sample_point(check_id: str, seed: int, trial: int, n: int) -> ParamPoint:
     return _sample(get_check(check_id), seed, trial, n)[0]
 
 
+def _witness(x) -> str:
+    """str(x) at any size: past CPython's limit on the digits of an int turned
+    into a string (from 3.10.7), the limit is lifted for this one conversion."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _outcome(entry: CheckDef, comparisons: list[Comparison]) -> dict:
     """Status and witnesses: exact agreement of every comparison passes."""
     for label, lhs, rhs in comparisons:
         if lhs != rhs:
             status = EVIDENCE_FAIL if entry.mode == "evidence" else FAIL
-            return {"status": status, "lhs": str(lhs), "rhs": str(rhs), "detail": label}
+            return {"status": status, "lhs": _witness(lhs), "rhs": _witness(rhs), "detail": label}
     return {"status": EVIDENCE_PASS if entry.mode == "evidence" else PASS}
 
 

@@ -6,12 +6,12 @@ entries and w_r is the integer row L_r times it, so entry (r, c) is
 w_r[c] / L_r.  One routine, ``_row``, makes every stored row: given a line
 over any common denominator, it divides the denominator and the integer
 line by their one gcd, which leaves the least denominator, so equal
-matrices have equal rows.  A matrix is built from rows of pairs
-(num, den) (see ``gaussian._pmul``), not necessarily in lowest terms:
-each row is scaled to the lcm of its denominators and handed to ``_row``.
-The public constructors turn scalars into pairs; the builders of
-:mod:`qdetlab.identities.builders` hand over their unreduced pairs as
-they are.  Submatrices, transposes and products already know a common
+matrices have equal rows.  ``from_integer_rows`` takes each row as a
+common denominator and an integer line, as the builders of
+:mod:`qdetlab.identities.builders` form it, and hands it to ``_row``;
+``from_pairs`` and the public constructors first scale a row of pairs
+(num, den), not necessarily in lowest terms, to the lcm of its
+denominators.  Submatrices, transposes and products already know a common
 denominator of each output row (L_r, the lcm of the L_r, L_i times the lcm
 of the right factor's L_k) and re-clear it with ``_row`` alone: one gcd per
 row.  An entry is reduced to a scalar only when it is read (``at``,
@@ -106,17 +106,23 @@ class ExactMatrix:
         return cls.from_pairs(rows, cols, lines)
 
     @staticmethod
+    def from_integer_rows(rows: int, cols: int, lines: Sequence[tuple[int, Sequence[int]]]) -> "ExactMatrix":
+        """The rows x cols matrix whose entry (i, j) is w[j - 1] / l for
+        (l, w) = lines[i - 1], l > 0 any common denominator of the row."""
+        if len(lines) != rows or any(map(cols.__ne__, map(len, [w for _, w in lines]))):
+            raise ValueError(f"expected {rows} rows of {cols} entries")
+        return _stored(rows, cols, tuple([_row(l, w) for l, w in lines]))
+
+    @staticmethod
     def from_pairs(rows: int, cols: int, lines: Sequence[Sequence[Pair]]) -> "ExactMatrix":
         """The rows x cols matrix whose entry (i, j) is the value of the
         pair lines[i - 1][j - 1] (den > 0, not necessarily in lowest
         terms); each row is cleared over the lcm of its denominators."""
-        if len(lines) != rows or any(map(cols.__ne__, map(len, lines))):
-            raise ValueError(f"expected {rows} rows of {cols} entries")
         cleared = []
         for line in lines:
             l = lcm(*[d for _, d in line])
-            cleared.append(_row(l, [r * (l // d) for r, d in line]))
-        return _stored(rows, cols, tuple(cleared))
+            cleared.append((l, [r * (l // d) for r, d in line]))
+        return ExactMatrix.from_integer_rows(rows, cols, cleared)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")

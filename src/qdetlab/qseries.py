@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 from .errors import NonTerminatingSeriesError, PoleError
 from .gaussian import _ONE, _ZERO, GaussianRational, Pair, to_gq
-from .gaussian import _parts, _pdiv, _pmul, _ratio, _reduced
+from .gaussian import _parts, _ratio, _reduced
 
 
 def _one_minus_powers(x: Pair, q, downward: bool = False):
@@ -128,25 +128,12 @@ def q_pochhammer_multi(params: Sequence, q, n: int) -> GaussianRational:
     return _ratio([q_pochhammer_pairs(a, q, n, n)[n] for a in params])
 
 
-def _q_binomial_pairs(q, top: int) -> Callable[[int, int], Pair]:
-    """The Gaussian binomial coefficient (q;q)_n / ((q;q)_k (q;q)_{n-k}) as an
-    unreduced pair, as a function of (n, k) for n <= top, read from one
-    (q;q)_0..(q;q)_top table; 0 when k is out of range."""
-    f = list(q_pochhammer_pairs(q, q, 0, top).values())
-
-    def binomial(n: int, k: int) -> Pair:
-        if k < 0 or k > n:
-            return _ZERO
-        return _pdiv(f[n], _pmul(f[k], f[n - k]))
-
-    return binomial
-
-
 def q_binomials(q, top: int) -> Callable[[int, int], GaussianRational]:
-    """The Gaussian binomial coefficient as a function of (n, k) for n <= top:
-    the pairs of :func:`_q_binomial_pairs`, each reduced as it is read."""
-    binomial = _q_binomial_pairs(q, top)
-    return lambda n, k: _reduced(*binomial(n, k))
+    """The Gaussian binomial coefficient (q;q)_n / ((q;q)_k (q;q)_{n-k}) as a
+    function of (n, k) for n <= top, read from one (q;q)_0..(q;q)_top table
+    of pairs and reduced as it is read; 0 when k is out of range."""
+    f = list(q_pochhammer_pairs(q, q, 0, top).values())
+    return lambda n, k: _ratio([f[n]], [f[k], f[n - k]]) if 0 <= k <= n else _reduced(*_ZERO)
 
 
 def rising_factorial_pairs(a, lo: int, hi: int) -> dict[int, Pair]:

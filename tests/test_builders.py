@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qdetlab import ExactMatrix, GaussianRational, ONE, PoleError, ZERO, determinant, to_gq
 from qdetlab.identities import (
@@ -19,7 +20,7 @@ from qdetlab.identities import (
     row_factors,
     theorem_matrix_rows,
 )
-from qdetlab.gaussian import _reduced
+from qdetlab.gaussian import _parts, _reduced
 from qdetlab.identities.builders import column_products, l_matrix, u_inverse, u_matrix, x_matrix, y_inverse, y_matrix
 from qdetlab.linalg import submatrix
 from qdetlab.qseries import q_binomials, q_pochhammer, rising_factorial
@@ -271,7 +272,7 @@ class TestTriangulars:
                 shift = frac(rng.randint(-9, 9), rng.randint(1, 9))
                 if len(set(xs)) < n or any(ONE == shift * x for x in xs):
                     continue
-                (row,) = column_products(xs, shift, n)
+                (row,) = column_products([_parts(x) for x in xs], _parts(shift), n)
                 assert [_reduced(*e) for e in row] == [-d.reciprocal() for d in residue_denominators(xs, shift)]
 
     def test_closed_inverses(self):
@@ -505,3 +506,173 @@ class TestClassicalKernels:
         m = classical_matrix(1, -2, al, be, ga)
         expected = ga * rising_factorial(al + 1, -2) / rising_factorial(al + be + 2, -2)
         assert m.at(1, 1) == expected
+
+
+# -- every integer-row builder against its scalar formula ---------------------
+#
+# Each reference builds the displayed formula with ExactMatrix.build, one
+# scalar operation at a time, in the order the formula reads its factors, so
+# it raises what a scalar evaluation raises: a pole of the moments, a
+# negative power of q = 0, or a vanishing (q;q)_k (q;q)_{top-k} at q = 1 or
+# q = -1.  The builders must store the same rows and raise the same class and
+# message.
+
+small = st.fractions(min_value=-12, max_value=12, max_denominator=12).map(GaussianRational)
+# every scalar slot sees 0, 1 and -1 often, as well as negative q and |q| > 1
+scalar = st.one_of(st.sampled_from([ZERO, ONE, -ONE, frac(2), frac(-1, 2)]), small)
+sizes = st.integers(0, 6)
+
+
+def theorem_reference(n, r, a, b, c, q):
+    mu = moments(r, 2 * n + r - 2, a, b, q)
+    return ExactMatrix.build(n, n, lambda i, j: (q ** (i - 1) - c * q ** (j - 1)) * mu[i + j + r - 2])
+
+
+def rows_reference(k, a, b, c, q, prefactor=True):
+    mu = moments(min(k) - 1, max(k) + len(k) - 2, a, b, q) if k else {}
+
+    def entry(i, j):
+        ki = k[i - 1]
+        return (q ** (ki - 1) - c * q ** (j - 1) if prefactor else ONE) * mu[ki + j - 2]
+
+    return ExactMatrix.build(len(k), len(k), entry)
+
+
+def cleared_reference(k, a, b, c, q):
+    def entry(i, j):
+        ki = k[i - 1]
+        pre = q ** (ki - 1) - c * q ** (j - 1)
+        return pre * q_pochhammer(a * q**ki, q, j - 1) * q_pochhammer(a * b * q ** (ki + j), q, len(k) - j)
+
+    return ExactMatrix.build(len(k), len(k), entry)
+
+
+def q_binomial_references(n, q):
+    """Y, U, Y^-1 and U^-1 by their displayed formulas: q^e is read before
+    [top, k]_q, and an entry outside the triangle of Y or U reads neither."""
+    qb = q_binomials(q, n)
+    sign = lambda e: ONE if e % 2 == 0 else -ONE
+
+    def y(i, j):
+        return sign(i + j) * q ** (-((i - j) * (2 * n + 1 - i - j)) // 2) * qb(n - j, i - j) if i >= j else ZERO
+
+    def u(i, j):
+        return sign(i + j) * q ** ((j - i) * (j - i + 1) // 2) * qb(j - 1, j - i) if i <= j else ZERO
+
+    return {
+        y_matrix: lambda: ExactMatrix.build(n, n, y),
+        u_matrix: lambda: ExactMatrix.build(n, n, u),
+        y_inverse: lambda: ExactMatrix.build(n, n, lambda i, j: q ** ((j - i) * (n + 1 - i)) * qb(n - j, i - j)),
+        u_inverse: lambda: ExactMatrix.build(n, n, lambda i, j: q ** (j - i) * qb(j - 1, i - 1)),
+    }
+
+
+def k_tuples(lo):
+    return st.lists(st.integers(lo, 12), max_size=6)
+
+
+class TestIntegerRowsAgainstScalarFormulas:
+    @settings(max_examples=150, deadline=None)
+    @given(sizes, st.integers(-3, 3), scalar, scalar, scalar, scalar)
+    @example(3, 1, frac(2, 3), frac(3, 5), frac(5, 7), ZERO)
+    @example(3, -2, frac(2, 3), frac(3, 5), frac(5, 7), ZERO)  # the downward moments need 1/q
+    @example(3, 1, frac(2, 3), frac(3, 5), frac(5, 7), ONE)
+    @example(4, 1, frac(2, 3), frac(3, 5), frac(5, 7), -ONE)
+    @example(4, 0, frac(2, 3), frac(3, 5), ZERO, frac(-7, 2))
+    @example(3, 0, frac(1, 2), frac(1, 2), frac(5, 7), frac(2))  # a b q^2 = 1: a moment pole
+    @example(3, -2, frac(1, 4), frac(3), frac(5, 7), frac(2))  # a q^-1 = 1/8: none; (aq;q)_-2 below
+    @example(2, -2, frac(2), frac(3), frac(5, 7), frac(1, 2))  # (aq;q)_{-1} = 1 - a: a pole on the way down
+    @example(1, 0, ONE, ONE, ONE, ONE)
+    @example(0, 2, frac(2), frac(3), frac(4), ZERO)
+    def test_theorem_matrix(self, n, r, a, b, c, q):
+        agree(build_theorem_matrix, theorem_reference, n, r, a, b, c, q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k_tuples(-2), scalar, scalar, scalar, scalar)
+    @example([3, 1, 12, 7], frac(2, 3), frac(3, 5), frac(5, 7), ZERO)
+    @example([3, 0, 2], frac(2, 3), frac(3, 5), frac(5, 7), ZERO)  # q^-1 at q = 0
+    @example([3, -2, 2], frac(2, 3), frac(3, 5), frac(5, 7), frac(-4, 3))
+    @example([2, 5, 1], frac(2, 3), frac(3, 5), frac(5, 7), ONE)
+    @example([2, 5, 1], frac(2, 3), frac(3, 5), frac(5, 7), -ONE)
+    @example([2, 5, 1], frac(2, 3), frac(3, 5), ZERO, frac(9, 2))
+    @example([2, 5, 1], frac(1, 2), frac(1, 2), frac(5, 7), frac(2))  # a moment pole
+    @example([12, 11, 10, 9, 8, 7], frac(-9, 11), frac(7, 5), frac(3, 8), frac(-11, 4))
+    @example([4], frac(2, 3), frac(3, 5), frac(5, 7), frac(2))
+    @example([], frac(2, 3), frac(3, 5), frac(5, 7), frac(2))
+    def test_row_selected_kernels_and_cleared_matrix(self, k, a, b, c, q):
+        agree(theorem_matrix_rows, rows_reference, k, a, b, c, q)
+        agree(lambda *args: moment_hankel_rows(*args[:3], args[4]), lambda *args: rows_reference(*args, False), k, a, b, c, q)
+        agree(build_m, cleared_reference, k, a, b, c, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes, scalar)
+    @example(6, ZERO)
+    @example(1, ZERO)
+    @example(2, ONE)
+    @example(1, ONE)
+    @example(3, -ONE)
+    @example(2, -ONE)
+    @example(6, frac(-9, 2))
+    @example(0, ONE)
+    def test_q_binomial_triangulars_and_inverses(self, n, q):
+        for build, reference in q_binomial_references(n, q).items():
+            agree(build, lambda n, q: reference(), n, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k_tuples(-2), scalar, scalar, scalar)
+    @example([2, 5, 7], frac(2, 3), frac(3, 5), ZERO)
+    @example([-1, 5, 7], frac(2, 3), frac(3, 5), ZERO)
+    @example([2, 5, 2], frac(2, 3), frac(3, 5), frac(-3, 2))  # a repeated row index
+    @example([1, 3, 4], frac(1, 2), frac(3, 5), frac(2))  # 1 - a q^{k_1} = 0
+    @example([], frac(2, 3), frac(3, 5), ZERO)  # L reads q^-1
+    def test_x_and_l(self, k, a, b, q):
+        def x_reference(k, a, b, q, shift=None):
+            shift = a if shift is None else shift
+
+            def entry(i, j):
+                if i < j:
+                    return ZERO
+                prod = q ** k[j - 1] * (ONE - shift * q ** k[j - 1])
+                for l in range(1, i + 1):
+                    if l != j:
+                        prod = prod * (q ** k[l - 1] - q ** k[j - 1])
+                return -prod.reciprocal()
+
+            xs = [q**kv for kv in k]  # read first, as the builder reads them
+            return ExactMatrix.build(len(xs), len(xs), entry)
+
+        agree(lambda k, a, b, q: x_matrix(k, a, q), x_reference, k, a, b, q)
+        l_reference = lambda k, a, b, q: x_reference(k, a, b, q, a * b * q ** (len(k) - 1))
+        agree(l_matrix, l_reference, k, a, b, q)
+
+    def test_degenerate_points_raise_as_the_formulas_do(self):
+        zero_division = (ZeroDivisionError, "division by zero in QQ", None)
+        pole = frac(1, 2), frac(1, 2), C, frac(2)  # a b q^2 = 1
+        moment_pole = (PoleError, "vanishing moment denominator [(abq^2;q)_1]", "(abq^2;q)_1")
+        cases = [
+            (build_theorem_matrix, theorem_reference, (3, -2, A, B, C, ZERO), zero_division),
+            (build_theorem_matrix, theorem_reference, (3, 0, *pole), moment_pole),
+            (theorem_matrix_rows, rows_reference, ([3, 0, 2], A, B, C, ZERO), zero_division),
+            (theorem_matrix_rows, rows_reference, ([2, 5, 1], *pole), moment_pole),
+            (build_m, cleared_reference, ([3, 0, 2], A, B, C, ZERO), zero_division),
+            (y_matrix, lambda n, q: q_binomial_references(n, q)[y_matrix](), (2, ONE), zero_division),
+            (y_matrix, lambda n, q: q_binomial_references(n, q)[y_matrix](), (3, -ONE), zero_division),
+            (y_matrix, lambda n, q: q_binomial_references(n, q)[y_matrix](), (2, ZERO), zero_division),
+            (u_inverse, lambda n, q: q_binomial_references(n, q)[u_inverse](), (2, ZERO), zero_division),
+        ]
+        for build, reference, args, expected in cases:
+            assert agree(build, reference, *args) == expected, (build.__name__, args)
+        # and where the formula stays defined, so does the builder: c = 0, [t, 1]_q at q = -1
+        for build, args in ((build_theorem_matrix, (3, 1, A, B, ZERO, Q)), (u_matrix, (2, -ONE)), (y_matrix, (1, ONE))):
+            assert not raised(outcome(build, *args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes, st.lists(st.integers(1, 12), min_size=6, max_size=6), scalar, scalar, scalar)
+    @example(3, [1, 1, 1, 1, 1, 1], frac(2, 3), frac(3, 5), ZERO)
+    @example(3, [12, 11, 10, 9, 8, 7], frac(2, 3), frac(3, 5), ONE)
+    @example(4, [2, 5, 7, 1, 3, 3], frac(2, 3), frac(3, 5), -ONE)
+    @example(6, [12, 1, 12, 1, 12, 1], frac(-7, 3), frac(9, 4), frac(-11, 5))
+    @example(0, [4, 4, 4, 4, 4, 4], frac(2, 3), frac(3, 5), frac(2))
+    def test_r_values(self, n, k, a, b, q):
+        # the R-sum is defined for positive row indices, and at q = 0
+        assert r_values(n, k, a, b, q) == [compute_r_reference(n, nu, k, a, b, q) for nu in range(n + 1)]

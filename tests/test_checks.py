@@ -460,7 +460,7 @@ def _without_last_factor(xs, _vandermonde=checks_rows._vandermonde):
 
 
 def _shift_doubled(xs, shift, first=1, _column_products=builders.column_products):
-    return _column_products(xs, 2 * shift, first)
+    return _column_products(xs, (2 * shift[0], shift[1]), first)
 
 
 def _columns_scaled(*args, _row_factor_pairs=builders._row_factor_pairs):
@@ -481,14 +481,35 @@ def _pfaffian_times_last_row_lcm(m, _pfaffian=linalg.pfaffian):
     return _pfaffian(m) * GaussianRational(m._cleared_rows[-1][0])
 
 
-# One non-equivalent mutant of a shared helper of the rows family or of a
-# linalg routine, as the patches that put it in place, and the checks it
-# must make fail.  Scaling one column alike in every row is an equivalent
+def _source_mutant(fn, old, new):
+    """fn compiled again from its source, with the one occurrence of ``old``
+    replaced by ``new``, in fn's own module namespace."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+# R's i-step without its q^{v-1}: the step weight reads q^0 for q^{v-1}.
+_r_values_without_row_power = _source_mutant(builders.r_values, "ad * qp[v - 1 - lo]", "ad * qp[-lo]")
+# The kernel prefactor (q^e - c q^j) over q's denominators alone, leaving out
+# c's: every entry of the theorem kernel is den(c) times too large.
+_prefactor_without_c_denominator = _source_mutant(builders._prefactor, "return h * w,", "return w,")
+
+
+# One non-equivalent mutant of a shared helper of the rows family, of a
+# builder or of a linalg routine, as the patches that put it in place, and
+# the checks it must make fail.  Scaling one column alike in every row is an equivalent
 # mutant for m_recurrence, whose determinants all scale alike.  Leaving the
 # row denominators out of the elimination that determinant and minor share
 # is an equivalent mutant for dj_generic, whose two sides lose the same
 # product of them; the minor mutant leaves determinant as it is.  The
 # Pfaffian times its last row's lcm models one row denominator left in.
+# dj_specialized still passes with c q^j read as c q^{j+1} (its identity
+# holds for every c, and this is c -> c q) and with the moments read one
+# index high; a prefactor that loses c's denominator scales its determinants
+# by powers of den(c), den(c q) and den(c/q), which differ.
 HELPER_MUTANTS = {
     "minor": (
         [(checks_quadratic, "minor", _minor_without_row_denominators), (checks_rows, "minor", _minor_without_row_denominators)],
@@ -505,15 +526,17 @@ HELPER_MUTANTS = {
         [(checks_determinants, "pfaffian", _pfaffian_times_last_row_lcm)],
         ["c1_pfaffian_square", "pfaffian_moments"],
     ),
+    "r_values": ([(checks_rows, "r_values", _r_values_without_row_power)], ["r_closed", "r_recurrence", "r_sum"]),
+    "build_theorem_matrix": ([(builders, "_prefactor", _prefactor_without_c_denominator)], ["dj_specialized"]),
 }
 HELPER_KILLS = [(mutant, check_id) for mutant, (_, killed) in HELPER_MUTANTS.items() for check_id in killed]
 
 
 @pytest.mark.parametrize("mutant, check_id", HELPER_KILLS, ids=[f"{m}-{c}" for m, c in HELPER_KILLS])
 def test_helper_mutant_fails(mutant, check_id, monkeypatch):
-    """Every product of the rows family, and every minor, bordered
-    determinant and Pfaffian, reaches the comparison of each check that
-    reads it: perturbed, the check fails."""
+    """Every product of the rows family, the R-sum, the theorem kernel, and
+    every minor, bordered determinant and Pfaffian, reaches the comparison of
+    each check that reads it: perturbed, the check fails."""
     assert run_suite([check_id], n_min=3, n_max=3, trials=2).summary["fail"] == 0
     for module, name, perturbed in HELPER_MUTANTS[mutant][0]:
         monkeypatch.setattr(module, name, perturbed)

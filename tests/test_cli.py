@@ -1,9 +1,11 @@
 """Command-line front end: flags, formats, exit codes, reproducibility."""
 
+import contextlib
 import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +15,20 @@ from qdetlab.identities import REGISTRY, check_ids
 
 def _min_size(check_id):
     return REGISTRY[check_id].min_size
+
+
+@contextlib.contextmanager
+def sys_digit_limit(digits):
+    """CPython's int-to-str digit limit set to ``digits`` where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run_cli(capsys, *argv):
@@ -259,6 +275,30 @@ class TestRun:
             assert "lhs: 1" in out and "rhs: 0" in out
         finally:
             REGISTRY["hankel"] = entry
+
+    def test_failure_with_witnesses_beyond_the_int_digit_limit_is_reported(self, capsys, monkeypatch):
+        from qdetlab import GaussianRational
+        from qdetlab.identities import run_suite
+
+        # About 5,000 digits each: over CPython's default limit of 4,300 digits
+        # for turning an int into a string, where the interpreter has one.
+        big = 7**5917
+        lhs, rhs = GaussianRational(big), GaussianRational(Fraction(big + 1, 3))
+        with sys_digit_limit(0):
+            texts = str(big), f"{big + 1}/3"
+        assert len(texts[0]) > 5000
+        rigged = dataclasses.replace(REGISTRY["hankel"], evaluate=lambda pt, n: [("forced mismatch", lhs, rhs)])
+        monkeypatch.setitem(REGISTRY, "hankel", rigged)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        with sys_digit_limit(4300):
+            (result,) = run_suite(["hankel"], n_min=1, n_max=1, trials=1).results
+            argv = ("run", "--check", "hankel", "--n-max", "1", "--trials", "1", "--format", "json")
+            code, out, _ = run_cli(capsys, *argv)
+        assert (result.status, result.detail, result.lhs, result.rhs) == ("fail", "forced mismatch", *texts)
+        assert code == 1
+        assert [json.loads(out)["results"][0][side] for side in ("lhs", "rhs")] == list(texts)
+        # the limit is back where it was
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 class TestInstalledEntryPoint:
